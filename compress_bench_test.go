@@ -1,6 +1,6 @@
 // Intra-field parallel codec benchmarks: serial versus parallel pack and
-// unpack for the two codecs with intra-field fan-out (sz: wavefront Lorenzo +
-// sharded Huffman; zfp: chunked block coder). The recorded baseline lives in
+// unpack for the two codecs with intra-field fan-out (sz: independent slabs +
+// chunked entropy; zfp: chunked block coder). The recorded baseline lives in
 // BENCH_compress.json and is gated by cmd/benchguard; speedup floors only
 // apply on multi-core runners (see the baseline's runner note).
 package fxrz_test

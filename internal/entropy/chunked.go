@@ -70,8 +70,8 @@ const (
 
 	// DefaultChunkSymbols is the symbol-container chunk size: inputs shorter
 	// than two chunks encode in the legacy whole-stream format (the same
-	// size-cutoff idiom the wavefront kernels use — below the cutoff the
-	// fan-out costs more than it buys).
+	// two-unit cutoff sz applies to its slabs — below it the fan-out costs
+	// more than it buys).
 	DefaultChunkSymbols = 1 << 17
 
 	// maxChunksCap bounds hostile chunk counts before any per-chunk

@@ -106,8 +106,8 @@ func (l *live) Add(name string, delta int64)      { l.counter(name).Add(delta) }
 func (l *live) SetGauge(name string, v int64)     { l.gauge(name).Store(v) }
 func (l *live) AddGauge(name string, delta int64) { l.gauge(name).Add(delta) }
 
-// MaxGauge is a CAS loop so concurrent writers (e.g. wavefront workers
-// reporting their widest hyperplane) settle on the true maximum.
+// MaxGauge is a CAS loop so concurrent writers (e.g. request handlers
+// reporting the in-flight peak) settle on the true maximum.
 func (l *live) MaxGauge(name string, v int64) {
 	g := l.gauge(name)
 	for {

@@ -2,12 +2,15 @@ package sz
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
 
+	"github.com/fxrz-go/fxrz/internal/compress"
 	"github.com/fxrz-go/fxrz/internal/grid"
 )
 
@@ -20,19 +23,17 @@ func parWidths() []int {
 	return ws
 }
 
-// parShapes cross the wavefront cutoffs: 2D needs nx >= 2*szParMinTileW for
-// a real tiling, 3D just needs szParMinPoints points; the small and 1D/4D
-// shapes prove the gates decline cleanly (serial fallback, identical blobs).
+// parShapes all span two or more slabs under szChunkLayout — the only fields
+// that fan out — one per rank, each with a short last slab; parControl is a
+// single-slab field, serial at every width.
 var parShapes = [][]int{
-	{1 << 14},      // 1D: always serial
-	{8, 8},         // tiny 2D: below the point cutoff
-	{40, 512},      // 2D: 2+ tiles at any width
-	{97, 300},      // 2D: odd extents, ragged last tile
-	{64, 130},      // 2D: above point cutoff, ntx<2 → serial fallback
-	{16, 32, 32},   // 3D: wavefront with nz+ny-1 fronts
-	{5, 70, 33},    // 3D: ragged, ny >> nz
-	{4, 4, 32, 32}, // 4D: always serial (generic path)
+	{2*65536 + 100},  // 1D: 65536-point slabs, 100-point tail
+	{2100, 64},       // 2D: 1024-row slabs, 52-row tail
+	{33, 96, 96},     // 3D: 8-row slabs, 1-row tail
+	{10, 16, 16, 32}, // 4D: 8-row slabs on the generic kernel, 2-row tail
 }
+
+var parControl = []int{16, 32, 32}
 
 // parField fills a field with the given character. Characters mirror the
 // serial identity suite: smooth (mostly quantized), noisy (mixed), escape
@@ -74,6 +75,14 @@ var parKinds = []string{"smooth", "noisy", "escape", "constant"}
 // the serial path for every shape, data character and worker count.
 func TestSZParallelIdentity(t *testing.T) {
 	for _, shape := range parShapes {
+		if _, nSlabs := szChunkLayout(shape); nSlabs < 2 {
+			t.Fatalf("%v is a single slab: the suite would compare serial with serial", shape)
+		}
+	}
+	if _, nSlabs := szChunkLayout(parControl); nSlabs != 1 {
+		t.Fatalf("control %v spans %d slabs, want 1", parControl, nSlabs)
+	}
+	for _, shape := range append([][]int{parControl}, parShapes...) {
 		for _, kind := range parKinds {
 			f := parField(shape, kind)
 			for _, eb := range []float64{1e-6, 1e-3, 1.0} {
@@ -119,66 +128,118 @@ func bitsEqual(a, b []float32) bool {
 	return true
 }
 
-// The wavefront kernels themselves must reproduce the serial quantizer's
-// codes, reconstruction and raw-escape order exactly.
-func TestWavefrontKernelsMatchSerial(t *testing.T) {
-	for _, shape := range parShapes {
-		if len(shape) != 2 && len(shape) != 3 {
-			continue
+// Concurrent slabs append escapes into windows of one buffer that are then
+// closed up; the blob's raw pool must be the serial walk's — one slice
+// appended to slab after slab — byte for byte. The slabs are chosen to make
+// the close-up move data every way it can: a part-full window, a full one
+// that shifts onto its own source, an empty one, and a short tail.
+func TestSZParallelEscapeOrder(t *testing.T) {
+	const eb = 1e-3
+	dims := []int{28, 96, 96}
+	T, nSlabs := szChunkLayout(dims)
+	if T != 8 || nSlabs != 4 {
+		t.Fatalf("layout of %v = (%d rows, %d slabs), want (8, 4)", dims, T, nSlabs)
+	}
+	f := grid.MustNew("esc", dims...)
+	ps := 96 * 96
+	nan := float32(math.NaN())
+	for i := range f.Data {
+		v := float32(math.Sin(float64(i) / 17))
+		switch z := i / ps; {
+		case z < 4: // slab 0, first half
+			v = nan
+		case z >= 8 && z < 16: // slab 1
+			v = nan
+		case z >= 24 && i%5 == 0: // slab 3
+			v = float32(math.Inf(1))
 		}
-		for _, kind := range parKinds {
-			f := parField(shape, kind)
-			n := f.Size()
-			eb := 1e-3
+		f.Data[i] = v
+	}
 
-			sCodes := make([]uint16, n)
-			sRecon := make([]float32, n)
-			sRaw := quantizeField(f, eb, sCodes, sRecon, make([]float32, 0, n), false)
+	n := f.Size()
+	codes := make([]uint16, n)
+	recon := make([]float32, n)
+	want := make([]float32, 0, n)
+	perSlab := make([]int, nSlabs)
+	for s := 0; s < nSlabs; s++ {
+		z0, z1, subDims := slabSpan(dims, T, s)
+		sub, err := grid.FromData(f.Name, f.Data[z0*ps:z1*ps], subDims...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := len(want)
+		want = quantizeField(sub, eb, codes[z0*ps:z1*ps], recon[z0*ps:z1*ps], want, false)
+		perSlab[s] = len(want) - before
+	}
+	if k := perSlab[0]; k == 0 || k == T*ps {
+		t.Fatalf("slab 0 escapes %d of %d points, want a part-full window", k, T*ps)
+	}
+	if perSlab[1] != T*ps || perSlab[2] != 0 || perSlab[3] == 0 {
+		t.Fatalf("per-slab escapes %v, want [part, all, none, some]", perSlab)
+	}
+	wantBytes := make([]byte, 4*len(want))
+	for i, v := range want {
+		binary.LittleEndian.PutUint32(wantBytes[4*i:], math.Float32bits(v))
+	}
 
-			for _, w := range parWidths() {
-				pCodes := make([]uint16, n)
-				pRecon := make([]float32, n)
-				pRaw, handled := quantizeFieldParallel(f, eb, pCodes, pRecon, make([]float32, 0, n), w)
-				if !handled {
-					continue // gated to serial; codec-level test already covers it
-				}
-				for i := range sCodes {
-					if pCodes[i] != sCodes[i] {
-						t.Fatalf("%v/%s w=%d: code[%d] = %d, want %d", shape, kind, w, i, pCodes[i], sCodes[i])
-					}
-				}
-				if !bitsEqual(pRecon, sRecon) {
-					t.Fatalf("%v/%s w=%d: recon differs", shape, kind, w)
-				}
-				if !bitsEqual(pRaw, sRaw) {
-					t.Fatalf("%v/%s w=%d: raw escape order differs (%d vs %d escapes)", shape, kind, w, len(pRaw), len(sRaw))
-				}
-			}
+	for _, w := range append([]int{1}, parWidths()...) {
+		blob, err := compressSZ(f, eb, false, w)
+		if err != nil {
+			t.Fatalf("w=%d: %v", w, err)
+		}
+		h, payload, err := compress.ParseHeader(blob, compress.MagicSZ)
+		if err != nil {
+			t.Fatalf("w=%d: %v", w, err)
+		}
+		_, rawPayload, nraw, err := splitSZSections(h.Dims, payload)
+		if err != nil {
+			t.Fatalf("w=%d: %v", w, err)
+		}
+		if int(nraw) != len(want) || !bytes.Equal(rawPayload, wantBytes) {
+			t.Fatalf("w=%d: raw pool (%d escapes) differs from the serial walk (%d escapes)", w, nraw, len(want))
 		}
 	}
 }
 
-// A truncated raw pool must fail identically on both paths: same error, at
-// any worker count.
-func TestSZParallelRawExhaustedIdentity(t *testing.T) {
-	f := parField([]int{16, 32, 32}, "escape")
-	blob, err := compressSZ(f, 1e-3, false, 1)
+// dropEscapes reserializes an sz blob with the last k values cut off its raw
+// pool and the pool's count lowered to match, so the container still parses
+// and only the reconstruction pass can notice the shortfall.
+func dropEscapes(t *testing.T, blob []byte, k int) []byte {
+	t.Helper()
+	h, payload, err := compress.ParseHeader(blob, compress.MagicSZ)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reserialize with the raw count inflated beyond the payload: reuse the
-	// serial corruption helper path by chopping raw floats off the tail.
-	cut := blob[:len(blob)-8]
-	if _, serr := decompressSZ(cut, false, 1); serr == nil {
-		t.Skip("truncated blob unexpectedly decodes; corruption covered elsewhere")
-	} else {
-		for _, w := range parWidths() {
-			_, perr := decompressSZ(cut, false, w)
-			if perr == nil {
-				t.Fatalf("w=%d: truncated blob decoded", w)
-			}
-			if perr.Error() != serr.Error() {
-				t.Fatalf("w=%d: error %q differs from serial %q", w, perr, serr)
+	_, rawPayload, nraw, err := splitSZSections(h.Dims, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nraw < uint64(k) {
+		t.Fatalf("blob has %d escapes, cannot drop %d", nraw, k)
+	}
+	countLen := len(binary.AppendUvarint(nil, nraw))
+	out := bytes.Clone(blob[:len(blob)-len(rawPayload)-countLen])
+	out = binary.AppendUvarint(out, nraw-uint64(k))
+	return append(out, rawPayload[:4*(int(nraw)-k)]...)
+}
+
+// A raw pool that is short of the stream's escapes must fail with the same
+// error on the slab fan-out (which counts escapes up front) as on the serial
+// kernels (which run the pool dry), at any worker count.
+func TestSZParallelRawExhaustedIdentity(t *testing.T) {
+	want := errRawExhausted().Error()
+	for _, shape := range [][]int{parControl, {33, 96, 96}} {
+		blob, err := compressSZ(parField(shape, "escape"), 1e-3, false, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cut := dropEscapes(t, blob, 2)
+		for _, w := range append([]int{1}, parWidths()...) {
+			for _, generic := range []bool{false, true} {
+				_, err := decompressSZ(cut, generic, w)
+				if !errors.Is(err, compress.ErrCorrupt) || err.Error() != want {
+					t.Fatalf("%v w=%d generic=%v: error %v, want %q", shape, w, generic, err, want)
+				}
 			}
 		}
 	}
@@ -217,13 +278,17 @@ func TestSZ2ParallelIdentity(t *testing.T) {
 }
 
 // A single parallel Compressor value shared across goroutines must be safe:
-// the pooled scratch is per-acquisition, never per-codec. Run under -race.
+// the pooled scratch is per-acquisition, never per-codec, and each call's
+// slabs write only their own windows of it. Run under -race.
 func TestSZSharedCompressorConcurrent(t *testing.T) {
-	f := parField([]int{16, 32, 32}, "noisy")
+	f := parField([]int{17, 96, 96}, "noisy") // slabs of 8, 8 and 1 rows
 	c := &Compressor{Workers: 2}
 	want, err := c.Compress(f, 1e-3)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if SlabRows(want) == 0 {
+		t.Fatal("field is a single slab: nothing fans out")
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, 8)

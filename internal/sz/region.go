@@ -113,12 +113,7 @@ func BuildRegionIndex(blob []byte) ([]byte, error) {
 	planeSize := elemCount(h.Dims) / nz
 	appendEscCounts := func(out []byte, T, nSlabs int) []byte {
 		for i := 1; i < nSlabs; i++ {
-			cnt := 0
-			for p := (i - 1) * T * planeSize; p < i*T*planeSize; p++ {
-				if binary.LittleEndian.Uint16(codeBytes[2*p:]) == 0 {
-					cnt++
-				}
-			}
+			cnt := countEscapes(codeBytes[2*(i-1)*T*planeSize : 2*i*T*planeSize])
 			out = binary.AppendUvarint(out, uint64(cnt))
 		}
 		return out
@@ -401,13 +396,9 @@ func decompressRegionChunked(h compress.Header, packed, rawPayload []byte, nraw 
 		return nil, fmt.Errorf("sz: decode codes: %w", err)
 	}
 	if cum0 < 0 {
-		cum0 = 0
-		for p := 0; p < (z0-decodeFrom)*planeSize; p++ {
-			if codes[2*p] == 0 && codes[2*p+1] == 0 {
-				cum0++
-			}
-		}
-		codes = codes[2*(z0-decodeFrom)*planeSize:]
+		skip := 2 * (z0 - decodeFrom) * planeSize
+		cum0 = countEscapes(codes[:skip])
+		codes = codes[skip:]
 	}
 	if uint64(cum0) > nraw {
 		return nil, fmt.Errorf("sz: %w: index raw cursor", compress.ErrCorrupt)
@@ -417,17 +408,12 @@ func decompressRegionChunked(h compress.Header, packed, rawPayload []byte, nraw 
 	buf := getF32s(rows * planeSize)
 	defer putF32s(buf)
 	rawPos := cum0
-	for zs := z0; zs < hi[0]; zs += chunkT {
-		ze := zs + chunkT
-		if ze > nz {
-			ze = nz
+	for s := s0; s*chunkT < hi[0]; s++ {
+		zs, ze, slabDims := slabSpan(h.Dims, chunkT, s)
+		if ze > hi[0] {
+			ze = hi[0] // the region ends inside this slab
 		}
-		decRows := ze - zs
-		if zs+decRows > hi[0] {
-			decRows = hi[0] - zs
-		}
-		slabDims := append([]int{ze - zs}, h.Dims[1:]...)
-		rawPos, err = reconstructSlabPrefix(buf[(zs-z0)*planeSize:(zs-z0+decRows)*planeSize],
+		rawPos, err = reconstructSlabPrefix(buf[(zs-z0)*planeSize:(ze-z0)*planeSize],
 			slabDims, h.Knob, hi[1:], codes[2*(zs-z0)*planeSize:], rawPayload, nraw, rawPos)
 		if err != nil {
 			return nil, err

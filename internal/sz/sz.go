@@ -33,9 +33,10 @@ const (
 // Compressor is the SZ-like codec. The zero value is ready to use.
 type Compressor struct {
 	// Workers bounds the intra-field fan-out (pool.Workers semantics: 0 uses
-	// all cores, 1 forces a serial run). The 2D/3D Lorenzo sweeps run as
-	// anti-diagonal wavefronts and the Huffman frequency count is sharded;
-	// blobs and reconstructions are bit-identical at every setting.
+	// all cores, 1 forces a serial run). The slabs of a multi-slab field
+	// (szChunkLayout) quantize and reconstruct concurrently and the entropy
+	// stage fans out per chunk; blobs and reconstructions are bit-identical at
+	// every setting.
 	Workers int
 }
 
@@ -67,7 +68,7 @@ const szSlabMinRows = 8
 // slabs of rowsPerSlab leading-dimension rows, each 2·planeSize·rowsPerSlab
 // code bytes — one entropy chunk per slab, sized near the container's target.
 // A field that does not fill two slabs stays in the legacy whole-stream
-// format (same size cutoff idiom as the wavefront kernels).
+// format and runs serially: the slab is the only unit of intra-field fan-out.
 func szChunkLayout(dims []int) (rowsPerSlab, nSlabs int) {
 	nz := dims[0]
 	if nz <= 0 {
@@ -102,18 +103,31 @@ func szSlabRowsFromPacked(packed []byte, dims []int) (int, error) {
 	return blockBytes / rowBytes, nil
 }
 
+// slabSpan returns the leading-dimension row range [z0, z1) of slab s when a
+// field of the given dims is cut into slabs of T rows (the last one may be
+// short), plus the slab's own dims — the independent sub-field the Lorenzo
+// predictor sees. Encoder, full decoder and region decoder all cut with it.
+func slabSpan(dims []int, T, s int) (z0, z1 int, subDims []int) {
+	z0 = s * T
+	z1 = z0 + T
+	if z1 > dims[0] {
+		z1 = dims[0]
+	}
+	return z0, z1, append([]int{z1 - z0}, dims[1:]...)
+}
+
 // compressSZ is the Compress implementation; forceGeneric pins the
 // quantization pass to the N-d odometer oracle so tests can prove the
 // specialized kernels emit identical blobs.
 //
 // Fields spanning two or more slabs (szChunkLayout) quantize slab by slab
 // with the Lorenzo predictor reset at every slab boundary — each slab is an
-// independent sub-field — and the code stream is packed into the chunked
-// entropy container with one chunk per slab. That makes every slab decodable
-// from its own chunk alone: the full decoder fans slabs across workers and
-// the region decoder touches only the chunks covering the request. Smaller
-// fields keep the legacy whole-field predictor and whole-stream container
-// byte-identically.
+// independent sub-field, so the slabs fan out across workers — and the code
+// stream is packed into the chunked entropy container with one chunk per
+// slab. That makes every slab decodable from its own chunk alone: the full
+// decoder fans slabs out the same way and the region decoder touches only the
+// chunks covering the request. Smaller fields keep the legacy whole-field
+// predictor and whole-stream container byte-identically, and run serially.
 func compressSZ(f *grid.Field, eb float64, forceGeneric bool, workers int) ([]byte, error) {
 	if !(eb > 0) || math.IsInf(eb, 0) {
 		return nil, fmt.Errorf("sz: error bound must be a positive finite number, got %v", eb)
@@ -127,44 +141,44 @@ func compressSZ(f *grid.Field, eb float64, forceGeneric bool, workers int) ([]by
 	defer putF32s(recon)
 	// The escape pool is staged through the scratch pools too: at most n
 	// points can escape, so a capacity-n buffer guarantees the appends inside
-	// the kernels never reallocate.
+	// the kernels never reallocate. The slab windows below rely on
+	// cap(rawBuf) >= n, which getF32s(n) provides.
 	rawBuf := getF32s(n)[:0]
 	defer putF32s(rawBuf[:cap(rawBuf)])
 	raw := rawBuf
 	rowsPerSlab, nSlabs := szChunkLayout(f.Dims)
 	if nSlabs >= 2 {
 		obs.Inc("sz/chunked_encode")
-		nz := f.Dims[0]
-		ps := n / nz
-		subDims := append([]int(nil), f.Dims...)
-		for z0 := 0; z0 < nz; z0 += rowsPerSlab {
-			z1 := z0 + rowsPerSlab
-			if z1 > nz {
-				z1 = nz
-			}
-			subDims[0] = z1 - z0
-			sub, err := grid.FromData(f.Name, f.Data[z0*ps:z1*ps], subDims...)
+		ps := n / f.Dims[0]
+		// A slab of k points escapes at most k values, so slab [lo, hi) appends
+		// into its own window rawBuf[lo:hi] of the shared buffer: windows are
+		// disjoint, and the capacity cap keeps an append from ever reaching the
+		// next one.
+		nEsc := make([]int, nSlabs)
+		err := pool.RunErr(workers, nSlabs, func(s int) error {
+			z0, z1, subDims := slabSpan(f.Dims, rowsPerSlab, s)
+			lo, hi := z0*ps, z1*ps
+			sub, err := grid.FromData(f.Name, f.Data[lo:hi], subDims...)
 			if err != nil {
-				return nil, fmt.Errorf("sz: %w", err)
+				return fmt.Errorf("sz: %w", err)
 			}
-			// Slabs run serially here (the escape pool appends in global
-			// row-major order); the wavefront inside each slab still fans out.
-			handled := false
-			if !forceGeneric {
-				raw, handled = quantizeFieldParallel(sub, eb, codes[z0*ps:z1*ps], recon[z0*ps:z1*ps], raw, workers)
-			}
-			if !handled {
-				raw = quantizeField(sub, eb, codes[z0*ps:z1*ps], recon[z0*ps:z1*ps], raw, forceGeneric)
-			}
+			nEsc[s] = len(quantizeField(sub, eb, codes[lo:hi], recon[lo:hi], rawBuf[lo:lo:hi], forceGeneric))
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		// Close the windows up in slab order: slabs are row-major ranges and
+		// each window is in row-major order, so this is the global row-major
+		// escape order of a serial walk. A window only ever moves toward the
+		// head (the escapes before it number at most lo), so the copy never
+		// overwrites a window it has yet to read.
+		for s, k := range nEsc {
+			lo := s * rowsPerSlab * ps
+			raw = append(raw, rawBuf[lo:lo+k]...)
 		}
 	} else {
-		handled := false
-		if !forceGeneric {
-			raw, handled = quantizeFieldParallel(f, eb, codes, recon, rawBuf, workers)
-		}
-		if !handled {
-			raw = quantizeField(f, eb, codes, recon, rawBuf, forceGeneric)
-		}
+		raw = quantizeField(f, eb, codes, recon, rawBuf, forceGeneric)
 	}
 
 	codeBytes := getScratchBytes(2 * n)
@@ -246,10 +260,10 @@ func parseSZSections(dims []int, payload []byte, workers int) (codeBytes, rawPay
 // reconstruction pass to the N-d odometer oracle (see compressSZ).
 //
 // A chunked blob (szSlabRowsFromPacked) reconstructs slab by slab: the
-// entropy chunks already fanned out inside parseSZSections, and the slabs —
+// entropy chunks fan out inside DecompressBytesParallel, and the slabs —
 // independent sub-fields thanks to the encoder's predictor resets — fan out
-// here under the same worker budget, outer workers across slabs and inner
-// workers on each slab's wavefront via pool.Split.
+// in reconstructSlabs under the same worker budget. A legacy whole-stream
+// blob is one dependency chain and reconstructs serially.
 func decompressSZ(blob []byte, forceGeneric bool, workers int) (*grid.Field, error) {
 	defer obs.Span("decompress/sz")()
 	h, payload, err := compress.ParseHeader(blob, compress.MagicSZ)
@@ -276,85 +290,55 @@ func decompressSZ(blob []byte, forceGeneric bool, workers int) (*grid.Field, err
 		return nil, fmt.Errorf("sz: %w", err)
 	}
 	if T > 0 {
-		if err := reconstructSlabs(f, h.Knob, codeBytes, rawPayload, nraw, T, workers, forceGeneric); err != nil {
-			return nil, err
-		}
-		return f, nil
+		err = reconstructSlabs(f, h.Knob, codeBytes, rawPayload, nraw, T, workers, forceGeneric)
+	} else {
+		err = reconstructField(f, h.Knob, codeBytes, rawPayload, nraw, forceGeneric)
 	}
-	handled := false
-	if !forceGeneric {
-		var perr error
-		handled, perr = reconstructFieldParallel(f, h.Knob, codeBytes, rawPayload, nraw, workers)
-		if perr != nil {
-			return nil, perr
-		}
-	}
-	if !handled {
-		if err := reconstructField(f, h.Knob, codeBytes, rawPayload, nraw, forceGeneric); err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	return f, nil
 }
 
-// reconstructSlabs rebuilds a chunked blob's field slab by slab. Each slab's
-// escape-pool cursor comes from a prescan of the already-decoded code stream
-// (escapes appear in global row-major order), so slabs reconstruct in any
-// order and therefore in parallel.
+// countEscapes counts the escape codes (code 0) in a little-endian code
+// stream: the number of raw-pool values its points consume.
+func countEscapes(codeBytes []byte) int {
+	n := 0
+	for i := 0; i+1 < len(codeBytes); i += 2 {
+		if codeBytes[i] == 0 && codeBytes[i+1] == 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// reconstructSlabs rebuilds a chunked blob's field slab by slab. Escapes sit
+// in the raw pool in global row-major order, so one counting pass over the
+// already-decoded code stream gives every slab its pool window up front;
+// slabs then reconstruct in any order and therefore in parallel, each with
+// the serial kernel. The serial decoder fails exactly when the stream escapes
+// more points than the pool holds, which the counting pass knows before any
+// slab runs — same error at every width.
 func reconstructSlabs(f *grid.Field, eb float64, codeBytes, rawPayload []byte, nraw uint64, T, workers int, forceGeneric bool) error {
 	nz := f.Dims[0]
 	ps := len(f.Data) / nz
 	nSlabs := (nz + T - 1) / T
-	starts, total := prescanEscapes(codeBytes, nSlabs, func(s int) (start, count, stride int) {
-		z0 := s * T
-		z1 := z0 + T
-		if z1 > nz {
-			z1 = nz
-		}
-		return z0 * ps, (z1 - z0) * ps, 1
-	})
-	if uint64(total) > nraw {
+	starts := make([]int, nSlabs+1)
+	for s := 0; s < nSlabs; s++ {
+		z0, z1, _ := slabSpan(f.Dims, T, s)
+		starts[s+1] = starts[s] + countEscapes(codeBytes[2*z0*ps:2*z1*ps])
+	}
+	if uint64(starts[nSlabs]) > nraw {
 		return errRawExhausted()
 	}
-	outer, inner := pool.Split(workers, nSlabs)
-	errs := make([]error, nSlabs)
-	pool.Run(outer, nSlabs, func(s int) {
-		z0 := s * T
-		z1 := z0 + T
-		if z1 > nz {
-			z1 = nz
-		}
-		subDims := append([]int(nil), f.Dims...)
-		subDims[0] = z1 - z0
+	return pool.RunErr(workers, nSlabs, func(s int) error {
+		z0, z1, subDims := slabSpan(f.Dims, T, s)
 		sub, err := grid.FromData(f.Name, f.Data[z0*ps:z1*ps], subDims...)
 		if err != nil {
-			errs[s] = fmt.Errorf("sz: %w", err)
-			return
+			return fmt.Errorf("sz: %w", err)
 		}
-		next := int(nraw)
-		if s+1 < nSlabs {
-			next = starts[s+1]
-		}
-		subRaw := rawPayload[4*starts[s]:]
-		subNraw := uint64(next - starts[s])
-		subCodes := codeBytes[2*z0*ps : 2*z1*ps]
-		handled := false
-		if !forceGeneric {
-			handled, errs[s] = reconstructFieldParallel(sub, eb, subCodes, subRaw, subNraw, inner)
-			if errs[s] != nil {
-				return
-			}
-		}
-		if !handled {
-			errs[s] = reconstructField(sub, eb, subCodes, subRaw, subNraw, forceGeneric)
-		}
+		return reconstructField(sub, eb, codeBytes[2*z0*ps:2*z1*ps], rawPayload[4*starts[s]:], uint64(starts[s+1]-starts[s]), forceGeneric)
 	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // lorenzo evaluates the N-dimensional Lorenzo predictor at successive
