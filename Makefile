@@ -144,6 +144,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzLZDecompress$$' -fuzztime $(FUZZTIME) ./internal/entropy/
 	go test -run '^$$' -fuzz '^FuzzHuffmanDecode$$' -fuzztime $(FUZZTIME) ./internal/entropy/
 	go test -run '^$$' -fuzz '^FuzzChunkedEntropy$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/entropy/
+	go test -run '^$$' -fuzz '^FuzzLZCompressMatchesRef$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/entropy/
 	go test -run '^$$' -fuzz '^FuzzBatchContainer$$' -fuzztime $(FUZZTIME) ./internal/batch/
 	go test -run '^$$' -fuzz '^FuzzDecompress$$' -fuzztime $(FUZZTIME) .
 

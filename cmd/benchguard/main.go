@@ -266,12 +266,13 @@ type kernelResult struct {
 var speedupFloors = map[string]float64{
 	"sz_quantize_3d": 1.5,
 	"huffman_decode": 1.3,
+	"lz_compress":    2.0,
 }
 
 const minSpeedup = 0.9
 
 // requiredKernels is the fixed roster a kernel baseline must cover.
-var requiredKernels = []string{"sz_quantize_3d", "zfp_encode_ints", "huffman_decode", "ca_scan"}
+var requiredKernels = []string{"sz_quantize_3d", "zfp_encode_ints", "huffman_decode", "ca_scan", "lz_compress"}
 
 // knownSchemas names every baseline shape benchguard validates, keyed by the
 // top-level field whose presence selects it. The unknown-schema error prints
@@ -1031,10 +1032,11 @@ var benchToKernel = map[string]string{
 	"BenchmarkKernelEncodeInts":    "zfp_encode_ints",
 	"BenchmarkKernelHuffmanDecode": "huffman_decode",
 	"BenchmarkKernelCAScan":        "ca_scan",
+	"BenchmarkKernelLZCompress":    "lz_compress",
 }
 
 var variantRole = map[string]string{
-	"generic": "before", "perplane": "before", "bitwise": "before", "odometer": "before",
+	"generic": "before", "perplane": "before", "bitwise": "before", "odometer": "before", "ref": "before",
 	"fast": "after", "transposed": "after", "table": "after",
 }
 

@@ -55,12 +55,13 @@ func fullKernels(t *testing.T, mutate func(map[string]*kernelResult)) string {
 		"zfp_encode_ints": {Name: "zfp_encode_ints", NsPerElemOld: 80, NsPerElemNew: 16, Speedup: 5},
 		"huffman_decode":  {Name: "huffman_decode", NsPerElemOld: 6, NsPerElemNew: 4, Speedup: 1.5},
 		"ca_scan":         {Name: "ca_scan", NsPerElemOld: 7.5, NsPerElemNew: 2.5, Speedup: 3},
+		"lz_compress":     {Name: "lz_compress", NsPerElemOld: 16, NsPerElemNew: 4, Speedup: 4},
 	}
 	if mutate != nil {
 		mutate(ks)
 	}
 	b := kernelBaseline{Benchmark: "BenchmarkKernel*", Date: "2026-08-05"}
-	for _, name := range []string{"sz_quantize_3d", "zfp_encode_ints", "huffman_decode", "ca_scan"} {
+	for _, name := range requiredKernels {
 		if k, ok := ks[name]; ok {
 			b.Kernels = append(b.Kernels, *k)
 		}
@@ -92,6 +93,10 @@ func TestValidateKernelBaselines(t *testing.T) {
 			ks["huffman_decode"].NsPerElemNew = 5
 			ks["huffman_decode"].Speedup = 1.2
 		}, "below floor 1.30"},
+		{"lz floor", func(ks map[string]*kernelResult) {
+			ks["lz_compress"].NsPerElemNew = 10
+			ks["lz_compress"].Speedup = 1.6
+		}, "below floor 2.00"},
 		{"regression floor", func(ks map[string]*kernelResult) {
 			ks["ca_scan"].NsPerElemNew = 10
 			ks["ca_scan"].Speedup = 0.75
@@ -134,6 +139,8 @@ func TestParseBenchLine(t *testing.T) {
 			"huffman_decode", "after", 5.213, true},
 		{"BenchmarkKernelEncodeInts/perplane  42411  5282 ns/op  82.53 ns/elem",
 			"zfp_encode_ints", "before", 82.53, true},
+		{"BenchmarkKernelLZCompress/ref-2  153  9367455 ns/op  55.97 MB/s  17.87 ns/elem",
+			"lz_compress", "before", 17.87, true},
 		{"BenchmarkCompress-4  10  100 ns/op", "", "", 0, false},
 		{"goos: linux", "", "", 0, false},
 		{"BenchmarkKernelQuantize3D/fast  42  5480697 ns/op", "", "", 0, false}, // no ns/elem metric
@@ -156,6 +163,8 @@ BenchmarkKernelHuffmanDecode/bitwise  10  1 ns/op  6.0 ns/elem
 BenchmarkKernelHuffmanDecode/table  10  1 ns/op  4.1 ns/elem
 BenchmarkKernelCAScan/odometer  10  1 ns/op  7.5 ns/elem
 BenchmarkKernelCAScan/fast  10  1 ns/op  2.6 ns/elem
+BenchmarkKernelLZCompress/ref  10  1 ns/op  16.0 ns/elem
+BenchmarkKernelLZCompress/fast  10  1 ns/op  4.2 ns/elem
 `
 
 func TestRunDeltasGatesRegressions(t *testing.T) {

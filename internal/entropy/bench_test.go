@@ -81,6 +81,25 @@ func BenchmarkKernelHuffmanDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelLZCompress compares the frozen byte-wise match search
+// (lz_ref_test.go) against LZCompress on a quantization-code-like stream;
+// both emit the same tokens. Recorded in BENCH_kernels.json as lz_compress.
+func BenchmarkKernelLZCompress(b *testing.B) {
+	data := benchData()
+	for _, v := range []struct {
+		name string
+		fn   func([]byte) []byte
+	}{{"ref", lzCompressRef}, {"fast", LZCompress}} {
+		b.Run(v.name, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			for i := 0; i < b.N; i++ {
+				putBytes(v.fn(data))
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(data)), "ns/elem")
+		})
+	}
+}
+
 // BenchmarkChunkedDecode measures what the chunked container buys on decode:
 // a 2M-symbol quantization-code-like stream decoded through the whole-stream
 // serial path versus HuffmanDecodeChunked at worker widths 1, 2 and 4.

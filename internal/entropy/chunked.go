@@ -670,13 +670,8 @@ func lzDecompressInto(dst []byte, blob []byte) error {
 		if dist == 0 || dist > uint64(pos) {
 			return fmt.Errorf("entropy: invalid match distance %d at output offset %d", dist, pos)
 		}
-		// Byte-by-byte copy so overlapping matches replicate runs, exactly
-		// as LZDecompress does.
-		start := pos - int(dist)
-		for j := 0; j < int(matchLen); j++ {
-			dst[pos] = dst[start+j]
-			pos++
-		}
+		lzCopyMatch(dst, pos, int(dist), int(matchLen))
+		pos += int(matchLen)
 	}
 	if pos != len(dst) {
 		return fmt.Errorf("entropy: decoded %d bytes, header said %d", pos, size)

@@ -3,6 +3,8 @@ package entropy
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 )
 
 // A byte-oriented LZ77 dictionary coder with greedy hash-chain matching. It
@@ -33,16 +35,21 @@ func lzHash(b []byte) uint32 {
 }
 
 // LZCompress compresses src. The output always starts with the uncompressed
-// length so the decoder can allocate exactly once.
+// length so the decoder can allocate exactly once. The result comes from the
+// byte pool; in-package callers hand it back with putBytes.
+//
+// The match search does far less work than comparing every chain candidate
+// byte by byte, but chooses exactly the (length, distance) pairs that would:
+// lz_ref_test.go pins the token stream to the frozen byte-wise encoder, and
+// DESIGN.md ("LZ match search") lists the invariants that make it so.
 func LZCompress(src []byte) []byte {
-	out := binary.AppendUvarint(nil, uint64(len(src)))
-	// Hash-chain state comes from the scratch pool: head is re-armed to -1
-	// below, and prev entries are only ever read through chains written during
-	// this run, so neither needs a fresh allocation.
+	out := binary.AppendUvarint(getBytes(), uint64(len(src)))
+	// Hash-chain state comes from the scratch pool. Both tables store
+	// position+1 so that 0 means "empty" and head re-arms with one clear;
+	// prev entries are only ever read through chains written during this
+	// run, so prev needs no initialisation.
 	head := getInt32s(1 << lzHashBits)
-	for i := range head {
-		head[i] = -1
-	}
+	clear(head)
 	prev := getInt32s(len(src))
 
 	litStart := 0
@@ -56,22 +63,30 @@ func LZCompress(src []byte) []byte {
 		}
 	}
 	for i+lzMinMatch <= len(src) {
+		cur := binary.LittleEndian.Uint32(src[i:])
 		h := lzHash(src[i:])
+		maxLen := min(len(src)-i, lzMaxMatch)
 		bestLen, bestDist := 0, 0
-		cand := head[h]
-		for chain := 0; cand >= 0 && chain < lzMaxChain; chain++ {
-			d := i - int(cand)
-			if d > lzWindowSize {
+		cand := int(head[h]) - 1
+		// Skipped candidates still spend chain budget: the walk visits the
+		// same candidates in the same order as the byte-wise search.
+		for chain := 0; cand >= 0 && chain < lzMaxChain; chain, cand = chain+1, int(prev[cand])-1 {
+			if i-cand > lzWindowSize {
 				break
 			}
-			l := matchLength(src, int(cand), i)
-			if l > bestLen {
-				bestLen, bestDist = l, d
-				if l >= lzMaxMatch {
-					break
+			// Only a strictly longer match replaces the best, so a candidate
+			// that differs in its first lzMinMatch bytes (a hash collision,
+			// never emitted) or at offset bestLen cannot win. bestLen < maxLen
+			// here, so i+bestLen is in range.
+			if binary.LittleEndian.Uint32(src[cand:]) != cur || src[cand+bestLen] != src[i+bestLen] {
+				continue
+			}
+			if l := matchLength(src, cand, i, maxLen); l > bestLen {
+				bestLen, bestDist = l, i-cand
+				if l == maxLen {
+					break // nothing the input still allows is longer
 				}
 			}
-			cand = prev[cand]
 		}
 		if bestLen >= lzMinMatch {
 			emit(i, bestLen, bestDist)
@@ -81,14 +96,14 @@ func LZCompress(src []byte) []byte {
 			for ; i < end && i+lzMinMatch <= len(src); i++ {
 				hh := lzHash(src[i:])
 				prev[i] = head[hh]
-				head[hh] = int32(i)
+				head[hh] = int32(i + 1)
 			}
 			i = end
 			litStart = i
 			continue
 		}
 		prev[i] = head[h]
-		head[h] = int32(i)
+		head[h] = int32(i + 1)
 		i++
 	}
 	// Trailing literals and terminator.
@@ -98,11 +113,15 @@ func LZCompress(src []byte) []byte {
 	return out
 }
 
-func matchLength(src []byte, a, b int) int {
-	n := 0
-	max := len(src) - b
-	if max > lzMaxMatch {
-		max = lzMaxMatch
+// matchLength returns how many bytes src[a:] and src[b:] share, up to max,
+// for a < b whose first lzMinMatch bytes are known equal. It compares eight
+// bytes per step; the first differing byte is the lowest set byte of the XOR.
+func matchLength(src []byte, a, b, max int) int {
+	n := lzMinMatch
+	for ; n+8 <= max; n += 8 {
+		if x := binary.LittleEndian.Uint64(src[a+n:]) ^ binary.LittleEndian.Uint64(src[b+n:]); x != 0 {
+			return n + bits.TrailingZeros64(x)>>3
+		}
 	}
 	for n < max && src[a+n] == src[b+n] {
 		n++
@@ -166,17 +185,24 @@ func LZDecompress(blob []byte) ([]byte, error) {
 		if dist == 0 || dist > uint64(len(out)) {
 			return nil, fmt.Errorf("entropy: invalid match distance %d at output offset %d", dist, len(out))
 		}
-		// Byte-by-byte copy: overlapping matches (dist < matchLen) replicate
-		// the run, which is the core RLE-like behaviour.
-		start := len(out) - int(dist)
-		for j := 0; j < int(matchLen); j++ {
-			out = append(out, out[start+j])
-		}
+		pos, n := len(out), int(matchLen)
+		out = slices.Grow(out, n)[:pos+n]
+		lzCopyMatch(out, pos, int(dist), n)
 	}
 	if uint64(len(out)) != size {
 		return nil, fmt.Errorf("entropy: decoded %d bytes, header said %d", len(out), size)
 	}
 	return out, nil
+}
+
+// lzCopyMatch writes dst[pos:pos+n] from the bytes dist back. An overlapping
+// match (dist < n) replicates the run — the core RLE-like behaviour — so each
+// pass copies from everything written since pos-dist, doubling its reach.
+func lzCopyMatch(dst []byte, pos, dist, n int) {
+	start := pos - dist
+	for end := pos + n; pos < end; {
+		pos += copy(dst[pos:end], dst[start:pos])
+	}
 }
 
 // CompressBytes runs the full lossless pipeline used by the SZ-like and
