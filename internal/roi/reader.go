@@ -23,7 +23,9 @@ const zfpBlockSide = 4
 // block, not one field. For SZ streams whose code section is chunked (the
 // encoder reset its predictor at every slab boundary) the granularity is one
 // slab, decoded through sz.DecompressRegion's seeking path — a cold query
-// entropy-decodes and reconstructs only the slab it landed in. Remaining
+// entropy-decodes only the slab it landed in and reconstructs it with the
+// rank's full-decode Lorenzo kernel (the box is the whole slab), so filling
+// every slab costs what one full decode does. Remaining
 // streams (legacy whole-stream SZ, the other codecs, brick stores)
 // materialize in full on the first query and serve from memory thereafter.
 type Reader struct {
@@ -195,7 +197,8 @@ func (r *Reader) decodeBlock(coord []int) ([]float32, error) {
 
 // decodeSlab decodes sz slab s — the rows [s·slabT, min((s+1)·slabT, nz)) —
 // through the seeking region path: only the entropy chunk backing the slab is
-// decoded and only its rows are reconstructed (cold path only; cached).
+// decoded and only its rows are reconstructed, by the same kernel a full
+// decode runs on that slab (cold path only; cached).
 func (r *Reader) decodeSlab(s int) ([]float32, error) {
 	lo := make([]int, r.nd)
 	hi := make([]int, r.nd)

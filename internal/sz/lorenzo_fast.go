@@ -223,105 +223,136 @@ func errRawExhausted() error {
 	return fmt.Errorf("sz: %w: raw pool exhausted", compress.ErrCorrupt)
 }
 
-// reconstructField mirrors quantizeField on the decode side, dispatching to
-// the same interior/boundary row split.
+// reconstructField mirrors quantizeField on the decode side: the whole field
+// from an empty predictor, the box being all of it.
 func reconstructField(f *grid.Field, eb float64, codeBytes, rawPayload []byte, nraw uint64, forceGeneric bool) error {
-	if !forceGeneric {
-		switch len(f.Dims) {
-		case 1:
-			obs.Add("sz/reconstruct_fast_points", int64(len(f.Data)))
-			return reconstruct1D(f.Data, eb, codeBytes, rawPayload, nraw)
-		case 2:
-			obs.Add("sz/reconstruct_fast_points", int64(len(f.Data)))
-			return reconstruct2D(f.Data, f.Dims, eb, codeBytes, rawPayload, nraw)
-		case 3:
-			obs.Add("sz/reconstruct_fast_points", int64(len(f.Data)))
-			return reconstruct3D(f.Data, f.Dims, eb, codeBytes, rawPayload, nraw)
-		}
-	}
-	obs.Add("sz/reconstruct_generic_points", int64(len(f.Data)))
-	return reconstructFieldGeneric(f, eb, codeBytes, rawPayload, nraw)
+	_, err := reconstructBox(f.Data, f.Dims, 0, f.Dims[1:], eb, codeBytes, rawPayload, nraw, 0, forceGeneric)
+	return err
 }
 
-// reconstructFieldGeneric is the N-d odometer decode path (4D fallback and
-// test oracle). The prediction is pure, so computing it for escaped points
-// too (which the dispatch kernels also do) cannot change the output.
-func reconstructFieldGeneric(f *grid.Field, eb float64, codeBytes, rawPayload []byte, nraw uint64) error {
+// reconstructBox is the one Lorenzo reconstruction entry point, shared by
+// full and region decode. data holds dims[0] rows of the trailing dims and
+// codeBytes their codes; rows below row0 are already reconstructed (a legacy
+// blob's seed plane) and rows [row0, dims[0]) are decoded, starting at raw
+// cursor rawPos. Only points inside the prefix box [0, hiTail[d]) of the
+// trailing dimensions are written: every Lorenzo neighbor sits at offset -1,
+// so the box is closed under dependencies and nothing outside it is ever
+// read. Escape codes outside the box still consume their raw value — they are
+// counted, not decoded — so the returned cursor is exact for whatever decodes
+// next. A full decode is the call whose box is the whole field.
+func reconstructBox(data []float32, dims []int, row0 int, hiTail []int, eb float64, codeBytes, rawPayload []byte, nraw uint64, rawPos int, forceGeneric bool) (int, error) {
+	plane, box := elemCount(dims[1:]), elemCount(hiTail)
+	rows := int64(dims[0] - row0)
+	if box < plane {
+		obs.Add("sz/region_points_skipped", rows*int64(plane-box))
+	}
+	if !forceGeneric && len(dims) <= 3 {
+		obs.Add("sz/reconstruct_fast_points", rows*int64(box))
+		switch len(dims) {
+		case 1:
+			return reconstruct1D(data, row0, eb, codeBytes, rawPayload, nraw, rawPos)
+		case 2:
+			return reconstruct2D(data, dims, row0, hiTail[0], eb, codeBytes, rawPayload, nraw, rawPos)
+		case 3:
+			return reconstruct3D(data, dims, row0, hiTail[0], hiTail[1], eb, codeBytes, rawPayload, nraw, rawPos)
+		}
+	}
+	obs.Add("sz/reconstruct_generic_points", rows*int64(box))
+	return reconstructGeneric(data, dims, row0, hiTail, eb, codeBytes, rawPayload, nraw, rawPos)
+}
+
+// reconstructGeneric is the N-d odometer decode path (4D fallback and test
+// oracle), one point at a time under the reconstructBox contract. The
+// prediction is pure, so computing it for escaped points too (which the
+// dispatch kernels also do) cannot change the output.
+func reconstructGeneric(data []float32, dims []int, row0 int, hiTail []int, eb float64, codeBytes, rawPayload []byte, nraw uint64, rawPos int) (int, error) {
 	twoEB := 2 * eb
-	lor := newLorenzo(f.Dims)
-	rawPos := 0
-	for idx := range f.Data {
-		rawPos = decPoint(f.Data, idx, lor.predict(f.Data, idx), twoEB, codeBytes, rawPayload, nraw, rawPos)
-		if rawPos < 0 {
-			return errRawExhausted()
+	lor := newLorenzo(dims)
+	lor.coord[0] = row0
+	for idx := row0 * elemCount(dims[1:]); idx < len(data); idx++ {
+		inBox := true
+		for d, h := range hiTail {
+			if lor.coord[d+1] >= h {
+				inBox = false
+				break
+			}
+		}
+		if inBox {
+			rawPos = decPoint(data, idx, lor.predict(data, idx), twoEB, codeBytes, rawPayload, nraw, rawPos)
+			if rawPos < 0 {
+				return 0, errRawExhausted()
+			}
+		} else if codeBytes[2*idx] == 0 && codeBytes[2*idx+1] == 0 {
+			rawPos++
 		}
 		lor.advance()
 	}
-	return nil
+	return rawPos, nil
 }
 
-func reconstruct1D(data []float32, eb float64, codeBytes, rawPayload []byte, nraw uint64) error {
+func reconstruct1D(data []float32, i0 int, eb float64, codeBytes, rawPayload []byte, nraw uint64, rawPos int) (int, error) {
 	twoEB := 2 * eb
-	if len(data) == 0 {
-		return nil
+	if i0 == 0 && len(data) > 0 {
+		rawPos = decPoint(data, 0, 0, twoEB, codeBytes, rawPayload, nraw, rawPos)
+		i0 = 1
 	}
-	rawPos := decPoint(data, 0, 0, twoEB, codeBytes, rawPayload, nraw, 0)
-	for i := 1; i < len(data) && rawPos >= 0; i++ {
+	for i := i0; i < len(data) && rawPos >= 0; i++ {
 		pred := 0.0
 		pred += float64(data[i-1])
 		rawPos = decPoint(data, i, pred, twoEB, codeBytes, rawPayload, nraw, rawPos)
 	}
 	if rawPos < 0 {
-		return errRawExhausted()
+		return 0, errRawExhausted()
 	}
-	return nil
+	return rawPos, nil
 }
 
-func reconstruct2D(data []float32, dims []int, eb float64, codeBytes, rawPayload []byte, nraw uint64) error {
+func reconstruct2D(data []float32, dims []int, y0, hx int, eb float64, codeBytes, rawPayload []byte, nraw uint64, rawPos int) (int, error) {
 	ny, nx := dims[0], dims[1]
 	twoEB := 2 * eb
-	idx := 0
-	rawPos := 0
-	for y := 0; y < ny && rawPos >= 0; y++ {
+	for y := y0; y < ny; y++ {
+		idx := y * nx
 		if y == 0 {
 			rawPos = decPoint(data, 0, 0, twoEB, codeBytes, rawPayload, nraw, rawPos)
 			idx++
-			for x := 1; x < nx && rawPos >= 0; x++ {
+			for x := 1; x < hx && rawPos >= 0; x++ {
 				pred := 0.0
 				pred += float64(data[idx-1])
 				rawPos = decPoint(data, idx, pred, twoEB, codeBytes, rawPayload, nraw, rawPos)
 				idx++
 			}
-			continue
-		}
-		pred := 0.0
-		pred += float64(data[idx-nx])
-		rawPos = decPoint(data, idx, pred, twoEB, codeBytes, rawPayload, nraw, rawPos)
-		idx++
-		for x := 1; x < nx && rawPos >= 0; x++ {
-			p := 0.0
-			p += float64(data[idx-nx])
-			p += float64(data[idx-1])
-			p -= float64(data[idx-nx-1])
-			rawPos = decPoint(data, idx, p, twoEB, codeBytes, rawPayload, nraw, rawPos)
+		} else {
+			pred := 0.0
+			pred += float64(data[idx-nx])
+			rawPos = decPoint(data, idx, pred, twoEB, codeBytes, rawPayload, nraw, rawPos)
 			idx++
+			for x := 1; x < hx && rawPos >= 0; x++ {
+				p := 0.0
+				p += float64(data[idx-nx])
+				p += float64(data[idx-1])
+				p -= float64(data[idx-nx-1])
+				rawPos = decPoint(data, idx, p, twoEB, codeBytes, rawPayload, nraw, rawPos)
+				idx++
+			}
+		}
+		if rawPos < 0 {
+			return 0, errRawExhausted()
+		}
+		if hx < nx {
+			rawPos += countEscapes(codeBytes[2*idx : 2*(y+1)*nx])
 		}
 	}
-	if rawPos < 0 {
-		return errRawExhausted()
-	}
-	return nil
+	return rawPos, nil
 }
 
-func reconstruct3D(data []float32, dims []int, eb float64, codeBytes, rawPayload []byte, nraw uint64) error {
+func reconstruct3D(data []float32, dims []int, z0, hy, hx int, eb float64, codeBytes, rawPayload []byte, nraw uint64, rawPos int) (int, error) {
 	nz, ny, nx := dims[0], dims[1], dims[2]
 	s1 := nx
 	s0 := ny * nx
 	twoEB := 2 * eb
-	idx := 0
-	rawPos := 0
-	for z := 0; z < nz; z++ {
-		for y := 0; y < ny; y++ {
+	for z := z0; z < nz; z++ {
+		for y := 0; y < hy; y++ {
+			idx := z*s0 + y*s1
 			pred := 0.0
 			if z > 0 {
 				pred += float64(data[idx-s0])
@@ -336,7 +367,7 @@ func reconstruct3D(data []float32, dims []int, eb float64, codeBytes, rawPayload
 			idx++
 			switch {
 			case z > 0 && y > 0:
-				for x := 1; x < nx && rawPos >= 0; x++ {
+				for x := 1; x < hx && rawPos >= 0; x++ {
 					p := 0.0
 					p += float64(data[idx-s0])
 					p += float64(data[idx-s1])
@@ -349,7 +380,7 @@ func reconstruct3D(data []float32, dims []int, eb float64, codeBytes, rawPayload
 					idx++
 				}
 			case z > 0:
-				for x := 1; x < nx && rawPos >= 0; x++ {
+				for x := 1; x < hx && rawPos >= 0; x++ {
 					p := 0.0
 					p += float64(data[idx-s0])
 					p += float64(data[idx-1])
@@ -358,7 +389,7 @@ func reconstruct3D(data []float32, dims []int, eb float64, codeBytes, rawPayload
 					idx++
 				}
 			case y > 0:
-				for x := 1; x < nx && rawPos >= 0; x++ {
+				for x := 1; x < hx && rawPos >= 0; x++ {
 					p := 0.0
 					p += float64(data[idx-s1])
 					p += float64(data[idx-1])
@@ -367,7 +398,7 @@ func reconstruct3D(data []float32, dims []int, eb float64, codeBytes, rawPayload
 					idx++
 				}
 			default:
-				for x := 1; x < nx && rawPos >= 0; x++ {
+				for x := 1; x < hx && rawPos >= 0; x++ {
 					p := 0.0
 					p += float64(data[idx-1])
 					rawPos = decPoint(data, idx, p, twoEB, codeBytes, rawPayload, nraw, rawPos)
@@ -375,9 +406,15 @@ func reconstruct3D(data []float32, dims []int, eb float64, codeBytes, rawPayload
 				}
 			}
 			if rawPos < 0 {
-				return errRawExhausted()
+				return 0, errRawExhausted()
+			}
+			if hx < nx {
+				rawPos += countEscapes(codeBytes[2*idx : 2*(z*s0+(y+1)*s1)])
 			}
 		}
+		if hy < ny {
+			rawPos += countEscapes(codeBytes[2*(z*s0+hy*s1) : 2*(z+1)*s0])
+		}
 	}
-	return nil
+	return rawPos, nil
 }

@@ -10,26 +10,30 @@ package sz
 // the predictor resets at every slab boundary and the code stream lives in
 // the chunked entropy container with one chunk per slab. A region decode then
 // entropy-decodes only the chunks covering [slab(lo[0]), hi[0]) — O(region),
-// not O(stream) — and reconstructs each covering slab from its own chunk,
-// skipping the Lorenzo arithmetic for points outside the dependency-closed
-// prefix box [0, hi[d]) of the trailing dimensions (every predictor neighbor
-// sits at offset -1, so the box is closed under dependencies; skipped escape
-// codes still advance the raw-pool cursor). The region index shrinks to the
-// per-slab escape-pool cursors; without one, the decoder counts escapes from
-// the stream head, which costs entropy decode but no Lorenzo work.
+// not O(stream) — and reconstructs each covering slab from its own chunk. The
+// region index shrinks to the per-slab escape-pool cursors; without one, the
+// decoder counts escapes from the stream head, which costs entropy decode but
+// no Lorenzo work.
 //
 // Legacy whole-stream blobs keep the original scheme: the index persists, per
 // boundary, the raw cursor and the reconstructed hyperplane just before it —
 // the predictor seed — and a region decode entropy-decodes the whole stream,
 // jumps to the nearest boundary at or below the region, and reconstructs only
-// rows [slab start, hi[0]).
+// rows [slab start, hi[0]) below the seed plane.
 //
-// Bit-identity: the slab kernels accumulate the same stencil terms in the
-// same subset-mask order as lorenzo.predict (which the specialized kernels
-// are already pinned to), the quantize arithmetic is decPoint's, and the
-// restart state (a chunked slab's reset predictor, a legacy seed plane) holds
-// exactly what a full decode would have produced — so the restarted
-// recurrence is the full recurrence.
+// Both reconstruct through reconstructBox (lorenzo_fast.go), the entry point
+// full decode uses: one kernel per rank — reconstruct1D/2D/3D, the generic
+// N-d loop only for >= 4D — taking a start row, the prefix box [0, hi[d]) of
+// the trailing dimensions and a raw-pool cursor. Points outside the box are
+// neither written nor read (the box is closed under the -1 offsets of every
+// Lorenzo neighbor); their escape codes are counted so the cursor stays exact.
+//
+// Bit-identity: the kernels and the quantize arithmetic are the full
+// decoder's, and the restart state (a chunked slab's reset predictor, a legacy
+// seed plane) holds exactly what a full decode would have produced — so the
+// restarted recurrence is the full recurrence.
+// TestSZRegionKernelsMatchGeneric pins kernels and N-d oracle to each other on
+// both blob kinds.
 
 import (
 	"encoding/binary"
@@ -276,7 +280,8 @@ func SlabRows(blob []byte) int {
 }
 
 // DecompressRegion decodes the half-open region [lo, hi) of an sz blob,
-// reconstructing only rows [slab(lo[0]), hi[0]) of the Lorenzo recurrence.
+// reconstructing only rows [slab(lo[0]), hi[0]) of the Lorenzo recurrence and,
+// within them, only the prefix box [0, hi[d]) of the trailing dimensions.
 // For chunked blobs only the entropy chunks covering those rows are decoded.
 // index may be nil or empty; a legacy blob then reconstructs from row 0
 // (still skipping the rows past hi[0]), and a chunked blob pays one extra
@@ -284,6 +289,12 @@ func SlabRows(blob []byte) int {
 // The output is bit-identical to the corresponding slice of a full
 // Decompress.
 func DecompressRegion(blob, index []byte, lo, hi []int) (*grid.Field, error) {
+	return decompressRegion(blob, index, lo, hi, false)
+}
+
+// decompressRegion is the DecompressRegion implementation; forceGeneric pins
+// the reconstruction to the N-d odometer oracle (see decompressSZ).
+func decompressRegion(blob, index []byte, lo, hi []int, forceGeneric bool) (*grid.Field, error) {
 	defer obs.Span("decompress/sz-region")()
 	h, payload, err := compress.ParseHeader(blob, compress.MagicSZ)
 	if err != nil {
@@ -304,7 +315,7 @@ func DecompressRegion(blob, index []byte, lo, hi []int) (*grid.Field, error) {
 		return nil, err
 	}
 	if chunkT > 0 && chunkT < nz {
-		return decompressRegionChunked(h, packed, rawPayload, nraw, chunkT, index, lo, hi)
+		return decompressRegionChunked(h, packed, rawPayload, nraw, chunkT, index, lo, hi, forceGeneric)
 	}
 	codeBytes, err := entropy.DecompressBytes(packed)
 	if err != nil {
@@ -338,20 +349,21 @@ func DecompressRegion(blob, index []byte, lo, hi []int) (*grid.Field, error) {
 	if z0 > 0 {
 		seedRows = 1
 	}
-	rows := hi[0] - z0 + seedRows
-	buf := getF32s(rows * planeSize)
+	// buf row 0 is the seed plane when there is one, so the kernels see an
+	// ordinary field that starts decoding at row seedRows.
+	bufDims := append([]int{hi[0] - z0 + seedRows}, h.Dims[1:]...)
+	buf := getF32s(bufDims[0] * planeSize)
 	defer putF32s(buf)
 	for j := 0; j < seedRows*planeSize; j++ {
 		buf[j] = math.Float32frombits(binary.LittleEndian.Uint32(seed[4*j:]))
 	}
-	if err := reconstructSlab(buf, h.Dims, z0, seedRows, h.Knob, codeBytes, rawPayload, nraw, rawPos); err != nil {
+	if _, err := reconstructBox(buf, bufDims, seedRows, hi[1:], h.Knob, codeBytes[2*(z0-seedRows)*planeSize:], rawPayload, nraw, rawPos, forceGeneric); err != nil {
 		return nil, err
 	}
 	obs.Inc("sz/region_decodes")
 	obs.Add("sz/region_rows_decoded", int64(hi[0]-z0))
 	obs.Add("sz/region_rows_skipped", int64(z0+nz-hi[0]))
 
-	bufDims := append([]int{rows}, h.Dims[1:]...)
 	view, err := grid.FromData(h.Name, buf, bufDims...)
 	if err != nil {
 		return nil, fmt.Errorf("sz: %w", err)
@@ -368,7 +380,7 @@ func DecompressRegion(blob, index []byte, lo, hi []int) (*grid.Field, error) {
 // escape-pool cursor entering the first slab comes from the index when one is
 // present; otherwise the preceding chunks are entropy-decoded once, purely to
 // count their escape codes (no Lorenzo work).
-func decompressRegionChunked(h compress.Header, packed, rawPayload []byte, nraw uint64, chunkT int, index []byte, lo, hi []int) (*grid.Field, error) {
+func decompressRegionChunked(h compress.Header, packed, rawPayload []byte, nraw uint64, chunkT int, index []byte, lo, hi []int, forceGeneric bool) (*grid.Field, error) {
 	n := elemCount(h.Dims)
 	nz := h.Dims[0]
 	planeSize := n / nz
@@ -412,9 +424,10 @@ func decompressRegionChunked(h compress.Header, packed, rawPayload []byte, nraw 
 		zs, ze, slabDims := slabSpan(h.Dims, chunkT, s)
 		if ze > hi[0] {
 			ze = hi[0] // the region ends inside this slab
+			slabDims[0] = ze - zs
 		}
-		rawPos, err = reconstructSlabPrefix(buf[(zs-z0)*planeSize:(ze-z0)*planeSize],
-			slabDims, h.Knob, hi[1:], codes[2*(zs-z0)*planeSize:], rawPayload, nraw, rawPos)
+		rawPos, err = reconstructBox(buf[(zs-z0)*planeSize:(ze-z0)*planeSize], slabDims, 0, hi[1:],
+			h.Knob, codes[2*(zs-z0)*planeSize:], rawPayload, nraw, rawPos, forceGeneric)
 		if err != nil {
 			return nil, err
 		}
@@ -432,75 +445,4 @@ func decompressRegionChunked(h compress.Header, packed, rawPayload []byte, nraw 
 	vlo := append([]int{lo[0] - z0}, lo[1:]...)
 	vhi := append([]int{hi[0] - z0}, hi[1:]...)
 	return grid.SliceRegion(view, vlo, vhi)
-}
-
-// reconstructSlabPrefix reconstructs the leading len(buf) points of one
-// chunked slab. slabDims is the slab's full extent (the predictor geometry);
-// buf may stop short of it along dim 0 when the region does. Points outside
-// the prefix box [0, hiTail[d]) of the trailing dimensions are skipped —
-// every Lorenzo dependency of an in-box point is itself in-box, so their
-// values are never read — but their escape codes still advance the raw-pool
-// cursor to keep it exact for the points that are reconstructed. Returns the
-// cursor after the slab.
-func reconstructSlabPrefix(buf []float32, slabDims []int, eb float64, hiTail []int, codeBytes, rawPayload []byte, nraw uint64, rawPos int) (int, error) {
-	twoEB := 2 * eb
-	lor := newLorenzo(slabDims)
-	for lidx := range buf {
-		inBox := true
-		for d := 1; d < len(slabDims); d++ {
-			if lor.coord[d] >= hiTail[d-1] {
-				inBox = false
-				break
-			}
-		}
-		code := binary.LittleEndian.Uint16(codeBytes[2*lidx:])
-		if inBox {
-			if code != 0 {
-				buf[lidx] = float32(lor.predict(buf, lidx) + twoEB*float64(int(code)-radius))
-			} else {
-				if uint64(rawPos) >= nraw {
-					return 0, errRawExhausted()
-				}
-				buf[lidx] = math.Float32frombits(binary.LittleEndian.Uint32(rawPayload[4*rawPos:]))
-				rawPos++
-			}
-		} else if code == 0 {
-			rawPos++
-		}
-		lor.advance()
-	}
-	return rawPos, nil
-}
-
-// reconstructSlab runs the Lorenzo reconstruction over global rows
-// [z0, z0+rows) into buf, whose first seedRows planes hold the already
-// reconstructed boundary hyperplane. The predictor is the generic mask-order
-// accumulation of lorenzo.predict — the oracle the specialized full-decode
-// kernels are pinned to — and the quantize/escape arithmetic mirrors
-// decPoint, so restarted output is bit-identical to a full decode.
-func reconstructSlab(buf []float32, dims []int, z0, seedRows int, eb float64, codeBytes, rawPayload []byte, nraw uint64, rawPos int) error {
-	twoEB := 2 * eb
-	planeSize := 1
-	for _, d := range dims[1:] {
-		planeSize *= d
-	}
-	lor := newLorenzo(dims)
-	lor.coord[0] = z0
-	gidx := z0 * planeSize
-	for lidx := seedRows * planeSize; lidx < len(buf); lidx++ {
-		pred := lor.predict(buf, lidx)
-		code := binary.LittleEndian.Uint16(codeBytes[2*gidx:])
-		if code != 0 {
-			buf[lidx] = float32(pred + twoEB*float64(int(code)-radius))
-		} else {
-			if uint64(rawPos) >= nraw {
-				return errRawExhausted()
-			}
-			buf[lidx] = math.Float32frombits(binary.LittleEndian.Uint32(rawPayload[4*rawPos:]))
-			rawPos++
-		}
-		lor.advance()
-		gidx++
-	}
-	return nil
 }

@@ -301,10 +301,19 @@ func decompressSZ(blob []byte, forceGeneric bool, workers int) (*grid.Field, err
 }
 
 // countEscapes counts the escape codes (code 0) in a little-endian code
-// stream: the number of raw-pool values its points consume.
+// stream: the number of raw-pool values its points consume. It reads four
+// codes per step: adding 0x7fff to a lane's low 15 bits carries into its top
+// bit exactly when they are non-zero and never into the next lane, so OR-ing
+// the lane back in leaves one top bit per non-zero code — an exact count, not
+// the borrow-prone "has a zero lane" test.
 func countEscapes(codeBytes []byte) int {
-	n := 0
-	for i := 0; i+1 < len(codeBytes); i += 2 {
+	const lo15, top = 0x7fff7fff7fff7fff, 0x8000800080008000
+	n, i := 0, 0
+	for ; i+8 <= len(codeBytes); i += 8 {
+		v := binary.LittleEndian.Uint64(codeBytes[i:])
+		n += 4 - bits.OnesCount64(((v&lo15)+lo15|v)&top)
+	}
+	for ; i+1 < len(codeBytes); i += 2 {
 		if codeBytes[i] == 0 && codeBytes[i+1] == 0 {
 			n++
 		}

@@ -10,21 +10,21 @@ import (
 
 // BenchmarkRegionDecode measures what the region index buys: decoding a
 // centered 32³ subvolume (1/8 of the volume) out of an indexed 64³ stream
-// versus decoding the whole field through the same entry point. The full/
-// eighth pair is measured within one run, so the ratio gates on any machine;
+// versus what a caller without region decode pays for the same samples — a
+// full Decompress of the same stream, not a whole-field region request, which
+// would put the region path on both sides of the ratio. The full/eighth pair
+// is measured within one run, so the ratio gates on any machine;
 // BENCH_roi.json records it and `make bench-roi` fails if the eighth-volume
-// speedup regresses. Both pairs carry benchguard floors: zfp seeks its own
-// 4³ blocks, and sz's chunked entropy container now seeks too — a region
-// decode entropy-decodes only the chunks covering its slabs and skips the
-// Lorenzo arithmetic outside the region's prefix box.
+// speedup regresses. Both pairs carry benchguard floors: zfp seeks its own 4³
+// blocks, and sz entropy-decodes only the chunks covering the region's slabs
+// and runs the full-decode Lorenzo kernels on the region's prefix box alone.
 func BenchmarkRegionDecode(b *testing.B) {
 	f, err := datagen.NyxField("baryon_density", 1, 2, 64)
 	if err != nil {
 		b.Fatal(err)
 	}
 	knob := 1e-3 * f.ValueRange()
-	full := [][]int{{0, 0, 0}, {64, 64, 64}}
-	eighth := [][]int{{16, 16, 16}, {48, 48, 48}}
+	lo, hi := []int{16, 16, 16}, []int{48, 48, 48}
 	for _, codec := range []struct {
 		name string
 		c    fxrz.Compressor
@@ -41,17 +41,17 @@ func BenchmarkRegionDecode(b *testing.B) {
 			b.Fatal(err)
 		}
 		overhead := float64(len(indexed)-len(blob)) / float64(len(blob))
-		for _, region := range []struct {
+		for _, leg := range []struct {
 			name   string
-			lo, hi []int
+			decode func() (*fxrz.Field, error)
 		}{
-			{"full", full[0], full[1]},
-			{"eighth", eighth[0], eighth[1]},
+			{"full", func() (*fxrz.Field, error) { return fxrz.Decompress(indexed) }},
+			{"eighth", func() (*fxrz.Field, error) { return fxrz.DecompressRegion(indexed, lo, hi) }},
 		} {
-			b.Run(fmt.Sprintf("%s/%s", codec.name, region.name), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/%s", codec.name, leg.name), func(b *testing.B) {
 				b.ReportMetric(overhead, "idx-frac")
 				for i := 0; i < b.N; i++ {
-					if _, err := fxrz.DecompressRegion(indexed, region.lo, region.hi); err != nil {
+					if _, err := leg.decode(); err != nil {
 						b.Fatal(err)
 					}
 				}
