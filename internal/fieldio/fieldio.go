@@ -8,10 +8,15 @@
 // The header line is ASCII so a field file identifies itself under `head`;
 // the payload is raw sample bits, so round trips are bit-exact (NaN
 // payloads included).
+//
+// Every network endpoint parses this container first, from bytes in hand:
+// Decode checks that the payload is as long as the header claims before it
+// allocates anything sized by the header. Read is Decode over a drained reader.
 package fieldio
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -25,56 +30,51 @@ import (
 // magicWord opens every container header line.
 const magicWord = "fxrzfield"
 
-// maxHeaderLen bounds the header line a reader will buffer before giving
-// up: a name plus four 13-digit dims fit comfortably, while a binary blob
-// mistaken for a field file fails fast instead of buffering gigabytes
-// hunting for a newline.
+// maxHeaderLen bounds the header line a decoder will scan for its newline:
+// a name plus four 13-digit dims fit comfortably, and a binary blob mistaken
+// for a field file fails after 4 KiB.
 const maxHeaderLen = 4096
 
 // Write serialises f to w in the fxrzfield container format.
 func Write(w io.Writer, f *grid.Field) error {
-	bw := bufio.NewWriter(w)
+	bw := bufio.NewWriter(w) // write errors are sticky: Flush reports the first
 	name := strings.ReplaceAll(f.Name, " ", "_")
 	if name == "" {
 		name = "field"
 	}
-	if _, err := fmt.Fprintf(bw, "%s %s", magicWord, name); err != nil {
-		return err
-	}
+	fmt.Fprintf(bw, "%s %s", magicWord, name)
 	for _, d := range f.Dims {
-		if _, err := fmt.Fprintf(bw, " %d", d); err != nil {
-			return err
-		}
+		fmt.Fprintf(bw, " %d", d)
 	}
-	if err := bw.WriteByte('\n'); err != nil {
-		return err
-	}
+	bw.WriteByte('\n')
 	var buf [4]byte
 	for _, v := range f.Data {
 		binary.LittleEndian.PutUint32(buf[:], math.Float32bits(v))
-		if _, err := bw.Write(buf[:]); err != nil {
-			return err
-		}
+		bw.Write(buf[:])
 	}
 	return bw.Flush()
 }
 
-// Read parses one field from r. Dimension validation is grid's (1–4 strictly
-// positive dims, bounded product), so a malicious header cannot demand an
-// unbounded allocation beyond what its dims legitimately describe; callers
-// reading from untrusted sources should additionally cap the reader itself
-// (the serve layer uses http.MaxBytesReader).
-func Read(r io.Reader) (*grid.Field, error) {
-	br := bufio.NewReader(r)
-	header, err := readHeaderLine(br)
-	if err != nil {
-		return nil, err
+// Decode parses one field from the bytes in hand. Nothing is allocated on the
+// header's say-so: the dims are validated (grid.CheckDims: 1–4 strictly
+// positive extents, bounded product) and the payload checked to hold the
+// 4·n sample bytes they claim before the sample slice is made, so a hostile
+// header costs O(len(data)) whatever sizes it names. Samples are converted
+// straight from data, which is not retained; bytes past the last sample are
+// ignored.
+func Decode(data []byte) (*grid.Field, error) {
+	head := data[:min(len(data), maxHeaderLen)]
+	nl := bytes.IndexByte(head, '\n')
+	switch {
+	case nl < 0 && len(head) == maxHeaderLen:
+		return nil, fmt.Errorf("fieldio: header line exceeds %d bytes", maxHeaderLen)
+	case nl < 0:
+		return nil, fmt.Errorf("fieldio: reading header: %w", io.ErrUnexpectedEOF)
 	}
-	parts := strings.Fields(header)
+	parts := strings.Fields(string(head[:nl]))
 	if len(parts) < 3 || parts[0] != magicWord {
 		return nil, fmt.Errorf("fieldio: not an fxrzfield container")
 	}
-	name := parts[1]
 	dims := make([]int, 0, len(parts)-2)
 	for _, p := range parts[2:] {
 		d, err := strconv.Atoi(p)
@@ -83,32 +83,31 @@ func Read(r io.Reader) (*grid.Field, error) {
 		}
 		dims = append(dims, d)
 	}
-	f, err := grid.New(name, dims...)
+	n, err := grid.CheckDims(dims)
 	if err != nil {
 		return nil, fmt.Errorf("fieldio: %w", err)
 	}
-	raw := make([]byte, 4*f.Size())
-	if _, err := io.ReadFull(br, raw); err != nil {
-		return nil, fmt.Errorf("fieldio: reading %d samples: %w", f.Size(), err)
+	raw := data[nl+1:]
+	if len(raw)/4 < n {
+		return nil, fmt.Errorf("fieldio: reading %d samples: %w", n, io.ErrUnexpectedEOF)
 	}
-	for i := range f.Data {
-		f.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+	vals := make([]float32, n)
+	for i := range vals {
+		vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
 	}
-	return f, nil
+	return grid.FromData(parts[1], vals, dims...)
 }
 
-// readHeaderLine reads up to maxHeaderLen bytes of the ASCII header line.
-func readHeaderLine(br *bufio.Reader) (string, error) {
-	var sb strings.Builder
-	for sb.Len() < maxHeaderLen {
-		b, err := br.ReadByte()
-		if err != nil {
-			return "", fmt.Errorf("fieldio: reading header: %w", err)
-		}
-		if b == '\n' {
-			return sb.String(), nil
-		}
-		sb.WriteByte(b)
+// Read drains r and decodes the one field it holds, so its allocation is
+// bounded by the bytes r actually delivered, never by the header's claim;
+// callers reading from untrusted sources cap the reader itself.
+func Read(r io.Reader) (*grid.Field, error) {
+	var buf bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok {
+		buf.Grow(l.Len() + bytes.MinRead) // an in-memory reader: stage it in one allocation
 	}
-	return "", fmt.Errorf("fieldio: header line exceeds %d bytes", maxHeaderLen)
+	if _, err := buf.ReadFrom(r); err != nil {
+		return nil, fmt.Errorf("fieldio: reading: %w", err)
+	}
+	return Decode(buf.Bytes())
 }

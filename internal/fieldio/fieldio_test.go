@@ -2,7 +2,10 @@ package fieldio
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -63,4 +66,114 @@ func TestReadRejectsUnboundedHeader(t *testing.T) {
 	if _, err := Read(strings.NewReader(junk)); err == nil {
 		t.Fatal("headerless binary stream accepted")
 	}
+}
+
+// hostileHeader claims a 2³⁸-sample (1 TiB) field in 27 bytes — legal dims
+// as far as grid is concerned, so only the payload-length check stands
+// between it and the allocator.
+const hostileHeader = "fxrzfield x 65536 65536 64\n"
+
+// allocDelta reports the bytes allocated while fn runs.
+func allocDelta(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestShortBodyAllocatesByLength: a body shorter than its header claims must
+// fail having allocated O(len(body)) — on both entry points, and with the
+// error text callers already match on.
+func TestShortBodyAllocatesByLength(t *testing.T) {
+	for _, body := range []string{hostileHeader, hostileHeader + strings.Repeat("\x00", 4096)} {
+		for name, decode := range map[string]func() error{
+			"Decode": func() error { _, err := Decode([]byte(body)); return err },
+			"Read":   func() error { _, err := Read(strings.NewReader(body)); return err },
+			"Read of a stream": func() error {
+				_, err := Read(io.MultiReader(strings.NewReader(body))) // no Len: not presized
+				return err
+			},
+		} {
+			var err error
+			got := allocDelta(func() { err = decode() })
+			if err == nil || !strings.Contains(err.Error(), "reading 274877906944 samples") {
+				t.Errorf("%s(%d bytes): err = %v, want a short-payload error", name, len(body), err)
+			}
+			if got >= 1<<20 {
+				t.Errorf("%s(%d bytes) allocated %d bytes before failing", name, len(body), got)
+			}
+		}
+	}
+}
+
+// TestDecodeErrorsAndTail pins the messages the serve layer relays and the
+// tolerance Read always had for bytes after the last sample.
+func TestDecodeErrorsAndTail(t *testing.T) {
+	for in, want := range map[string]string{
+		"":                                       "reading header",
+		"notafield x 3\nxxxx":                    "not an fxrzfield container",
+		"fxrzfield x 3 four\n":                   "bad dim",
+		"fxrzfield x 2 2\n\x00\x00":              "reading 4 samples",
+		"fxrzfield x 0\n":                        "strictly positive",
+		strings.Repeat("y", maxHeaderLen) + "\n": "header line exceeds",
+	} {
+		if _, err := Decode([]byte(in)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Decode(%.20q): err = %v, want %q", in, err, want)
+		}
+	}
+	f, err := Decode([]byte("fxrzfield t 1\n\x00\x00\x80\x3ftrailing"))
+	if err != nil || f.Name != "t" || f.Data[0] != 1 {
+		t.Errorf("tail after the last sample: field %v, err %v", f, err)
+	}
+}
+
+// FuzzFieldDecode: the container every network endpoint parses first never
+// panics, never allocates beyond a multiple of its input, and re-encodes
+// bit-exactly (NaN payloads included) whatever it accepts.
+func FuzzFieldDecode(f *testing.F) {
+	for _, dims := range [][]int{{5}, {2, 3}, {2, 3, 2}, {2, 1, 2, 2}} {
+		fd := grid.MustNew("seed", dims...)
+		for i := range fd.Data {
+			fd.Data[i] = math.Float32frombits(0x7fc00000 + uint32(i)) // distinct NaN payloads
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, fd); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+		f.Add(buf.Bytes()[:buf.Len()-3]) // truncated payload
+	}
+	f.Add([]byte(hostileHeader))
+	f.Add([]byte("fxrzfield x 9999999 9999999 9999999\n"))
+	f.Add([]byte(strings.Repeat("h", maxHeaderLen+1)))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var fd *grid.Field
+		var err error
+		// Header text, dims and the sample slice: a small constant plus the
+		// payload's own size, never the header's claim.
+		if got := allocDelta(func() { fd, err = Decode(data) }); got > 64<<10+2*uint64(len(data)) {
+			t.Fatalf("Decode of %d bytes allocated %d", len(data), got)
+		}
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, fd); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Decode(buf.Bytes())
+		if err != nil {
+			t.Fatalf("re-decoding an accepted field: %v", err)
+		}
+		if len(again.Data) != len(fd.Data) || fmt.Sprint(again.Dims) != fmt.Sprint(fd.Dims) {
+			t.Fatalf("shape changed across a round trip: %v -> %v", fd.Dims, again.Dims)
+		}
+		for i := range fd.Data {
+			if math.Float32bits(fd.Data[i]) != math.Float32bits(again.Data[i]) {
+				t.Fatalf("sample %d not bit-exact across a round trip", i)
+			}
+		}
+	})
 }

@@ -34,7 +34,7 @@ type Field struct {
 
 // New allocates a zero-filled field with the given dimensions.
 func New(name string, dims ...int) (*Field, error) {
-	n, err := checkDims(dims)
+	n, err := CheckDims(dims)
 	if err != nil {
 		return nil, err
 	}
@@ -43,7 +43,7 @@ func New(name string, dims ...int) (*Field, error) {
 
 // FromData wraps an existing sample slice. The slice is retained, not copied.
 func FromData(name string, data []float32, dims ...int) (*Field, error) {
-	n, err := checkDims(dims)
+	n, err := CheckDims(dims)
 	if err != nil {
 		return nil, err
 	}
@@ -62,7 +62,10 @@ func MustNew(name string, dims ...int) *Field {
 	return f
 }
 
-func checkDims(dims []int) (int, error) {
+// CheckDims validates a dimension list (1..MaxDims strictly positive extents,
+// bounded product) and returns the sample count it describes, allocating
+// nothing — decoders call it before trusting a header's claimed size.
+func CheckDims(dims []int) (int, error) {
 	if len(dims) == 0 || len(dims) > MaxDims {
 		return 0, ErrDims
 	}

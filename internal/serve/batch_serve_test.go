@@ -356,6 +356,23 @@ func TestBatchLimits(t *testing.T) {
 	if st != http.StatusBadRequest {
 		t.Errorf("corrupt container status %d, want 400 (%s)", st, body)
 	}
+
+	// A batch over the body cap is refused like an oversized single call:
+	// 413, and the Connection: close hint that the unread rest of the body
+	// will not be drained (the client surfaces it as resp.Close).
+	capped, _ := newTestServer(t, func(c *serve.Config) { c.MaxBodyBytes = 64 })
+	big := batch.EncodeRequest([]batch.Item{{ID: 1, Payload: bytes.Repeat([]byte("x"), 4096)}})
+	resp, err := http.Post(capped.URL+"/v1/unpack-many", "application/octet-stream", bytes.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("over-cap batch status %d, want 413", resp.StatusCode)
+	}
+	if !resp.Close {
+		t.Error("over-cap batch: 413 without the Connection: close hint")
+	}
 }
 
 // TestBatchRateLimitChargesPerItem: a batch draws one token per item, so it

@@ -1,0 +1,321 @@
+// The endpoint table: the three operations fxrzd serves, one row each. A row
+// is everything the request pipeline (pipeline.go) needs to know about an
+// operation; the pipeline itself never asks which one it is running.
+package serve
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"net/http"
+	"net/url"
+	"strconv"
+
+	fxrz "github.com/fxrz-go/fxrz"
+	"github.com/fxrz-go/fxrz/internal/batch"
+	"github.com/fxrz-go/fxrz/internal/brick"
+	"github.com/fxrz-go/fxrz/internal/fieldio"
+	"github.com/fxrz-go/fxrz/internal/obs"
+	"github.com/fxrz-go/fxrz/internal/roi"
+)
+
+// endpoint is one operation, mounted as POST /v1/<name> (the body is the one
+// item) and POST /v1/<name>-many (the body is a batch container of items).
+type endpoint struct {
+	name   string
+	class  int // its QoS class: the index in the qos.Controller, lower = higher priority
+	weight int // the class's share of the reserved slots
+	// perSlot prices items in admission slots: how many items of this
+	// operation one QoS slot is worth. Estimate items are feature lookups
+	// (many fit in a slot's worth of capacity); unpack and pack run real
+	// codec work and pack fewer.
+	perSlot int
+	// contentType labels a single call's 200 body (a batch is always a
+	// response container).
+	contentType string
+	// exec runs one item and returns its response body — bit-identical on
+	// both wires — plus, optionally, response headers for a single call.
+	exec func(*Server, context.Context, work) ([]byte, http.Header, error)
+	// plan, when set, looks over the whole item list before the fan-out and
+	// hands each item's exec what it found (work.set).
+	plan func(base url.Values, items []batch.Item) []*setMember
+}
+
+// The rows double as the QoS class roster, in priority order. Estimate is the
+// paper's high-volume cheap path (a feature lookup, never a compressor run)
+// and gets twice the reserved weight; unpack outranks pack because
+// decompression is typically interactive (an analysis waiting on bytes) while
+// compression is batch.
+var endpoints = [...]endpoint{
+	{name: "estimate", class: 0, weight: 2, perSlot: 8, contentType: "application/json", exec: (*Server).estimate},
+	{name: "unpack", class: 1, weight: 1, perSlot: 4, contentType: "application/octet-stream", exec: (*Server).unpack, plan: planBrickSets},
+	{name: "pack", class: 2, weight: 1, perSlot: 2, contentType: "application/octet-stream", exec: (*Server).pack},
+}
+
+// route is the endpoint's name on one wire: its path under /v1/ and its
+// label in the obs counter and span names.
+func (ep *endpoint) route(many bool) string {
+	if many {
+		return ep.name + "-many"
+	}
+	return ep.name
+}
+
+// work is one item as an exec sees it.
+type work struct {
+	get     func(key string) string // the item's params over the request query
+	payload []byte                  // valid until exec returns
+	workers int                     // this item's intra-field worker budget
+	set     *setMember              // unpack: the shared brick set to read through, if any
+}
+
+// model resolves the model and target parameters shared by estimate and
+// pack. The registry is the cache: a resident model is one map lookup, and
+// concurrent items wanting the same cold model share one load.
+func (s *Server) model(ctx context.Context, wk work) (fw *fxrz.Framework, id string, target float64, err error) {
+	if id = wk.get("model"); id == "" {
+		return nil, "", 0, badRequestf("missing required query parameter %q", "model")
+	}
+	ts := wk.get("target")
+	if ts == "" {
+		return nil, "", 0, badRequestf("missing required query parameter %q", "target")
+	}
+	target, perr := strconv.ParseFloat(ts, 64)
+	if perr != nil || !(target > 0) {
+		return nil, "", 0, badRequestf("target must be a positive ratio, got %q", ts)
+	}
+	if fw, err = s.reg.Get(ctx, id); err != nil {
+		return nil, "", 0, err
+	}
+	return fw.WithParallelism(wk.workers), id, target, nil
+}
+
+// FeaturesRequest is the JSON body of a features-mode estimate: the five
+// adopted data features of the paper (Table II), plus the optional CA block
+// ratio a field-mode estimate for the same variable previously reported as
+// non_constant_r.
+type FeaturesRequest struct {
+	ValueRange float64 `json:"value_range"`
+	MeanValue  float64 `json:"mean_value"`
+	MND        float64 `json:"mnd"`
+	MLD        float64 `json:"mld"`
+	MSD        float64 `json:"msd"`
+	CARatio    float64 `json:"ca_ratio,omitempty"`
+}
+
+// EstimateResponse is the JSON body of a successful estimate.
+type EstimateResponse struct {
+	Model         string    `json:"model"`
+	Compressor    string    `json:"compressor"`
+	TargetRatio   float64   `json:"target_ratio"`
+	Knob          float64   `json:"knob"`
+	AdjustedRatio float64   `json:"adjusted_ratio"`
+	NonConstantR  float64   `json:"non_constant_r"`
+	Extrapolating bool      `json:"extrapolating"`
+	ValidRange    []float64 `json:"valid_ratio_range,omitempty"`
+	AnalysisMS    float64   `json:"analysis_ms"`
+}
+
+// estimate answers ?model=ID&target=N with the knob that reaches the target
+// ratio, as JSON. Neither mode runs a compressor.
+func (s *Server) estimate(ctx context.Context, wk work) ([]byte, http.Header, error) {
+	fw, id, target, err := s.model(ctx, wk)
+	if err != nil {
+		return nil, nil, err
+	}
+	resp, err := estimateCore(fw, id, target, wk.payload)
+	if err != nil {
+		return nil, nil, err
+	}
+	var b bytes.Buffer
+	_ = json.NewEncoder(&b).Encode(resp)
+	return b.Bytes(), nil, nil
+}
+
+var fieldMagic = []byte("fxrzfield")
+
+// estimateCore computes one estimate. The payload picks the mode, on both
+// wires: an fxrzfield container (sniffed by its magic) is analysed the full
+// way — stride-sampled feature extraction plus the CA block scan — and
+// anything else is decoded as a FeaturesRequest, the model-query-only fast
+// path. Content-Type is advisory.
+func estimateCore(fw *fxrz.Framework, id string, target float64, payload []byte) (EstimateResponse, error) {
+	resp := EstimateResponse{Model: id, Compressor: fw.Compressor().Name(), TargetRatio: target}
+	var est fxrz.Estimate
+	if bytes.HasPrefix(payload, fieldMagic) {
+		f, err := fieldio.Decode(payload)
+		if err != nil {
+			return resp, badRequestf("%v", err)
+		}
+		est, err = fw.EstimateConfig(f, target)
+		if err != nil {
+			return resp, badRequestf("%v", err)
+		}
+		lo, hi := fw.ValidRatioRange(f)
+		resp.ValidRange = []float64{lo, hi}
+	} else {
+		var req FeaturesRequest
+		if err := json.NewDecoder(bytes.NewReader(payload)).Decode(&req); err != nil {
+			return resp, badRequestf("decoding features: %v", err)
+		}
+		var err error
+		est, err = fw.EstimateFromFeatures(fxrz.Features{
+			ValueRange: req.ValueRange, MeanValue: req.MeanValue,
+			MND: req.MND, MLD: req.MLD, MSD: req.MSD,
+		}, target, req.CARatio)
+		if err != nil {
+			return resp, badRequestf("%v", err)
+		}
+	}
+	resp.Knob = est.Knob
+	resp.AdjustedRatio = est.AdjustedRatio
+	resp.NonConstantR = est.NonConstantR
+	resp.Extrapolating = est.Extrapolating
+	resp.AnalysisMS = float64(est.AnalysisTime()) / 1e6
+	return resp, nil
+}
+
+// pack answers ?model=ID&target=N: the payload is an fxrzfield container,
+// the response the compressed stream produced at the estimated knob, with
+// the estimate in X-Fxrz-* headers on a single call.
+func (s *Server) pack(ctx context.Context, wk work) ([]byte, http.Header, error) {
+	fw, _, target, err := s.model(ctx, wk)
+	if err != nil {
+		return nil, nil, err
+	}
+	f, err := fieldio.Decode(wk.payload)
+	if err != nil {
+		return nil, nil, badRequestf("%v", err)
+	}
+	blob, est, err := fw.CompressToRatio(f, target)
+	if err != nil {
+		return nil, nil, badRequestf("%v", err)
+	}
+	obs.Add("serve/bytes/packed_in", int64(f.Bytes()))
+	obs.Add("serve/bytes/packed_out", int64(len(blob)))
+	return blob, http.Header{
+		"X-Fxrz-Compressor":     {fw.Compressor().Name()},
+		"X-Fxrz-Knob":           {strconv.FormatFloat(est.Knob, 'g', -1, 64)},
+		"X-Fxrz-Achieved-Ratio": {strconv.FormatFloat(fxrz.Ratio(f, blob), 'g', 6, 64)},
+		"X-Fxrz-Extrapolating":  {strconv.FormatBool(est.Extrapolating)},
+	}, nil
+}
+
+// unpack decodes any stream a built-in codec produced (the magic byte
+// dispatches — indexed containers included) into an fxrzfield container. The
+// optional region parameter ("lo0:hi0,lo1:hi1,...", half-open, slowest
+// dimension first) decodes only that subvolume; with an indexed stream the
+// work scales with the region, not the field.
+func (s *Server) unpack(_ context.Context, wk work) ([]byte, http.Header, error) {
+	var f *fxrz.Field
+	var err error
+	if sm := wk.set; sm != nil {
+		obs.Inc("serve/unpack_region")
+		if f, err = sm.set.ReadRegion(sm.member, sm.origin, sm.shape); err != nil {
+			return nil, nil, badRequestf("%v", err)
+		}
+		obs.Add("serve/bytes/unpacked_out", int64(f.Bytes()))
+	} else if f, err = unpackCore(wk.payload, wk.get("region"), wk.workers); err != nil {
+		return nil, nil, err
+	}
+	var out bytes.Buffer
+	out.Grow(f.Bytes() + 128) // samples plus the header line: one allocation
+	if err := fieldio.Write(&out, f); err != nil {
+		return nil, nil, err
+	}
+	return out.Bytes(), nil, nil
+}
+
+// unpackCore decompresses one stream, optionally restricted to a textual
+// region.
+func unpackCore(blob []byte, region string, workers int) (*fxrz.Field, error) {
+	var f *fxrz.Field
+	var err error
+	if region != "" {
+		lo, hi, perr := fxrz.ParseRegion(region)
+		if perr != nil {
+			return nil, badRequestf("%v", perr)
+		}
+		obs.Inc("serve/unpack_region")
+		f, err = fxrz.DecompressRegionParallel(blob, lo, hi, workers)
+	} else {
+		f, err = fxrz.DecompressParallel(blob, workers)
+	}
+	if err != nil {
+		return nil, badRequestf("%v", err)
+	}
+	obs.Add("serve/bytes/unpacked_out", int64(f.Bytes()))
+	return f, nil
+}
+
+// setMember routes one unpack item through a shared brick set.
+type setMember struct {
+	set    *brick.Set
+	member int
+	origin []int
+	shape  []int
+}
+
+// planBrickSets groups brick-store items by their effective region text and
+// opens each group of two or more as one brick.Set, returning the per-item
+// membership (nil = per-item path). Groups that fail to open — mixed
+// geometry, corrupt members — fall back silently; the per-item path will
+// produce the per-item error.
+func planBrickSets(base url.Values, items []batch.Item) []*setMember {
+	members := make([]*setMember, len(items))
+	groups := make(map[string][]int)
+	for i, it := range items {
+		if !brick.IsStore(it.Payload) {
+			continue
+		}
+		iq, err := itemQuery(it)
+		if err != nil {
+			continue
+		}
+		if region := mergedGet(base, iq, "region"); region != "" {
+			groups[region] = append(groups[region], i)
+		}
+	}
+	for region, idx := range groups {
+		if len(idx) < 2 {
+			continue
+		}
+		lo, hi, err := fxrz.ParseRegion(region)
+		if err != nil {
+			continue
+		}
+		blobs := make([][]byte, len(idx))
+		for k, i := range idx {
+			blobs[k] = items[i].Payload
+		}
+		set, err := brick.OpenSet(roi.ResolveCodec, blobs...)
+		if err != nil {
+			continue
+		}
+		origin := make([]int, len(lo))
+		shape := make([]int, len(lo))
+		for d := range lo {
+			origin[d], shape[d] = lo[d], hi[d]-lo[d]
+		}
+		// One plan across the whole set: the ranges a sharded reader would
+		// fetch. Planning failures (region outside the shared geometry) leave
+		// the group on the per-item path, which reports the per-item error.
+		plan, err := set.RegionByteRanges(origin, shape)
+		if err != nil {
+			continue
+		}
+		planned := 0
+		for _, ranges := range plan {
+			for _, rg := range ranges {
+				planned += rg[1] - rg[0]
+			}
+		}
+		obs.Inc("serve/batch/brickset")
+		obs.Add("serve/batch/brickset_members", int64(len(idx)))
+		obs.Add("serve/batch/brickset_planned_bytes", int64(planned))
+		for k, i := range idx {
+			members[i] = &setMember{set: set, member: k, origin: origin, shape: shape}
+		}
+	}
+	return members
+}

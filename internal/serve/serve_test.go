@@ -12,14 +12,17 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	fxrz "github.com/fxrz-go/fxrz"
+	"github.com/fxrz-go/fxrz/internal/batch"
 	"github.com/fxrz-go/fxrz/internal/datagen"
 	"github.com/fxrz-go/fxrz/internal/fieldio"
 	"github.com/fxrz-go/fxrz/internal/obs"
 	"github.com/fxrz-go/fxrz/internal/serve"
+	"github.com/fxrz-go/fxrz/internal/shard"
 )
 
 // The fixture: one quick SZ model trained in TestMain, saved under several
@@ -418,52 +421,232 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 }
 
-func TestRejections(t *testing.T) {
+// TestRejectionsWireParity runs every rejection through both wires — the
+// single call and a one-item batch of the same payload — and requires the
+// same status and the same message (the single's JSON envelope against the
+// item's payload): there is one pipeline, so there is one answer.
+func TestRejectionsWireParity(t *testing.T) {
 	ts, _ := newTestServer(t, nil)
 	f := testField(t)
-	target := midTarget(t, f)
-	post := func(url, ct string, body io.Reader) *http.Response {
+	mt := fmt.Sprintf("model=nyx-sz&target=%g", midTarget(t, f))
+	var fb bytes.Buffer
+	if err := fieldio.Write(&fb, f); err != nil {
+		t.Fatal(err)
+	}
+	field := fb.Bytes()
+	cases := []struct {
+		name, op, query, ctype string
+		body                   []byte
+		deadlineUS             string // X-Fxrz-Deadline-Us, when set
+		want                   int
+		wantMsg                string // substring of the message
+	}{
+		{"unknown model", "estimate", "model=ghost&target=8", "application/octet-stream", field, "", 404, "unknown model"},
+		{"traversal id", "estimate", "model=..%2F..%2Fetc&target=8", "application/octet-stream", field, "", 400, "invalid model id"},
+		{"missing target", "estimate", "model=nyx-sz", "application/octet-stream", field, "", 400, `"target"`},
+		{"bad target", "estimate", "model=nyx-sz&target=-5", "application/octet-stream", field, "", 400, "positive ratio"},
+		{"garbage field", "pack", mt, "application/octet-stream", []byte("not a field\n"), "", 400, "not an fxrzfield container"},
+		{"headerless field", "pack", mt, "application/octet-stream", []byte("not a field"), "", 400, "fieldio: reading header"},
+		{"hostile field header", "pack", mt, "application/octet-stream", []byte(hostileHeader), "", 400, "fieldio: reading 274877906944 samples"},
+		{"corrupt model file", "estimate", "model=corrupt&target=8", "application/octet-stream", field, "", 500, "loading model"},
+		{"corrupt unpack blob", "unpack", "", "application/octet-stream", []byte{0x5A, 0x01, 0x02}, "", 400, "bad request"},
+		{"bad region", "unpack", "region=garbage", "application/octet-stream", []byte{0x5A, 0x01, 0x02}, "", 400, "bad request"},
+		{"bad features json", "estimate", mt, "application/json", []byte("{nope"), "", 400, "decoding features"},
+		// Content-Type is advisory: a body that is not a field is features
+		// JSON whatever its label says.
+		{"garbage estimate body", "estimate", mt, "application/octet-stream", []byte("neither"), "", 400, "decoding features"},
+		// One deadline rule: a forwarded X-Fxrz-Deadline-Us clamps the budget
+		// on both wires, and the clock runs while the body arrives (do holds
+		// the body back for 20 ms against this 1 ms budget).
+		{"expired deadline", "pack", mt, "application/octet-stream", field, "1000", 503, "deadline exceeded"},
+	}
+	do := func(url, ctype, deadlineUS string, body []byte) (int, []byte) {
 		t.Helper()
-		resp, err := http.Post(url, ct, body)
+		var rd io.Reader = bytes.NewReader(body)
+		if deadlineUS != "" {
+			pr, pw := io.Pipe()
+			time.AfterFunc(20*time.Millisecond, func() {
+				pw.Write(body)
+				pw.Close()
+			})
+			rd = pr
+		}
+		req, err := http.NewRequest("POST", url, rd)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { resp.Body.Close() })
-		return resp
-	}
-	cases := []struct {
-		name string
-		resp *http.Response
-		want int
-	}{
-		{"unknown model", post(fmt.Sprintf("%s/v1/estimate?model=ghost&target=%g", ts.URL, target),
-			"application/octet-stream", fieldBody(t, f)), 404},
-		{"traversal id", post(fmt.Sprintf("%s/v1/estimate?model=..%%2F..%%2Fetc&target=%g", ts.URL, target),
-			"application/octet-stream", fieldBody(t, f)), 400},
-		{"missing target", post(ts.URL+"/v1/estimate?model=nyx-sz",
-			"application/octet-stream", fieldBody(t, f)), 400},
-		{"bad target", post(ts.URL+"/v1/estimate?model=nyx-sz&target=-5",
-			"application/octet-stream", fieldBody(t, f)), 400},
-		{"garbage field", post(fmt.Sprintf("%s/v1/pack?model=nyx-sz&target=%g", ts.URL, target),
-			"application/octet-stream", bytes.NewReader([]byte("not a field"))), 400},
-		{"corrupt model file", post(fmt.Sprintf("%s/v1/estimate?model=corrupt&target=%g", ts.URL, target),
-			"application/octet-stream", fieldBody(t, f)), 500},
-		{"corrupt unpack blob", post(ts.URL+"/v1/unpack",
-			"application/octet-stream", bytes.NewReader([]byte{0x5A, 0x01, 0x02})), 400},
-		{"bad features json", post(fmt.Sprintf("%s/v1/estimate?model=nyx-sz&target=%g", ts.URL, target),
-			"application/json", bytes.NewReader([]byte("{nope"))), 400},
+		req.Header.Set("Content-Type", ctype)
+		if deadlineUS != "" {
+			req.Header.Set(shard.DeadlineHeader, deadlineUS)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, out
 	}
 	for _, tc := range cases {
-		if tc.resp.StatusCode != tc.want {
-			body, _ := io.ReadAll(tc.resp.Body)
-			t.Errorf("%s: status %d, want %d (%s)", tc.name, tc.resp.StatusCode, tc.want, body)
-		}
+		status, raw := do(ts.URL+"/v1/"+tc.op+"?"+tc.query, tc.ctype, tc.deadlineUS, tc.body)
 		var apiErr struct {
 			Error string `json:"error"`
 		}
-		if err := json.NewDecoder(tc.resp.Body).Decode(&apiErr); err == nil && apiErr.Error == "" {
-			t.Errorf("%s: missing error envelope", tc.name)
+		if err := json.Unmarshal(raw, &apiErr); err != nil || apiErr.Error == "" {
+			t.Errorf("%s: single call: missing error envelope in %q", tc.name, raw)
 		}
+		if status != tc.want || !strings.Contains(apiErr.Error, tc.wantMsg) {
+			t.Errorf("%s: single call: status %d %q, want %d containing %q", tc.name, status, apiErr.Error, tc.want, tc.wantMsg)
+		}
+		outer, raw := do(ts.URL+"/v1/"+tc.op+"-many?"+tc.query, "application/octet-stream", tc.deadlineUS,
+			batch.EncodeRequest([]batch.Item{{ID: 7, Payload: tc.body}}))
+		if outer != 200 {
+			t.Errorf("%s: one-item batch: outer status %d (%s)", tc.name, outer, raw)
+			continue
+		}
+		results, err := batch.DecodeResponse(raw)
+		if err != nil || len(results) != 1 {
+			t.Fatalf("%s: one-item batch: %d results, err %v", tc.name, len(results), err)
+		}
+		if results[0].Status != status || string(results[0].Payload) != apiErr.Error {
+			t.Errorf("%s: wires disagree:\n single: %d %q\n  batch: %d %q",
+				tc.name, status, apiErr.Error, results[0].Status, results[0].Payload)
+		}
+	}
+}
+
+// hostileHeader is a complete 27-byte request body: legal dims describing a
+// 2³⁸-sample (1 TiB) field, and no samples.
+const hostileHeader = "fxrzfield x 65536 65536 64\n"
+
+// TestHostileFieldHeader: the 27-byte body must be a 400 naming fieldio on
+// every wire that parses a field, a healthy neighbour in the same batch must
+// still be served, and — the point — the process must live to say so. At
+// the parent of this change each of these requests killed the daemon with an
+// unrecoverable out-of-memory fault.
+func TestHostileFieldHeader(t *testing.T) {
+	ts, _ := newTestServer(t, nil)
+	f := testField(t)
+	query := fmt.Sprintf("?model=nyx-sz&target=%g", midTarget(t, f))
+	for _, op := range []string{"estimate", "pack"} {
+		st, body := postSingle(t, ts.URL+"/v1/"+op+query, "application/octet-stream", []byte(hostileHeader))
+		if st != 400 || !strings.Contains(string(body), "fieldio:") {
+			t.Errorf("%s: status %d (%s), want 400 with a fieldio: message", op, st, body)
+		}
+	}
+	var fb bytes.Buffer
+	if err := fieldio.Write(&fb, f); err != nil {
+		t.Fatal(err)
+	}
+	st, results, raw := postBatch(t, ts.URL+"/v1/estimate-many"+query, []batch.Item{
+		{ID: 1, Payload: []byte(hostileHeader)},
+		{ID: 2, Payload: fb.Bytes()},
+	})
+	if st != 200 {
+		t.Fatalf("estimate-many outer status %d (%s)", st, raw)
+	}
+	if r := results[0]; r.Status != 400 || !strings.Contains(string(r.Payload), "fieldio:") {
+		t.Errorf("hostile item: status %d (%s), want 400 with a fieldio: message", r.Status, r.Payload)
+	}
+	if r := results[1]; r.Status != 200 {
+		t.Errorf("its neighbour: status %d (%s), want 200", r.Status, r.Payload)
+	}
+	if resp, err := http.Get(ts.URL + "/healthz"); err != nil || resp.StatusCode != 200 {
+		t.Fatalf("server did not survive: %v", err)
+	} else {
+		resp.Body.Close()
+	}
+}
+
+// TestWireParityCounters pins what one request costs in the books: a single
+// call is one admission ticket and one request count under its own route
+// name and touches no serve/batch/* counter, and all eight routes keep the
+// counter and span names dashboards already read.
+func TestWireParityCounters(t *testing.T) {
+	ts, _ := newTestServer(t, nil)
+	f := testField(t)
+	query := fmt.Sprintf("?model=nyx-sz&target=%g", midTarget(t, f))
+	var fb bytes.Buffer
+	if err := fieldio.Write(&fb, f); err != nil {
+		t.Fatal(err)
+	}
+	blob, _, err := trainedFW.CompressToRatio(f, midTarget(t, f))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := map[string][]byte{"estimate": fb.Bytes(), "pack": fb.Bytes(), "unpack": blob}
+	delta := func(before, after *obs.Snapshot, name string) int64 {
+		return after.Counters[name] - before.Counters[name]
+	}
+	// The latency span closes after the handler returns, which for a reply
+	// larger than net/http's write buffer is after the client has it: wait
+	// for the span rather than race it.
+	wantOneSpan := func(route string, before *obs.Snapshot) {
+		t.Helper()
+		name := "serve/latency/" + route
+		var d int64
+		for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if d = obs.TakeSnapshot().Spans[name].Count - before.Spans[name].Count; d >= 1 {
+				break
+			}
+		}
+		if d != 1 {
+			t.Errorf("one %s call recorded %d %s spans, want 1", route, d, name)
+		}
+	}
+	batchCounters := func(s *obs.Snapshot) (n int64) {
+		for name, v := range s.Counters {
+			if strings.HasPrefix(name, "serve/batch/") {
+				n += v
+			}
+		}
+		return n
+	}
+
+	for _, op := range []string{"estimate", "pack", "unpack"} {
+		before := obs.TakeSnapshot()
+		if st, body := postSingle(t, ts.URL+"/v1/"+op+query, "application/octet-stream", payload[op]); st != 200 {
+			t.Fatalf("%s: status %d (%s)", op, st, body)
+		}
+		after := obs.TakeSnapshot()
+		for _, name := range []string{"qos/admitted/" + op, "serve/requests/" + op} {
+			if d := delta(before, after, name); d != 1 {
+				t.Errorf("one %s call moved %s by %d, want 1", op, name, d)
+			}
+		}
+		if d := batchCounters(after) - batchCounters(before); d != 0 {
+			t.Errorf("one %s call moved serve/batch/* by %d, want 0", op, d)
+		}
+		wantOneSpan(op, before)
+
+		before = after
+		route := op + "-many"
+		if st, _, body := postBatch(t, ts.URL+"/v1/"+route+query, []batch.Item{{Payload: payload[op]}, {Payload: payload[op]}}); st != 200 {
+			t.Fatalf("%s: status %d (%s)", route, st, body)
+		}
+		after = obs.TakeSnapshot()
+		for name, want := range map[string]int64{
+			"qos/admitted/" + op: 1, "serve/requests/" + route: 1, "serve/requests/" + op: 0,
+			"serve/batch/items/" + route: 2, "serve/batch/item_ok/" + route: 2, "serve/batch/item_err/" + route: 0,
+		} {
+			if d := delta(before, after, name); d != want {
+				t.Errorf("one 2-item %s call moved %s by %d, want %d", route, name, d, want)
+			}
+		}
+		wantOneSpan(route, before)
+	}
+	for path, route := range map[string]string{"/v1/models": "models", "/healthz": "healthz"} {
+		before := obs.TakeSnapshot()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		after := obs.TakeSnapshot()
+		if d := delta(before, after, "serve/requests/"+route); d != 1 {
+			t.Errorf("GET %s moved serve/requests/%s by %d, want 1", path, route, d)
+		}
+		wantOneSpan(route, before)
 	}
 }
 
@@ -480,6 +663,11 @@ func TestBodyCap413(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		body, _ := io.ReadAll(resp.Body)
 		t.Fatalf("status %d, want 413 (%s)", resp.StatusCode, body)
+	}
+	// The rest of the oversized body is not going to be read: the server says
+	// so (Connection: close, which the client surfaces as resp.Close).
+	if !resp.Close {
+		t.Error("413 without the Connection: close hint")
 	}
 }
 
@@ -555,18 +743,146 @@ func TestOverload429(t *testing.T) {
 	}
 }
 
+// TestStalledBodyRefusedBeforeRead pins the one ordering the two wires do
+// not share: a single call's item count is known before its body, so it is
+// charged first — a call over its client's rate limit, and a call on a full
+// class, are answered 429 while their bodies never arrive, and neither takes
+// a slot. (A batch cannot be: its count is inside the body.)
+func TestStalledBodyRefusedBeforeRead(t *testing.T) {
+	ts, _ := newTestServer(t, func(c *serve.Config) {
+		c.MaxInFlight = 1
+		c.RatePerClient = 0.001 // effectively no refill during the test
+		c.RateBurst = 1
+	})
+	f := testField(t)
+	url := fmt.Sprintf("%s/v1/pack?model=nyx-sz&target=%g", ts.URL, midTarget(t, f))
+
+	// stalled posts a pack whose body never arrives and returns the reply,
+	// which must come anyway.
+	stalled := func(client string) *http.Response {
+		t.Helper()
+		pr, pw := io.Pipe()
+		t.Cleanup(func() { pw.Close() })
+		req, err := http.NewRequest("POST", url, pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(serve.ClientHeader, client)
+		type reply struct {
+			resp *http.Response
+			err  error
+		}
+		got := make(chan reply, 1)
+		go func() {
+			resp, err := http.DefaultClient.Do(req)
+			got <- reply{resp, err}
+		}()
+		select {
+		case r := <-got:
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+			t.Cleanup(func() { r.resp.Body.Close() })
+			if !r.resp.Close {
+				t.Error("refusal of an unread body without the Connection: close hint")
+			}
+			return r.resp
+		case <-time.After(5 * time.Second):
+			t.Fatal("no reply while the body is stalled: the refusal waited for the body")
+			return nil
+		}
+	}
+
+	// Rate limit: the client's one token goes to a complete request; its next
+	// call is refused on arrival, with the bucket's refill time.
+	if st, body := postSingleAs(t, url, "limited", fieldBytes(t, f)); st != 200 {
+		t.Fatalf("first call status %d (%s)", st, body)
+	}
+	resp := stalled("limited")
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" || resp.Header.Get("Retry-After") == "1" {
+		t.Errorf("stalled call over its rate limit: status %d, Retry-After %q; want 429 with the refill time",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+
+	// Overload: another client's stalled call is admitted and holds the only
+	// slot (nothing has answered it, so it is run in the background); the
+	// next stalled call finds the class full.
+	pr, pw := io.Pipe()
+	holder := make(chan error, 1)
+	go func() {
+		req, _ := http.NewRequest("POST", url, pr)
+		req.Header.Set(serve.ClientHeader, "holder")
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != 200 {
+				err = fmt.Errorf("slot holder status %d", resp.StatusCode)
+			}
+		}
+		holder <- err
+	}()
+	waitInFlight(t, ts.URL, 1)
+	resp = stalled("crowded")
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") != "1" {
+		t.Errorf("stalled call on a full class: status %d, Retry-After %q; want 429 and \"1\"",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	if h := healthz(t, ts.URL); h.InFlight != 1 {
+		t.Errorf("in flight after two refusals = %d, want 1 (the holder alone)", h.InFlight)
+	}
+	if _, err := pw.Write(fieldBytes(t, f)); err != nil {
+		t.Fatal(err)
+	}
+	pw.Close()
+	if err := <-holder; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// fieldBytes is fieldBody's bytes.
+func fieldBytes(t *testing.T, f *fxrz.Field) []byte {
+	t.Helper()
+	b, err := io.ReadAll(fieldBody(t, f))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// postSingleAs is postSingle under a client identity.
+func postSingleAs(t *testing.T, url, client string, payload []byte) (int, []byte) {
+	t.Helper()
+	req, err := http.NewRequest("POST", url, bytes.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(serve.ClientHeader, client)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, body
+}
+
+func healthz(t *testing.T, url string) serve.HealthResponse {
+	t.Helper()
+	resp, err := http.Get(url + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	return decodeJSON[serve.HealthResponse](t, resp.Body)
+}
+
 // waitInFlight polls /healthz until the reported in-flight count reaches n.
 func waitInFlight(t *testing.T, url string, n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(url + "/healthz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := decodeJSON[serve.HealthResponse](t, resp.Body)
-		resp.Body.Close()
-		if h.InFlight >= n {
+		if healthz(t, url).InFlight >= n {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)

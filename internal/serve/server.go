@@ -7,6 +7,12 @@
 // serving impractical — while /v1/pack and /v1/unpack run the actual codecs
 // through the ParallelCompressor plumbing for clients that want the bytes.
 //
+// There is one request pipeline (pipeline.go). The three operations are the
+// rows of the endpoint table (endpoints.go); each row is mounted twice, as
+// /v1/<op> and /v1/<op>-many, and a single call is a batch of one item: both
+// wires run decode → charge → route → execute → encode and differ only in
+// how the item list is obtained and how the results are written.
+//
 // The server owns four serving concerns the library does not:
 //
 //   - a model Registry (LRU cache of trained forests, single-flight cold
@@ -32,37 +38,16 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
-	fxrz "github.com/fxrz-go/fxrz"
 	"github.com/fxrz-go/fxrz/internal/compress"
-	"github.com/fxrz-go/fxrz/internal/fieldio"
 	"github.com/fxrz-go/fxrz/internal/obs"
 	"github.com/fxrz-go/fxrz/internal/pool"
 	"github.com/fxrz-go/fxrz/internal/qos"
 	"github.com/fxrz-go/fxrz/internal/ratelimit"
 	"github.com/fxrz-go/fxrz/internal/shard"
 )
-
-// The QoS class roster, in priority order. Estimate is the paper's
-// high-volume cheap path (a feature lookup, never a compressor run) and gets
-// twice the reserved weight; unpack outranks pack because decompression is
-// typically interactive (an analysis waiting on bytes) while compression is
-// batch. Class indexes are what handlers pass to instrument.
-const (
-	classEstimate = iota
-	classUnpack
-	classPack
-	classNone = -1 // light endpoints: no admission control
-)
-
-var qosClasses = []qos.Class{
-	{Name: "estimate", Weight: 2},
-	{Name: "unpack", Weight: 1},
-	{Name: "pack", Weight: 1},
-}
 
 // ClientHeader names the request header that identifies a client to the
 // rate limiter; requests without it are keyed by remote address. The shard
@@ -83,8 +68,9 @@ type Config struct {
 	// MaxBodyBytes caps request bodies (default 256 MiB — a 384³ float32
 	// field with headroom). Oversized requests get 413.
 	MaxBodyBytes int64
-	// Timeout bounds each admitted request (default 60s). Cancellation is
-	// checked between pipeline stages; an expired request gets 503.
+	// Timeout bounds each request from before its body is read (default 60s;
+	// a forwarded X-Fxrz-Deadline-Us can only shorten it). Expiry is checked
+	// before each item executes; an expired item gets 503.
 	Timeout time.Duration
 	// Parallelism is the total intra-field worker budget shared by all
 	// admitted requests (0 = all cores), divided by pool.Split: with
@@ -163,10 +149,14 @@ func NewServer(cfg Config) *Server {
 			panic(fmt.Sprintf("serve: invalid shard ring: %v", err))
 		}
 	}
+	classes := make([]qos.Class, len(endpoints))
+	for _, ep := range endpoints {
+		classes[ep.class] = qos.Class{Name: ep.name, Weight: ep.weight}
+	}
 	return &Server{
 		cfg:    cfg,
 		reg:    NewRegistry(cfg.ModelsDir, cfg.CacheSize),
-		admit:  qos.NewController(cfg.MaxInFlight, qosClasses),
+		admit:  qos.NewController(cfg.MaxInFlight, classes),
 		limits: ratelimit.New(ratelimit.Config{Rate: cfg.RatePerClient, Burst: cfg.RateBurst}),
 		router: router,
 		inner:  inner,
@@ -181,17 +171,18 @@ func (s *Server) Registry() *Registry { return s.reg }
 func (s *Server) ShardRouter() *shard.Router { return s.router }
 
 // Handler returns the routed handler: the public v1 API plus health and
-// metrics endpoints.
+// metrics endpoints. Every endpoint row is mounted on both wires.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("POST /v1/estimate", s.instrument("estimate", classEstimate, s.handleEstimate))
-	mux.Handle("POST /v1/pack", s.instrument("pack", classPack, s.handlePack))
-	mux.Handle("POST /v1/unpack", s.instrument("unpack", classUnpack, s.handleUnpack))
-	mux.Handle("POST /v1/estimate-many", s.instrumentBatch("estimate-many", classEstimate, s.runEstimateMany))
-	mux.Handle("POST /v1/pack-many", s.instrumentBatch("pack-many", classPack, s.runPackMany))
-	mux.Handle("POST /v1/unpack-many", s.instrumentBatch("unpack-many", classUnpack, s.runUnpackMany))
-	mux.Handle("GET /v1/models", s.instrument("models", classNone, s.handleModels))
-	mux.Handle("GET /healthz", s.instrument("healthz", classNone, s.handleHealthz))
+	for i := range endpoints {
+		ep := &endpoints[i]
+		for _, many := range []bool{false, true} {
+			route := ep.route(many)
+			mux.Handle("POST /v1/"+route, s.instrument(route, func(w *statusWriter, r *http.Request) { s.serve(w, r, ep, many) }))
+		}
+	}
+	mux.Handle("GET /v1/models", s.instrument("models", s.handleModels))
+	mux.Handle("GET /healthz", s.instrument("healthz", s.handleHealthz))
 	mux.Handle("GET /metrics", obs.Handler())
 	return mux
 }
@@ -201,47 +192,17 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
-// instrument wraps a handler with the serving concerns: request/error
-// counters and a latency histogram under the endpoint's name, and — for
-// heavy endpoints (class >= 0) — the per-client rate limit (429 with a
-// refill-derived Retry-After), class-aware admission control (429 with
-// Retry-After: 1 when the class's slots are exhausted), the request timeout,
-// and the body size cap. The rate limit runs before admission so a refused
-// client never consumes a slot.
-func (s *Server) instrument(ep string, class int, h http.HandlerFunc) http.Handler {
+// instrument wraps a route with its request/error counters and latency
+// histogram. Everything else a heavy request pays — rate limit, admission,
+// deadline, body cap — is the pipeline's (Server.serve).
+func (s *Server) instrument(route string, h func(*statusWriter, *http.Request)) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		obs.Inc("serve/requests/" + ep)
-		defer obs.Span("serve/latency/" + ep)()
-		if class != classNone {
-			if ok, retry := s.limits.Allow(clientID(r)); !ok {
-				obs.Inc("serve/rejected/ratelimit")
-				w.Header().Set("Retry-After", strconv.Itoa(ratelimit.RetryAfterSeconds(retry)))
-				writeError(w, http.StatusTooManyRequests,
-					fmt.Errorf("client over its %g req/s rate limit", s.cfg.RatePerClient))
-				return
-			}
-			if !s.admit.TryAcquire(class) {
-				obs.Inc("serve/rejected/overload")
-				w.Header().Set("Retry-After", "1")
-				writeError(w, http.StatusTooManyRequests,
-					fmt.Errorf("server at capacity for %s requests (%d of %d slots in use)",
-						qosClasses[class].Name, s.admit.Total(), s.admit.Capacity()))
-				return
-			}
-			defer s.admit.Release(class)
-			obs.AddGauge("serve/inflight", 1)
-			obs.MaxGauge("serve/inflight_peak", int64(s.admit.Total()))
-			defer obs.AddGauge("serve/inflight", -1)
-
-			ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-			defer cancel()
-			r = r.WithContext(ctx)
-			r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-		}
+		obs.Inc("serve/requests/" + route)
+		defer obs.Span("serve/latency/" + route)()
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		h(sw, r)
 		if sw.code >= 400 {
-			obs.Inc("serve/errors/" + ep)
+			obs.Inc("serve/errors/" + route)
 		}
 	})
 }
@@ -259,7 +220,9 @@ func clientID(r *http.Request) string {
 	return r.RemoteAddr
 }
 
-// statusWriter records the status code for the error counters.
+// statusWriter records the status code for the error counters. Handlers get
+// the wrapper itself, so the pipeline can hand net/http the writer beneath it
+// where only that one will do (the body cap's Connection: close).
 type statusWriter struct {
 	http.ResponseWriter
 	code int
@@ -277,9 +240,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// writeError maps err to its status and sends the JSON envelope.
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, apiError{Error: err.Error()})
+// writeError sends the JSON error envelope.
+func writeError(w http.ResponseWriter, status int, msg string) {
+	writeJSON(w, status, apiError{Error: msg})
 }
 
 // errorStatus maps pipeline errors to HTTP statuses: client-caused ones
@@ -305,10 +268,9 @@ func errorStatus(err error) int {
 	}
 }
 
-// bufPool recycles the staging buffers of the byte-moving endpoints: request
-// bodies (pack, unpack) and the unpack response (staged so Content-Length can
-// be set before writing). Under steady load this removes one multi-megabyte
-// allocation per request on each side.
+// bufPool recycles the buffers request bodies are staged in: every payload is
+// decoded from bytes in hand, and under steady load the staging costs no
+// allocation.
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // maxPooledBuf caps the capacity a returned buffer may retain. A buffer grown
@@ -326,10 +288,15 @@ func putBuf(b *bytes.Buffer) {
 }
 
 // readBody drains a request body into a pooled buffer. The returned bytes
-// alias the buffer — valid until putBuf.
-func readBody(r *http.Request, buf *bytes.Buffer) ([]byte, error) {
-	if _, err := buf.ReadFrom(r.Body); err != nil {
-		return nil, asBodyError(err)
+// alias the buffer — valid until putBuf. An over-cap body keeps its
+// MaxBytesError (413); any other read failure is the client's (400).
+func readBody(body io.Reader, buf *bytes.Buffer) ([]byte, error) {
+	if _, err := buf.ReadFrom(body); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return nil, tooBig
+		}
+		return nil, badRequestf("%v", err)
 	}
 	return buf.Bytes(), nil
 }
@@ -342,256 +309,9 @@ func badRequestf(format string, args ...any) error {
 	return fmt.Errorf("%w: "+format, append([]any{errBadRequest}, args...)...)
 }
 
-// fail is the common error exit of every handler.
+// fail is the error exit of a request that never became items.
 func fail(w http.ResponseWriter, err error) {
-	writeError(w, errorStatus(err), err)
-}
-
-// modelAndTarget parses the query parameters shared by estimate and pack.
-func modelAndTarget(r *http.Request) (id string, target float64, err error) {
-	q := r.URL.Query()
-	return parseModelTarget(q.Get)
-}
-
-// parseModelTarget validates the model/target pair from any parameter source
-// (the request query, or a batch item's params merged over it).
-func parseModelTarget(get func(string) string) (id string, target float64, err error) {
-	id = get("model")
-	if id == "" {
-		return "", 0, badRequestf("missing required query parameter %q", "model")
-	}
-	ts := get("target")
-	if ts == "" {
-		return "", 0, badRequestf("missing required query parameter %q", "target")
-	}
-	target, perr := strconv.ParseFloat(ts, 64)
-	if perr != nil || !(target > 0) {
-		return "", 0, badRequestf("target must be a positive ratio, got %q", ts)
-	}
-	return id, target, nil
-}
-
-// FeaturesRequest is the JSON body of a features-mode estimate: the five
-// adopted data features of the paper (Table II), plus the optional CA block
-// ratio a field-mode estimate for the same variable previously reported as
-// non_constant_r.
-type FeaturesRequest struct {
-	ValueRange float64 `json:"value_range"`
-	MeanValue  float64 `json:"mean_value"`
-	MND        float64 `json:"mnd"`
-	MLD        float64 `json:"mld"`
-	MSD        float64 `json:"msd"`
-	CARatio    float64 `json:"ca_ratio,omitempty"`
-}
-
-// EstimateResponse is the JSON body of a successful estimate.
-type EstimateResponse struct {
-	Model         string    `json:"model"`
-	Compressor    string    `json:"compressor"`
-	TargetRatio   float64   `json:"target_ratio"`
-	Knob          float64   `json:"knob"`
-	AdjustedRatio float64   `json:"adjusted_ratio"`
-	NonConstantR  float64   `json:"non_constant_r"`
-	Extrapolating bool      `json:"extrapolating"`
-	ValidRange    []float64 `json:"valid_ratio_range,omitempty"`
-	AnalysisMS    float64   `json:"analysis_ms"`
-}
-
-// handleEstimate answers POST /v1/estimate?model=ID&target=N. A JSON body
-// (Content-Type: application/json) supplies pre-extracted features — the
-// model-query-only fast path; any other body is read as an fxrzfield
-// container and analysed the full way (stride-sampled feature extraction
-// plus the CA block scan). Neither path runs a compressor.
-func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	const ep = "estimate"
-	id, target, err := modelAndTarget(r)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	fw, err := s.reg.Get(r.Context(), id)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	fw = fw.WithParallelism(s.inner)
-	jsonMode := r.Header.Get("Content-Type") == "application/json"
-	resp, err := estimateCore(r.Context(), fw, id, target, jsonMode, r.Body)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// estimateCore computes one estimate from a body — the shared engine of
-// /v1/estimate and its batch form. jsonMode selects the pre-extracted
-// features fast path; otherwise the body is an fxrzfield container analysed
-// the full way. Neither path runs a compressor.
-func estimateCore(ctx context.Context, fw *fxrz.Framework, id string, target float64, jsonMode bool, body io.Reader) (EstimateResponse, error) {
-	resp := EstimateResponse{Model: id, Compressor: fw.Compressor().Name(), TargetRatio: target}
-	var est fxrz.Estimate
-	if jsonMode {
-		var req FeaturesRequest
-		if err := json.NewDecoder(body).Decode(&req); err != nil {
-			return resp, badRequestf("decoding features: %v", err)
-		}
-		var err error
-		est, err = fw.EstimateFromFeatures(fxrz.Features{
-			ValueRange: req.ValueRange, MeanValue: req.MeanValue,
-			MND: req.MND, MLD: req.MLD, MSD: req.MSD,
-		}, target, req.CARatio)
-		if err != nil {
-			return resp, badRequestf("%v", err)
-		}
-	} else {
-		f, err := fieldio.Read(body)
-		if err != nil {
-			return resp, asBodyError(err)
-		}
-		if err := ctx.Err(); err != nil {
-			return resp, err
-		}
-		est, err = fw.EstimateConfig(f, target)
-		if err != nil {
-			return resp, badRequestf("%v", err)
-		}
-		lo, hi := fw.ValidRatioRange(f)
-		resp.ValidRange = []float64{lo, hi}
-	}
-	resp.Knob = est.Knob
-	resp.AdjustedRatio = est.AdjustedRatio
-	resp.NonConstantR = est.NonConstantR
-	resp.Extrapolating = est.Extrapolating
-	resp.AnalysisMS = float64(est.AnalysisTime()) / 1e6
-	return resp, nil
-}
-
-// asBodyError upgrades a wrapped MaxBytesError to itself (so errorStatus
-// sees 413) and tags everything else as a client error.
-func asBodyError(err error) error {
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		return tooBig
-	}
-	return badRequestf("%v", err)
-}
-
-// handlePack answers POST /v1/pack?model=ID&target=N: the body is an
-// fxrzfield container; the response is the compressed stream produced at
-// the estimated knob, with the estimate in X-Fxrz-* headers.
-func (s *Server) handlePack(w http.ResponseWriter, r *http.Request) {
-	const ep = "pack"
-	id, target, err := modelAndTarget(r)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	fw, err := s.reg.Get(r.Context(), id)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	fw = fw.WithParallelism(s.inner)
-	buf := getBuf()
-	defer putBuf(buf)
-	body, err := readBody(r, buf)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	blob, est, f, err := packCore(r.Context(), fw, target, bytes.NewReader(body))
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	h := w.Header()
-	h.Set("Content-Type", "application/octet-stream")
-	h.Set("Content-Length", strconv.Itoa(len(blob)))
-	h.Set("X-Fxrz-Compressor", fw.Compressor().Name())
-	h.Set("X-Fxrz-Knob", strconv.FormatFloat(est.Knob, 'g', -1, 64))
-	h.Set("X-Fxrz-Achieved-Ratio", strconv.FormatFloat(fxrz.Ratio(f, blob), 'g', 6, 64))
-	h.Set("X-Fxrz-Extrapolating", strconv.FormatBool(est.Extrapolating))
-	_, _ = w.Write(blob)
-}
-
-// packCore compresses one fxrzfield body at the model's estimated knob — the
-// shared engine of /v1/pack and its batch form.
-func packCore(ctx context.Context, fw *fxrz.Framework, target float64, body io.Reader) ([]byte, fxrz.Estimate, *fxrz.Field, error) {
-	f, err := fieldio.Read(body)
-	if err != nil {
-		return nil, fxrz.Estimate{}, nil, asBodyError(err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fxrz.Estimate{}, nil, err
-	}
-	blob, est, err := fw.CompressToRatio(f, target)
-	if err != nil {
-		return nil, est, nil, badRequestf("%v", err)
-	}
-	obs.Add("serve/bytes/packed_in", int64(f.Bytes()))
-	obs.Add("serve/bytes/packed_out", int64(len(blob)))
-	return blob, est, f, nil
-}
-
-// handleUnpack answers POST /v1/unpack: the body is any stream a built-in
-// codec produced (the magic byte dispatches — indexed containers included);
-// the response is the reconstructed field as an fxrzfield container. The
-// optional `region` query parameter ("lo0:hi0,lo1:hi1,...", half-open,
-// slowest dimension first) decodes only that subvolume; with an indexed
-// stream the work scales with the region, not the field.
-func (s *Server) handleUnpack(w http.ResponseWriter, r *http.Request) {
-	const ep = "unpack"
-	buf := getBuf()
-	defer putBuf(buf)
-	blob, err := readBody(r, buf)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	if err := r.Context().Err(); err != nil {
-		fail(w, err)
-		return
-	}
-	f, err := unpackCore(blob, r.URL.Query().Get("region"), s.inner)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	out := getBuf()
-	defer putBuf(out)
-	if err := fieldio.Write(out, f); err != nil {
-		fail(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(out.Len()))
-	if _, err := w.Write(out.Bytes()); err != nil {
-		// Headers are gone; all we can do is count it.
-		obs.Inc("serve/errors/unpack_write")
-	}
-}
-
-// unpackCore decompresses one stream, optionally restricted to a textual
-// region — the shared engine of /v1/unpack and its batch form.
-func unpackCore(blob []byte, region string, workers int) (*fxrz.Field, error) {
-	var f *fxrz.Field
-	var err error
-	if region != "" {
-		lo, hi, perr := fxrz.ParseRegion(region)
-		if perr != nil {
-			return nil, badRequestf("%v", perr)
-		}
-		obs.Inc("serve/unpack_region")
-		f, err = fxrz.DecompressRegionParallel(blob, lo, hi, workers)
-	} else {
-		f, err = fxrz.DecompressParallel(blob, workers)
-	}
-	if err != nil {
-		return nil, badRequestf("%v", err)
-	}
-	obs.Add("serve/bytes/unpacked_out", int64(f.Bytes()))
-	return f, nil
+	writeError(w, errorStatus(err), err.Error())
 }
 
 // ModelsResponse is the JSON body of GET /v1/models.
@@ -599,7 +319,7 @@ type ModelsResponse struct {
 	Models []ModelInfo `json:"models"`
 }
 
-func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleModels(w *statusWriter, r *http.Request) {
 	models, err := s.reg.List()
 	if err != nil {
 		fail(w, err)
@@ -638,7 +358,7 @@ type ShardStatus struct {
 	Peers []string `json:"peers"`
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleHealthz(w *statusWriter, r *http.Request) {
 	hits, misses := s.reg.Stats()
 	modelCount := 0
 	if models, err := s.reg.List(); err == nil {

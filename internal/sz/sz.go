@@ -237,25 +237,6 @@ func splitSZSections(dims []int, payload []byte) (packed, rawPayload []byte, nra
 	return packed, payload[k:], nraw, nil
 }
 
-// parseSZSections is splitSZSections plus the entropy decode of the code
-// section (fanning a chunked container's chunks over `workers`). Shared by
-// the full decoder, the region decoder, and the region index builder so the
-// three agree on the container layout.
-func parseSZSections(dims []int, payload []byte, workers int) (codeBytes, rawPayload []byte, nraw uint64, err error) {
-	packed, rawPayload, nraw, err := splitSZSections(dims, payload)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	codeBytes, err = entropy.DecompressBytesParallel(packed, workers)
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("sz: decode codes: %w", err)
-	}
-	if len(codeBytes) != 2*elemCount(dims) {
-		return nil, nil, 0, fmt.Errorf("sz: %w: %d code bytes for %d points", compress.ErrCorrupt, len(codeBytes), elemCount(dims))
-	}
-	return codeBytes, rawPayload, nraw, nil
-}
-
 // decompressSZ is the Decompress implementation; forceGeneric pins the
 // reconstruction pass to the N-d odometer oracle (see compressSZ).
 //
