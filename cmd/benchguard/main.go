@@ -262,14 +262,15 @@ type kernelResult struct {
 	Speedup      float64 `json:"speedup"`
 }
 
-// speedupFloors are the merge-time guarantees of the kernel fast paths: the
-// two headline kernels keep their ISSUE-mandated floors, and nothing is
+// speedupFloors are the merge-time guarantees of the kernel fast paths: a
+// kernel whose ISSUE mandated a floor keeps it, and nothing is
 // allowed to have regressed past 0.9× (a fast path slower than the generic
 // code it replaced would be a bug, not noise).
 var speedupFloors = map[string]float64{
 	"sz_quantize_3d": 1.5,
 	"huffman_decode": 1.3,
 	"lz_compress":    2.0,
+	"ca_scan":        2.0,
 }
 
 const minSpeedup = 0.9

@@ -97,9 +97,13 @@ func TestValidateKernelBaselines(t *testing.T) {
 			ks["lz_compress"].NsPerElemNew = 10
 			ks["lz_compress"].Speedup = 1.6
 		}, "below floor 2.00"},
+		{"ca scan floor", func(ks map[string]*kernelResult) {
+			ks["ca_scan"].NsPerElemNew = 5
+			ks["ca_scan"].Speedup = 1.5
+		}, "below floor 2.00"},
 		{"regression floor", func(ks map[string]*kernelResult) {
-			ks["ca_scan"].NsPerElemNew = 10
-			ks["ca_scan"].Speedup = 0.75
+			ks["zfp_encode_ints"].NsPerElemNew = 100
+			ks["zfp_encode_ints"].Speedup = 0.8
 		}, "below floor 0.90"},
 		{"inconsistent speedup", func(ks map[string]*kernelResult) {
 			ks["ca_scan"].Speedup = 2

@@ -304,14 +304,16 @@ func cmdEstimate(args []string, pack bool) error {
 		fmt.Printf("trained on %d fields in %v (%d samples; sweep %v)\n",
 			st.FieldsTrained, st.Total().Round(1e6), st.Samples, st.StationarySweep.Round(1e6))
 	}
-	lo, hi := fw.ValidRatioRange(f)
-	fmt.Printf("valid target-ratio range for %s: [%.1f, %.1f]\n", f.Name, lo, hi)
-
+	// The estimate carries the valid range, so one analysis prints both lines.
+	printRange := func(est fxrz.Estimate) {
+		fmt.Printf("valid target-ratio range for %s: [%.1f, %.1f]\n", f.Name, est.ValidRange[0], est.ValidRange[1])
+	}
 	if !pack {
 		est, err := fw.EstimateConfig(f, *target)
 		if err != nil {
 			return err
 		}
+		printRange(est)
 		fmt.Printf("estimated knob: %g (analysis %v, ACR %.2f, R %.3f, extrapolating=%v)\n",
 			est.Knob, est.AnalysisTime().Round(1e3), est.AdjustedRatio, est.NonConstantR, est.Extrapolating)
 		return obsf.finish()
@@ -323,6 +325,7 @@ func cmdEstimate(args []string, pack bool) error {
 	if err != nil {
 		return err
 	}
+	printRange(est)
 	if *index {
 		if blob, err = fxrz.IndexBlob(blob); err != nil {
 			return err

@@ -7,6 +7,8 @@ import (
 
 	"github.com/fxrz-go/fxrz/internal/compress"
 	"github.com/fxrz-go/fxrz/internal/grid"
+	"github.com/fxrz-go/fxrz/internal/sz"
+	"github.com/fxrz-go/fxrz/internal/zfp"
 )
 
 func rampField(name string, n int) *grid.Field {
@@ -326,6 +328,36 @@ func TestEstimateBreakdownPopulated(t *testing.T) {
 	}
 	if est.AnalysisTime() <= 0 {
 		t.Error("analysis time not measured")
+	}
+}
+
+// The range an estimate carries is ValidRatioRange of the field it analysed,
+// bit for bit, on real codecs with CA on and off: both go through
+// validRangeAt, the estimate with the R it already measured.
+func TestEstimateValidRange(t *testing.T) {
+	probe := waveField("probe", 12, 6)
+	for i := range probe.Data[:len(probe.Data)/3] {
+		probe.Data[i] = 1 // constant blocks, so R < 1 and the hull really moves
+	}
+	for _, c := range []compress.Compressor{sz.New(), zfp.New()} {
+		for _, useCA := range []bool{true, false} {
+			fw, err := Train(c, []*grid.Field{waveField("a", 12, 3), waveField("b", 12, 9)},
+				Config{Trees: 10, StationaryPoints: 8, AugmentPerField: 20, UseCA: useCA, Seed: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lo, hi := fw.ValidRatioRange(probe)
+			est, err := fw.EstimateConfig(probe, (lo+hi)/2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if useCA == (est.NonConstantR == 1) {
+				t.Errorf("%s CA=%v: R = %v", c.Name(), useCA, est.NonConstantR)
+			}
+			if est.ValidRange != [2]float64{lo, hi} {
+				t.Errorf("%s CA=%v: Estimate.ValidRange = %v, ValidRatioRange = [%v %v]", c.Name(), useCA, est.ValidRange, lo, hi)
+			}
+		}
 	}
 }
 

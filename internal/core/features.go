@@ -8,9 +8,12 @@
 //
 //	features.go — §IV-C feature extraction (with §IV-E1 stride sampling)
 //	curve.go    — §IV-B stationary points + interpolation-based augmentation
-//	ca.go       — §IV-E2 Compressibility Adjustment (constant-block ratio)
+//	ca.go       — §IV-E2 Compressibility Adjustment (constant-block ratio;
+//	              one streaming read of the field, mean included)
 //	train.go    — the training engine (ML model over augmented samples)
-//	infer.go    — the inference engine (features + ACR → error configuration)
+//	infer.go    — the inference engine (features + ACR → error configuration;
+//	              an Estimate carries the field's valid ratio range too, so
+//	              one analysis answers both questions)
 package core
 
 import (

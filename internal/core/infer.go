@@ -23,6 +23,12 @@ type Estimate struct {
 	// Extrapolating is set when the adjusted target falls outside the ratio
 	// hull seen in training; the prediction is clamped-quality only.
 	Extrapolating bool
+	// ValidRange is the [lo, hi] target-ratio interval the framework serves
+	// for the analysed field without extrapolating — ValidRatioRange of that
+	// field, derived from the NonConstantR this estimate already measured so
+	// callers that want both need not scan the field twice. It is zero on an
+	// estimate made from features alone, which never saw a field.
+	ValidRange [2]float64
 	// FeatureTime, CATime and PredictTime decompose the analysis cost.
 	FeatureTime time.Duration
 	CATime      time.Duration
@@ -43,6 +49,11 @@ func (fw *Framework) ValidRatioRange(f *grid.Field) (lo, hi float64) {
 	if fw.cfg.UseCA {
 		r = NonConstantRatioParallel(f, fw.cfg.BlockSide, fw.cfg.Lambda, pool.Workers(fw.cfg.Parallelism))
 	}
+	return fw.validRangeAt(r)
+}
+
+// validRangeAt maps the training ratio hull back through a CA factor r.
+func (fw *Framework) validRangeAt(r float64) (lo, hi float64) {
 	lo, hi = fw.ratioLo/r, fw.ratioHi/r
 	// A hull loaded from an older model file (or hand-built for tests) may be
 	// inverted; callers expect lo <= hi regardless.
@@ -76,6 +87,7 @@ func (fw *Framework) EstimateConfig(f *grid.Field, targetRatio float64) (Estimat
 		est.NonConstantR = NonConstantRatioParallel(f, fw.cfg.BlockSide, fw.cfg.Lambda, workers)
 		est.CATime = time.Since(t1)
 	}
+	est.ValidRange[0], est.ValidRange[1] = fw.validRangeAt(est.NonConstantR)
 	est.AdjustedRatio = AdjustRatio(targetRatio, est.NonConstantR)
 	if est.AdjustedRatio < fw.ratioLo || est.AdjustedRatio > fw.ratioHi {
 		est.Extrapolating = true

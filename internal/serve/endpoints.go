@@ -136,9 +136,11 @@ var fieldMagic = []byte("fxrzfield")
 
 // estimateCore computes one estimate. The payload picks the mode, on both
 // wires: an fxrzfield container (sniffed by its magic) is analysed the full
-// way — stride-sampled feature extraction plus the CA block scan — and
-// anything else is decoded as a FeaturesRequest, the model-query-only fast
-// path. Content-Type is advisory.
+// way — stride-sampled feature extraction plus one CA block scan, whose R
+// also yields the valid ratio range, so analysis_ms is all the analysis the
+// request paid for — and anything else is decoded as a FeaturesRequest, the
+// model-query-only fast path, which has no field to give a range for.
+// Content-Type is advisory.
 func estimateCore(fw *fxrz.Framework, id string, target float64, payload []byte) (EstimateResponse, error) {
 	resp := EstimateResponse{Model: id, Compressor: fw.Compressor().Name(), TargetRatio: target}
 	var est fxrz.Estimate
@@ -151,8 +153,7 @@ func estimateCore(fw *fxrz.Framework, id string, target float64, payload []byte)
 		if err != nil {
 			return resp, badRequestf("%v", err)
 		}
-		lo, hi := fw.ValidRatioRange(f)
-		resp.ValidRange = []float64{lo, hi}
+		resp.ValidRange = est.ValidRange[:]
 	} else {
 		var req FeaturesRequest
 		if err := json.NewDecoder(bytes.NewReader(payload)).Decode(&req); err != nil {
