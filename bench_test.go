@@ -5,14 +5,10 @@
 package fxrz_test
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
-	fxrz "github.com/fxrz-go/fxrz"
-	"github.com/fxrz-go/fxrz/internal/datagen"
 	"github.com/fxrz-go/fxrz/internal/exp"
-	"github.com/fxrz-go/fxrz/internal/grid"
 )
 
 var (
@@ -235,34 +231,6 @@ func BenchmarkZFPRateAblation(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(r.MeanInflation(), "rate-err-inflation-x")
-	}
-}
-
-// BenchmarkTrainParallel measures end-to-end training (dominated by the
-// stationary sweep) on a 64³ Nyx field at increasing worker-pool widths. On a
-// multi-core runner the 4-worker case should be ≥ 2× faster than serial;
-// BENCH_train.json records the baseline trajectory across PRs.
-func BenchmarkTrainParallel(b *testing.B) {
-	f, err := datagen.NyxField("baryon_density", 1, 1, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fields := []*grid.Field{f}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := fxrz.DefaultConfig()
-				cfg.StationaryPoints = 8
-				cfg.AugmentPerField = 50
-				cfg.Trees = 20
-				cfg.Parallelism = workers
-				fw, err := fxrz.Train(fxrz.NewSZ(), fields, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(fw.Stats().StationarySweep.Seconds(), "sweep-s")
-			}
-		})
 	}
 }
 

@@ -1,209 +1,175 @@
 package main
 
 import (
-	"encoding/json"
+	"bytes"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
 )
 
-func TestRecordedBaselinesAreValid(t *testing.T) {
-	for _, file := range []string{"../../BENCH_train.json", "../../BENCH_kernels.json", "../../BENCH_load.json"} {
-		raw, err := os.ReadFile(file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := validate(raw); err != nil {
-			t.Errorf("recorded %s rejected: %v", file, err)
-		}
-	}
-}
-
-func TestValidateRejectsMalformedBaselines(t *testing.T) {
-	cases := []struct {
-		name, blob, wantErr string
-	}{
-		{"not json", "nope", "not valid JSON"},
-		{"empty object", "{}", "unknown schema"},
-		{"missing benchmark", `{"results":[{"workers":1,"ns_per_op":1,"sweep_s":1}]}`, `missing required field "benchmark"`},
-		{"missing date", `{"benchmark":"B","field":"f","results":[{"workers":1,"ns_per_op":1,"sweep_s":1}]}`, `missing required field "date"`},
-		{"bad date", `{"benchmark":"B","date":"05-08-2026","field":"f","results":[{"workers":1,"ns_per_op":1,"sweep_s":1}]}`, "not YYYY-MM-DD"},
-		{"missing field", `{"benchmark":"B","date":"2026-08-05","results":[{"workers":1,"ns_per_op":1,"sweep_s":1}]}`, `missing required field "field"`},
-		{"no results", `{"benchmark":"B","date":"2026-08-05","field":"f","results":[]}`, "results is empty"},
-		{"zero workers", `{"benchmark":"B","date":"2026-08-05","field":"f","results":[{"workers":0,"ns_per_op":1,"sweep_s":1}]}`, "workers must be > 0"},
-		{"duplicate workers", `{"benchmark":"B","date":"2026-08-05","field":"f","results":[{"workers":2,"ns_per_op":1,"sweep_s":1},{"workers":2,"ns_per_op":1,"sweep_s":1}]}`, "duplicate entry"},
-		{"zero ns_per_op", `{"benchmark":"B","date":"2026-08-05","field":"f","results":[{"workers":1,"ns_per_op":0,"sweep_s":1}]}`, "ns_per_op must be > 0"},
-		{"negative sweep", `{"benchmark":"B","date":"2026-08-05","field":"f","results":[{"workers":1,"ns_per_op":1,"sweep_s":-3}]}`, "sweep_s must be > 0"},
-	}
-	for _, tc := range cases {
-		err := validate([]byte(tc.blob))
-		if err == nil {
-			t.Errorf("%s: accepted", tc.name)
-			continue
-		}
-		if !strings.Contains(err.Error(), tc.wantErr) {
-			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.wantErr)
-		}
-	}
-}
-
-// fullKernels builds a valid kernel baseline, optionally mutated, as JSON.
-func fullKernels(t *testing.T, mutate func(map[string]*kernelResult)) string {
+// sample is testdata/bench_sample.txt: the output of the two benchmark sets
+// `make bench-gate` runs, recorded on the 2-vCPU box.
+func sample(t *testing.T) string {
 	t.Helper()
-	ks := map[string]*kernelResult{
-		"sz_quantize_3d":  {Name: "sz_quantize_3d", NsPerElemOld: 40, NsPerElemNew: 20, Speedup: 2},
-		"zfp_encode_ints": {Name: "zfp_encode_ints", NsPerElemOld: 80, NsPerElemNew: 16, Speedup: 5},
-		"huffman_decode":  {Name: "huffman_decode", NsPerElemOld: 6, NsPerElemNew: 4, Speedup: 1.5},
-		"ca_scan":         {Name: "ca_scan", NsPerElemOld: 7.5, NsPerElemNew: 2.5, Speedup: 3},
-		"lz_compress":     {Name: "lz_compress", NsPerElemOld: 16, NsPerElemNew: 4, Speedup: 4},
-	}
-	if mutate != nil {
-		mutate(ks)
-	}
-	b := kernelBaseline{Benchmark: "BenchmarkKernel*", Date: "2026-08-05"}
-	for _, name := range requiredKernels {
-		if k, ok := ks[name]; ok {
-			b.Kernels = append(b.Kernels, *k)
-		}
-	}
-	raw, err := json.Marshal(b)
+	raw, err := os.ReadFile("testdata/bench_sample.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
 	return string(raw)
 }
 
-func TestValidateKernelBaselines(t *testing.T) {
-	if err := validate([]byte(fullKernels(t, nil))); err != nil {
-		t.Fatalf("valid kernel baseline rejected: %v", err)
-	}
-	cases := []struct {
-		name    string
-		mutate  func(map[string]*kernelResult)
-		wantErr string
-	}{
-		{"missing required kernel", func(ks map[string]*kernelResult) {
-			delete(ks, "ca_scan")
-		}, `missing required kernel "ca_scan"`},
-		{"quantize floor", func(ks map[string]*kernelResult) {
-			ks["sz_quantize_3d"].NsPerElemNew = 30
-			ks["sz_quantize_3d"].Speedup = 40.0 / 30.0
-		}, "below floor 1.50"},
-		{"huffman floor", func(ks map[string]*kernelResult) {
-			ks["huffman_decode"].NsPerElemNew = 5
-			ks["huffman_decode"].Speedup = 1.2
-		}, "below floor 1.30"},
-		{"lz floor", func(ks map[string]*kernelResult) {
-			ks["lz_compress"].NsPerElemNew = 10
-			ks["lz_compress"].Speedup = 1.6
-		}, "below floor 2.00"},
-		{"ca scan floor", func(ks map[string]*kernelResult) {
-			ks["ca_scan"].NsPerElemNew = 5
-			ks["ca_scan"].Speedup = 1.5
-		}, "below floor 2.00"},
-		{"regression floor", func(ks map[string]*kernelResult) {
-			ks["zfp_encode_ints"].NsPerElemNew = 100
-			ks["zfp_encode_ints"].Speedup = 0.8
-		}, "below floor 0.90"},
-		{"inconsistent speedup", func(ks map[string]*kernelResult) {
-			ks["ca_scan"].Speedup = 2
-		}, "inconsistent with before/after ratio"},
-		{"zero before", func(ks map[string]*kernelResult) {
-			ks["ca_scan"].NsPerElemOld = 0
-		}, "must be > 0"},
-		{"missing name", func(ks map[string]*kernelResult) {
-			ks["ca_scan"].Name = ""
-		}, "missing name"},
-	}
-	for _, tc := range cases {
-		err := validate([]byte(fullKernels(t, tc.mutate)))
-		if err == nil {
-			t.Errorf("%s: accepted", tc.name)
-			continue
+// rewrite returns text with the result line of bench replaced by edit's
+// return value, or dropped when that is empty.
+func rewrite(t *testing.T, text, bench string, edit func(fields []string) []string) string {
+	t.Helper()
+	var out []string
+	found := false
+	for _, line := range strings.Split(text, "\n") {
+		if name, _, ok := parseBenchLine(line); ok && name == bench {
+			found = true
+			fields := edit(strings.Fields(line))
+			if fields == nil {
+				continue
+			}
+			line = strings.Join(fields, "\t")
 		}
-		if !strings.Contains(err.Error(), tc.wantErr) {
-			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.wantErr)
+		out = append(out, line)
+	}
+	if !found {
+		t.Fatalf("sample has no line for %s", bench)
+	}
+	return strings.Join(out, "\n")
+}
+
+func drop([]string) []string { return nil }
+
+// set makes the line report value in unit; renameUnit makes it report the
+// same number in a unit no gate reads.
+func set(unit, value string) func([]string) []string {
+	return func(f []string) []string {
+		for i := range f {
+			if f[i] == unit {
+				f[i-1] = value
+			}
+		}
+		return f
+	}
+}
+
+func renameUnit(unit string) func([]string) []string {
+	return func(f []string) []string {
+		for i := range f {
+			if f[i] == unit {
+				f[i] = "widgets"
+			}
+		}
+		return f
+	}
+}
+
+func TestSampleOutputPasses(t *testing.T) {
+	for name, text := range map[string]string{
+		"as recorded":  sample(t),
+		"GOMAXPROCS=1": strings.ReplaceAll(sample(t), "-2 ", " "),
+	} {
+		var out bytes.Buffer
+		if err := run(strings.NewReader(text), &out); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, g := range gates {
+			if !strings.Contains(out.String(), g.name) {
+				t.Errorf("%s: no row for %s in:\n%s", name, g.name, out.String())
+			}
+		}
+	}
+}
+
+// Every way a row can stop gating is a failure that names the row and the
+// leg, for every row of the table.
+func TestEveryGateFailsByName(t *testing.T) {
+	text := sample(t)
+	for _, g := range gates {
+		under := fmt.Sprint(g.floor * 0.99)
+		for _, m := range []struct {
+			name, in, want string
+		}{
+			{"ratio under floor", rewrite(t, rewrite(t, text, g.slow, set(g.unit, under)), g.fast, set(g.unit, "1")),
+				fmt.Sprintf("%s: %.2fx is under the %.1fx floor", g.name, g.floor*0.99, g.floor)},
+			{"missing slow leg", rewrite(t, text, g.slow, drop), g.name + ": slow leg: no result for " + g.slow},
+			{"missing fast leg", rewrite(t, text, g.fast, drop), g.name + ": fast leg: no result for " + g.fast},
+			{"unit absent", rewrite(t, text, g.fast, renameUnit(g.unit)), g.name + ": fast leg: " + g.fast + " reports no " + g.unit},
+			{"zero value", rewrite(t, text, g.slow, set(g.unit, "0")), g.name + ": slow leg: " + g.slow + ": " + g.unit + ` value "0"`},
+			{"negative value", rewrite(t, text, g.fast, set(g.unit, "-3.5")), g.name + ": fast leg: " + g.fast + ": " + g.unit + ` value "-3.5"`},
+			{"not a number", rewrite(t, text, g.fast, set(g.unit, "NaN")), g.name + ": fast leg: " + g.fast + ": " + g.unit + ` value "NaN"`},
+		} {
+			var out bytes.Buffer
+			err := run(strings.NewReader(m.in), &out)
+			if err == nil {
+				t.Errorf("%s, %s: passed", g.name, m.name)
+				continue
+			}
+			if !strings.Contains(err.Error(), m.want) || !strings.Contains(err.Error(), "1 of 7 gates failed") {
+				t.Errorf("%s, %s: error %q does not contain %q as the one failure", g.name, m.name, err, m.want)
+			}
+		}
+	}
+}
+
+// The floors are the ones each fast path was merged under; loosening one
+// has to change this table as well as the one in main.go.
+func TestFloorsAreTheMergedOnes(t *testing.T) {
+	merged := map[string]float64{
+		"sz_quantize_3d": 1.5, "zfp_encode_ints": 0.9, "huffman_decode": 1.3, "lz_compress": 2.0,
+		"ca_scan": 2.0, "zfp_eighth": 4.0, "sz_eighth": 2.0,
+	}
+	if len(gates) != len(merged) {
+		t.Fatalf("%d gates, want %d", len(gates), len(merged))
+	}
+	for _, g := range gates {
+		if want, ok := merged[g.name]; !ok || g.floor != want {
+			t.Errorf("%s: floor %v, merged %v (known row: %v)", g.name, g.floor, want, ok)
+		}
+		if g.slow == g.fast {
+			t.Errorf("%s: both legs are %s", g.name, g.slow)
 		}
 	}
 }
 
 func TestParseBenchLine(t *testing.T) {
-	cases := []struct {
-		line       string
-		wantKernel string
-		wantRole   string
-		wantNs     float64
-		wantOK     bool
+	for _, c := range []struct {
+		line, name string
+		ok         bool
 	}{
-		{"BenchmarkKernelQuantize3D/generic-4  19  11270620 ns/op  93.04 MB/s  42.99 ns/elem",
-			"sz_quantize_3d", "before", 42.99, true},
-		{"BenchmarkKernelQuantize3D/fast  42  5480697 ns/op  191.32 MB/s  20.91 ns/elem",
-			"sz_quantize_3d", "after", 20.91, true},
-		{"BenchmarkKernelHuffmanDecode/table-1  100  2733352 ns/op  5.213 ns/elem",
-			"huffman_decode", "after", 5.213, true},
-		{"BenchmarkKernelEncodeInts/perplane  42411  5282 ns/op  82.53 ns/elem",
-			"zfp_encode_ints", "before", 82.53, true},
-		{"BenchmarkKernelLZCompress/ref-2  153  9367455 ns/op  55.97 MB/s  17.87 ns/elem",
-			"lz_compress", "before", 17.87, true},
-		{"BenchmarkCompress-4  10  100 ns/op", "", "", 0, false},
-		{"goos: linux", "", "", 0, false},
-		{"BenchmarkKernelQuantize3D/fast  42  5480697 ns/op", "", "", 0, false}, // no ns/elem metric
-	}
-	for _, tc := range cases {
-		kernel, role, ns, ok := parseBenchLine(tc.line)
-		if ok != tc.wantOK || kernel != tc.wantKernel || role != tc.wantRole || ns != tc.wantNs {
-			t.Errorf("parseBenchLine(%q) = (%q, %q, %v, %v), want (%q, %q, %v, %v)",
-				tc.line, kernel, role, ns, ok, tc.wantKernel, tc.wantRole, tc.wantNs, tc.wantOK)
+		{"BenchmarkKernelCAScan/fast-2 \t 1485\t 996650 ns/op\t 1.992 ns/elem", "BenchmarkKernelCAScan/fast", true},
+		{"BenchmarkKernelCAScan/fast \t 1485\t 996650 ns/op", "BenchmarkKernelCAScan/fast", true},
+		{"BenchmarkRegionDecode/zfp/full-16 \t 166\t 6580802 ns/op", "BenchmarkRegionDecode/zfp/full", true},
+		{"BenchmarkKernelCAScan/fast-2", "", false},
+		{"ok  \tgithub.com/fxrz-go/fxrz/internal/core\t3.221s", "", false},
+		{"--- FAIL: BenchmarkKernelCAScan/fast-2 1 2 ns/op", "", false},
+		{"", "", false},
+	} {
+		name, pairs, ok := parseBenchLine(c.line)
+		if ok != c.ok || name != c.name {
+			t.Errorf("parseBenchLine(%q) = %q, %v; want %q, %v", c.line, name, ok, c.name, c.ok)
+		}
+		if ok && (len(pairs) < 2 || pairs[1] != "ns/op") {
+			t.Errorf("parseBenchLine(%q): pairs %q do not start at the first value", c.line, pairs)
 		}
 	}
 }
 
-const healthyBench = `
-BenchmarkKernelQuantize3D/generic  10  1 ns/op  40.0 ns/elem
-BenchmarkKernelQuantize3D/fast  10  1 ns/op  19.5 ns/elem
-BenchmarkKernelEncodeInts/perplane  10  1 ns/op  80.0 ns/elem
-BenchmarkKernelEncodeInts/transposed  10  1 ns/op  16.5 ns/elem
-BenchmarkKernelHuffmanDecode/bitwise  10  1 ns/op  6.0 ns/elem
-BenchmarkKernelHuffmanDecode/table  10  1 ns/op  4.1 ns/elem
-BenchmarkKernelCAScan/odometer  10  1 ns/op  7.5 ns/elem
-BenchmarkKernelCAScan/fast  10  1 ns/op  2.6 ns/elem
-BenchmarkKernelLZCompress/ref  10  1 ns/op  16.0 ns/elem
-BenchmarkKernelLZCompress/fast  10  1 ns/op  4.2 ns/elem
-`
-
-func TestRunDeltasGatesRegressions(t *testing.T) {
-	baseline := t.TempDir() + "/BENCH_kernels.json"
-	if err := os.WriteFile(baseline, []byte(fullKernels(t, nil)), 0o644); err != nil {
-		t.Fatal(err)
+// A benchmark that ran twice counts with its last line, whichever side of
+// the floor that is.
+func TestLastLineWins(t *testing.T) {
+	g := gates[0]
+	slowFast := strings.Join([]string{g.fast + "-2", "1", "1 ns/op", "1e9 " + g.unit}, "\t")
+	var out bytes.Buffer
+	if err := run(strings.NewReader(slowFast+"\n"+sample(t)), &out); err != nil {
+		t.Errorf("an early slow reading outlived the later one: %v", err)
 	}
-	var sb strings.Builder
-	if err := runDeltas(strings.NewReader(healthyBench), &sb, baseline, 8); err != nil {
-		t.Fatalf("healthy run rejected: %v\n%s", err, sb.String())
-	}
-	if !strings.Contains(sb.String(), "sz_quantize_3d") {
-		t.Fatalf("delta table missing kernels:\n%s", sb.String())
-	}
-
-	// Fast path slowed to a 1.02x speedup against a recorded 1.5x → >10% off.
-	regressed := strings.Replace(healthyBench,
-		"BenchmarkKernelHuffmanDecode/table  10  1 ns/op  4.1 ns/elem",
-		"BenchmarkKernelHuffmanDecode/table  10  1 ns/op  5.9 ns/elem", 1)
-	sb.Reset()
-	err := runDeltas(strings.NewReader(regressed), &sb, baseline, 8)
-	if err == nil || !strings.Contains(err.Error(), "regressed >10%") {
-		t.Fatalf("regressed run: err = %v, want regression failure", err)
-	}
-
-	missing := strings.Replace(healthyBench,
-		"BenchmarkKernelCAScan/fast  10  1 ns/op  2.6 ns/elem", "", 1)
-	sb.Reset()
-	err = runDeltas(strings.NewReader(missing), &sb, baseline, 8)
-	if err == nil || !strings.Contains(err.Error(), "missing after variant") {
-		t.Fatalf("missing-variant run: err = %v, want missing-variant failure", err)
-	}
-
-	sb.Reset()
-	if err := runDeltas(strings.NewReader("no bench lines here"), &sb, "", 8); err == nil {
-		t.Fatal("empty input accepted")
+	err := run(strings.NewReader(sample(t)+slowFast+"\n"), &out)
+	if err == nil || !strings.Contains(err.Error(), g.name+": 0.00x is under") {
+		t.Errorf("a later slow reading did not replace the earlier one: %v", err)
 	}
 }

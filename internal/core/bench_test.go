@@ -35,8 +35,8 @@ func BenchmarkNonConstantRatio(b *testing.B) {
 // and block scan — the old way (nonConstantRatioOracle: a Mean pass, then a
 // per-block odometer walk) against NonConstantRatio's one streaming pass.
 // Each iteration scans the block-aligned standard bench field and a crop of
-// it that is ragged in every dimension. Recorded in BENCH_kernels.json as
-// ca_scan; the variant names are the ones cmd/benchguard parses.
+// it that is ragged in every dimension. cmd/benchguard's ca_scan row reads
+// the odometer and fast legs.
 func BenchmarkKernelCAScan(b *testing.B) {
 	aligned := compresstest.BenchField()
 	ragged, err := grid.SliceRegion(aligned, []int{0, 0, 0}, []int{61, 63, 62})

@@ -2,7 +2,6 @@ package entropy
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -54,7 +53,7 @@ func BenchmarkHuffmanEncode(b *testing.B) {
 
 // BenchmarkKernelHuffmanDecode compares the bit-at-a-time canonical walk
 // against the first-level-table decoder on a quantization-code-like stream.
-// Recorded in BENCH_kernels.json as huffman_decode.
+// cmd/benchguard's huffman_decode row reads the bitwise and table legs.
 func BenchmarkKernelHuffmanDecode(b *testing.B) {
 	data := benchData()
 	syms := make([]uint32, len(data))
@@ -83,7 +82,8 @@ func BenchmarkKernelHuffmanDecode(b *testing.B) {
 
 // BenchmarkKernelLZCompress compares the frozen byte-wise match search
 // (lz_ref_test.go) against LZCompress on a quantization-code-like stream;
-// both emit the same tokens. Recorded in BENCH_kernels.json as lz_compress.
+// both emit the same tokens. cmd/benchguard's lz_compress row reads the ref
+// and fast legs.
 func BenchmarkKernelLZCompress(b *testing.B) {
 	data := benchData()
 	for _, v := range []struct {
@@ -96,58 +96,6 @@ func BenchmarkKernelLZCompress(b *testing.B) {
 				putBytes(v.fn(data))
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(data)), "ns/elem")
-		})
-	}
-}
-
-// BenchmarkChunkedDecode measures what the chunked container buys on decode:
-// a 2M-symbol quantization-code-like stream decoded through the whole-stream
-// serial path versus HuffmanDecodeChunked at worker widths 1, 2 and 4.
-// Recorded in BENCH_entropy.json (`make bench-entropy`): the serial/w4 pair
-// carries a 2x floor on >= 4-core machines, and the w1 pair bounds the
-// container's bookkeeping overhead on any machine. The blob-overhead-frac
-// metric is the chunk table's size cost over the legacy container (budget:
-// <= 1%, pinned absolutely by TestChunkedOverhead).
-func BenchmarkChunkedDecode(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	syms := make([]uint32, 1<<21)
-	for i := range syms {
-		if i%2 == 0 {
-			syms[i] = 1 << 15 // sz's "predicted exactly" center code
-		} else {
-			syms[i] = uint32(1<<15 + rng.Intn(64) - 32)
-		}
-	}
-	for i := 0; i < len(syms)/100; i++ {
-		syms[rng.Intn(len(syms))] = uint32(rng.Intn(1 << 16))
-	}
-	legacy, err := HuffmanEncode(syms, 1<<16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	chunked, err := HuffmanEncodeChunked(syms, 1<<16, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	overhead := float64(len(chunked)-len(legacy)) / float64(len(legacy))
-	b.Run("huffman/serial", func(b *testing.B) {
-		b.SetBytes(int64(len(syms)))
-		b.ReportMetric(overhead, "blob-overhead-frac")
-		for i := 0; i < b.N; i++ {
-			if _, err := HuffmanDecode(legacy); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("huffman/w%d", w), func(b *testing.B) {
-			b.SetBytes(int64(len(syms)))
-			b.ReportMetric(overhead, "blob-overhead-frac")
-			for i := 0; i < b.N; i++ {
-				if _, err := HuffmanDecodeChunked(chunked, w); err != nil {
-					b.Fatal(err)
-				}
-			}
 		})
 	}
 }

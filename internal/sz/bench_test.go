@@ -13,8 +13,8 @@ func BenchmarkDecompress(b *testing.B) { compresstest.BenchDecompress(b, New(), 
 
 // BenchmarkKernelQuantize3D compares the generic odometer Lorenzo pass
 // against the dimension-specialized 3D kernel on a smooth 64³ field — the
-// hot loop of every Compress call. Recorded in BENCH_kernels.json as
-// sz_quantize_3d.
+// hot loop of every Compress call. cmd/benchguard's sz_quantize_3d row reads
+// the generic and fast legs.
 func BenchmarkKernelQuantize3D(b *testing.B) {
 	f := grid.MustNew("bench", 64, 64, 64)
 	for z := 0; z < 64; z++ {

@@ -142,3 +142,29 @@ func TestSZRegionSkipsPrefix(t *testing.T) {
 		}
 	}
 }
+
+// TestSZRegionIndexOverhead pins the <= 1% index budget on a realistically
+// sized stream, as zfp's TestRegionIndexOverhead does. It covers the index of
+// a chunked (multi-slab) blob, which is a few escape-count bytes per slab;
+// the seed-plane index of a legacy whole-stream blob is budgeted at an
+// eighth of the blob by slabHeight, by design, and is not under this cap.
+func TestSZRegionIndexOverhead(t *testing.T) {
+	f := regionTestField(t, true, 64, 64, 64)
+	blob, err := New().Compress(f, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if SlabRows(blob) == 0 {
+		t.Fatal("a 64³ field did not compress to a multi-slab blob")
+	}
+	index, err := BuildRegionIndex(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if si, err := parseSZIndex(index, f.Dims, f.Size()); err != nil || si == nil {
+		t.Fatalf("no slab index for a multi-slab blob (err %v)", err)
+	}
+	if frac := float64(len(index)) / float64(len(blob)); frac > 0.01 {
+		t.Fatalf("index overhead %.4f of blob (%d / %d bytes), want <= 0.01", frac, len(index), len(blob))
+	}
+}

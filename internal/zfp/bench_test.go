@@ -14,8 +14,8 @@ func BenchmarkFixedRateCompress(b *testing.B) { compresstest.BenchCompress(b, Ne
 
 // BenchmarkKernelEncodeInts compares the historical per-plane gather (64
 // coefficient scans per block) against the one-pass bit-matrix transpose on a
-// dense 4³ block at full precision. Recorded in BENCH_kernels.json as
-// zfp_encode_ints.
+// dense 4³ block at full precision. cmd/benchguard's zfp_encode_ints row
+// reads the perplane and transposed legs.
 func BenchmarkKernelEncodeInts(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	data := make([]uint32, 64)

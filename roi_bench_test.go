@@ -13,11 +13,11 @@ import (
 // versus what a caller without region decode pays for the same samples — a
 // full Decompress of the same stream, not a whole-field region request, which
 // would put the region path on both sides of the ratio. The full/eighth pair
-// is measured within one run, so the ratio gates on any machine;
-// BENCH_roi.json records it and `make bench-roi` fails if the eighth-volume
-// speedup regresses. Both pairs carry benchguard floors: zfp seeks its own 4³
-// blocks, and sz entropy-decodes only the chunks covering the region's slabs
-// and runs the full-decode Lorenzo kernels on the region's prefix box alone.
+// is measured within one run, so the ratio gates on any machine: `make
+// bench-gate` fails when either falls under its floor in cmd/benchguard's
+// zfp_eighth and sz_eighth rows. zfp seeks its own 4³ blocks, and sz
+// entropy-decodes only the chunks covering the region's slabs and runs the
+// full-decode Lorenzo kernels on the region's prefix box alone.
 func BenchmarkRegionDecode(b *testing.B) {
 	f, err := datagen.NyxField("baryon_density", 1, 2, 64)
 	if err != nil {
