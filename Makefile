@@ -70,4 +70,5 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzLZCompressMatchesRef$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/entropy/
 	go test -run '^$$' -fuzz '^FuzzBatchContainer$$' -fuzztime $(FUZZTIME) ./internal/batch/
 	go test -run '^$$' -fuzz '^FuzzFieldDecode$$' -fuzztime $(FUZZTIME) ./internal/fieldio/
+	go test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/brick/
 	go test -run '^$$' -fuzz '^FuzzDecompress$$' -fuzztime $(FUZZTIME) .

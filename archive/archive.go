@@ -97,16 +97,6 @@ func (w *Writer) Add(name string, blob []byte, rawBytes int64) error {
 	return nil
 }
 
-// AddField compresses the field toward the target ratio with the framework
-// and archives it under the field's name.
-func (w *Writer) AddField(fw *fxrz.Framework, f *fxrz.Field, targetRatio float64) error {
-	blob, _, err := fw.CompressToRatio(f, targetRatio)
-	if err != nil {
-		return err
-	}
-	return w.Add(f.Name, blob, int64(f.Bytes()))
-}
-
 // Close writes the index and footer. The Writer is unusable afterwards.
 func (w *Writer) Close() error {
 	if w.closed {

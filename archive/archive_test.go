@@ -144,38 +144,3 @@ func TestArchiveRejectsCorrupt(t *testing.T) {
 		t.Error("corrupt index offset accepted")
 	}
 }
-
-func TestAddFieldUsesFramework(t *testing.T) {
-	var training []*fxrz.Field
-	for i := 0; i < 3; i++ {
-		training = append(training, sampleField("train", i))
-	}
-	cfg := fxrz.DefaultConfig()
-	cfg.StationaryPoints = 8
-	cfg.AugmentPerField = 30
-	cfg.Trees = 20
-	fw, err := fxrz.Train(fxrz.NewSZ(), training, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := sampleField("snap", 9)
-	lo, hi := fw.ValidRatioRange(f)
-	if err := w.AddField(fw, f, (lo+hi)/2); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := OpenReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Field("snap"); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -22,7 +22,6 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof on the default mux (-pprof flag)
 	"os"
 	"strings"
-	"time"
 
 	fxrz "github.com/fxrz-go/fxrz"
 	"github.com/fxrz-go/fxrz/archive"
@@ -52,8 +51,6 @@ func main() {
 		err = cmdFRaZ(os.Args[2:])
 	case "features":
 		err = cmdFeatures(os.Args[2:])
-	case "bench":
-		err = cmdBench(os.Args[2:])
 	case "archive":
 		err = cmdArchive(os.Args[2:])
 	case "extract":
@@ -77,7 +74,6 @@ func usage() {
   unpack    decompress a stream produced by pack
   fraz      run the FRaZ baseline search for comparison
   features  print the FXRZ data features of a field
-  bench     measure codec throughput and ratio on a field
   archive   compress many fields toward a target ratio into one archive
   extract   list or extract members of an archive`)
 }
@@ -574,56 +570,4 @@ func cmdExtract(args []string) error {
 	}
 	fmt.Printf("extracted %s -> %s %v\n", *name, *out, f.Dims)
 	return nil
-}
-
-// cmdBench measures compression/decompression throughput and the achieved
-// ratio of each codec on a field at a relative error bound.
-func cmdBench(args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	in := fs.String("in", "", "input field file (required)")
-	rel := fs.Float64("rel", 1e-3, "error bound relative to the field's value range")
-	parallelism := fs.Int("parallelism", 0, "worker pool size (0 = all cores, 1 = serial)")
-	obsf := addObsFlags(fs)
-	fs.Parse(args)
-	if err := checkParallelism("bench", *parallelism); err != nil {
-		return err
-	}
-	if *in == "" {
-		return fmt.Errorf("bench: -in is required")
-	}
-	if err := obsf.start(); err != nil {
-		return err
-	}
-	f, err := readField(*in)
-	if err != nil {
-		return err
-	}
-	vr := f.ValueRange()
-	fmt.Printf("%s %v (%.1f MB), bound = %g x range\n", f.Name, f.Dims, float64(f.Bytes())/1e6, *rel)
-	for _, name := range []string{"sz", "sz2", "zfp", "mgard", "fpzip"} {
-		c, err := fxrz.ByName(name)
-		if err != nil {
-			return err
-		}
-		c = fxrz.WithParallelism(c, *parallelism)
-		knob := *rel * vr
-		if name == "fpzip" {
-			knob = 16
-		}
-		t0 := time.Now()
-		blob, err := c.Compress(f, knob)
-		if err != nil {
-			return err
-		}
-		ct := time.Since(t0)
-		t1 := time.Now()
-		if _, err := c.Decompress(blob); err != nil {
-			return err
-		}
-		dt := time.Since(t1)
-		mbs := func(d time.Duration) float64 { return float64(f.Bytes()) / 1e6 / d.Seconds() }
-		fmt.Printf("  %-6s ratio %8.2f   compress %7.1f MB/s   decompress %7.1f MB/s\n",
-			name, fxrz.Ratio(f, blob), mbs(ct), mbs(dt))
-	}
-	return obsf.finish()
 }

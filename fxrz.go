@@ -24,7 +24,7 @@
 //
 // Four built-in codecs implement the full compressor suite of the paper's
 // evaluation: SZ-style prediction-based (NewSZ), ZFP transform-based in
-// fixed-accuracy (NewZFP) and fixed-rate (NewZFPFixedRate) modes,
+// fixed-accuracy (NewZFP) and fixed-rate (ByName("zfp-rate")) modes,
 // FPZIP-style precision-based (NewFPZIP), and MGARD+-style multilevel
 // (NewMGARD). Anything else can participate by implementing Compressor.
 package fxrz
@@ -105,12 +105,6 @@ func NewSZ2() Compressor { return sz.NewV2() }
 // Knob: absolute error tolerance.
 func NewZFP() Compressor { return zfp.New() }
 
-// NewZFPFixedRate returns ZFP in fixed-rate mode. Knob: bits per value.
-// Fixed-rate reaches a target ratio exactly by construction but at markedly
-// worse quality than fixed-accuracy mode at the same ratio — the trade-off
-// that motivates fixed-ratio frameworks in the first place.
-func NewZFPFixedRate() Compressor { return zfp.NewFixedRate() }
-
 // NewFPZIP returns the FPZIP-style predictive compressor. Knob: integer
 // precision in [2, 32] (retained significant bits).
 func NewFPZIP() Compressor { return fpzip.New() }
@@ -133,14 +127,11 @@ func WithParallelism(c Compressor, workers int) Compressor {
 	return compress.WithWorkers(c, workers)
 }
 
-// Compressors returns the four codecs of the paper's evaluation, in the
-// order the experiment tables list them.
-func Compressors() []Compressor {
-	return []Compressor{NewSZ(), NewZFP(), NewMGARD(), NewFPZIP()}
-}
-
 // ByName resolves a codec by its Name(): "sz", "sz2", "zfp", "zfp-rate",
-// "fpzip", "mgard".
+// "fpzip", "mgard". "zfp-rate" is ZFP in fixed-rate mode (knob: bits per
+// value), which reaches a target ratio exactly by construction but at
+// markedly worse quality than fixed-accuracy mode at the same ratio — the
+// trade-off that motivates fixed-ratio frameworks in the first place.
 func ByName(name string) (Compressor, error) {
 	switch name {
 	case "sz":
@@ -150,7 +141,7 @@ func ByName(name string) (Compressor, error) {
 	case "zfp":
 		return NewZFP(), nil
 	case "zfp-rate":
-		return NewZFPFixedRate(), nil
+		return zfp.NewFixedRate(), nil
 	case "fpzip":
 		return NewFPZIP(), nil
 	case "mgard":
@@ -270,14 +261,6 @@ func MaxAbsError(a, b *Field) (float64, error) { return compress.MaxAbsError(a, 
 // PSNR returns the peak signal-to-noise ratio of a reconstruction in dB.
 func PSNR(orig, rec *Field) (float64, error) { return metrics.PSNR(orig, rec) }
 
-// BoundForPSNR returns the absolute error bound expected to deliver the
-// target PSNR (dB) under an SZ-style quantizer — the analytic quality→bound
-// mapping of the related work, complementing the ratio→bound mapping FXRZ
-// learns.
-func BoundForPSNR(f *Field, targetPSNR float64) (float64, error) {
-	return metrics.BoundForPSNR(f, targetPSNR)
-}
-
 // Decompress reconstructs a field from any stream produced by the built-in
 // codecs, dispatching on the stream's magic byte. It decodes serially; use
 // DecompressParallel to spend more cores on large fields.
@@ -350,16 +333,6 @@ func DecompressRegionParallel(blob []byte, lo, hi []int, workers int) (*Field, e
 	return roi.DecodeRegion(blob, lo, hi, workers)
 }
 
-// RegionReader provides O(1) materialized random access over a compressed
-// stream: At(coord...) decodes lazily — block by block for zfp streams, slab
-// by slab for chunked sz streams — and performs zero heap allocations once
-// the blocks or slabs under a query region are warm. See OpenReader.
-type RegionReader = roi.Reader
-
-// OpenReader parses a stream (indexed container, raw codec blob, or
-// marshaled brick store) for lazy point access without decoding any samples.
-func OpenReader(blob []byte) (*RegionReader, error) { return roi.NewReader(blob) }
-
 // BrickStore is a chunked compressed representation of one field with
 // random access: each brick decompresses independently, so region reads
 // touch only the bricks they intersect. See BuildBricks.
@@ -375,18 +348,6 @@ func BuildBricks(c Compressor, f *Field, side int, knob float64) (*BrickStore, e
 // codec must match the one it was built with.
 func LoadBricks(c Compressor, blob []byte) (*BrickStore, error) {
 	return brick.Unmarshal(c, blob)
-}
-
-// BrickSet is an ordered collection of brick stores sharing one field
-// geometry — a time window or ensemble — read through one region plan. See
-// OpenBrickSet.
-type BrickSet = brick.Set
-
-// OpenBrickSet restores a set from marshaled brick-store blobs, detecting
-// each member's codec from its streams. It backs the serving layer's
-// multi-field region reads (/v1/unpack-many with ?region=).
-func OpenBrickSet(blobs ...[]byte) (*BrickSet, error) {
-	return brick.OpenSet(roi.ResolveCodec, blobs...)
 }
 
 // BrickToRatio estimates the knob for the target overall ratio and builds a

@@ -36,7 +36,9 @@ func FuzzDecompress(f *testing.F) {
 			}
 		}
 	}
-	if blob, err := fxrz.NewZFPFixedRate().Compress(fld, 8); err == nil {
+	if rate, err := fxrz.ByName("zfp-rate"); err != nil {
+		f.Fatal(err)
+	} else if blob, err := rate.Compress(fld, 8); err == nil {
 		f.Add(blob)
 	}
 	if blob, err := fxrz.NewFPZIP().Compress(fld, 16); err == nil {

@@ -88,16 +88,6 @@ type Result struct {
 	Payload []byte
 }
 
-// IsRequest reports whether blob begins like a batch request container.
-func IsRequest(blob []byte) bool {
-	return len(blob) >= 2 && blob[0] == MagicRequest
-}
-
-// IsResponse reports whether blob begins like a batch response container.
-func IsResponse(blob []byte) bool {
-	return len(blob) >= 2 && blob[0] == MagicResponse
-}
-
 // EncodeRequest frames items as a request container.
 func EncodeRequest(items []Item) []byte {
 	size := 2 + binary.MaxVarintLen64 + 4

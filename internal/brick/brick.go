@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"github.com/fxrz-go/fxrz/internal/compress"
 	"github.com/fxrz-go/fxrz/internal/grid"
@@ -190,60 +191,6 @@ func (s *Store) ReadRegion(origin, shape []int) (*grid.Field, error) {
 	return out, nil
 }
 
-// RegionByteRanges reports, for each brick intersecting [origin,
-// origin+shape), the half-open byte range its compressed stream (including
-// its length varint) occupies in the Marshal layout. This is the brick
-// analogue of the codec offset indexes: the length-prefixed chunk framing is
-// itself the persisted index, so the ranges are derived rather than stored
-// twice.
-func (s *Store) RegionByteRanges(origin, shape []int) ([][2]int, error) {
-	if err := s.checkRegion(origin, shape); err != nil {
-		return nil, err
-	}
-	off := s.headerSize()
-	var ranges [][2]int
-	for i, b := range s.blobs {
-		n := uvarintLen(uint64(len(b))) + len(b)
-		if intersects(s.origins[i], s.shapes[i], origin, shape) {
-			ranges = append(ranges, [2]int{off, off + n})
-		}
-		off += n
-	}
-	return ranges, nil
-}
-
-// headerSize returns the byte length of the Marshal header (everything
-// before the first brick stream's length varint).
-func (s *Store) headerSize() int {
-	n := 8 + 1 + len(s.name)%256 + 1
-	for _, d := range s.dims {
-		n += uvarintLen(uint64(d))
-	}
-	n += uvarintLen(uint64(s.brickSide))
-	n += uvarintLen(uint64(len(s.blobs)))
-	return n
-}
-
-// MarshaledSize returns len(s.Marshal()) without building the bytes — the
-// set-level byte-range planner uses it to offset each member's ranges into
-// the concatenated layout.
-func (s *Store) MarshaledSize() int {
-	n := s.headerSize()
-	for _, b := range s.blobs {
-		n += uvarintLen(uint64(len(b))) + len(b)
-	}
-	return n
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
 // ReadAll reconstructs the whole field.
 func (s *Store) ReadAll() (*grid.Field, error) {
 	origin := make([]int, len(s.dims))
@@ -304,16 +251,22 @@ func Unmarshal(c compress.Compressor, blob []byte) (*Store, error) {
 	if nd == 0 || nd > grid.MaxDims {
 		return nil, fmt.Errorf("brick: bad dims count %d", nd)
 	}
+	// Every number below is a claim by the sender: each is range-checked
+	// before its int conversion, and nothing is sized from one until the
+	// brick count it implies has been matched against the streams present.
 	for i := 0; i < nd; i++ {
 		d, k := binary.Uvarint(blob)
-		if k <= 0 || d == 0 {
+		if k <= 0 || d == 0 || d > math.MaxInt {
 			return nil, errors.New("brick: bad dim")
 		}
 		s.dims = append(s.dims, int(d))
 		blob = blob[k:]
 	}
+	if _, err := grid.CheckDims(s.dims); err != nil {
+		return nil, fmt.Errorf("brick: %w", err)
+	}
 	side, k := binary.Uvarint(blob)
-	if k <= 0 || side < 2 {
+	if k <= 0 || side < 2 || side > math.MaxInt {
 		return nil, errors.New("brick: bad brick side")
 	}
 	s.brickSide = int(side)
@@ -323,6 +276,8 @@ func Unmarshal(c compress.Compressor, blob []byte) (*Store, error) {
 		return nil, errors.New("brick: bad brick count")
 	}
 	blob = blob[k:]
+	// Each stream spends at least its length byte, so len(s.blobs) never
+	// passes len(blob) whatever count claims.
 	for i := uint64(0); i < count; i++ {
 		n, k := binary.Uvarint(blob)
 		if k <= 0 || uint64(len(blob)-k) < n {
@@ -331,6 +286,20 @@ func Unmarshal(c compress.Compressor, blob []byte) (*Store, error) {
 		blob = blob[k:]
 		s.blobs = append(s.blobs, blob[:n:n])
 		blob = blob[n:]
+	}
+	// The geometry asks for ∏⌈dim/side⌉ bricks. The product stops at the
+	// first factor that takes it past the streams in hand, so a header costs
+	// O(len(blob)) however many bricks it describes.
+	want := 1
+	for _, d := range s.dims {
+		per := (d-1)/s.brickSide + 1
+		if per > len(s.blobs)/want {
+			return nil, fmt.Errorf("brick: %d streams cannot fill dims %v at side %d", len(s.blobs), s.dims, s.brickSide)
+		}
+		want *= per
+	}
+	if want != len(s.blobs) {
+		return nil, fmt.Errorf("brick: %d streams for %d bricks", len(s.blobs), want)
 	}
 	// Rebuild brick geometry from dims + side (must match Build's row-major
 	// block order) without materialising the field.
@@ -345,9 +314,6 @@ func Unmarshal(c compress.Compressor, blob []byte) (*Store, error) {
 		s.origins = append(s.origins, append([]int(nil), origin...))
 		s.shapes = append(s.shapes, shape)
 	})
-	if len(s.origins) != len(s.blobs) {
-		return nil, fmt.Errorf("brick: %d streams for %d bricks", len(s.blobs), len(s.origins))
-	}
 	return s, nil
 }
 

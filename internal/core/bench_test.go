@@ -27,16 +27,16 @@ func BenchmarkNonConstantRatio(b *testing.B) {
 	f := compresstest.BenchField()
 	b.SetBytes(int64(f.Bytes()))
 	for i := 0; i < b.N; i++ {
-		NonConstantRatio(f, 4, 0.15)
+		NonConstantRatioParallel(f, 4, 0.15, 1)
 	}
 }
 
 // BenchmarkKernelCAScan times the whole Compressibility Adjustment — mean
 // and block scan — the old way (nonConstantRatioOracle: a Mean pass, then a
-// per-block odometer walk) against NonConstantRatio's one streaming pass.
-// Each iteration scans the block-aligned standard bench field and a crop of
-// it that is ragged in every dimension. cmd/benchguard's ca_scan row reads
-// the odometer and fast legs.
+// per-block odometer walk) against NonConstantRatioParallel's one streaming
+// pass at width 1. Each iteration scans the block-aligned standard bench
+// field and a crop of it that is ragged in every dimension. cmd/benchguard's
+// ca_scan row reads the odometer and fast legs.
 func BenchmarkKernelCAScan(b *testing.B) {
 	aligned := compresstest.BenchField()
 	ragged, err := grid.SliceRegion(aligned, []int{0, 0, 0}, []int{61, 63, 62})
@@ -47,7 +47,9 @@ func BenchmarkKernelCAScan(b *testing.B) {
 	for _, v := range []struct {
 		name string
 		scan func(*grid.Field, int, float64) float64
-	}{{"odometer", nonConstantRatioOracle}, {"fast", NonConstantRatio}} {
+	}{{"odometer", nonConstantRatioOracle}, {"fast", func(f *grid.Field, side int, lambda float64) float64 {
+		return NonConstantRatioParallel(f, side, lambda, 1)
+	}}} {
 		b.Run(v.name, func(b *testing.B) {
 			b.SetBytes(int64(aligned.Bytes() + ragged.Bytes()))
 			for i := 0; i < b.N; i++ {

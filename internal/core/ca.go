@@ -21,16 +21,13 @@ const DefaultBlockSide = 4
 // for the other workers to share what it leaves over.
 const caSlabsPerWorker = 4
 
-// NonConstantRatio implements the Compressibility Adjustment scan (§IV-E2):
-// the field is split into blockSide^d blocks; a block whose value range is
-// below λ·|mean value of the dataset| is "constant" (its compressed size is
-// taken as ~0); R is the fraction of non-constant blocks. The adjusted
-// compression ratio fed to the model is ACR = TCR · R (Formula 4).
-func NonConstantRatio(f *grid.Field, blockSide int, lambda float64) float64 {
-	return NonConstantRatioParallel(f, blockSide, lambda, 1)
-}
-
-// NonConstantRatioParallel is NonConstantRatio over a bounded worker pool.
+// NonConstantRatioParallel implements the Compressibility Adjustment scan
+// (§IV-E2) over a bounded worker pool: the field is split into blockSide^d
+// blocks; a block whose value range is below λ·|mean value of the dataset| is
+// "constant" (its compressed size is taken as ~0); R is the fraction of
+// non-constant blocks. The adjusted compression ratio fed to the model is
+// ACR = TCR · R (Formula 4).
+//
 // The field is read once, in memory order: every row of the last dimension
 // is folded, one blockSide-long run at a time, into the running (min, max)
 // of the block the run belongs to, and the float64 sum is accumulated in the

@@ -204,14 +204,14 @@ func TestNonConstantRatio(t *testing.T) {
 			f.Set(v, y, x)
 		}
 	}
-	r := NonConstantRatio(f, 4, 0.15)
+	r := NonConstantRatioParallel(f, 4, 0.15, 1)
 	if r < 0.4 || r > 0.6 {
 		t.Errorf("R = %v, want ~0.5 (half the blocks constant)", r)
 	}
 
 	con := grid.MustNew("const", 16, 16)
 	con.Fill(3)
-	rc := NonConstantRatio(con, 4, 0.15)
+	rc := NonConstantRatioParallel(con, 4, 0.15, 1)
 	if rc > 0.1 {
 		t.Errorf("constant field R = %v, want near 0", rc)
 	}
@@ -223,7 +223,7 @@ func TestNonConstantRatio(t *testing.T) {
 	for i := range noisy.Data {
 		noisy.Data[i] = float32(math.Sin(float64(i) * 13))
 	}
-	if rn := NonConstantRatio(noisy, 4, 0.15); rn != 1 {
+	if rn := NonConstantRatioParallel(noisy, 4, 0.15, 1); rn != 1 {
 		t.Errorf("fully noisy field R = %v, want 1", rn)
 	}
 }
@@ -236,8 +236,8 @@ func TestLambdaMonotone(t *testing.T) {
 			f.Set(float32(10+0.5*math.Sin(float64(x)/2)+0.2*float64(y%3)), y, x)
 		}
 	}
-	r05 := NonConstantRatio(f, 4, 0.05)
-	r15 := NonConstantRatio(f, 4, 0.15)
+	r05 := NonConstantRatioParallel(f, 4, 0.05, 1)
+	r15 := NonConstantRatioParallel(f, 4, 0.15, 1)
 	if r15 > r05 {
 		t.Errorf("R(λ=0.15)=%v > R(λ=0.05)=%v", r15, r05)
 	}
@@ -387,7 +387,7 @@ func TestNonConstantRatio4D(t *testing.T) {
 	for i := 0; i < half; i++ {
 		f.Data[i] = float32(math.Sin(float64(i)))
 	}
-	r := NonConstantRatio(f, 4, 0.15)
+	r := NonConstantRatioParallel(f, 4, 0.15, 1)
 	if r < 0.3 || r > 0.7 {
 		t.Errorf("4D R = %v, want roughly half", r)
 	}

@@ -45,10 +45,10 @@ func TestValidRatioRangeAllConstantField(t *testing.T) {
 		ratioHi: 80,
 	}
 	f := validRangeField(true)
-	r := NonConstantRatio(f, DefaultBlockSide, DefaultLambda)
+	r := NonConstantRatioParallel(f, DefaultBlockSide, DefaultLambda, 1)
 	// 16³ field, 4³ blocks → 64 blocks, all constant → r clamps to 1/64.
 	if want := 1.0 / 64; r != want {
-		t.Fatalf("NonConstantRatio = %g, want %g", r, want)
+		t.Fatalf("NonConstantRatioParallel = %g, want %g", r, want)
 	}
 	lo, hi := fw.ValidRatioRange(f)
 	if math.IsInf(hi, 0) || math.IsNaN(lo) {

@@ -125,7 +125,7 @@ func TestNonConstantRatioParallelQuick(t *testing.T) {
 		}
 		side := 1 + int(sideSel)%5
 		workers := 1 + int(workerSel)%8
-		serial := NonConstantRatio(f, side, DefaultLambda)
+		serial := NonConstantRatioParallel(f, side, DefaultLambda, 1)
 		parallel := NonConstantRatioParallel(f, side, DefaultLambda, workers)
 		if serial != parallel {
 			t.Logf("dims=%v side=%d workers=%d: serial=%v parallel=%v", dims, side, workers, serial, parallel)

@@ -290,7 +290,7 @@ func TestRTMBigLargerThanSmall(t *testing.T) {
 }
 
 func TestHurricaneExtraFields(t *testing.T) {
-	for _, field := range HurricaneExtraFields {
+	for _, field := range []string{"U", "V", "W", "PRECIPf"} {
 		f, err := HurricaneField(field, 10, 8)
 		if err != nil {
 			t.Fatalf("%s: %v", field, err)

@@ -117,9 +117,6 @@ func NyxField(field string, config, timeStep, size int) (*grid.Field, error) {
 // carries 13 Isabel fields; these are the commonly used extras).
 var HurricaneFields = []string{"QCLOUD", "TC"}
 
-// HurricaneExtraFields lists the additional Isabel-like fields available.
-var HurricaneExtraFields = []string{"U", "V", "W", "PRECIPf"}
-
 // HurricaneField generates one Hurricane-Isabel-like weather field on a
 // size×5·size×5·size grid (the paper's 100×500×500 aspect ratio).
 // The storm vortex translates with the time step, which makes later time

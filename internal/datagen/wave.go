@@ -149,6 +149,3 @@ func (s *WaveSim) Snapshot(name string) *grid.Field {
 	copy(f.Data, s.p)
 	return f
 }
-
-// TimeStep reports the current step number.
-func (s *WaveSim) TimeStep() int { return s.step }

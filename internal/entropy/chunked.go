@@ -85,11 +85,6 @@ func isChunked(blob []byte, magic byte) bool {
 	return len(blob) >= 3 && blob[0] == chunkedSentinel && blob[1] == magic && blob[2] == chunkedVersion
 }
 
-// IsChunked reports whether blob is any chunked entropy container.
-func IsChunked(blob []byte) bool {
-	return isChunked(blob, chunkedMagicHuffman) || isChunked(blob, chunkedMagicBytes)
-}
-
 // ChunkedBlockSize returns the source block size of a chunked byte container
 // (the byte span each chunk decodes independently), or 0 when blob is not
 // one. Callers use it to map their own structure onto chunk boundaries
@@ -116,7 +111,7 @@ func ChunkedBlockSize(blob []byte) int {
 func HuffmanEncodeChunked(symbols []uint32, alphabet, workers int) ([]byte, error) {
 	nchunks := (len(symbols) + DefaultChunkSymbols - 1) / DefaultChunkSymbols
 	if nchunks < 2 {
-		return HuffmanEncodeParallel(symbols, alphabet, workers)
+		return HuffmanEncode(symbols, alphabet)
 	}
 	chunks := make([][]uint32, nchunks)
 	for i := range chunks {
@@ -167,7 +162,7 @@ func HuffmanDecodeChunked(blob []byte, workers int) ([]uint32, error) {
 // every worker count.
 func CompressBytesChunked(src []byte, workers int) ([]byte, error) {
 	if (len(src)+ChunkTargetBytes-1)/ChunkTargetBytes < 2 {
-		return CompressBytesParallel(src, workers)
+		return CompressBytes(src)
 	}
 	return CompressBytesBlocks(src, ChunkTargetBytes, workers)
 }

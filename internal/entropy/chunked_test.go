@@ -103,7 +103,7 @@ func TestChunkedBytesIdentity(t *testing.T) {
 				}
 				if ref == nil {
 					ref = blob
-					if !IsChunked(blob) {
+					if !isChunked(blob, chunkedMagicBytes) {
 						t.Fatalf("expected a chunked container for %d bytes in %d-byte blocks", len(src), block)
 					}
 					if got := ChunkedBlockSize(blob); got != block {
@@ -132,7 +132,7 @@ func TestChunkedBytesIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("legacy encode: %v", err)
 			}
-			if IsChunked(legacy) {
+			if isChunked(legacy, chunkedMagicBytes) {
 				t.Fatalf("whole-stream encoder emitted a chunked container")
 			}
 			got, err = DecompressBytesParallel(legacy, 4)
@@ -242,7 +242,7 @@ func TestChunkedHuffmanIdentity(t *testing.T) {
 		}
 		if ref == nil {
 			ref = blob
-			if !IsChunked(blob) {
+			if !isChunked(blob, chunkedMagicHuffman) {
 				t.Fatalf("expected a chunked container for %d symbols", n)
 			}
 		} else if !bytes.Equal(blob, ref) {

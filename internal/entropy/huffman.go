@@ -8,7 +8,6 @@ import (
 	"sort"
 
 	"github.com/fxrz-go/fxrz/internal/obs"
-	"github.com/fxrz-go/fxrz/internal/pool"
 )
 
 // maxHuffmanLen caps code lengths so the decoder can use fixed-width tables.
@@ -20,29 +19,16 @@ const maxHuffmanLen = 32
 // [0, alphabet). The output embeds a canonical code-length table followed by
 // the bit stream, so HuffmanDecode needs no side information beyond the blob.
 func HuffmanEncode(symbols []uint32, alphabet int) ([]byte, error) {
-	return HuffmanEncodeParallel(symbols, alphabet, 1)
-}
-
-// freqShardMin gates the sharded frequency count: below this many symbols the
-// scan is too cheap for fan-out to pay for itself.
-const freqShardMin = 1 << 16
-
-// HuffmanEncodeParallel is HuffmanEncode with the frequency count sharded
-// across at most `workers` goroutines. Shards cover contiguous symbol ranges
-// and are combined by summation in shard order, so the frequency table — and
-// therefore the code table, the bit stream, and any error — is identical to
-// the serial encoder's at every worker count. Code construction and the
-// bitstream emit stay serial: they are inherently sequential and cheap next
-// to the frequency scan.
-func HuffmanEncodeParallel(symbols []uint32, alphabet, workers int) ([]byte, error) {
 	if alphabet <= 0 {
 		return nil, fmt.Errorf("entropy: invalid alphabet size %d", alphabet)
 	}
 	freq := getInts(alphabet)
-	if bad := countFrequencies(symbols, alphabet, freq, workers); bad >= 0 {
-		s := symbols[bad]
-		putInts(freq)
-		return nil, fmt.Errorf("entropy: symbol %d outside alphabet %d", s, alphabet)
+	for _, s := range symbols {
+		if int(s) >= alphabet {
+			putInts(freq)
+			return nil, fmt.Errorf("entropy: symbol %d outside alphabet %d", s, alphabet)
+		}
+		freq[s]++
 	}
 	lengths := huffmanLengths(freq)
 	putInts(freq)
@@ -71,57 +57,6 @@ func HuffmanEncodeParallel(symbols []uint32, alphabet, workers int) ([]byte, err
 	putBytes(hdr)
 	putBytes(payload)
 	return out, nil
-}
-
-// countFrequencies fills freq (zeroed, len alphabet) with symbol counts,
-// fanning the scan out over contiguous shards when the input is large enough.
-// It returns the index of the first symbol outside the alphabet, or -1. The
-// shard ranges are ordered and disjoint, so the earliest bad index in the
-// lowest bad shard is exactly the index the serial scan would have stopped at.
-func countFrequencies(symbols []uint32, alphabet int, freq []int, workers int) int {
-	if workers <= 1 || len(symbols) < freqShardMin {
-		for i, s := range symbols {
-			if int(s) >= alphabet {
-				return i
-			}
-			freq[s]++
-		}
-		return -1
-	}
-	nshards := workers
-	per := (len(symbols) + nshards - 1) / nshards
-	nshards = (len(symbols) + per - 1) / per
-	partial := make([][]int, nshards)
-	bad := make([]int, nshards)
-	pool.Run(workers, nshards, func(s int) {
-		lo, hi := s*per, (s+1)*per
-		if hi > len(symbols) {
-			hi = len(symbols)
-		}
-		pf := getInts(alphabet)
-		partial[s] = pf
-		bad[s] = -1
-		for i := lo; i < hi; i++ {
-			sym := symbols[i]
-			if int(sym) >= alphabet {
-				bad[s] = i
-				return
-			}
-			pf[sym]++
-		}
-	})
-	obs.Add("entropy/freq_shards", int64(nshards))
-	firstBad := -1
-	for s := 0; s < nshards; s++ {
-		if firstBad < 0 && bad[s] >= 0 {
-			firstBad = bad[s]
-		}
-		for sym, c := range partial[s] {
-			freq[sym] += c
-		}
-		putInts(partial[s])
-	}
-	return firstBad
 }
 
 // HuffmanDecode reverses HuffmanEncode.

@@ -209,22 +209,13 @@ func lzCopyMatch(dst []byte, pos, dist, n int) {
 // MGARD-like compressors: LZ dictionary coding followed by Huffman coding of
 // the LZ output bytes. On incompressible input the overhead is a few bytes.
 func CompressBytes(src []byte) ([]byte, error) {
-	return CompressBytesParallel(src, 1)
-}
-
-// CompressBytesParallel is CompressBytes with the Huffman frequency count
-// sharded over at most `workers` goroutines (see HuffmanEncodeParallel). The
-// LZ match search is inherently serial — every match refers back into already
-// emitted output — so it stays on the calling goroutine. Output is identical
-// to CompressBytes at every worker count.
-func CompressBytesParallel(src []byte, workers int) ([]byte, error) {
 	lz := LZCompress(src)
 	syms := getU32s(len(lz))
 	for i, b := range lz {
 		syms[i] = uint32(b)
 	}
 	putBytes(lz)
-	blob, err := HuffmanEncodeParallel(syms, 256, workers)
+	blob, err := HuffmanEncode(syms, 256)
 	putU32s(syms)
 	return blob, err
 }

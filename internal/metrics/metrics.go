@@ -51,26 +51,6 @@ func PSNR(orig, rec *grid.Field) (float64, error) {
 	return 20*math.Log10(vr) - 10*math.Log10(mse), nil
 }
 
-// MaxRelError returns max |a-b| / valueRange(a), a scale-free distortion
-// measure.
-func MaxRelError(a, b *grid.Field) (float64, error) {
-	if a.Size() != b.Size() {
-		return 0, fmt.Errorf("metrics: size mismatch %d vs %d", a.Size(), b.Size())
-	}
-	vr := a.ValueRange()
-	if vr == 0 {
-		return 0, nil
-	}
-	var m float64
-	for i := range a.Data {
-		d := math.Abs(float64(a.Data[i]) - float64(b.Data[i]))
-		if d > m {
-			m = d
-		}
-	}
-	return m / vr, nil
-}
-
 // StdDev returns the population standard deviation of the field's values,
 // the statistic Fig 9 uses to demonstrate train/test variability.
 func StdDev(f *grid.Field) float64 {
@@ -202,30 +182,4 @@ func StructureDisplacement(orig, rec *grid.Field, blockSide int) (float64, error
 		return 0, nil
 	}
 	return float64(moved) / float64(total), nil
-}
-
-// BoundForPSNR returns the absolute error bound expected to achieve the
-// target PSNR (dB) under an SZ-style quantizer, whose error is approximately
-// uniform in [-eb, eb] (MSE = eb²/3). This is the analytic PSNR→bound
-// mapping of the related work (Tao et al.); combined with FXRZ it lets users
-// target either a ratio or a quality level.
-func BoundForPSNR(f *grid.Field, targetPSNR float64) (float64, error) {
-	vr := f.ValueRange()
-	if vr <= 0 {
-		return 0, fmt.Errorf("metrics: constant field has no PSNR-derived bound")
-	}
-	if targetPSNR <= 0 {
-		return 0, fmt.Errorf("metrics: target PSNR must be positive, got %v", targetPSNR)
-	}
-	return vr * math.Pow(10, -targetPSNR/20) * math.Sqrt(3), nil
-}
-
-// ExpectedPSNR inverts BoundForPSNR: the PSNR an SZ-style quantizer at the
-// bound should deliver.
-func ExpectedPSNR(f *grid.Field, eb float64) (float64, error) {
-	vr := f.ValueRange()
-	if vr <= 0 || eb <= 0 {
-		return 0, fmt.Errorf("metrics: need positive range and bound")
-	}
-	return 20 * math.Log10(vr/(eb/math.Sqrt(3))), nil
 }

@@ -70,17 +70,6 @@ func TestPSNRDecreasesWithDistortion(t *testing.T) {
 	}
 }
 
-func TestMaxRelError(t *testing.T) {
-	a := grid.MustNew("a", 3)
-	copy(a.Data, []float32{0, 5, 10})
-	b := a.Clone()
-	b.Data[1] = 6
-	got, err := MaxRelError(a, b)
-	if err != nil || math.Abs(got-0.1) > 1e-9 {
-		t.Errorf("MaxRelError = %v, %v", got, err)
-	}
-}
-
 func TestStdDev(t *testing.T) {
 	f := grid.MustNew("f", 4)
 	copy(f.Data, []float32{1, 3, 1, 3})
@@ -208,33 +197,5 @@ func TestRenderConstantBlocks(t *testing.T) {
 	}
 	if _, err := RenderConstantBlocks(grid.MustNew("x", 4, 4), 0, 4, 0.15); err == nil {
 		t.Error("2D field accepted")
-	}
-}
-
-func TestBoundForPSNRInverse(t *testing.T) {
-	f := grid.MustNew("p", 100)
-	for i := range f.Data {
-		f.Data[i] = float32(i) / 10
-	}
-	for _, target := range []float64{40, 60, 80} {
-		eb, err := BoundForPSNR(f, target)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := ExpectedPSNR(f, eb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(back-target) > 1e-9 {
-			t.Errorf("target %v: round trip %v", target, back)
-		}
-	}
-	c := grid.MustNew("c", 4)
-	c.Fill(1)
-	if _, err := BoundForPSNR(c, 50); err == nil {
-		t.Error("constant field accepted")
-	}
-	if _, err := BoundForPSNR(f, -5); err == nil {
-		t.Error("negative PSNR accepted")
 	}
 }

@@ -72,8 +72,9 @@ func RenderSlice(f *grid.Field, z, width int) (string, error) {
 // RenderConstantBlocks draws the constant/non-constant block classification
 // of a z-slice — the paper's Fig 6 ("Illustration of Constant/Non-constant
 // Blocks" on Nyx temperature). Constant blocks print as '.', non-constant as
-// '#'. The threshold convention matches core.NonConstantRatio: a block is
-// constant when its value range is below lambda·|mean of the whole field|.
+// '#'. The threshold convention matches core.NonConstantRatioParallel: a
+// block is constant when its value range is below lambda·|mean of the whole
+// field|.
 func RenderConstantBlocks(f *grid.Field, z, blockSide int, lambda float64) (string, error) {
 	if f.NDims() != 3 {
 		return "", fmt.Errorf("metrics: RenderConstantBlocks needs a 3D field, got %dD", f.NDims())

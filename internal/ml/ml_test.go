@@ -3,6 +3,7 @@ package ml
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -270,7 +271,7 @@ func TestSVRFitsLinearTube(t *testing.T) {
 	if m := mae(svr, X, y); m > 1.5 {
 		t.Errorf("SVR MAE on linear data %.3f too high", m)
 	}
-	if svr.SupportVectors() == 0 {
+	if !slices.ContainsFunc(svr.beta, func(b float64) bool { return b != 0 }) {
 		t.Error("no support vectors after training")
 	}
 }
@@ -285,60 +286,6 @@ func TestSVRHandlesConstantFeatures(t *testing.T) {
 	p := svr.Predict([]float64{2.5, 5})
 	if math.IsNaN(p) || math.IsInf(p, 0) {
 		t.Errorf("prediction not finite: %v", p)
-	}
-}
-
-func TestKFoldPartitions(t *testing.T) {
-	folds := KFold(10, 3, 1)
-	if len(folds) != 3 {
-		t.Fatalf("%d folds", len(folds))
-	}
-	seen := map[int]int{}
-	for _, f := range folds {
-		train, test := f[0], f[1]
-		if len(train)+len(test) != 10 {
-			t.Errorf("fold sizes %d+%d != 10", len(train), len(test))
-		}
-		inTrain := map[int]bool{}
-		for _, i := range train {
-			inTrain[i] = true
-		}
-		for _, i := range test {
-			if inTrain[i] {
-				t.Errorf("index %d in both train and test", i)
-			}
-			seen[i]++
-		}
-	}
-	for i := 0; i < 10; i++ {
-		if seen[i] != 1 {
-			t.Errorf("index %d appears in %d test folds", i, seen[i])
-		}
-	}
-}
-
-func TestCrossValidateAndGridSearch(t *testing.T) {
-	X, y := synth(200, 3, 10, 0.2)
-	scoreGood, err := CrossValidate(func() Regressor { return NewForest(ForestConfig{Trees: 30, Seed: 2}) }, X, y, 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scoreBad, err := CrossValidate(func() Regressor { return NewTree(TreeConfig{MaxDepth: 1}) }, X, y, 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scoreGood >= scoreBad {
-		t.Errorf("forest CV MAE %.3f not better than stump %.3f", scoreGood, scoreBad)
-	}
-	best, _, err := GridSearch([]func() Regressor{
-		func() Regressor { return NewTree(TreeConfig{MaxDepth: 1}) },
-		func() Regressor { return NewForest(ForestConfig{Trees: 30, Seed: 2}) },
-	}, X, y, 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best != 1 {
-		t.Errorf("grid search picked %d, want the forest (1)", best)
 	}
 }
 
@@ -409,40 +356,5 @@ func TestPermutationImportanceValidation(t *testing.T) {
 	f := NewForest(ForestConfig{Trees: 5, Seed: 1})
 	if _, err := PermutationImportance(f, nil, nil, 3, 1); err == nil {
 		t.Error("empty data accepted")
-	}
-}
-
-func TestSpearman(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	// Monotone nonlinear: Spearman must be exactly 1.
-	ys := []float64{1, 8, 27, 64, 125}
-	if r := Spearman(xs, ys); math.Abs(r-1) > 1e-12 {
-		t.Errorf("monotone cubic: Spearman = %v, want 1", r)
-	}
-	// Pearson on the same data is below 1.
-	if p := Pearson(xs, ys); p >= 1-1e-9 {
-		t.Errorf("Pearson on cubic = %v, expected < 1", p)
-	}
-	desc := []float64{10, 9, 1, 0.5, 0.1}
-	if r := Spearman(xs, desc); math.Abs(r+1) > 1e-12 {
-		t.Errorf("monotone decreasing: Spearman = %v, want -1", r)
-	}
-	if r := Spearman(xs, xs[:3]); r != 0 {
-		t.Errorf("length mismatch: %v", r)
-	}
-}
-
-func TestSpearmanTies(t *testing.T) {
-	xs := []float64{1, 2, 2, 3}
-	ys := []float64{5, 6, 6, 7}
-	if r := Spearman(xs, ys); math.Abs(r-1) > 1e-12 {
-		t.Errorf("tied monotone: Spearman = %v, want 1", r)
-	}
-	rk := ranks([]float64{3, 1, 3, 2})
-	want := []float64{3.5, 1, 3.5, 2}
-	for i := range rk {
-		if rk[i] != want[i] {
-			t.Fatalf("ranks = %v, want %v", rk, want)
-		}
 	}
 }

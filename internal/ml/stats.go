@@ -1,8 +1,7 @@
 // Package ml is a small, deterministic, stdlib-only machine-learning
 // substrate providing the three regressors the paper compares for FXRZ
-// (random forest, AdaBoost.R2, ε-SVR), CART regression trees, k-fold
-// cross-validation with grid search, and the correlation statistics used for
-// feature selection (Table II).
+// (random forest, AdaBoost.R2, ε-SVR), CART regression trees, and the
+// correlation statistics used for feature selection (Table II).
 package ml
 
 import (
@@ -119,45 +118,4 @@ func WeightedMedian(values, weights []float64) float64 {
 		}
 	}
 	return values[idx[len(idx)-1]]
-}
-
-// Spearman returns the Spearman rank correlation coefficient: Pearson
-// correlation of the two series' ranks. It is robust to monotone nonlinear
-// relationships (e.g. the exponential-looking feature↔ratio relations in
-// scientific data), complementing Pearson in feature analysis. Ties receive
-// averaged ranks.
-func Spearman(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return 0
-	}
-	return Pearson(ranks(xs), ranks(ys))
-}
-
-// ranks returns average ranks (1-based) with ties averaged.
-func ranks(xs []float64) []float64 {
-	n := len(xs)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	// Insertion sort by value: stats inputs here are small (dozens of
-	// snapshots); avoids importing sort for a hot path that is not hot.
-	for i := 1; i < n; i++ {
-		for j := i; j > 0 && xs[idx[j]] < xs[idx[j-1]]; j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-		}
-	}
-	r := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {
-			j++
-		}
-		avg := float64(i+j)/2 + 1
-		for k := i; k <= j; k++ {
-			r[idx[k]] = avg
-		}
-		i = j + 1
-	}
-	return r
 }

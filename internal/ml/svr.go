@@ -160,14 +160,3 @@ func (s *SVR) Predict(x []float64) float64 {
 	}
 	return s.rawPredict(s.standardize(x))*s.yStd + s.yMean
 }
-
-// SupportVectors reports how many expansion coefficients are non-zero.
-func (s *SVR) SupportVectors() int {
-	n := 0
-	for _, b := range s.beta {
-		if b != 0 {
-			n++
-		}
-	}
-	return n
-}

@@ -181,9 +181,6 @@ func Enabled() bool {
 	return ok
 }
 
-// Active returns the recorder currently installed.
-func Active() Recorder { return active.Load().r }
-
 // Inc adds 1 to the named counter.
 func Inc(name string) { active.Load().r.Add(name, 1) }
 

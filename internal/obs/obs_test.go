@@ -40,8 +40,8 @@ func TestDisabledRecorderIsInert(t *testing.T) {
 		t.Fatalf("disabled snapshot not empty: %+v", s)
 	}
 	Reset() // no-op, must not panic
-	if _, ok := Active().(nop); !ok {
-		t.Fatalf("active recorder = %T, want nop", Active())
+	if _, ok := active.Load().r.(nop); !ok {
+		t.Fatalf("active recorder = %T, want nop", active.Load().r)
 	}
 }
 
@@ -72,7 +72,7 @@ func TestEnableIsIdempotent(t *testing.T) {
 	withLive(t, func() {
 		Inc("kept")
 		r := Enable() // second Enable must keep state
-		if r != Active() {
+		if r != active.Load().r {
 			t.Error("Enable did not return the active recorder")
 		}
 		if got := TakeSnapshot().Counters["kept"]; got != 1 {

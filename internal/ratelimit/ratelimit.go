@@ -138,13 +138,6 @@ func (l *Limiter) AllowN(id string, n int) (ok bool, retryAfter time.Duration) {
 	return false, time.Duration(deficit / l.cfg.Rate * float64(time.Second))
 }
 
-// Clients returns the resident bucket count (for tests and gauges).
-func (l *Limiter) Clients() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.buckets)
-}
-
 // RetryAfterSeconds renders a refill wait as an HTTP Retry-After value:
 // whole seconds, rounded up, at least 1 (a zero Retry-After would invite an
 // immediate retry against a bucket that is still empty).

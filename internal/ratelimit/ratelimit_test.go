@@ -116,7 +116,7 @@ func TestEvictionBoundsMemory(t *testing.T) {
 	l.Allow("a") // a's bucket now empty
 	l.Allow("b")
 	l.Allow("c") // evicts a (least recently seen)
-	if n := l.Clients(); n != 2 {
+	if n := len(l.buckets); n != 2 {
 		t.Fatalf("resident clients = %d, want 2", n)
 	}
 	// a returns with a fresh bucket — the documented eviction trade-off.
@@ -141,7 +141,7 @@ func TestDisabledLimiter(t *testing.T) {
 			t.Fatal("disabled limiter refused a request")
 		}
 	}
-	if n := l.Clients(); n != 0 {
+	if n := len(l.buckets); n != 0 {
 		t.Fatalf("disabled limiter allocated %d buckets", n)
 	}
 }
@@ -199,7 +199,7 @@ func TestConcurrentClients(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if n := l.Clients(); n > 8 {
+	if n := len(l.buckets); n > 8 {
 		t.Fatalf("resident clients = %d exceeds MaxClients", n)
 	}
 }

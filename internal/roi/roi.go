@@ -96,8 +96,7 @@ func Unwrap(blob []byte) (inner, index []byte, err error) {
 }
 
 // ResolveCodec resolves a codec from its stream magic byte — the resolver
-// brick.UnmarshalAuto and brick.OpenSet take when the codec is not known out
-// of band.
+// brick.UnmarshalAuto takes when the codec is not known out of band.
 func ResolveCodec(magic byte) (compress.Compressor, error) {
 	switch magic {
 	case compress.MagicSZ:

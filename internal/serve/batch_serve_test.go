@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	fxrz "github.com/fxrz-go/fxrz"
 	"github.com/fxrz-go/fxrz/internal/batch"
@@ -256,15 +257,15 @@ func TestBatchPartialFailure(t *testing.T) {
 	}
 }
 
-// TestBatchUnpackManyBrickSet: brick-store items sharing ?region= go through
-// the unified brick.Set read path and still answer bit-identically to single
-// region unpacks; a store of mismatched geometry mixed into the batch falls
-// back to the per-item path without breaking its neighbours.
-func TestBatchUnpackManyBrickSet(t *testing.T) {
+// TestBatchUnpackManyBrickStores: brick stores in one ?region= batch — three
+// of one geometry, one of another, a truncated one and a 21-byte header that
+// claims 2^57 bricks — each answer exactly as the single region unpack of the
+// same bytes does: bit-identical on success, a 400 of its own on failure, and
+// the hostile header is refused at once rather than walked.
+func TestBatchUnpackManyBrickStores(t *testing.T) {
 	ts, _ := newTestServer(t, nil)
-	var stores [][]byte
-	for _, ver := range []int{1, 2, 3} {
-		f, err := datagen.NyxField("baryon_density", 1, ver, 24)
+	store := func(config, ver, size int) []byte {
+		f, err := datagen.NyxField("baryon_density", config, ver, size)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,62 +273,44 @@ func TestBatchUnpackManyBrickSet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stores = append(stores, st.Marshal())
+		return st.Marshal()
 	}
-	// A store with different dims: the set cannot include it, the item must
-	// still succeed via the per-item fallback.
-	odd, err := datagen.NyxField("baryon_density", 2, 9, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oddStore, _, err := trainedFW.BrickToRatio(odd, midTarget(t, odd), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hostile := append([]byte("FXRZBRK1\x00\x03"), bytes.Repeat([]byte{0x80, 0x80, 0x40}, 3)...) // dims 2^20 × 3
+	hostile = append(hostile, 2, 0)                                                             // side 2, no streams
 
 	const region = "4:20,8:21,2:17"
 	items := []batch.Item{
-		{ID: 0, Payload: stores[0]},
-		{ID: 1, Payload: stores[1]},
-		{ID: 2, Payload: stores[2]},
-		{ID: 3, Params: "region=0:8,0:8,0:8", Payload: oddStore.Marshal()},
+		{ID: 0, Payload: store(1, 1, 24)},
+		{ID: 1, Payload: store(1, 2, 24)},
+		{ID: 2, Payload: store(1, 3, 24)},
+		{ID: 3, Params: "region=0:8,0:8,0:8", Payload: store(2, 9, 16)},
+		{ID: 4, Payload: store(1, 1, 24)[:600]},
+		{ID: 5, Params: "region=0:1,0:1,0:1", Payload: hostile},
 	}
-	before := obs.TakeSnapshot()
 	status, results, _ := postBatch(t, ts.URL+"/v1/unpack-many?region="+region, items)
-	after := obs.TakeSnapshot()
 	if status != 200 {
 		t.Fatalf("outer status %d", status)
 	}
 	for i, r := range results {
-		if r.Status != 200 {
-			t.Fatalf("item %d status %d: %s", i, r.Status, r.Payload)
+		itemRegion := strings.TrimPrefix(items[i].Params, "region=")
+		if itemRegion == "" {
+			itemRegion = region
 		}
-		itemRegion := region
-		var payload []byte
-		if i == 3 {
-			itemRegion = "0:8,0:8,0:8"
-			payload = oddStore.Marshal()
-		} else {
-			payload = stores[i]
+		start := time.Now()
+		st, want := postSingle(t, ts.URL+"/v1/unpack?region="+itemRegion, "application/octet-stream", items[i].Payload)
+		if took := time.Since(start); i == 5 && took > 100*time.Millisecond {
+			t.Errorf("the hostile header took %v to refuse", took)
 		}
-		st, want := postSingle(t, ts.URL+"/v1/unpack?region="+itemRegion, "application/octet-stream", payload)
-		if st != 200 {
-			t.Fatalf("single region unpack %d status %d", i, st)
+		wantStatus := 200
+		if i >= 4 {
+			wantStatus = 400
 		}
-		if !bytes.Equal(r.Payload, want) {
+		if st != wantStatus || r.Status != wantStatus {
+			t.Fatalf("item %d: single call %d, batch item %d (%s), want %d", i, st, r.Status, r.Payload, wantStatus)
+		}
+		if wantStatus == 200 && !bytes.Equal(r.Payload, want) {
 			t.Errorf("item %d region read diverged from the single call", i)
 		}
-	}
-	delta := after.Counters["serve/batch/brickset"] - before.Counters["serve/batch/brickset"]
-	if delta != 1 {
-		t.Errorf("brickset plans during the batch = %d, want 1 (three matching stores)", delta)
-	}
-	memb := after.Counters["serve/batch/brickset_members"] - before.Counters["serve/batch/brickset_members"]
-	if memb != 3 {
-		t.Errorf("brickset members = %d, want 3 (the odd-geometry store must fall back)", memb)
-	}
-	if planned := after.Counters["serve/batch/brickset_planned_bytes"] - before.Counters["serve/batch/brickset_planned_bytes"]; planned <= 0 {
-		t.Errorf("planned bytes = %d, want > 0", planned)
 	}
 }
 

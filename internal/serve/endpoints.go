@@ -8,15 +8,11 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"net/url"
 	"strconv"
 
 	fxrz "github.com/fxrz-go/fxrz"
-	"github.com/fxrz-go/fxrz/internal/batch"
-	"github.com/fxrz-go/fxrz/internal/brick"
 	"github.com/fxrz-go/fxrz/internal/fieldio"
 	"github.com/fxrz-go/fxrz/internal/obs"
-	"github.com/fxrz-go/fxrz/internal/roi"
 )
 
 // endpoint is one operation, mounted as POST /v1/<name> (the body is the one
@@ -36,9 +32,6 @@ type endpoint struct {
 	// exec runs one item and returns its response body — bit-identical on
 	// both wires — plus, optionally, response headers for a single call.
 	exec func(*Server, context.Context, work) ([]byte, http.Header, error)
-	// plan, when set, looks over the whole item list before the fan-out and
-	// hands each item's exec what it found (work.set).
-	plan func(base url.Values, items []batch.Item) []*setMember
 }
 
 // The rows double as the QoS class roster, in priority order. Estimate is the
@@ -48,7 +41,7 @@ type endpoint struct {
 // compression is batch.
 var endpoints = [...]endpoint{
 	{name: "estimate", class: 0, weight: 2, perSlot: 8, contentType: "application/json", exec: (*Server).estimate},
-	{name: "unpack", class: 1, weight: 1, perSlot: 4, contentType: "application/octet-stream", exec: (*Server).unpack, plan: planBrickSets},
+	{name: "unpack", class: 1, weight: 1, perSlot: 4, contentType: "application/octet-stream", exec: (*Server).unpack},
 	{name: "pack", class: 2, weight: 1, perSlot: 2, contentType: "application/octet-stream", exec: (*Server).pack},
 }
 
@@ -66,7 +59,6 @@ type work struct {
 	get     func(key string) string // the item's params over the request query
 	payload []byte                  // valid until exec returns
 	workers int                     // this item's intra-field worker budget
-	set     *setMember              // unpack: the shared brick set to read through, if any
 }
 
 // model resolves the model and target parameters shared by estimate and
@@ -208,15 +200,8 @@ func (s *Server) pack(ctx context.Context, wk work) ([]byte, http.Header, error)
 // dimension first) decodes only that subvolume; with an indexed stream the
 // work scales with the region, not the field.
 func (s *Server) unpack(_ context.Context, wk work) ([]byte, http.Header, error) {
-	var f *fxrz.Field
-	var err error
-	if sm := wk.set; sm != nil {
-		obs.Inc("serve/unpack_region")
-		if f, err = sm.set.ReadRegion(sm.member, sm.origin, sm.shape); err != nil {
-			return nil, nil, badRequestf("%v", err)
-		}
-		obs.Add("serve/bytes/unpacked_out", int64(f.Bytes()))
-	} else if f, err = unpackCore(wk.payload, wk.get("region"), wk.workers); err != nil {
+	f, err := unpackCore(wk.payload, wk.get("region"), wk.workers)
+	if err != nil {
 		return nil, nil, err
 	}
 	var out bytes.Buffer
@@ -247,76 +232,4 @@ func unpackCore(blob []byte, region string, workers int) (*fxrz.Field, error) {
 	}
 	obs.Add("serve/bytes/unpacked_out", int64(f.Bytes()))
 	return f, nil
-}
-
-// setMember routes one unpack item through a shared brick set.
-type setMember struct {
-	set    *brick.Set
-	member int
-	origin []int
-	shape  []int
-}
-
-// planBrickSets groups brick-store items by their effective region text and
-// opens each group of two or more as one brick.Set, returning the per-item
-// membership (nil = per-item path). Groups that fail to open — mixed
-// geometry, corrupt members — fall back silently; the per-item path will
-// produce the per-item error.
-func planBrickSets(base url.Values, items []batch.Item) []*setMember {
-	members := make([]*setMember, len(items))
-	groups := make(map[string][]int)
-	for i, it := range items {
-		if !brick.IsStore(it.Payload) {
-			continue
-		}
-		iq, err := itemQuery(it)
-		if err != nil {
-			continue
-		}
-		if region := mergedGet(base, iq, "region"); region != "" {
-			groups[region] = append(groups[region], i)
-		}
-	}
-	for region, idx := range groups {
-		if len(idx) < 2 {
-			continue
-		}
-		lo, hi, err := fxrz.ParseRegion(region)
-		if err != nil {
-			continue
-		}
-		blobs := make([][]byte, len(idx))
-		for k, i := range idx {
-			blobs[k] = items[i].Payload
-		}
-		set, err := brick.OpenSet(roi.ResolveCodec, blobs...)
-		if err != nil {
-			continue
-		}
-		origin := make([]int, len(lo))
-		shape := make([]int, len(lo))
-		for d := range lo {
-			origin[d], shape[d] = lo[d], hi[d]-lo[d]
-		}
-		// One plan across the whole set: the ranges a sharded reader would
-		// fetch. Planning failures (region outside the shared geometry) leave
-		// the group on the per-item path, which reports the per-item error.
-		plan, err := set.RegionByteRanges(origin, shape)
-		if err != nil {
-			continue
-		}
-		planned := 0
-		for _, ranges := range plan {
-			for _, rg := range ranges {
-				planned += rg[1] - rg[0]
-			}
-		}
-		obs.Inc("serve/batch/brickset")
-		obs.Add("serve/batch/brickset_members", int64(len(idx)))
-		obs.Add("serve/batch/brickset_planned_bytes", int64(planned))
-		for k, i := range idx {
-			members[i] = &setMember{set: set, member: k, origin: origin, shape: shape}
-		}
-	}
-	return members
 }

@@ -259,10 +259,6 @@ func (s *Server) scatter(ctx context.Context, r *http.Request, ep *endpoint, ite
 func (s *Server) run(ctx context.Context, ep *endpoint, base url.Values, items []batch.Item, budget int) ([]batch.Result, []http.Header) {
 	results := make([]batch.Result, len(items))
 	hdrs := make([]http.Header, len(items))
-	var sets []*setMember
-	if ep.plan != nil {
-		sets = ep.plan(base, items)
-	}
 	outer, perItem := pool.Split(budget, len(items))
 	pool.Run(outer, len(items), func(i int) {
 		it := items[i]
@@ -273,9 +269,6 @@ func (s *Server) run(ctx context.Context, ep *endpoint, base url.Values, items [
 		var out []byte
 		if err == nil {
 			wk := work{payload: it.Payload, workers: perItem, get: func(k string) string { return mergedGet(base, iq, k) }}
-			if sets != nil {
-				wk.set = sets[i]
-			}
 			out, hdrs[i], err = ep.exec(s, ctx, wk)
 		}
 		if err != nil {

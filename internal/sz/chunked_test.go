@@ -65,7 +65,7 @@ func TestSZChunkedLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if entropy.IsChunked(packed) {
+	if entropy.ChunkedBlockSize(packed) != 0 {
 		t.Fatal("sub-slab field emitted a chunked entropy container")
 	}
 }

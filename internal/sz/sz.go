@@ -190,7 +190,7 @@ func compressSZ(f *grid.Field, eb float64, forceGeneric bool, workers int) ([]by
 	if nSlabs >= 2 {
 		packedCodes, err = entropy.CompressBytesBlocks(codeBytes, 2*rowsPerSlab*(n/f.Dims[0]), workers)
 	} else {
-		packedCodes, err = entropy.CompressBytesParallel(codeBytes, workers)
+		packedCodes, err = entropy.CompressBytes(codeBytes)
 	}
 	putScratchBytes(codeBytes)
 	if err != nil {

@@ -149,36 +149,3 @@ func TestDecompressRegionProperty(t *testing.T) {
 		}
 	}
 }
-
-// TestRegionReaderFacade exercises the exported lazy reader against the same
-// oracle.
-func TestRegionReaderFacade(t *testing.T) {
-	f := regionField(t, false, 13, 10, 9)
-	blob, err := fxrz.NewZFP().Compress(f, 1e-3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	indexed, err := fxrz.IndexBlob(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := fxrz.OpenReader(indexed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := fxrz.Decompress(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	for q := 0; q < 100; q++ {
-		z, y, x := rng.Intn(13), rng.Intn(10), rng.Intn(9)
-		got, err := r.At(z, y, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := full.At(z, y, x); math.Float32bits(got) != math.Float32bits(want) {
-			t.Fatalf("At(%d,%d,%d) = %v, want %v", z, y, x, got, want)
-		}
-	}
-}
