@@ -3,6 +3,11 @@
 # which must stay clean now that training fans out across a worker pool.
 # The CI workflow (.github/workflows/ci.yml) runs lint, verify, verify-race,
 # cover, bench-smoke and fuzz-smoke on every push and pull request.
+# The paper's experiments are not `go test -bench` benchmarks: cmd/expbench
+# runs the rows of exp.Experiments, and tier 1 smoke-runs every row at Tiny
+# scale (TestExperimentTable). The only benchmarks in the root package are
+# BenchmarkRegionDecode* (roi_bench_test.go), which bench-gate and
+# bench-smoke run.
 
 .PHONY: verify verify-race lint cover bench-gate bench-smoke fuzz-smoke
 

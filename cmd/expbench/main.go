@@ -3,12 +3,11 @@
 //
 //	expbench -exp all -scale small
 //
-// or a single one (fig2, fig3/table1, fig4, fig6, table2, table3, sampling,
-// table4, fig7, table7, fig89, fig10, fig11, table6, zfprate, importance,
-// compare, fig12, fig13, table8, fig14, dump). Scale "tiny" is the CI
-// preset; "small" mirrors the paper's methodology (25 stationary points, 25
-// targets) at laptop size. The FRaZ-based experiments dominate the runtime;
-// bound them with -comps/-tcrs/-maxtest or skip them with -nofraz.
+// or one or more rows of the exp.Experiments table by ID (`expbench -h` lists
+// them). Scale "tiny" is the CI preset; "small" mirrors the paper's
+// methodology (25 stationary points, 25 targets) at laptop size. The
+// FRaZ-based experiments dominate the runtime; bound them with
+// -comps/-tcrs/-maxtest or skip them with -nofraz.
 package main
 
 import (
@@ -24,10 +23,10 @@ import (
 
 func main() {
 	var (
-		which  = flag.String("exp", "all", "experiment id or 'all'")
+		which  = flag.String("exp", "all", "'all' or comma-separated experiment ids: "+strings.Join(exp.IDs(nil), ", "))
 		scale  = flag.String("scale", "small", "tiny | small")
 		maxTF  = flag.Int("maxtest", 2, "max test fields per app in comparison experiments")
-		noFRaZ = flag.Bool("nofraz", false, "skip the FRaZ baseline experiments (fig12/fig13/fig14/table8)")
+		noFRaZ = flag.Bool("nofraz", false, "leave the FRaZ baseline experiments ("+strings.Join(exp.IDs(usesFRaZ), "/")+") out of -exp all")
 		comps  = flag.String("comps", "", "comma-separated compressor subset for comparison experiments (default: all)")
 		tcrs   = flag.Int("tcrs", 0, "override the number of target ratios per test field")
 		par    = flag.Int("parallelism", 0, "worker pool size for sweeps and analysis (0 = all cores, 1 = serial)")
@@ -57,165 +56,35 @@ func run(which, scaleName string, maxTestFields int, noFRaZ bool, compsFlag stri
 		scale.TCRs = tcrs
 	}
 	scale.Parallelism = parallelism
-	comps := exp.CompressorNames
+	opts := exp.Options{MaxTestFields: maxTestFields}
 	if compsFlag != "" {
-		comps = strings.Split(compsFlag, ",")
+		opts.Comps = strings.Split(compsFlag, ",")
+	}
+	if which == "all" {
+		which = strings.Join(exp.IDs(func(e exp.Experiment) bool {
+			return e.Paper != "" && !(noFRaZ && e.FRaZ)
+		}), ",")
 	}
 	// Record per-stage timings for the whole session; the table printed at
 	// the end shows where the experiment wall time went.
 	obs.Enable()
 	s := exp.NewSession(scale)
-	ids := strings.Split(which, ",")
-	if which == "all" {
-		ids = []string{"fig2", "fig3", "fig4", "fig6", "table2", "table3", "sampling", "table4", "fig7",
-			"table7", "fig89", "fig10", "fig11", "table6", "zfprate", "importance", "compare", "fig14", "dump"}
-		if noFRaZ {
-			ids = ids[:len(ids)-3]
-			ids = append(ids, "dump")
+	for _, id := range strings.Split(which, ",") {
+		e, err := exp.Lookup(strings.TrimSpace(id))
+		if err != nil {
+			return err
 		}
-	}
-
-	// The comparison experiments share one expensive Compare run.
-	var cmp *exp.CompareResult
-	needCompare := func() (*exp.CompareResult, error) {
-		if cmp != nil {
-			return cmp, nil
-		}
-		var err error
-		cmp, err = exp.Compare(s, exp.Apps, comps, maxTestFields)
-		return cmp, err
-	}
-
-	for _, id := range ids {
 		start := time.Now()
-		var out string
-		var err error
-		switch strings.TrimSpace(id) {
-		case "fig2":
-			var r *exp.Fig2Result
-			if r, err = exp.Fig2(s); err == nil {
-				out = r.String()
-			}
-		case "fig3", "table1":
-			var r *exp.Fig3Table1Result
-			if r, err = exp.Fig3Table1(s); err == nil {
-				out = r.String()
-			}
-		case "fig4":
-			var r *exp.Fig4Result
-			if r, err = exp.Fig4(s); err == nil {
-				out = r.String()
-			}
-		case "fig6":
-			var r *exp.Fig6Result
-			if r, err = exp.Fig6(s); err == nil {
-				out = r.String()
-			}
-		case "table2":
-			var r *exp.Table2Result
-			if r, err = exp.Table2(s); err == nil {
-				out = r.String()
-			}
-		case "table3":
-			var r *exp.Table3Result
-			if r, err = exp.Table3(s); err == nil {
-				out = r.String()
-			}
-		case "sampling":
-			var r *exp.SamplingResult
-			if r, err = exp.Sampling(s); err == nil {
-				out = r.String()
-			}
-		case "table4":
-			var r *exp.Table4Result
-			if r, err = exp.Table4(s); err == nil {
-				out = r.String()
-			}
-		case "fig7":
-			var r *exp.Fig7Result
-			if r, err = exp.Fig7(s); err == nil {
-				out = r.String()
-			}
-		case "table7":
-			var r *exp.Table7Result
-			if r, err = exp.Table7(s); err == nil {
-				out = r.String()
-			}
-		case "fig89":
-			var r *exp.Fig89Result
-			if r, err = exp.Fig89(s); err == nil {
-				out = r.String()
-			}
-		case "fig10":
-			var r *exp.Fig10Result
-			if r, err = exp.Fig10(s); err == nil {
-				out = r.String()
-			}
-		case "fig11":
-			var r *exp.Fig11Result
-			if r, err = exp.Fig11(s); err == nil {
-				out = r.String()
-			}
-		case "table6":
-			var r *exp.Table6Result
-			if r, err = exp.Table6(s); err == nil {
-				out = r.String()
-			}
-		case "compare":
-			var r *exp.CompareResult
-			if r, err = needCompare(); err == nil {
-				out = r.Fig12String() + "\n" + r.Fig13String() + "\n" + r.CapabilityString() + "\n" + r.Table8String()
-			}
-		case "capability":
-			var r *exp.CompareResult
-			if r, err = needCompare(); err == nil {
-				out = r.CapabilityString()
-			}
-		case "fig12":
-			var r *exp.CompareResult
-			if r, err = needCompare(); err == nil {
-				out = r.Fig12String()
-			}
-		case "fig13":
-			var r *exp.CompareResult
-			if r, err = needCompare(); err == nil {
-				out = r.Fig13String()
-			}
-		case "table8":
-			var r *exp.CompareResult
-			if r, err = needCompare(); err == nil {
-				out = r.Table8String()
-			}
-		case "fig14":
-			var r *exp.Fig14Result
-			if r, err = exp.Fig14(s); err == nil {
-				out = r.String()
-			}
-		case "importance":
-			var r *exp.ImportanceResult
-			if r, err = exp.Importance(s); err == nil {
-				out = r.String()
-			}
-		case "zfprate":
-			var r *exp.ZFPRateResult
-			if r, err = exp.ZFPRate(s); err == nil {
-				out = r.String()
-			}
-		case "dump":
-			var r *exp.DumpResult
-			if r, err = exp.Dump(s); err == nil {
-				out = r.String()
-			}
-		default:
-			return fmt.Errorf("unknown experiment %q", id)
-		}
+		r, err := e.Run(s, opts)
 		if err != nil {
 			return fmt.Errorf("%s: %w", id, err)
 		}
-		fmt.Printf("=== %s (scale %s, %v) ===\n%s\n", id, scale.Name, time.Since(start).Round(time.Millisecond), out)
+		fmt.Printf("=== %s (scale %s, %v) ===\n%s\n", id, scale.Name, time.Since(start).Round(time.Millisecond), r)
 	}
 	if table := obs.TakeSnapshot().TimingTable(); table != "" {
 		fmt.Printf("=== per-stage timings (session total) ===\n%s", table)
 	}
 	return nil
 }
+
+func usesFRaZ(e exp.Experiment) bool { return e.FRaZ }

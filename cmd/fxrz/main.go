@@ -25,10 +25,14 @@ import (
 
 	fxrz "github.com/fxrz-go/fxrz"
 	"github.com/fxrz-go/fxrz/archive"
+	"github.com/fxrz-go/fxrz/internal/codecs"
 	"github.com/fxrz-go/fxrz/internal/datagen"
 	"github.com/fxrz-go/fxrz/internal/fieldio"
 	"github.com/fxrz-go/fxrz/internal/obs"
 )
+
+// codecHelp is the -c flag's usage line, one name per row of the codec table.
+var codecHelp = "compressor: " + strings.Join(codecs.Names(), " | ")
 
 func main() {
 	if len(os.Args) < 2 {
@@ -192,7 +196,7 @@ func loadTraining(list string) ([]*fxrz.Field, error) {
 // cmdTrain trains a framework and saves the model for later est/pack runs.
 func cmdTrain(args []string) error {
 	fs := flag.NewFlagSet("train", flag.ExitOnError)
-	cname := fs.String("c", "sz", "compressor: sz | sz2 | zfp | zfp-rate | fpzip | mgard")
+	cname := fs.String("c", "sz", codecHelp)
 	train := fs.String("train", "", "comma-separated training field files (required)")
 	out := fs.String("o", "", "output model path (required)")
 	stationary := fs.Int("stationary", 25, "stationary points per training field")
@@ -243,7 +247,7 @@ func cmdEstimate(args []string, pack bool) error {
 		name = "pack"
 	}
 	fs := flag.NewFlagSet(name, flag.ExitOnError)
-	cname := fs.String("c", "sz", "compressor: sz | sz2 | zfp | zfp-rate | fpzip | mgard")
+	cname := fs.String("c", "sz", codecHelp)
 	target := fs.Float64("target", 0, "target compression ratio (required)")
 	train := fs.String("train", "", "comma-separated training field files")
 	model := fs.String("model", "", "trained model file (alternative to -train)")
@@ -382,7 +386,7 @@ func cmdUnpack(args []string) error {
 
 func cmdFRaZ(args []string) error {
 	fs := flag.NewFlagSet("fraz", flag.ExitOnError)
-	cname := fs.String("c", "sz", "compressor")
+	cname := fs.String("c", "sz", codecHelp)
 	target := fs.Float64("target", 0, "target ratio (required)")
 	iters := fs.Int("iters", 15, "max iterations per bin")
 	in := fs.String("in", "", "input field file (required)")

@@ -34,6 +34,7 @@ import (
 	"io"
 
 	"github.com/fxrz-go/fxrz/internal/brick"
+	"github.com/fxrz-go/fxrz/internal/codecs"
 	"github.com/fxrz-go/fxrz/internal/compress"
 	"github.com/fxrz-go/fxrz/internal/core"
 	"github.com/fxrz-go/fxrz/internal/fpzip"
@@ -113,12 +114,6 @@ func NewFPZIP() Compressor { return fpzip.New() }
 // Knob: absolute error bound.
 func NewMGARD() Compressor { return mgard.New() }
 
-// WithRelativeBound wraps an absolute-error-bound codec so its knob becomes
-// a value-range-relative bound in (0, 1] (SZ's "REL" mode): the same setting
-// then means the same proportional distortion on any dataset. Precision-knob
-// codecs (FPZIP) cannot be wrapped.
-func WithRelativeBound(c Compressor) Compressor { return compress.NewRelBound(c) }
-
 // WithParallelism returns the codec configured for the given intra-field
 // worker budget (0 uses all cores, 1 forces serial). Codecs without
 // intra-field parallelism are returned unchanged. Output streams and
@@ -133,21 +128,11 @@ func WithParallelism(c Compressor, workers int) Compressor {
 // markedly worse quality than fixed-accuracy mode at the same ratio — the
 // trade-off that motivates fixed-ratio frameworks in the first place.
 func ByName(name string) (Compressor, error) {
-	switch name {
-	case "sz":
-		return NewSZ(), nil
-	case "sz2":
-		return NewSZ2(), nil
-	case "zfp":
-		return NewZFP(), nil
-	case "zfp-rate":
-		return zfp.NewFixedRate(), nil
-	case "fpzip":
-		return NewFPZIP(), nil
-	case "mgard":
-		return NewMGARD(), nil
+	c, err := codecs.ByName(name)
+	if err != nil {
+		return nil, fmt.Errorf("fxrz: %w", err)
 	}
-	return nil, fmt.Errorf("fxrz: unknown compressor %q (want sz, sz2, zfp, zfp-rate, fpzip or mgard)", name)
+	return c, nil
 }
 
 // DefaultConfig returns the paper's configuration: stride-4 feature
@@ -273,19 +258,7 @@ func DecompressParallel(blob []byte, workers int) (*Field, error) {
 	if len(blob) == 0 {
 		return nil, fmt.Errorf("fxrz: empty stream")
 	}
-	var c Compressor
-	switch blob[0] {
-	case compress.MagicSZ:
-		c = sz.New()
-	case compress.MagicSZ2:
-		c = sz.NewV2()
-	case compress.MagicZFP:
-		c = zfp.New()
-	case compress.MagicFPZIP:
-		c = fpzip.New()
-	case compress.MagicMGARD:
-		c = mgard.New()
-	case compress.MagicIndexed:
+	if blob[0] == compress.MagicIndexed {
 		// Indexed container: the inner blob is byte-identical to an
 		// un-indexed stream, so full decode is exactly the pre-index path.
 		inner, _, err := roi.Unwrap(blob)
@@ -293,10 +266,12 @@ func DecompressParallel(blob []byte, workers int) (*Field, error) {
 			return nil, err
 		}
 		return DecompressParallel(inner, workers)
-	default:
-		return nil, fmt.Errorf("fxrz: unrecognised stream (magic 0x%02x)", blob[0])
 	}
-	return compress.WithWorkers(c, workers).Decompress(blob)
+	c, err := codecs.ByMagic(blob[0])
+	if err != nil {
+		return nil, fmt.Errorf("fxrz: %w", err)
+	}
+	return compress.WithWorkers(c.New(), workers).Decompress(blob)
 }
 
 // IndexBlob wraps a compressed stream into the indexed container format,

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	fxrz "github.com/fxrz-go/fxrz"
+	"github.com/fxrz-go/fxrz/internal/codecs"
 	"github.com/fxrz-go/fxrz/internal/datagen"
 )
 
@@ -138,7 +139,7 @@ func TestAllCodecsTrainAndEstimate(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range []string{"sz", "sz2", "zfp", "zfp-rate", "fpzip", "mgard"} {
+	for _, name := range codecs.Names() {
 		c, err := fxrz.ByName(name)
 		if err != nil || c.Name() != name {
 			t.Errorf("ByName(%q) = %v, %v", name, c, err)

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/fxrz-go/fxrz/internal/codecs"
 	"github.com/fxrz-go/fxrz/internal/compress"
 	"github.com/fxrz-go/fxrz/internal/grid"
 	"github.com/fxrz-go/fxrz/internal/obs"
@@ -144,8 +145,8 @@ func (s *Store) VisitRegion(origin, shape []int, fn func(brickOrigin []int, it *
 		touched++
 		// Clip the request to this brick, in brick-local coordinates.
 		for d := 0; d < nd; d++ {
-			lo[d] = maxI(origin[d], borigin[d]) - borigin[d]
-			hi[d] = minI(origin[d]+shape[d], borigin[d]+bf.Dims[d]) - borigin[d]
+			lo[d] = max(origin[d], borigin[d]) - borigin[d]
+			hi[d] = min(origin[d]+shape[d], borigin[d]+bf.Dims[d]) - borigin[d]
 		}
 		it, err := bf.IterRegion(lo, hi)
 		if err != nil {
@@ -303,13 +304,10 @@ func Unmarshal(c compress.Compressor, blob []byte) (*Store, error) {
 	}
 	// Rebuild brick geometry from dims + side (must match Build's row-major
 	// block order) without materialising the field.
-	visitOrigins(s.dims, s.brickSide, func(origin []int) {
+	grid.VisitOrigins(s.dims, s.brickSide, func(origin []int) {
 		shape := make([]int, nd)
 		for d := range shape {
-			shape[d] = s.brickSide
-			if origin[d]+shape[d] > s.dims[d] {
-				shape[d] = s.dims[d] - origin[d]
-			}
+			shape[d] = min(s.brickSide, s.dims[d]-origin[d])
 		}
 		s.origins = append(s.origins, append([]int(nil), origin...))
 		s.shapes = append(s.shapes, shape)
@@ -323,10 +321,10 @@ func IsStore(blob []byte) bool {
 }
 
 // UnmarshalAuto restores a persisted store, detecting the codec from the
-// magic byte of the first brick stream via resolve. The Marshal layout does
-// not record the codec, so callers that don't know it out of band (e.g. the
+// magic byte of the first brick stream. The Marshal layout does not record
+// the codec, so callers that don't know it out of band (e.g. the
 // region-decode dispatcher) use this instead of Unmarshal.
-func UnmarshalAuto(resolve func(magic byte) (compress.Compressor, error), blob []byte) (*Store, error) {
+func UnmarshalAuto(blob []byte) (*Store, error) {
 	s, err := Unmarshal(nil, blob)
 	if err != nil {
 		return nil, err
@@ -334,46 +332,10 @@ func UnmarshalAuto(resolve func(magic byte) (compress.Compressor, error), blob [
 	if len(s.blobs) == 0 || len(s.blobs[0]) == 0 {
 		return nil, errors.New("brick: empty store, cannot detect codec")
 	}
-	c, err := resolve(s.blobs[0][0])
+	c, err := codecs.ByMagic(s.blobs[0][0])
 	if err != nil {
 		return nil, fmt.Errorf("brick: %w", err)
 	}
-	s.codec = c
+	s.codec = c.New()
 	return s, nil
-}
-
-// visitOrigins iterates brick origins in the same row-major order
-// grid.VisitBlocks uses.
-func visitOrigins(dims []int, side int, fn func(origin []int)) {
-	nd := len(dims)
-	origin := make([]int, nd)
-	for {
-		fn(origin)
-		d := nd - 1
-		for d >= 0 {
-			origin[d] += side
-			if origin[d] < dims[d] {
-				break
-			}
-			origin[d] = 0
-			d--
-		}
-		if d < 0 {
-			return
-		}
-	}
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minI(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,0 +1,78 @@
+// Package codecs is the roster of built-in codecs: one row per codec, and
+// every dispatcher — by name (fxrz.ByName, saved models, the experiment
+// harness) or by stream magic (full decode, region decode, indexing, brick
+// stores) — is a lookup in Table. Adding a codec, or giving an existing one a
+// seekable layout, is one edit here.
+package codecs
+
+import (
+	"fmt"
+	"strings"
+
+	"github.com/fxrz-go/fxrz/internal/compress"
+	"github.com/fxrz-go/fxrz/internal/fpzip"
+	"github.com/fxrz-go/fxrz/internal/grid"
+	"github.com/fxrz-go/fxrz/internal/mgard"
+	"github.com/fxrz-go/fxrz/internal/sz"
+	"github.com/fxrz-go/fxrz/internal/zfp"
+)
+
+// Codec is one row of the roster.
+type Codec struct {
+	// Name is the codec's Compressor.Name(), the key saved models and the
+	// CLIs resolve it by.
+	Name string
+	// Magic is the first byte of every stream the codec writes.
+	Magic byte
+	// New returns a fresh serial instance.
+	New func() compress.Compressor
+	// BuildRegionIndex and DecompressRegion are the hooks of a codec whose
+	// stream layout can be seeked: the index payload an indexed container
+	// carries, and the decode of [lo, hi) from the blob plus that index (nil
+	// when the blob was never indexed). Both are nil for sequential
+	// shared-state streams, which get an empty index and region-decode by
+	// full decode + slice.
+	BuildRegionIndex func(blob []byte) ([]byte, error)
+	DecompressRegion func(blob, index []byte, lo, hi []int) (*grid.Field, error)
+}
+
+// Table lists the built-in codecs. The two zfp modes share one magic (the
+// mode is recorded in the stream and either instance decodes both); ByMagic
+// resolves it to the first row.
+var Table = []Codec{
+	{"sz", compress.MagicSZ, func() compress.Compressor { return sz.New() }, sz.BuildRegionIndex, sz.DecompressRegion},
+	{"sz2", compress.MagicSZ2, func() compress.Compressor { return sz.NewV2() }, nil, nil},
+	{"zfp", compress.MagicZFP, func() compress.Compressor { return zfp.New() }, zfp.BuildRegionIndex, zfp.DecompressRegion},
+	{"zfp-rate", compress.MagicZFP, func() compress.Compressor { return zfp.NewFixedRate() }, zfp.BuildRegionIndex, zfp.DecompressRegion},
+	{"fpzip", compress.MagicFPZIP, func() compress.Compressor { return fpzip.New() }, nil, nil},
+	{"mgard", compress.MagicMGARD, func() compress.Compressor { return mgard.New() }, nil, nil},
+}
+
+// Names returns the codec names in table order.
+func Names() []string {
+	names := make([]string, len(Table))
+	for i, c := range Table {
+		names[i] = c.Name
+	}
+	return names
+}
+
+// ByName returns a fresh instance of the named codec.
+func ByName(name string) (compress.Compressor, error) {
+	for _, c := range Table {
+		if c.Name == name {
+			return c.New(), nil
+		}
+	}
+	return nil, fmt.Errorf("unknown compressor %q (want one of %s)", name, strings.Join(Names(), ", "))
+}
+
+// ByMagic returns the row that decodes streams starting with magic.
+func ByMagic(magic byte) (Codec, error) {
+	for _, c := range Table {
+		if c.Magic == magic {
+			return c, nil
+		}
+	}
+	return Codec{}, fmt.Errorf("unrecognised stream (magic 0x%02x)", magic)
+}

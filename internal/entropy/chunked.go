@@ -277,7 +277,7 @@ func DecompressBytesRange(blob []byte, off, end, totalLen, workers int) ([]byte,
 		c0, c1 = 0, 0
 	}
 	recordChunkedDecode(c1 - c0)
-	buf := make([]byte, minInt(c1*blockBytes, srcLen)-c0*blockBytes)
+	buf := make([]byte, min(c1*blockBytes, srcLen)-c0*blockBytes)
 	if err := h.decodeBlocksInto(buf, c0, c1, blockBytes, workers); err != nil {
 		return nil, err
 	}
@@ -609,13 +609,6 @@ func firstErr(errs []error) error {
 		}
 	}
 	return nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // lzDecompressInto is LZDecompress for a destination of exactly known size:

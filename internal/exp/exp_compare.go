@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/fxrz-go/fxrz/internal/codecs"
 	"github.com/fxrz-go/fxrz/internal/core"
 	"github.com/fxrz-go/fxrz/internal/dump"
 	"github.com/fxrz-go/fxrz/internal/fraz"
@@ -50,7 +51,7 @@ func Compare(s *Session, apps, comps []string, maxTestFields int) (*CompareResul
 		for _, it := range res.Iters {
 			res.FRaZ[it][cname] = map[string][]FRaZPoint{}
 		}
-		c, err := NewCompressor(cname)
+		c, err := codecs.ByName(cname)
 		if err != nil {
 			return nil, err
 		}
@@ -338,7 +339,7 @@ func Fig14(s *Session) (*Fig14Result, error) {
 	}
 	res := &Fig14Result{Err: map[string][2]float64{}}
 	for _, cname := range CompressorNames {
-		c, err := NewCompressor(cname)
+		c, err := codecs.ByName(cname)
 		if err != nil {
 			return nil, err
 		}
@@ -357,7 +358,7 @@ func Fig14(s *Session) (*Fig14Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		pts, err := evalFramework(s, fw, c, tests, maxInt(4, s.S.TCRs/3))
+		pts, err := evalFramework(s, fw, c, tests, max(4, s.S.TCRs/3))
 		if err != nil {
 			return nil, err
 		}
@@ -365,7 +366,7 @@ func Fig14(s *Session) (*Fig14Result, error) {
 		var frazN int
 		cfg := fraz.DefaultConfig(15)
 		for _, f := range tests {
-			targets, terr := s.Targets(fw, cname, f, maxInt(4, s.S.TCRs/3))
+			targets, terr := s.Targets(fw, cname, f, max(4, s.S.TCRs/3))
 			if terr != nil {
 				return nil, terr
 			}
@@ -419,7 +420,7 @@ func Dump(s *Session) (*DumpResult, error) {
 		return nil, err
 	}
 	f := tests[0]
-	c, err := NewCompressor("sz")
+	c, err := codecs.ByName("sz")
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,9 @@ package exp
 import (
 	"fmt"
 	"math"
+	"strings"
 
+	"github.com/fxrz-go/fxrz/internal/codecs"
 	"github.com/fxrz-go/fxrz/internal/compress"
 	"github.com/fxrz-go/fxrz/internal/core"
 	"github.com/fxrz-go/fxrz/internal/datagen"
@@ -29,7 +31,7 @@ func Fig2(s *Session) (*Fig2Result, error) {
 	res := &Fig2Result{Curves: map[string][]core.Stationary{}, InterpErrors: map[string]float64{}}
 	cfg := s.Config()
 	for _, name := range CompressorNames {
-		c, err := NewCompressor(name)
+		c, err := codecs.ByName(name)
 		if err != nil {
 			return nil, err
 		}
@@ -123,7 +125,7 @@ func Fig3Table1(s *Session) (*Fig3Table1Result, error) {
 		res.Features = append(res.Features, core.ExtractFeatures(d.field, 1))
 	}
 	for _, name := range CompressorNames {
-		c, err := NewCompressor(name)
+		c, err := codecs.ByName(name)
 		if err != nil {
 			return nil, err
 		}
@@ -189,7 +191,7 @@ func Table2(s *Session) (*Table2Result, error) {
 	precisions := []float64{12, 16, 20, 24}
 
 	for _, cname := range CompressorNames {
-		c, err := NewCompressor(cname)
+		c, err := codecs.ByName(cname)
 		if err != nil {
 			return nil, err
 		}
@@ -270,13 +272,19 @@ func (r *Table2Result) AdoptedBeatGradients(compressor string) bool {
 func (r *Table2Result) String() string {
 	t := &Table{Title: "Table II — average |Pearson| correlation between features and compression ratio",
 		Header: append([]string{"compressor"}, core.FeatureNames...)}
+	var wins []string
 	for _, c := range CompressorNames {
 		row := []string{c}
 		for _, v := range r.Corr[c] {
 			row = append(row, f2(v))
 		}
 		t.AddRow(row...)
+		if r.AdoptedBeatGradients(c) {
+			wins = append(wins, c)
+		}
 	}
 	t.AddNote("paper: adopted features (first five) correlate ~0.6–0.8; gradient features weakest")
+	t.AddNote("verdict: adopted features out-correlate the gradient features for %d/%d compressors (%s)",
+		len(wins), len(CompressorNames), strings.Join(wins, ", "))
 	return t.String()
 }

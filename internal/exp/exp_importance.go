@@ -57,6 +57,7 @@ func (r *ImportanceResult) ACRDominant(app, comp string) bool {
 func (r *ImportanceResult) String() string {
 	t := &Table{Title: "Model-input permutation importance (ΔMAE in model space)",
 		Header: append([]string{"app", "compressor"}, r.Names...)}
+	dominant, total := 0, 0
 	for _, app := range Apps {
 		for _, comp := range []string{"sz", "zfp"} {
 			row := []string{app, comp}
@@ -64,8 +65,13 @@ func (r *ImportanceResult) String() string {
 				row = append(row, fmt.Sprintf("%.3f", v))
 			}
 			t.AddRow(row...)
+			total++
+			if r.ACRDominant(app, comp) {
+				dominant++
+			}
 		}
 	}
 	t.AddNote("ACR (the adjusted target ratio) must dominate; features modulate the inverse mapping")
+	t.AddNote("verdict: ACR is the most important input in %d/%d frameworks", dominant, total)
 	return t.String()
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/fxrz-go/fxrz/internal/codecs"
 	"github.com/fxrz-go/fxrz/internal/compress"
 	"github.com/fxrz-go/fxrz/internal/core"
 	"github.com/fxrz-go/fxrz/internal/datagen"
@@ -87,7 +88,7 @@ func Table3(s *Session) (*Table3Result, error) {
 		}
 		for _, cname := range []string{"sz", "zfp"} {
 			res.Err[app][cname] = map[core.ModelKind]float64{}
-			c, err := NewCompressor(cname)
+			c, err := codecs.ByName(cname)
 			if err != nil {
 				return nil, err
 			}
@@ -102,7 +103,7 @@ func Table3(s *Session) (*Table3Result, error) {
 				if err != nil {
 					return nil, err
 				}
-				pts, err := evalFramework(s, fw, c, testFields, maxInt(4, s.S.TCRs/3))
+				pts, err := evalFramework(s, fw, c, testFields, max(4, s.S.TCRs/3))
 				if err != nil {
 					return nil, err
 				}
@@ -142,6 +143,7 @@ func (r *Table3Result) String() string {
 		}
 	}
 	t.AddNote("paper: RFR lowest on average; SVR suffers the highest errors")
+	t.AddNote("verdict: RFR has the lowest mean error of the three families: %v", r.RFRBest())
 	return t.String()
 }
 
@@ -166,7 +168,7 @@ func Sampling(s *Session) (*SamplingResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := NewCompressor(cname)
+	c, err := codecs.ByName(cname)
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +187,7 @@ func Sampling(s *Session) (*SamplingResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		pts, err := evalFramework(s, fw, c, testFields, maxInt(4, s.S.TCRs/3))
+		pts, err := evalFramework(s, fw, c, testFields, max(4, s.S.TCRs/3))
 		if err != nil {
 			return nil, err
 		}
@@ -248,7 +250,7 @@ func Table4(s *Session) (*Table4Result, error) {
 		}
 		for _, cname := range []string{"sz", "zfp"} {
 			res.Err[app][cname] = map[float64]float64{}
-			c, err := NewCompressor(cname)
+			c, err := codecs.ByName(cname)
 			if err != nil {
 				return nil, err
 			}
@@ -263,7 +265,7 @@ func Table4(s *Session) (*Table4Result, error) {
 				if err != nil {
 					return nil, err
 				}
-				pts, err := evalFramework(s, fw, c, testFields, maxInt(4, s.S.TCRs/3))
+				pts, err := evalFramework(s, fw, c, testFields, max(4, s.S.TCRs/3))
 				if err != nil {
 					return nil, err
 				}
@@ -316,7 +318,7 @@ func Fig7(s *Session) (*Fig7Result, error) {
 	}
 	res := &Fig7Result{Points: map[string][][3]float64{}, AvgErrWith: map[string]float64{}, AvgErrWithout: map[string]float64{}}
 	for _, cname := range []string{"sz", "zfp"} {
-		c, err := NewCompressor(cname)
+		c, err := codecs.ByName(cname)
 		if err != nil {
 			return nil, err
 		}
@@ -403,7 +405,7 @@ func Table7(s *Session) (*Table7Result, error) {
 			return nil, err
 		}
 		for _, cname := range []string{"sz", "zfp"} {
-			c, err := NewCompressor(cname)
+			c, err := codecs.ByName(cname)
 			if err != nil {
 				return nil, err
 			}
@@ -419,7 +421,7 @@ func Table7(s *Session) (*Table7Result, error) {
 				if err != nil {
 					return nil, err
 				}
-				pts, err := evalFramework(s, fw, c, testFields, maxInt(4, s.S.TCRs/3))
+				pts, err := evalFramework(s, fw, c, testFields, max(4, s.S.TCRs/3))
 				if err != nil {
 					return nil, err
 				}
@@ -442,11 +444,4 @@ func (r *Table7Result) String() string {
 		}
 	}
 	return t.String()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

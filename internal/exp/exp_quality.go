@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/fxrz-go/fxrz/internal/codecs"
 	"github.com/fxrz-go/fxrz/internal/compress"
 	"github.com/fxrz-go/fxrz/internal/core"
 	"github.com/fxrz-go/fxrz/internal/datagen"
@@ -91,7 +92,7 @@ func Fig10(s *Session) (*Fig10Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := NewCompressor("sz")
+	c, err := codecs.ByName("sz")
 	if err != nil {
 		return nil, err
 	}
@@ -187,7 +188,7 @@ func Table6(s *Session) (*Table6Result, error) {
 			return nil, err
 		}
 		for _, cname := range CompressorNames {
-			c, err := NewCompressor(cname)
+			c, err := codecs.ByName(cname)
 			if err != nil {
 				return nil, err
 			}

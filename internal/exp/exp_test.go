@@ -1,6 +1,10 @@
 package exp
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -9,8 +13,92 @@ import (
 
 // The experiment harness is exercised at Tiny scale; the assertions check
 // the paper's *qualitative* conclusions, which must hold at any scale.
+//
+// Every test shares one session, and each row of Experiments runs at most
+// once per test process: the property tests below read the structured result
+// of the same run TestExperimentTable checks for "runs and renders".
 
-func tinySession() *Session { return NewSession(Tiny) }
+var (
+	shared    = NewSession(Tiny)
+	tableOpts = Options{Comps: []string{"sz", "zfp"}, MaxTestFields: 1}
+	results   = map[string]fmt.Stringer{}
+)
+
+func tinySession() *Session { return shared }
+
+// result runs the row once through its table entry and returns its result as
+// the row's own type.
+func result[R fmt.Stringer](t *testing.T, id string) R {
+	t.Helper()
+	e, err := Lookup(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, ok := results[e.ID]
+	if !ok {
+		if r, err = e.Run(shared, tableOpts); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		results[e.ID] = r
+	}
+	typed, ok := r.(R)
+	if !ok {
+		t.Fatalf("%s: result is %T", id, r)
+	}
+	return typed
+}
+
+func TestExperimentTable(t *testing.T) {
+	seen := map[string]bool{}
+	for _, e := range Experiments {
+		for _, id := range append([]string{e.ID}, e.Aliases...) {
+			if seen[id] {
+				t.Errorf("id %q names two rows", id)
+			}
+			seen[id] = true
+		}
+		if testing.Short() && (e.ID == "table3" || e.ID == "sampling") {
+			continue // the two grids the -short property tests also skip
+		}
+		if out := result[fmt.Stringer](t, e.ID).String(); strings.TrimSpace(out) == "" {
+			t.Errorf("%s: empty render", e.ID)
+		}
+	}
+	// Every FRaZ view above was drawn from one Compare run.
+	if n := len(shared.compares); n != 1 {
+		t.Errorf("%d Compare runs behind the FRaZ rows, want 1", n)
+	}
+
+	// The docs cite experiments as `expbench -exp <id>`: every citation must
+	// resolve, and DESIGN.md's index must cite every row.
+	cite := regexp.MustCompile("expbench[^\n`|]*-exp ([a-z0-9,]+)")
+	docs, err := filepath.Glob("../../docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cited := map[string]bool{}
+	for _, path := range append(docs, "../../DESIGN.md", "../../README.md", "../../EXPERIMENTS.md") {
+		text, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range cite.FindAllSubmatch(text, -1) {
+			for _, id := range strings.Split(string(m[1]), ",") {
+				if _, err := Lookup(id); err != nil && id != "all" {
+					t.Errorf("%s cites %q: %v", path, m[0], err)
+				}
+				if filepath.Base(path) == "DESIGN.md" {
+					cited[id] = true
+				}
+			}
+		}
+	}
+	for id := range seen {
+		if !cited[id] {
+			t.Errorf("DESIGN.md's index has no `expbench -exp %s` row", id)
+		}
+	}
+}
 
 func TestSessionCatalogShapes(t *testing.T) {
 	s := tinySession()
@@ -80,11 +168,7 @@ func TestTargetsInsideValidRange(t *testing.T) {
 }
 
 func TestFig2InterpolationErrors(t *testing.T) {
-	s := tinySession()
-	r, err := Fig2(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := result[*Fig2Result](t, "fig2")
 	for _, c := range CompressorNames {
 		if len(r.Curves[c]) < 3 {
 			t.Errorf("%s: only %d stationary points", c, len(r.Curves[c]))
@@ -99,11 +183,7 @@ func TestFig2InterpolationErrors(t *testing.T) {
 }
 
 func TestFig3Table1Signatures(t *testing.T) {
-	s := tinySession()
-	r, err := Fig3Table1(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := result[*Fig3Table1Result](t, "table1")
 	// RTM fields must show the smallest value ranges (Table I signature).
 	vr := func(i int) float64 { return r.Features[i].ValueRange }
 	rtmMax := vr(2)
@@ -131,11 +211,7 @@ func TestFig3Table1Signatures(t *testing.T) {
 }
 
 func TestTable2GradientsWeakest(t *testing.T) {
-	s := tinySession()
-	r, err := Table2(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := result[*Table2Result](t, "table2")
 	wins := 0
 	for _, c := range CompressorNames {
 		if r.AdoptedBeatGradients(c) {
@@ -153,11 +229,7 @@ func TestTable2GradientsWeakest(t *testing.T) {
 }
 
 func TestFig89VariabilityPositive(t *testing.T) {
-	s := tinySession()
-	r, err := Fig89(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := result[*Fig89Result](t, "fig89")
 	for label, d := range r.Distances {
 		if d <= 0 {
 			t.Errorf("%s: histogram distance %v, want > 0", label, d)
@@ -166,11 +238,7 @@ func TestFig89VariabilityPositive(t *testing.T) {
 }
 
 func TestFig10DistortionMonotone(t *testing.T) {
-	s := tinySession()
-	r, err := Fig10(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := result[*Fig10Result](t, "fig10")
 	if len(r.Rows) != 3 {
 		t.Fatalf("%d rows", len(r.Rows))
 	}
@@ -184,11 +252,7 @@ func TestFig10DistortionMonotone(t *testing.T) {
 }
 
 func TestFig11RangesSane(t *testing.T) {
-	s := tinySession()
-	r, err := Fig11(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := result[*Fig11Result](t, "fig11")
 	if len(r.Rows) < 2 {
 		t.Fatalf("%d rows", len(r.Rows))
 	}
@@ -199,10 +263,10 @@ func TestFig11RangesSane(t *testing.T) {
 }
 
 func TestCompareSmoke(t *testing.T) {
-	// A reduced Compare run: one app, SZ+ZFP, one test field. The full grid
-	// runs under expbench / the benchmark suite.
-	s := tinySession()
-	r, err := Compare(s, []string{"rtm"}, []string{"sz", "zfp"}, 1)
+	// A reduced Compare run: SZ+ZFP, one test field per app — the grid the
+	// FRaZ rows of TestExperimentTable render. The full grid runs under
+	// expbench.
+	r, err := tinySession().compare(tableOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,11 +290,7 @@ func TestCompareSmoke(t *testing.T) {
 }
 
 func TestDumpGainsAboveOne(t *testing.T) {
-	s := tinySession()
-	r, err := Dump(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := result[*DumpResult](t, "dump")
 	if len(r.Rows) != len(r.Ranks) {
 		t.Fatalf("rows/ranks mismatch")
 	}
@@ -242,18 +302,11 @@ func TestDumpGainsAboveOne(t *testing.T) {
 }
 
 func TestFig4And6Render(t *testing.T) {
-	s := tinySession()
-	f4, err := Fig4(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f4 := result[*Fig4Result](t, "fig4")
 	if !strings.Contains(f4.String(), "Fig 4") || len(f4.Slice) < 100 {
 		t.Error("Fig 4 render too small")
 	}
-	f6, err := Fig6(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f6 := result[*Fig6Result](t, "fig6")
 	if !strings.Contains(f6.Map, ".") || !strings.Contains(f6.Map, "#") {
 		t.Errorf("Fig 6 block map should contain both constant and non-constant blocks:\n%s", f6.Map)
 	}
@@ -263,11 +316,7 @@ func TestFig4And6Render(t *testing.T) {
 }
 
 func TestImportanceACRDominant(t *testing.T) {
-	s := tinySession()
-	r, err := Importance(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := result[*ImportanceResult](t, "importance")
 	dominant := 0
 	total := 0
 	for _, app := range Apps {
@@ -284,11 +333,7 @@ func TestImportanceACRDominant(t *testing.T) {
 }
 
 func TestZFPRateInflationAboveOne(t *testing.T) {
-	s := tinySession()
-	r, err := ZFPRate(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := result[*ZFPRateResult](t, "zfprate")
 	if len(r.Rows) == 0 {
 		t.Fatal("no rows")
 	}
@@ -298,11 +343,7 @@ func TestZFPRateInflationAboveOne(t *testing.T) {
 }
 
 func TestTable6TimesPositive(t *testing.T) {
-	s := tinySession()
-	r, err := Table6(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := result[*Table6Result](t, "table6")
 	for _, app := range Apps {
 		for _, c := range CompressorNames {
 			st := r.Stats[app][c]
@@ -331,11 +372,7 @@ func TestTable3ModelsComparable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("model-selection grid is slow")
 	}
-	s := tinySession()
-	r, err := Table3(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := result[*Table3Result](t, "table3")
 	// The paper's robust conclusion at any scale: SVR is the worst family.
 	for _, app := range Table3Apps {
 		for _, comp := range []string{"sz", "zfp"} {
@@ -352,11 +389,7 @@ func TestSamplingKeepsAccuracy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sampling ablation is slow")
 	}
-	s := tinySession()
-	r, err := Sampling(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := result[*SamplingResult](t, "sampling")
 	if r.SampledFraction > 0.05 {
 		t.Errorf("sampled fraction %v, want ~1.5%%", r.SampledFraction)
 	}

@@ -116,5 +116,6 @@ func (r *ZFPRateResult) String() string {
 			fmt.Sprintf("%.1f×", row.ErrInflation))
 	}
 	t.AddNote("prior studies: fixed-rate needs ~2× more bits for equal distortion; inflation > 1 everywhere confirms it")
+	t.AddNote("verdict: mean error inflation %.1f× (fixed-rate is the worse mode when > 1)", r.MeanInflation())
 	return t.String()
 }

@@ -1,23 +1,20 @@
 // Package exp reproduces every table and figure of the paper's evaluation
 // (§V). Each experiment is a function returning a structured, renderable
-// result; cmd/expbench prints them and the root benchmark suite regenerates
-// them under `go test -bench`. A Session caches generated datasets and
-// trained frameworks so experiments sharing inputs do not repeat work.
+// result and one row of the Experiments table, which cmd/expbench ranges
+// over. A Session caches generated datasets, trained frameworks and the
+// FXRZ-vs-FRaZ grid so experiments sharing inputs do not repeat work.
 package exp
 
 import (
 	"fmt"
 	"sync"
 
+	"github.com/fxrz-go/fxrz/internal/codecs"
 	"github.com/fxrz-go/fxrz/internal/compress"
 	"github.com/fxrz-go/fxrz/internal/core"
 	"github.com/fxrz-go/fxrz/internal/datagen"
-	"github.com/fxrz-go/fxrz/internal/fpzip"
 	"github.com/fxrz-go/fxrz/internal/grid"
-	"github.com/fxrz-go/fxrz/internal/mgard"
 	"github.com/fxrz-go/fxrz/internal/pool"
-	"github.com/fxrz-go/fxrz/internal/sz"
-	"github.com/fxrz-go/fxrz/internal/zfp"
 )
 
 // Apps lists the four applications of Table V, in table order.
@@ -25,21 +22,6 @@ var Apps = []string{"nyx", "qmcpack", "rtm", "hurricane"}
 
 // CompressorNames lists the four codecs in the order the paper's tables use.
 var CompressorNames = []string{"sz", "zfp", "mgard", "fpzip"}
-
-// NewCompressor builds a codec by table name.
-func NewCompressor(name string) (compress.Compressor, error) {
-	switch name {
-	case "sz":
-		return sz.New(), nil
-	case "zfp":
-		return zfp.New(), nil
-	case "mgard":
-		return mgard.New(), nil
-	case "fpzip":
-		return fpzip.New(), nil
-	}
-	return nil, fmt.Errorf("exp: unknown compressor %q", name)
-}
 
 // Scale sizes the experiment suite. The paper runs 512³ fields on a
 // supercomputer; these presets keep the same structure at laptop scale.
@@ -113,6 +95,9 @@ type Session struct {
 	test   map[string][]*grid.Field
 	frames map[string]*core.Framework
 	curves map[string]map[string]*core.Curve
+	// compares holds the FXRZ-vs-FRaZ grid per Options, shared by every
+	// experiment that renders a view of it.
+	compares map[string]*CompareResult
 }
 
 // NewSession returns an empty cache for the scale.
@@ -123,7 +108,33 @@ func NewSession(s Scale) *Session {
 		test:   map[string][]*grid.Field{},
 		frames: map[string]*core.Framework{},
 		curves: map[string]map[string]*core.Curve{},
+
+		compares: map[string]*CompareResult{},
 	}
+}
+
+// compare returns (and caches) the Compare grid over every application for
+// the given options.
+func (s *Session) compare(o Options) (*CompareResult, error) {
+	key := fmt.Sprint(o)
+	s.mu.Lock()
+	r, ok := s.compares[key]
+	s.mu.Unlock()
+	if ok {
+		return r, nil
+	}
+	comps := o.Comps
+	if len(comps) == 0 {
+		comps = CompressorNames
+	}
+	r, err := Compare(s, Apps, comps, o.MaxTestFields)
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	s.compares[key] = r
+	s.mu.Unlock()
+	return r, nil
 }
 
 // Curves returns (and caches) the stationary-point curves of an
@@ -142,7 +153,7 @@ func (s *Session) Curves(app, comp string) (map[string]*core.Curve, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := NewCompressor(comp)
+	c, err := codecs.ByName(comp)
 	if err != nil {
 		return nil, err
 	}
@@ -291,7 +302,7 @@ func (s *Session) Framework(app, comp string) (*core.Framework, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := NewCompressor(comp)
+	c, err := codecs.ByName(comp)
 	if err != nil {
 		return nil, err
 	}
@@ -320,7 +331,7 @@ func (s *Session) TestCurve(comp string, f *grid.Field) (*core.Curve, error) {
 		return cs[f.Name], nil
 	}
 	s.mu.Unlock()
-	c, err := NewCompressor(comp)
+	c, err := codecs.ByName(comp)
 	if err != nil {
 		return nil, err
 	}
@@ -347,7 +358,7 @@ func (s *Session) Targets(fw *core.Framework, comp string, f *grid.Field, n int)
 	if err != nil {
 		return nil, err
 	}
-	c, err := NewCompressor(comp)
+	c, err := codecs.ByName(comp)
 	if err != nil {
 		return nil, err
 	}

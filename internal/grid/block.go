@@ -27,33 +27,32 @@ func (b Block) Size() int {
 // (4×4×4 blocks, §IV-E2) and behind ZFP's 4^d block partitioning.
 func VisitBlocks(f *Field, side int, fn func(b Block, vals []float32)) {
 	nd := f.NDims()
-	nblocks := make([]int, nd)
-	for i, d := range f.Dims {
-		nblocks[i] = (d + side - 1) / side
-	}
 	strides := f.Strides()
-	bcoord := make([]int, nd)
-	origin := make([]int, nd)
 	shape := make([]int, nd)
 	buf := make([]float32, pow(side, nd))
-	for {
-		for i := range bcoord {
-			origin[i] = bcoord[i] * side
-			shape[i] = side
-			if origin[i]+shape[i] > f.Dims[i] {
-				shape[i] = f.Dims[i] - origin[i]
-			}
+	VisitOrigins(f.Dims, side, func(origin []int) {
+		for i := range shape {
+			shape[i] = min(side, f.Dims[i]-origin[i])
 		}
-		vals := buf[:0]
-		vals = gather(f, origin, shape, strides, vals)
-		fn(Block{Origin: origin, Shape: shape}, vals)
-		d := nd - 1
+		fn(Block{Origin: origin, Shape: shape}, gather(f, origin, shape, strides, buf[:0]))
+	})
+}
+
+// VisitOrigins calls fn with the origin of every side^N block of a dims-shaped
+// grid, row-major over blocks (last dimension fastest) — the block order
+// VisitBlocks, the zfp and sz2 streams and the brick store all share. The
+// origin slice is reused between calls; fn must not retain it.
+func VisitOrigins(dims []int, side int, fn func(origin []int)) {
+	origin := make([]int, len(dims))
+	for {
+		fn(origin)
+		d := len(dims) - 1
 		for d >= 0 {
-			bcoord[d]++
-			if bcoord[d] < nblocks[d] {
+			origin[d] += side
+			if origin[d] < dims[d] {
 				break
 			}
-			bcoord[d] = 0
+			origin[d] = 0
 			d--
 		}
 		if d < 0 {

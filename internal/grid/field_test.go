@@ -191,6 +191,20 @@ func TestVisitBlocksCoversFieldOnce(t *testing.T) {
 	}
 }
 
+// TestVisitOriginsRowMajor pins the block order three stream formats (zfp,
+// sz2, the brick store) are written in: last dimension fastest, boundary
+// blocks included.
+func TestVisitOriginsRowMajor(t *testing.T) {
+	var got [][]int
+	VisitOrigins([]int{5, 3}, 2, func(origin []int) {
+		got = append(got, append([]int(nil), origin...))
+	})
+	want := [][]int{{0, 0}, {0, 2}, {2, 0}, {2, 2}, {4, 0}, {4, 2}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("origins = %v, want %v", got, want)
+	}
+}
+
 // TestScatterGatherRoundTrip: VisitBlocks hands each block's samples over in
 // row-major order, so writing them back by coordinate rebuilds the field.
 func TestScatterGatherRoundTrip(t *testing.T) {

@@ -48,9 +48,9 @@ func RenderSlice(f *grid.Field, z, width int) (string, error) {
 	ramp := []rune(" .:-=+*#%@")
 	var b strings.Builder
 	for r := 0; r < height; r++ {
-		y := r * (ny - 1) / maxI(height-1, 1)
+		y := r * (ny - 1) / max(height-1, 1)
 		for c := 0; c < width; c++ {
-			x := c * (nx - 1) / maxI(width-1, 1)
+			x := c * (nx - 1) / max(width-1, 1)
 			v := float64(f.Data[base+y*nx+x])
 			level := 0
 			if mx > mn {
@@ -111,11 +111,4 @@ func RenderConstantBlocks(f *grid.Field, z, blockSide int, lambda float64) (stri
 		b.WriteByte('\n')
 	}
 	return b.String(), nil
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

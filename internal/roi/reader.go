@@ -4,10 +4,10 @@ import (
 	"fmt"
 
 	"github.com/fxrz-go/fxrz/internal/brick"
+	"github.com/fxrz-go/fxrz/internal/codecs"
 	"github.com/fxrz-go/fxrz/internal/compress"
 	"github.com/fxrz-go/fxrz/internal/grid"
 	"github.com/fxrz-go/fxrz/internal/sz"
-	"github.com/fxrz-go/fxrz/internal/zfp"
 )
 
 // zfpBlockSide mirrors zfp's block extent; the reader's cache granularity.
@@ -31,6 +31,7 @@ const zfpBlockSide = 4
 type Reader struct {
 	blob         []byte
 	inner, index []byte
+	codec        codecs.Codec
 	name         string
 	nd           int
 	dims         [grid.MaxDims]int
@@ -54,7 +55,7 @@ func NewReader(blob []byte) (*Reader, error) {
 	}
 	r := &Reader{blob: blob}
 	if brick.IsStore(blob) {
-		st, err := brick.UnmarshalAuto(ResolveCodec, blob)
+		st, err := brick.UnmarshalAuto(blob)
 		if err != nil {
 			return nil, err
 		}
@@ -74,9 +75,11 @@ func NewReader(blob []byte) (*Reader, error) {
 	if len(inner) == 0 {
 		return nil, fmt.Errorf("roi: %w: empty inner stream", compress.ErrCorrupt)
 	}
-	if _, err := ResolveCodec(inner[0]); err != nil {
-		return nil, err
+	codec, err := codecs.ByMagic(inner[0])
+	if err != nil {
+		return nil, fmt.Errorf("roi: %w", err)
 	}
+	r.codec = codec
 	h, _, err := compress.ParseHeader(inner, inner[0])
 	if err != nil {
 		return nil, fmt.Errorf("roi: %w", err)
@@ -188,7 +191,7 @@ func (r *Reader) decodeBlock(coord []int) ([]float32, error) {
 			hi[d] = r.dims[d]
 		}
 	}
-	f, err := zfp.DecompressRegion(r.inner, r.index, lo, hi)
+	f, err := r.codec.DecompressRegion(r.inner, r.index, lo, hi)
 	if err != nil {
 		return nil, err
 	}
@@ -210,7 +213,7 @@ func (r *Reader) decodeSlab(s int) ([]float32, error) {
 	for d := 1; d < r.nd; d++ {
 		hi[d] = r.dims[d]
 	}
-	f, err := sz.DecompressRegion(r.inner, r.index, lo, hi)
+	f, err := r.codec.DecompressRegion(r.inner, r.index, lo, hi)
 	if err != nil {
 		return nil, err
 	}
@@ -220,7 +223,7 @@ func (r *Reader) decodeSlab(s int) ([]float32, error) {
 // materialize runs the one-time full decode backing non-block streams.
 func (r *Reader) materialize() error {
 	if r.isBrick {
-		st, err := brick.UnmarshalAuto(ResolveCodec, r.blob)
+		st, err := brick.UnmarshalAuto(r.blob)
 		if err != nil {
 			return err
 		}
@@ -231,11 +234,7 @@ func (r *Reader) materialize() error {
 		r.full = f
 		return nil
 	}
-	c, err := ResolveCodec(r.inner[0])
-	if err != nil {
-		return err
-	}
-	f, err := c.Decompress(r.inner)
+	f, err := r.codec.New().Decompress(r.inner)
 	if err != nil {
 		return err
 	}

@@ -33,13 +33,10 @@ import (
 	"strings"
 
 	"github.com/fxrz-go/fxrz/internal/brick"
+	"github.com/fxrz-go/fxrz/internal/codecs"
 	"github.com/fxrz-go/fxrz/internal/compress"
-	"github.com/fxrz-go/fxrz/internal/fpzip"
 	"github.com/fxrz-go/fxrz/internal/grid"
-	"github.com/fxrz-go/fxrz/internal/mgard"
 	"github.com/fxrz-go/fxrz/internal/obs"
-	"github.com/fxrz-go/fxrz/internal/sz"
-	"github.com/fxrz-go/fxrz/internal/zfp"
 )
 
 // Version is the indexed-container format version.
@@ -95,24 +92,6 @@ func Unwrap(blob []byte) (inner, index []byte, err error) {
 	return inner, index, nil
 }
 
-// ResolveCodec resolves a codec from its stream magic byte — the resolver
-// brick.UnmarshalAuto takes when the codec is not known out of band.
-func ResolveCodec(magic byte) (compress.Compressor, error) {
-	switch magic {
-	case compress.MagicSZ:
-		return sz.New(), nil
-	case compress.MagicSZ2:
-		return sz.NewV2(), nil
-	case compress.MagicZFP:
-		return zfp.New(), nil
-	case compress.MagicFPZIP:
-		return fpzip.New(), nil
-	case compress.MagicMGARD:
-		return mgard.New(), nil
-	}
-	return nil, fmt.Errorf("roi: unrecognised stream (magic 0x%02x)", magic)
-}
-
 // Build wraps a codec blob into an indexed container, constructing the
 // codec's region index (one full skim/decode). Codecs without a seekable
 // layout get an empty index — DecodeRegion then falls back to full decode +
@@ -126,32 +105,17 @@ func Build(blob []byte) ([]byte, error) {
 		return blob, nil
 	}
 	defer obs.Span("roi/build_index")()
-	var index []byte
-	var err error
-	switch blob[0] {
-	case compress.MagicZFP:
-		index, err = zfp.BuildRegionIndex(blob)
-	case compress.MagicSZ:
-		index, err = sz.BuildRegionIndex(blob)
-	case compress.MagicSZ2, compress.MagicFPZIP, compress.MagicMGARD:
-		// Sequential shared-state streams: no seekable block structure.
-	default:
-		return nil, fmt.Errorf("roi: unrecognised stream (magic 0x%02x)", blob[0])
-	}
+	c, err := codecs.ByMagic(blob[0])
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("roi: %w", err)
+	}
+	var index []byte
+	if c.BuildRegionIndex != nil {
+		if index, err = c.BuildRegionIndex(blob); err != nil {
+			return nil, err
+		}
 	}
 	return Wrap(blob, index), nil
-}
-
-// Inner returns the codec blob a container carries: the inner blob of an
-// indexed container, or blob itself when it is a raw codec stream.
-func Inner(blob []byte) ([]byte, error) {
-	if !IsIndexed(blob) {
-		return blob, nil
-	}
-	inner, _, err := Unwrap(blob)
-	return inner, err
 }
 
 // DecodeRegion decodes the half-open region [lo, hi) of any supported
@@ -166,7 +130,7 @@ func DecodeRegion(blob []byte, lo, hi []int, workers int) (*grid.Field, error) {
 		return nil, fmt.Errorf("roi: empty stream")
 	}
 	if brick.IsStore(blob) {
-		st, err := brick.UnmarshalAuto(ResolveCodec, blob)
+		st, err := brick.UnmarshalAuto(blob)
 		if err != nil {
 			return nil, err
 		}
@@ -189,26 +153,17 @@ func DecodeRegion(blob []byte, lo, hi []int, workers int) (*grid.Field, error) {
 	if len(inner) == 0 {
 		return nil, fmt.Errorf("roi: %w: empty inner stream", compress.ErrCorrupt)
 	}
-	switch inner[0] {
-	case compress.MagicZFP:
-		return zfp.DecompressRegion(inner, index, lo, hi)
-	case compress.MagicSZ:
-		return sz.DecompressRegion(inner, index, lo, hi)
-	case compress.MagicSZ2, compress.MagicFPZIP, compress.MagicMGARD:
-		return decodeFullAndSlice(inner, lo, hi, workers)
-	}
-	return nil, fmt.Errorf("roi: unrecognised stream (magic 0x%02x)", inner[0])
-}
-
-// decodeFullAndSlice is the fallback for codecs whose streams have no
-// seekable structure (sz2's per-block predictor selection shares sequential
-// reconstruction state; fpzip and mgard are whole-stream transforms).
-func decodeFullAndSlice(inner []byte, lo, hi []int, workers int) (*grid.Field, error) {
-	c, err := ResolveCodec(inner[0])
+	c, err := codecs.ByMagic(inner[0])
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("roi: %w", err)
 	}
-	f, err := compress.WithWorkers(c, workers).Decompress(inner)
+	if c.DecompressRegion != nil {
+		return c.DecompressRegion(inner, index, lo, hi)
+	}
+	// No seekable structure (sz2's per-block predictor selection shares
+	// sequential reconstruction state; fpzip and mgard are whole-stream
+	// transforms): full decode + slice.
+	f, err := compress.WithWorkers(c.New(), workers).Decompress(inner)
 	if err != nil {
 		return nil, err
 	}

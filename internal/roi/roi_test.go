@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/fxrz-go/fxrz/internal/brick"
+	"github.com/fxrz-go/fxrz/internal/codecs"
 	"github.com/fxrz-go/fxrz/internal/grid"
 	"github.com/fxrz-go/fxrz/internal/sz"
 	"github.com/fxrz-go/fxrz/internal/zfp"
@@ -19,6 +20,28 @@ func testField(t testing.TB, dims ...int) *grid.Field {
 		f.Data[i] = float32(math.Cos(float64(i)*0.03)) + 0.1*rng.Float32()
 	}
 	return f
+}
+
+// fullDecode is the reference the region paths are compared against: the
+// codec's own full decode of the (unwrapped) stream.
+func fullDecode(t *testing.T, blob []byte) *grid.Field {
+	t.Helper()
+	inner := blob
+	if IsIndexed(blob) {
+		var err error
+		if inner, _, err = Unwrap(blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := codecs.ByMagic(inner[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := c.New().Decompress(inner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return full
 }
 
 func TestWrapUnwrapRoundTrip(t *testing.T) {
@@ -114,22 +137,11 @@ func TestDecodeRegionAllContainers(t *testing.T) {
 		}
 		var full *grid.Field
 		if name == "brick" {
-			full, err = st.ReadAll()
-		} else {
-			var inner []byte
-			inner, err = Inner(blob)
-			if err == nil {
-				var c interface {
-					Decompress([]byte) (*grid.Field, error)
-				}
-				c, err = ResolveCodec(inner[0])
-				if err == nil {
-					full, err = c.Decompress(inner)
-				}
+			if full, err = st.ReadAll(); err != nil {
+				t.Fatalf("%s: full decode: %v", name, err)
 			}
-		}
-		if err != nil {
-			t.Fatalf("%s: full decode: %v", name, err)
+		} else {
+			full = fullDecode(t, blob)
 		}
 		want, err := grid.SliceRegion(full, lo, hi)
 		if err != nil {
@@ -208,18 +220,7 @@ func TestReaderAtMatchesDecode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", mk.name, err)
 		}
-		inner, err := Inner(blob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := ResolveCodec(inner[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		full, err := c.Decompress(inner)
-		if err != nil {
-			t.Fatal(err)
-		}
+		full := fullDecode(t, blob)
 		rng := rand.New(rand.NewSource(3))
 		for q := 0; q < 200; q++ {
 			z, y, x := rng.Intn(11), rng.Intn(9), rng.Intn(13)

@@ -52,9 +52,10 @@ import (
 const szIndexMaxSlabs = 16
 
 // slabHeight picks the slab height T for a field of nz rows of planeSize
-// points each, keeping the seed planes within a budget proportional to the
-// blob. Returns 0 when no useful index fits (the decoder then reconstructs
-// from row 0, which is still correct).
+// points each, keeping the raw seed planes within max(blob/8, 4 KiB) — on a
+// small field the floor decides, and the index can approach the blob itself
+// (TestSZLegacyIndexBudget). Returns 0 when no useful index fits (the decoder
+// then reconstructs from row 0, which is still correct).
 func slabHeight(nz, planeSize, blobLen int) int {
 	if nz < 2 {
 		return 0

@@ -1,6 +1,7 @@
 package sz
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -146,8 +147,9 @@ func TestSZRegionSkipsPrefix(t *testing.T) {
 // TestSZRegionIndexOverhead pins the <= 1% index budget on a realistically
 // sized stream, as zfp's TestRegionIndexOverhead does. It covers the index of
 // a chunked (multi-slab) blob, which is a few escape-count bytes per slab;
-// the seed-plane index of a legacy whole-stream blob is budgeted at an
-// eighth of the blob by slabHeight, by design, and is not under this cap.
+// the seed-plane index of a legacy whole-stream blob is budgeted at
+// max(blob/8, 4 KiB) by slabHeight and is not under this cap — see
+// TestSZLegacyIndexBudget.
 func TestSZRegionIndexOverhead(t *testing.T) {
 	f := regionTestField(t, true, 64, 64, 64)
 	blob, err := New().Compress(f, 1e-3)
@@ -166,5 +168,40 @@ func TestSZRegionIndexOverhead(t *testing.T) {
 	}
 	if frac := float64(len(index)) / float64(len(blob)); frac > 0.01 {
 		t.Fatalf("index overhead %.4f of blob (%d / %d bytes), want <= 0.01", frac, len(index), len(blob))
+	}
+}
+
+// TestSZLegacyIndexBudget pins slabHeight's rule as it is: the seed planes of
+// a legacy whole-stream blob get max(blob/8, 4 KiB), so on a small field the
+// 4 KiB floor — not the eighth — is what sizes the index, which can then
+// approach the blob itself (DESIGN.md "Region-of-interest decode" has the
+// measured table).
+func TestSZLegacyIndexBudget(t *testing.T) {
+	// Index bytes that are not seed planes: T, the slab count, and one
+	// cumulative escape count per slab.
+	const framing = 2*binary.MaxVarintLen64 + szIndexMaxSlabs*binary.MaxVarintLen64
+	for _, dims := range [][]int{{16, 16, 16}, {24, 24, 24}, {256, 256}} {
+		f := regionTestField(t, false, dims...)
+		blob, err := New().Compress(f, 1e-3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if SlabRows(blob) != 0 {
+			t.Fatalf("%v: not a legacy whole-stream blob", dims)
+		}
+		index, err := BuildRegionIndex(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if si, err := parseSZIndex(index, f.Dims, f.Size()); err != nil || si == nil {
+			t.Fatalf("%v: no seed-plane index (err %v)", dims, err)
+		}
+		if budget := max(len(blob)/8, 4096); len(index) > budget+framing {
+			t.Errorf("%v: index %d bytes over max(blob/8, 4 KiB) = %d (blob %d)", dims, len(index), budget, len(blob))
+		}
+		if dims[0] == 16 && len(index) <= len(blob)/8 {
+			t.Errorf("%v: index %d bytes within blob/8 = %d: the 4 KiB floor no longer sizes small-field indexes; update DESIGN.md",
+				dims, len(index), len(blob)/8)
+		}
 	}
 }

@@ -77,7 +77,7 @@ func (c *V2) Compress(f *grid.Field, eb float64) ([]byte, error) {
 	gcoord := make([]int, f.NDims())
 
 	blockIdx := 0
-	visitBlockOrigins(f.Dims, regBlockSide, func(origin []int) {
+	grid.VisitOrigins(f.Dims, regBlockSide, func(origin []int) {
 		shape := clipShape(f.Dims, origin, regBlockSide)
 
 		// Fit the linear model on original values.
@@ -245,7 +245,7 @@ func (c *V2) Decompress(blob []byte) (*grid.Field, error) {
 	pos, rawPos, blockIdx := 0, 0, 0
 	coeffPos := 0
 	var decodeErr error
-	visitBlockOrigins(h.Dims, regBlockSide, func(origin []int) {
+	grid.VisitOrigins(h.Dims, regBlockSide, func(origin []int) {
 		if decodeErr != nil {
 			return
 		}
@@ -427,27 +427,6 @@ func forEachInBlock(origin, shape, strides []int, fn func(idx int, local []int))
 				break
 			}
 			local[d] = 0
-			d--
-		}
-		if d < 0 {
-			return
-		}
-	}
-}
-
-// visitBlockOrigins iterates block origins in row-major order.
-func visitBlockOrigins(dims []int, side int, fn func(origin []int)) {
-	nd := len(dims)
-	origin := make([]int, nd)
-	for {
-		fn(origin)
-		d := nd - 1
-		for d >= 0 {
-			origin[d] += side
-			if origin[d] < dims[d] {
-				break
-			}
-			origin[d] = 0
 			d--
 		}
 		if d < 0 {

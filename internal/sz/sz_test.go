@@ -161,53 +161,6 @@ func TestHeaderPreservesNameAndDims(t *testing.T) {
 	}
 }
 
-func TestRelativeBoundWrapper(t *testing.T) {
-	f := grid.MustNew("r", 16, 16)
-	for i := range f.Data {
-		f.Data[i] = float32(1000 + 50*math.Sin(float64(i)/9))
-	}
-	rel := compress.NewRelBound(New())
-	if rel.Name() != "sz-rel" {
-		t.Errorf("name %q", rel.Name())
-	}
-	blob, err := rel.Compress(f, 0.01) // 1% of the ~100 range → abs ≈ 1
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := rel.Decompress(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxErr, _ := compress.MaxAbsError(f, g)
-	wantBound := 0.01 * f.ValueRange()
-	if maxErr > wantBound*(1+1e-6) {
-		t.Errorf("max error %v exceeds relative bound %v", maxErr, wantBound)
-	}
-	for _, bad := range []float64{0, -1, 2, math.NaN()} {
-		if _, err := rel.Compress(f, bad); err == nil {
-			t.Errorf("relative bound %v accepted", bad)
-		}
-	}
-	// The framework can train on a relative-bound codec unchanged.
-	fw, err := core2Train(rel, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = fw
-}
-
-// core2Train exercises the compressor through the framework's sweep helper
-// without importing core (avoiding a cycle in this package's tests): it just
-// validates that Axis.Span over the relative domain produces usable knobs.
-func core2Train(c compress.Compressor, f *grid.Field) (bool, error) {
-	for _, knob := range c.Axis().Span(5) {
-		if _, err := c.Compress(f, knob); err != nil {
-			return false, err
-		}
-	}
-	return true, nil
-}
-
 func TestPSNRTargetedBound(t *testing.T) {
 	// The quantizer's error is roughly uniform in [-eb, eb] (MSE = eb²/3), so
 	// the bound that model gives for a target PSNR must land within a few dB

@@ -44,7 +44,7 @@ func countBlocks(dims []int) int {
 }
 
 // blockOriginAt writes the origin of block k into origin, matching the
-// row-major (last dimension fastest) order of visitBlockOrigins.
+// row-major (last dimension fastest) order of grid.VisitOrigins.
 func blockOriginAt(dims []int, k int, origin []int) {
 	for d := len(dims) - 1; d >= 0; d-- {
 		nb := (dims[d] + blockSide - 1) / blockSide

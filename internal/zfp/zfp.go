@@ -261,7 +261,7 @@ func encodeBody(f *grid.Field, minexp, maxbits, workers int) ([]byte, error) {
 	defer putBlockScratch(s)
 	perm := perms[nd-1]
 
-	visitBlockOrigins(dims, func(origin []int) {
+	grid.VisitOrigins(dims, blockSide, func(origin []int) {
 		encodeBlock(w, folded, origin, s, minexp, maxbits, nd, perm)
 	})
 	return w.Bytes(), nil
@@ -343,31 +343,10 @@ func decodeBody(f *grid.Field, payload []byte, minexp, maxbits, workers int) err
 	defer putBlockScratch(s)
 	perm := perms[nd-1]
 
-	visitBlockOrigins(dims, func(origin []int) {
+	grid.VisitOrigins(dims, blockSide, func(origin []int) {
 		decodeBlock(r, folded, origin, s, minexp, maxbits, nd, perm)
 	})
 	return nil
-}
-
-// visitBlockOrigins iterates the origins of all 4^d blocks in row-major order.
-func visitBlockOrigins(dims []int, fn func(origin []int)) {
-	nd := len(dims)
-	origin := make([]int, nd)
-	for {
-		fn(origin)
-		d := nd - 1
-		for d >= 0 {
-			origin[d] += blockSide
-			if origin[d] < dims[d] {
-				break
-			}
-			origin[d] = 0
-			d--
-		}
-		if d < 0 {
-			return
-		}
-	}
 }
 
 // gatherPadded copies the (possibly clipped) block at origin into buf and
