@@ -33,6 +33,7 @@ type gate struct {
 // says a fast path may not be slower than the code it replaced.
 var gates = []gate{
 	{"sz_quantize_3d", "BenchmarkKernelQuantize3D/generic", "BenchmarkKernelQuantize3D/fast", "ns/elem", 1.5},
+	{"sz_reconstruct_3d", "BenchmarkKernelReconstruct3D/generic", "BenchmarkKernelReconstruct3D/fast", "ns/elem", 1.5},
 	{"zfp_encode_ints", "BenchmarkKernelEncodeInts/perplane", "BenchmarkKernelEncodeInts/transposed", "ns/elem", 0.9},
 	{"huffman_decode", "BenchmarkKernelHuffmanDecode/bitwise", "BenchmarkKernelHuffmanDecode/table", "ns/elem", 1.3},
 	{"lz_compress", "BenchmarkKernelLZCompress/ref", "BenchmarkKernelLZCompress/fast", "ns/elem", 2.0},

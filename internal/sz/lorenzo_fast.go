@@ -7,14 +7,20 @@ package sz
 // datasets actually use, the kernels below split each row into its first
 // column (a boundary point with a reduced stencil) and the row interior,
 // where the full fixed-offset stencil applies and the inner loop is free of
-// subset masks, odometer steps and boundary branches.
+// subset masks, odometer steps and boundary branches. The 2D and 3D kernels
+// also run rowGroup rows at once, one column apart, so the recurrence is
+// rowGroup independent chains rather than one.
 //
 // Bit-identity contract: every kernel accumulates the same stencil terms in
 // the same subset-mask order as lorenzo.predict (pred starts at 0.0 and each
 // term is added or subtracted in mask order), and the quantize/escape step is
 // the shared encPoint/decPoint, so the specialized paths produce byte-for-byte
 // the same compressed blobs and bit-for-bit the same reconstructions as the
-// generic path. TestQuantizeKernelsMatchGeneric and FuzzDecompress pin this.
+// generic path. Running rows in flight reorders only which point is computed
+// when, never a point's own arithmetic; escapes are gathered from the codes in
+// row-major order after the pass (compressSZ), and on decode every row of a
+// group starts from its own raw cursor (rowCursors).
+// TestCompressFastMatchesGenericBitwise and FuzzDecompress pin this.
 
 import (
 	"encoding/binary"
@@ -26,195 +32,183 @@ import (
 	"github.com/fxrz-go/fxrz/internal/obs"
 )
 
-// encPoint quantizes point idx against its Lorenzo prediction: it stores the
-// residual code and the decoder-visible reconstruction, or escapes the value
-// to the raw pool when the residual cannot be represented within the bound.
-// raw must have enough capacity for every possible escape (f.Size()), so the
-// append never reallocates.
-func encPoint(data []float32, idx int, pred, eb, twoEB float64, codes []uint16, recon, raw []float32) []float32 {
-	v := float64(data[idx])
-	q := math.Round((v - pred) / twoEB)
-	if !math.IsNaN(q) && !math.IsInf(q, 0) {
-		if code := int64(q) + radius; code > 0 && code < intervals {
-			// The reconstruction is rounded to float32 exactly as the
-			// decoder will produce it; accept only if the bound holds
-			// after that rounding.
-			rec := float32(pred + twoEB*q)
-			if math.Abs(float64(rec)-v) <= eb {
-				codes[idx] = uint16(code)
-				recon[idx] = rec
-				return raw
-			}
+// rowGroup is how many rows the 2D and 3D kernels keep in flight. Point
+// (y+1, x) reads row y only at columns x and x-1, so rows y..y+rowGroup-1 can
+// advance together with row j one column behind row j-1: at each step the
+// group's points are independent of one another, and the CPU overlaps their
+// predict→quantize chains instead of waiting on one.
+const rowGroup = 4
+
+// encPoint quantizes value v against its Lorenzo prediction and returns its
+// residual code and the decoder-visible reconstruction, or an escape (code 0,
+// the value itself) when the residual cannot be represented within the bound.
+// compressSZ collects the escaped values from the codes afterwards, from the
+// field itself: the float64 round trip may quiet a signaling NaN's payload in
+// recon, which only ever feeds predictions, where any NaN escapes.
+//
+// q is math.Round of the scaled residual x, computed as t + int(2(x-t)) with
+// t = int(x): x-t is exact, so the second term is ±1 exactly when the
+// fraction reaches one half. The range test runs on x before any integer
+// conversion — math.Round(x) lies in (-radius, radius) exactly when |x| <
+// radius-0.5 — so NaN and ±Inf fail it. The body fits Go's inlining budget.
+//
+// v arrives as a float64 and q goes through an integer register because the
+// compiler emits CVTSS2SD, CVTSD2SS and ROUNDSD without breaking their false
+// dependency on the destination register: converting inside the body, or
+// rounding with math.Round/math.Trunc, made each point wait on the previous
+// point's registers and serialized the rows a kernel keeps in flight.
+func encPoint(v, pred, eb, twoEB float64) (uint16, float32) {
+	x := (v - pred) / twoEB
+	if x > -(radius-0.5) && x < radius-0.5 {
+		q := int(x)
+		q += int(2 * (x - float64(q)))
+		// The reconstruction is rounded to float32 exactly as the decoder
+		// will produce it; accept only if the bound holds after that rounding.
+		rec := float32(pred + twoEB*float64(q))
+		if e := float64(rec) - v; e <= eb && e >= -eb {
+			return uint16(q + radius), rec
 		}
 	}
-	codes[idx] = 0
-	recon[idx] = data[idx]
-	return append(raw, data[idx])
+	return 0, float32(v)
 }
 
-// decPoint reconstructs point idx from its quantization code, pulling escaped
-// values from the raw pool. It returns the updated raw cursor, or -1 when the
-// pool is exhausted (the caller reports corruption).
-func decPoint(data []float32, idx int, pred, twoEB float64, codeBytes, rawPayload []byte, nraw uint64, rawPos int) int {
-	code := binary.LittleEndian.Uint16(codeBytes[2*idx:])
-	if code != 0 {
-		data[idx] = float32(pred + twoEB*float64(int(code)-radius))
-		return rawPos
+// decPoint reconstructs point i from its quantization code, taking an escaped
+// value from the raw pool at *pos, which the caller has checked holds it.
+func decPoint(data []float32, i int, pred, twoEB float64, codeBytes, rawPayload []byte, pos *int) {
+	if code := binary.LittleEndian.Uint16(codeBytes[2*i:]); code != 0 {
+		data[i] = float32(pred + twoEB*float64(int(code)-radius))
+		return
 	}
-	if uint64(rawPos) >= nraw {
-		return -1
-	}
-	data[idx] = math.Float32frombits(binary.LittleEndian.Uint32(rawPayload[4*rawPos:]))
-	return rawPos + 1
+	data[i] = math.Float32frombits(binary.LittleEndian.Uint32(rawPayload[4**pos:]))
+	*pos++
 }
 
 // quantizeField runs the prediction/quantization pass of Compress, writing a
-// code and reconstruction for every point and appending escaped values to
-// raw (whose capacity must cover f.Size()). forceGeneric routes through the
+// code and reconstruction for every point. forceGeneric routes through the
 // N-d odometer path; it exists so tests and benchmarks can compare the
 // specialized kernels against their oracle.
-func quantizeField(f *grid.Field, eb float64, codes []uint16, recon, raw []float32, forceGeneric bool) []float32 {
-	if !forceGeneric {
+func quantizeField(f *grid.Field, eb float64, codes []uint16, recon []float32, forceGeneric bool) {
+	if !forceGeneric && len(f.Dims) <= 3 {
+		obs.Add("sz/quantize_fast_points", int64(len(f.Data)))
 		switch len(f.Dims) {
 		case 1:
-			obs.Add("sz/quantize_fast_points", int64(len(f.Data)))
-			return quantize1D(f.Data, eb, codes, recon, raw)
+			quantize1D(f.Data, eb, codes, recon)
 		case 2:
-			obs.Add("sz/quantize_fast_points", int64(len(f.Data)))
-			return quantize2D(f.Data, f.Dims, eb, codes, recon, raw)
+			quantizePlane(f.Data, f.Dims[0], f.Dims[1], eb, codes, recon)
 		case 3:
-			obs.Add("sz/quantize_fast_points", int64(len(f.Data)))
-			return quantize3D(f.Data, f.Dims, eb, codes, recon, raw)
+			quantizeVolume(f.Data, f.Dims, eb, codes, recon)
 		}
+		return
 	}
 	obs.Add("sz/quantize_generic_points", int64(len(f.Data)))
-	return quantizeFieldGeneric(f, eb, codes, recon, raw)
+	quantizeFieldGeneric(f, eb, codes, recon)
 }
 
 // quantizeFieldGeneric is the N-dimensional odometer path: the fallback for
 // 4D fields and the oracle the specialized kernels are tested against.
-func quantizeFieldGeneric(f *grid.Field, eb float64, codes []uint16, recon, raw []float32) []float32 {
+func quantizeFieldGeneric(f *grid.Field, eb float64, codes []uint16, recon []float32) {
 	twoEB := 2 * eb
 	lor := newLorenzo(f.Dims)
 	for idx := range f.Data {
-		raw = encPoint(f.Data, idx, lor.predict(recon, idx), eb, twoEB, codes, recon, raw)
+		codes[idx], recon[idx] = encPoint(float64(f.Data[idx]), lor.predict(recon, idx), eb, twoEB)
 		lor.advance()
 	}
-	return raw
 }
 
-func quantize1D(data []float32, eb float64, codes []uint16, recon, raw []float32) []float32 {
+func quantize1D(data []float32, eb float64, codes []uint16, recon []float32) {
 	twoEB := 2 * eb
 	if len(data) == 0 {
-		return raw
+		return
 	}
-	raw = encPoint(data, 0, 0, eb, twoEB, codes, recon, raw)
+	codes[0], recon[0] = encPoint(float64(data[0]), 0, eb, twoEB)
 	for i := 1; i < len(data); i++ {
 		pred := 0.0
 		pred += float64(recon[i-1])
-		raw = encPoint(data, i, pred, eb, twoEB, codes, recon, raw)
+		codes[i], recon[i] = encPoint(float64(data[i]), pred, eb, twoEB)
 	}
-	return raw
 }
 
-func quantize2D(data []float32, dims []int, eb float64, codes []uint16, recon, raw []float32) []float32 {
-	ny, nx := dims[0], dims[1]
+// quantizePlane is the 2D row-group kernel: an ny×nx plane, which is a whole
+// 2D field or the first plane of a 3D one (the same recurrence). Row 0 is a
+// single chain; the rows below run rowGroup at a time — column 0 down the
+// group, then the interior skewed one column per row.
+func quantizePlane(data []float32, ny, nx int, eb float64, codes []uint16, recon []float32) {
 	twoEB := 2 * eb
-	idx := 0
-	for y := 0; y < ny; y++ {
-		if y == 0 {
-			raw = encPoint(data, 0, 0, eb, twoEB, codes, recon, raw)
-			idx++
-			for x := 1; x < nx; x++ {
-				pred := 0.0
-				pred += float64(recon[idx-1])
-				raw = encPoint(data, idx, pred, eb, twoEB, codes, recon, raw)
-				idx++
-			}
-			continue
-		}
-		pred := 0.0
-		pred += float64(recon[idx-nx])
-		raw = encPoint(data, idx, pred, eb, twoEB, codes, recon, raw)
-		idx++
-		for x := 1; x < nx; x++ {
+	codes[0], recon[0] = encPoint(float64(data[0]), 0, eb, twoEB)
+	for i := 1; i < nx; i++ {
+		p := 0.0
+		p += float64(recon[i-1])
+		codes[i], recon[i] = encPoint(float64(data[i]), p, eb, twoEB)
+	}
+	for y := 1; y < ny; y += rowGroup {
+		k := min(rowGroup, ny-y)
+		g := y * nx
+		for i := g; i < g+k*nx; i += nx {
 			p := 0.0
-			p += float64(recon[idx-nx])
-			p += float64(recon[idx-1])
-			p -= float64(recon[idx-nx-1])
-			raw = encPoint(data, idx, p, eb, twoEB, codes, recon, raw)
-			idx++
+			p += float64(recon[i-nx])
+			codes[i], recon[i] = encPoint(float64(data[i]), p, eb, twoEB)
+		}
+		// At step t row j is at column t-j; its point is g + t + j*(nx-1).
+		for t := 1; t < nx+k-1; t++ {
+			jlo, jhi := max(0, t-nx+1), min(k, t)
+			for i, e := g+t+jlo*(nx-1), g+t+jhi*(nx-1); i < e; i += nx - 1 {
+				p := 0.0
+				p += float64(recon[i-nx])
+				p += float64(recon[i-1])
+				p -= float64(recon[i-nx-1])
+				codes[i], recon[i] = encPoint(float64(data[i]), p, eb, twoEB)
+			}
 		}
 	}
-	return raw
 }
 
-func quantize3D(data []float32, dims []int, eb float64, codes []uint16, recon, raw []float32) []float32 {
+// quantizeVolume is the 3D row-group kernel. Plane 0 is quantizePlane; every
+// later plane runs its row 0 as one chain and the rest rowGroup rows at a
+// time, exactly as quantizePlane does, with the stencil terms that look back
+// along z added in lorenzo.predict's subset-mask order.
+func quantizeVolume(data []float32, dims []int, eb float64, codes []uint16, recon []float32) {
 	nz, ny, nx := dims[0], dims[1], dims[2]
-	s1 := nx
 	s0 := ny * nx
 	twoEB := 2 * eb
-	idx := 0
-	for z := 0; z < nz; z++ {
-		for y := 0; y < ny; y++ {
-			// First column of the row: stencil terms that look back along x
-			// drop out; the rest keep their subset-mask accumulation order.
-			pred := 0.0
-			if z > 0 {
-				pred += float64(recon[idx-s0])
+	quantizePlane(data[:s0], ny, nx, eb, codes, recon)
+	for z := 1; z < nz; z++ {
+		p0 := z * s0
+		p := 0.0
+		p += float64(recon[p0-s0])
+		codes[p0], recon[p0] = encPoint(float64(data[p0]), p, eb, twoEB)
+		for i := p0 + 1; i < p0+nx; i++ {
+			p := 0.0
+			p += float64(recon[i-s0])
+			p += float64(recon[i-1])
+			p -= float64(recon[i-s0-1])
+			codes[i], recon[i] = encPoint(float64(data[i]), p, eb, twoEB)
+		}
+		for y := 1; y < ny; y += rowGroup {
+			k := min(rowGroup, ny-y)
+			g := p0 + y*nx
+			for i := g; i < g+k*nx; i += nx {
+				p := 0.0
+				p += float64(recon[i-s0])
+				p += float64(recon[i-nx])
+				p -= float64(recon[i-s0-nx])
+				codes[i], recon[i] = encPoint(float64(data[i]), p, eb, twoEB)
 			}
-			if y > 0 {
-				pred += float64(recon[idx-s1])
-				if z > 0 {
-					pred -= float64(recon[idx-s0-s1])
-				}
-			}
-			raw = encPoint(data, idx, pred, eb, twoEB, codes, recon, raw)
-			idx++
-			// Row interior: one fixed stencil per row class, branch-free in x.
-			switch {
-			case z > 0 && y > 0:
-				for x := 1; x < nx; x++ {
+			for t := 1; t < nx+k-1; t++ {
+				jlo, jhi := max(0, t-nx+1), min(k, t)
+				for i, e := g+t+jlo*(nx-1), g+t+jhi*(nx-1); i < e; i += nx - 1 {
 					p := 0.0
-					p += float64(recon[idx-s0])
-					p += float64(recon[idx-s1])
-					p -= float64(recon[idx-s0-s1])
-					p += float64(recon[idx-1])
-					p -= float64(recon[idx-s0-1])
-					p -= float64(recon[idx-s1-1])
-					p += float64(recon[idx-s0-s1-1])
-					raw = encPoint(data, idx, p, eb, twoEB, codes, recon, raw)
-					idx++
-				}
-			case z > 0:
-				for x := 1; x < nx; x++ {
-					p := 0.0
-					p += float64(recon[idx-s0])
-					p += float64(recon[idx-1])
-					p -= float64(recon[idx-s0-1])
-					raw = encPoint(data, idx, p, eb, twoEB, codes, recon, raw)
-					idx++
-				}
-			case y > 0:
-				for x := 1; x < nx; x++ {
-					p := 0.0
-					p += float64(recon[idx-s1])
-					p += float64(recon[idx-1])
-					p -= float64(recon[idx-s1-1])
-					raw = encPoint(data, idx, p, eb, twoEB, codes, recon, raw)
-					idx++
-				}
-			default:
-				for x := 1; x < nx; x++ {
-					p := 0.0
-					p += float64(recon[idx-1])
-					raw = encPoint(data, idx, p, eb, twoEB, codes, recon, raw)
-					idx++
+					p += float64(recon[i-s0])
+					p += float64(recon[i-nx])
+					p -= float64(recon[i-s0-nx])
+					p += float64(recon[i-1])
+					p -= float64(recon[i-s0-1])
+					p -= float64(recon[i-nx-1])
+					p += float64(recon[i-s0-nx-1])
+					codes[i], recon[i] = encPoint(float64(data[i]), p, eb, twoEB)
 				}
 			}
 		}
 	}
-	return raw
 }
 
 // errRawExhausted is the corruption error shared by every reconstruction
@@ -252,9 +246,9 @@ func reconstructBox(data []float32, dims []int, row0 int, hiTail []int, eb float
 		case 1:
 			return reconstruct1D(data, row0, eb, codeBytes, rawPayload, nraw, rawPos)
 		case 2:
-			return reconstruct2D(data, dims, row0, hiTail[0], eb, codeBytes, rawPayload, nraw, rawPos)
+			return reconstructPlane(data, dims[1], row0, dims[0], hiTail[0], 2*eb, codeBytes, rawPayload, nraw, rawPos)
 		case 3:
-			return reconstruct3D(data, dims, row0, hiTail[0], hiTail[1], eb, codeBytes, rawPayload, nraw, rawPos)
+			return reconstructVolume(data, dims, row0, hiTail[0], hiTail[1], eb, codeBytes, rawPayload, nraw, rawPos)
 		}
 	}
 	obs.Add("sz/reconstruct_generic_points", rows*int64(box))
@@ -277,12 +271,13 @@ func reconstructGeneric(data []float32, dims []int, row0 int, hiTail []int, eb f
 				break
 			}
 		}
-		if inBox {
-			rawPos = decPoint(data, idx, lor.predict(data, idx), twoEB, codeBytes, rawPayload, nraw, rawPos)
-			if rawPos < 0 {
-				return 0, errRawExhausted()
-			}
-		} else if codeBytes[2*idx] == 0 && codeBytes[2*idx+1] == 0 {
+		escape := codeBytes[2*idx] == 0 && codeBytes[2*idx+1] == 0
+		switch {
+		case inBox && escape && uint64(rawPos) >= nraw:
+			return 0, errRawExhausted()
+		case inBox:
+			decPoint(data, idx, lor.predict(data, idx), twoEB, codeBytes, rawPayload, &rawPos)
+		case escape:
 			rawPos++
 		}
 		lor.advance()
@@ -290,130 +285,156 @@ func reconstructGeneric(data []float32, dims []int, row0 int, hiTail []int, eb f
 	return rawPos, nil
 }
 
-func reconstruct1D(data []float32, i0 int, eb float64, codeBytes, rawPayload []byte, nraw uint64, rawPos int) (int, error) {
-	twoEB := 2 * eb
-	if i0 == 0 && len(data) > 0 {
-		rawPos = decPoint(data, 0, 0, twoEB, codeBytes, rawPayload, nraw, rawPos)
-		i0 = 1
-	}
-	for i := i0; i < len(data) && rawPos >= 0; i++ {
-		pred := 0.0
-		pred += float64(data[i-1])
-		rawPos = decPoint(data, i, pred, twoEB, codeBytes, rawPayload, nraw, rawPos)
-	}
-	if rawPos < 0 {
-		return 0, errRawExhausted()
-	}
-	return rawPos, nil
-}
-
-func reconstruct2D(data []float32, dims []int, y0, hx int, eb float64, codeBytes, rawPayload []byte, nraw uint64, rawPos int) (int, error) {
-	ny, nx := dims[0], dims[1]
-	twoEB := 2 * eb
-	for y := y0; y < ny; y++ {
-		idx := y * nx
-		if y == 0 {
-			rawPos = decPoint(data, 0, 0, twoEB, codeBytes, rawPayload, nraw, rawPos)
-			idx++
-			for x := 1; x < hx && rawPos >= 0; x++ {
-				pred := 0.0
-				pred += float64(data[idx-1])
-				rawPos = decPoint(data, idx, pred, twoEB, codeBytes, rawPayload, nraw, rawPos)
-				idx++
-			}
-		} else {
-			pred := 0.0
-			pred += float64(data[idx-nx])
-			rawPos = decPoint(data, idx, pred, twoEB, codeBytes, rawPayload, nraw, rawPos)
-			idx++
-			for x := 1; x < hx && rawPos >= 0; x++ {
-				p := 0.0
-				p += float64(data[idx-nx])
-				p += float64(data[idx-1])
-				p -= float64(data[idx-nx-1])
-				rawPos = decPoint(data, idx, p, twoEB, codeBytes, rawPayload, nraw, rawPos)
-				idx++
-			}
-		}
-		if rawPos < 0 {
-			return 0, errRawExhausted()
-		}
-		if hx < nx {
-			rawPos += countEscapes(codeBytes[2*idx : 2*(y+1)*nx])
-		}
-	}
-	return rawPos, nil
-}
-
-func reconstruct3D(data []float32, dims []int, z0, hy, hx int, eb float64, codeBytes, rawPayload []byte, nraw uint64, rawPos int) (int, error) {
-	nz, ny, nx := dims[0], dims[1], dims[2]
-	s1 := nx
-	s0 := ny * nx
-	twoEB := 2 * eb
-	for z := z0; z < nz; z++ {
-		for y := 0; y < hy; y++ {
-			idx := z*s0 + y*s1
-			pred := 0.0
-			if z > 0 {
-				pred += float64(data[idx-s0])
-			}
-			if y > 0 {
-				pred += float64(data[idx-s1])
-				if z > 0 {
-					pred -= float64(data[idx-s0-s1])
-				}
-			}
-			rawPos = decPoint(data, idx, pred, twoEB, codeBytes, rawPayload, nraw, rawPos)
-			idx++
-			switch {
-			case z > 0 && y > 0:
-				for x := 1; x < hx && rawPos >= 0; x++ {
-					p := 0.0
-					p += float64(data[idx-s0])
-					p += float64(data[idx-s1])
-					p -= float64(data[idx-s0-s1])
-					p += float64(data[idx-1])
-					p -= float64(data[idx-s0-1])
-					p -= float64(data[idx-s1-1])
-					p += float64(data[idx-s0-s1-1])
-					rawPos = decPoint(data, idx, p, twoEB, codeBytes, rawPayload, nraw, rawPos)
-					idx++
-				}
-			case z > 0:
-				for x := 1; x < hx && rawPos >= 0; x++ {
-					p := 0.0
-					p += float64(data[idx-s0])
-					p += float64(data[idx-1])
-					p -= float64(data[idx-s0-1])
-					rawPos = decPoint(data, idx, p, twoEB, codeBytes, rawPayload, nraw, rawPos)
-					idx++
-				}
-			case y > 0:
-				for x := 1; x < hx && rawPos >= 0; x++ {
-					p := 0.0
-					p += float64(data[idx-s1])
-					p += float64(data[idx-1])
-					p -= float64(data[idx-s1-1])
-					rawPos = decPoint(data, idx, p, twoEB, codeBytes, rawPayload, nraw, rawPos)
-					idx++
-				}
-			default:
-				for x := 1; x < hx && rawPos >= 0; x++ {
-					p := 0.0
-					p += float64(data[idx-1])
-					rawPos = decPoint(data, idx, p, twoEB, codeBytes, rawPayload, nraw, rawPos)
-					idx++
-				}
-			}
-			if rawPos < 0 {
+// rowCursors gives each of the k rows of nx codes starting at code index g
+// its raw-pool cursor, the first row's being rawPos, and returns the cursor
+// past the group. Columns [hx, nx) of a row are outside the box: their
+// escapes are counted, never fetched. It fails with errRawExhausted — before
+// the group writes anything — exactly when a serial walk would run the pool
+// dry on an in-box escape of one of these rows.
+func rowCursors(cur *[rowGroup]int, codeBytes []byte, g, k, nx, hx int, nraw uint64, rawPos int) (int, error) {
+	for j := 0; j < k; j++ {
+		row := codeBytes[2*(g+j*nx) : 2*(g+(j+1)*nx)]
+		cur[j] = rawPos
+		if e := countEscapes(row[:2*hx]); e > 0 {
+			if rawPos += e; uint64(rawPos) > nraw {
 				return 0, errRawExhausted()
 			}
-			if hx < nx {
-				rawPos += countEscapes(codeBytes[2*idx : 2*(z*s0+(y+1)*s1)])
+		}
+		rawPos += countEscapes(row[2*hx:])
+	}
+	return rawPos, nil
+}
+
+func reconstruct1D(data []float32, i0 int, eb float64, codeBytes, rawPayload []byte, nraw uint64, rawPos int) (int, error) {
+	var cur [rowGroup]int
+	rawPos, err := rowCursors(&cur, codeBytes, i0, 1, len(data)-i0, len(data)-i0, nraw, rawPos)
+	if err != nil {
+		return 0, err
+	}
+	twoEB := 2 * eb
+	if i0 == 0 && len(data) > 0 {
+		decPoint(data, 0, 0, twoEB, codeBytes, rawPayload, &cur[0])
+		i0 = 1
+	}
+	for i := i0; i < len(data); i++ {
+		pred := 0.0
+		pred += float64(data[i-1])
+		decPoint(data, i, pred, twoEB, codeBytes, rawPayload, &cur[0])
+	}
+	return rawPos, nil
+}
+
+// reconstructPlane is the decode twin of quantizePlane: rows [y0, y1) of a
+// plane of nx-point rows (a 2D field, or plane 0 of a 3D one), writing the
+// box columns [0, hx) of each. Every group takes its rows' raw cursors from
+// rowCursors first, so the rows in flight fetch escapes independently.
+func reconstructPlane(data []float32, nx, y0, y1, hx int, twoEB float64, codeBytes, rawPayload []byte, nraw uint64, rawPos int) (int, error) {
+	var cur [rowGroup]int
+	var err error
+	y := y0
+	if y == 0 {
+		if rawPos, err = rowCursors(&cur, codeBytes, 0, 1, nx, hx, nraw, rawPos); err != nil {
+			return 0, err
+		}
+		decPoint(data, 0, 0, twoEB, codeBytes, rawPayload, &cur[0])
+		for i := 1; i < hx; i++ {
+			p := 0.0
+			p += float64(data[i-1])
+			decPoint(data, i, p, twoEB, codeBytes, rawPayload, &cur[0])
+		}
+		y = 1
+	}
+	for ; y < y1; y += rowGroup {
+		k := min(rowGroup, y1-y)
+		g := y * nx
+		if rawPos, err = rowCursors(&cur, codeBytes, g, k, nx, hx, nraw, rawPos); err != nil {
+			return 0, err
+		}
+		for j := 0; j < k; j++ {
+			i := g + j*nx
+			p := 0.0
+			p += float64(data[i-nx])
+			decPoint(data, i, p, twoEB, codeBytes, rawPayload, &cur[j])
+		}
+		for t := 1; t < hx+k-1; t++ {
+			jlo, jhi := max(0, t-hx+1), min(k, t)
+			i := g + t + jlo*(nx-1)
+			for j := jlo; j < jhi; j++ {
+				p := 0.0
+				p += float64(data[i-nx])
+				p += float64(data[i-1])
+				p -= float64(data[i-nx-1])
+				decPoint(data, i, p, twoEB, codeBytes, rawPayload, &cur[j])
+				i += nx - 1
+			}
+		}
+	}
+	return rawPos, nil
+}
+
+// reconstructVolume is the decode twin of quantizeVolume: planes [z0, nz),
+// each decoded over rows [0, hy) and columns [0, hx) of the box, with the
+// escapes of rows [hy, ny) counted.
+func reconstructVolume(data []float32, dims []int, z0, hy, hx int, eb float64, codeBytes, rawPayload []byte, nraw uint64, rawPos int) (int, error) {
+	nz, ny, nx := dims[0], dims[1], dims[2]
+	s0 := ny * nx
+	twoEB := 2 * eb
+	var cur [rowGroup]int
+	var err error
+	for z := z0; z < nz; z++ {
+		p0 := z * s0
+		if z == 0 {
+			if rawPos, err = reconstructPlane(data[:s0], nx, 0, hy, hx, twoEB, codeBytes, rawPayload, nraw, rawPos); err != nil {
+				return 0, err
+			}
+		} else {
+			if rawPos, err = rowCursors(&cur, codeBytes, p0, 1, nx, hx, nraw, rawPos); err != nil {
+				return 0, err
+			}
+			p := 0.0
+			p += float64(data[p0-s0])
+			decPoint(data, p0, p, twoEB, codeBytes, rawPayload, &cur[0])
+			for i := p0 + 1; i < p0+hx; i++ {
+				p := 0.0
+				p += float64(data[i-s0])
+				p += float64(data[i-1])
+				p -= float64(data[i-s0-1])
+				decPoint(data, i, p, twoEB, codeBytes, rawPayload, &cur[0])
+			}
+			for y := 1; y < hy; y += rowGroup {
+				k := min(rowGroup, hy-y)
+				g := p0 + y*nx
+				if rawPos, err = rowCursors(&cur, codeBytes, g, k, nx, hx, nraw, rawPos); err != nil {
+					return 0, err
+				}
+				for j := 0; j < k; j++ {
+					i := g + j*nx
+					p := 0.0
+					p += float64(data[i-s0])
+					p += float64(data[i-nx])
+					p -= float64(data[i-s0-nx])
+					decPoint(data, i, p, twoEB, codeBytes, rawPayload, &cur[j])
+				}
+				for t := 1; t < hx+k-1; t++ {
+					jlo, jhi := max(0, t-hx+1), min(k, t)
+					i := g + t + jlo*(nx-1)
+					for j := jlo; j < jhi; j++ {
+						p := 0.0
+						p += float64(data[i-s0])
+						p += float64(data[i-nx])
+						p -= float64(data[i-s0-nx])
+						p += float64(data[i-1])
+						p -= float64(data[i-s0-1])
+						p -= float64(data[i-nx-1])
+						p += float64(data[i-s0-nx-1])
+						decPoint(data, i, p, twoEB, codeBytes, rawPayload, &cur[j])
+						i += nx - 1
+					}
+				}
 			}
 		}
 		if hy < ny {
-			rawPos += countEscapes(codeBytes[2*(z*s0+hy*s1) : 2*(z+1)*s0])
+			rawPos += countEscapes(codeBytes[2*(p0+hy*nx) : 2*(p0+s0)])
 		}
 	}
 	return rawPos, nil

@@ -20,6 +20,12 @@ var identityShapes = [][]int{
 	{1}, {7}, {64},
 	{1, 9}, {9, 1}, {8, 8}, {5, 13},
 	{1, 1, 1}, {4, 1, 7}, {1, 8, 8}, {16, 16, 16}, {3, 5, 7},
+	// Row groups: rows 1..ny-1 run rowGroup at a time, so ny-1 ≡ 0..3 leaves
+	// a short last group of every length, against rows of 1, 2, rowGroup and
+	// rowGroup+1 columns.
+	{5, 1}, {6, 2}, {7, 4}, {8, 5},
+	{2, 5, 5}, {3, 6, 4}, {2, 7, 2}, {3, 8, 1},
+	{17, 91, 93},               // three slabs (8, 8, 1 rows): the slab path and plane 0 of each
 	{2, 3, 4, 5}, {4, 4, 4, 4}, // 4-d exercises the shared generic path
 }
 
@@ -84,14 +90,38 @@ func TestCompressFastMatchesGenericBitwise(t *testing.T) {
 
 				gG, errG := decompressSZ(blobG, true, 1)
 				gF, errF := decompressSZ(blobG, false, 1)
-				if errG != nil || errF != nil {
-					t.Fatalf("%v/%s eb=%g: decompress generic err=%v fast err=%v", shape, f.Name, eb, errG, errF)
+				gP, errP := decompressSZ(blobG, false, 2)
+				if errG != nil || errF != nil || errP != nil {
+					t.Fatalf("%v/%s eb=%g: decompress generic err=%v fast err=%v parallel err=%v", shape, f.Name, eb, errG, errF, errP)
 				}
 				for i := range gG.Data {
 					if math.Float32bits(gG.Data[i]) != math.Float32bits(gF.Data[i]) {
 						t.Fatalf("%v/%s eb=%g: sample %d differs: %x vs %x",
 							shape, f.Name, eb, i, math.Float32bits(gG.Data[i]), math.Float32bits(gF.Data[i]))
 					}
+				}
+				if !bitsEqual(gP.Data, gG.Data) {
+					t.Fatalf("%v/%s eb=%g: parallel decode differs from the oracle", shape, f.Name, eb)
+				}
+				// The middle half of every dimension, from the blob's index.
+				lo, hi := make([]int, len(shape)), make([]int, len(shape))
+				for d, n := range shape {
+					lo[d], hi[d] = n/4, n-n/4
+				}
+				want, err := grid.SliceRegion(gG, lo, hi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				index, err := BuildRegionIndex(blobG)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := decompressRegion(blobG, index, lo, hi, false)
+				if err != nil {
+					t.Fatalf("%v/%s eb=%g: region %v:%v: %v", shape, f.Name, eb, lo, hi, err)
+				}
+				if !bitsEqual(got.Data, want.Data) {
+					t.Fatalf("%v/%s eb=%g: region %v:%v differs from the oracle", shape, f.Name, eb, lo, hi)
 				}
 			}
 		}
@@ -100,28 +130,77 @@ func TestCompressFastMatchesGenericBitwise(t *testing.T) {
 
 // TestReconstructFastMatchesGenericOnTruncatedRaw confirms the two decode
 // paths agree on the error for a blob whose raw-literal pool is exhausted
-// mid-stream.
+// mid-stream. The 3D field has two full row groups per plane, so dropping
+// 1..n escapes starts the overrun at every point of a group.
 func TestReconstructFastMatchesGenericOnTruncatedRaw(t *testing.T) {
-	f := grid.MustNew("esc", 4, 5)
-	for i := range f.Data {
-		f.Data[i] = float32(math.Inf(1)) // every sample escapes
-	}
-	blob, err := compressSZ(f, 1e-3, false, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Decompressing a prefix tends to truncate the raw pool; both paths must
-	// fail (or succeed) identically.
-	for cut := len(blob) - 1; cut > len(blob)-16 && cut > 0; cut-- {
-		gG, errG := decompressSZ(blob[:cut], true, 1)
-		gF, errF := decompressSZ(blob[:cut], false, 1)
-		if (errG == nil) != (errF == nil) {
-			t.Fatalf("cut=%d: generic err=%v, fast err=%v", cut, errG, errF)
+	for _, shape := range [][]int{{4, 5}, {2, 2*rowGroup + 1, 3}} {
+		f := grid.MustNew("esc", shape...)
+		for i := range f.Data {
+			f.Data[i] = float32(math.Inf(1)) // every sample escapes
 		}
-		if errG == nil {
-			for i := range gG.Data {
-				if math.Float32bits(gG.Data[i]) != math.Float32bits(gF.Data[i]) {
-					t.Fatalf("cut=%d sample %d differs", cut, i)
+		blob, err := compressSZ(f, 1e-3, false, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for drop := 1; drop <= f.Size(); drop++ {
+			cut := dropEscapes(t, blob, drop)
+			_, errG := decompressSZ(cut, true, 1)
+			_, errF := decompressSZ(cut, false, 1)
+			if errG == nil || errF == nil || errG.Error() != errF.Error() {
+				t.Fatalf("%v drop=%d: generic err=%v, fast err=%v", shape, drop, errG, errF)
+			}
+		}
+		// Decompressing a prefix truncates the container instead; both paths
+		// must fail (or succeed) identically.
+		for cut := len(blob) - 1; cut > len(blob)-16 && cut > 0; cut-- {
+			gG, errG := decompressSZ(blob[:cut], true, 1)
+			gF, errF := decompressSZ(blob[:cut], false, 1)
+			if (errG == nil) != (errF == nil) {
+				t.Fatalf("%v cut=%d: generic err=%v, fast err=%v", shape, cut, errG, errF)
+			}
+			if errG == nil && !bitsEqual(gG.Data, gF.Data) {
+				t.Fatalf("%v cut=%d: reconstructions differ", shape, cut)
+			}
+		}
+	}
+}
+
+// encPoint rounds through an integer register instead of math.Round (see its
+// comment). The generic oracle shares encPoint, so the rewrite is pinned here
+// against the math.Round formulation it replaced: same code, same
+// reconstruction bits, at half-integers, the interval edges and non-finite
+// values.
+func TestEncPointMatchesMathRound(t *testing.T) {
+	ref := func(v, pred, eb, twoEB float64) (uint16, float32) {
+		q := math.Round((v - pred) / twoEB)
+		if !math.IsNaN(q) && !math.IsInf(q, 0) {
+			if code := int64(q) + radius; code > 0 && code < intervals {
+				if rec := float32(pred + twoEB*q); math.Abs(float64(rec)-v) <= eb {
+					return uint16(code), rec
+				}
+			}
+		}
+		return 0, float32(v)
+	}
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 3e38, -3e38, math.Copysign(0, -1), 0}
+	for _, eb := range []float64{1e-7, 1e-3, 0.5, 1e3} {
+		twoEB := 2 * eb
+		for _, pred := range []float64{0, 1.5, -3.25, 1e30} {
+			vs := append([]float64(nil), specials...)
+			for _, k := range []float64{0, 1, 2, radius - 2, radius - 1, radius, radius + 1} {
+				for _, frac := range []float64{-0.5, -0.25, 0, 0.25, 0.5, 0.75} {
+					for _, sign := range []float64{1, -1} {
+						x := sign * (k + frac)
+						vs = append(vs, pred+x*twoEB, math.Nextafter(pred+x*twoEB, math.Inf(1)), math.Nextafter(pred+x*twoEB, math.Inf(-1)))
+					}
+				}
+			}
+			for _, v := range vs {
+				v = float64(float32(v)) // encPoint sees float32 samples
+				gc, gr := encPoint(v, pred, eb, twoEB)
+				wc, wr := ref(v, pred, eb, twoEB)
+				if gc != wc || math.Float32bits(gr) != math.Float32bits(wr) {
+					t.Fatalf("eb=%g pred=%g v=%g: got (%d, %x), want (%d, %x)", eb, pred, v, gc, math.Float32bits(gr), wc, math.Float32bits(wr))
 				}
 			}
 		}

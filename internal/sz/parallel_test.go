@@ -37,7 +37,7 @@ var parControl = []int{16, 32, 32}
 
 // parField fills a field with the given character. Characters mirror the
 // serial identity suite: smooth (mostly quantized), noisy (mixed), escape
-// (NaN/Inf/huge forcing the raw path), constant.
+// (NaN/Inf/huge forcing the raw path), inf (every point escapes), constant.
 func parField(shape []int, kind string) *grid.Field {
 	f := grid.MustNew(kind, shape...)
 	rng := rand.New(rand.NewSource(int64(len(f.Data))))
@@ -62,6 +62,8 @@ func parField(shape []int, kind string) *grid.Field {
 			default:
 				f.Data[i] = float32(i)
 			}
+		case "inf":
+			f.Data[i] = float32(math.Inf(1))
 		case "constant":
 			f.Data[i] = 4.25
 		}
@@ -128,11 +130,10 @@ func bitsEqual(a, b []float32) bool {
 	return true
 }
 
-// Concurrent slabs append escapes into windows of one buffer that are then
-// closed up; the blob's raw pool must be the serial walk's — one slice
-// appended to slab after slab — byte for byte. The slabs are chosen to make
-// the close-up move data every way it can: a part-full window, a full one
-// that shifts onto its own source, an empty one, and a short tail.
+// Slabs quantize concurrently and the escapes are gathered from their codes
+// afterwards; the blob's raw pool must be the serial walk's — each slab's
+// escapes on the oracle, appended slab after slab — byte for byte. The slabs
+// escape every way they can: part of a slab, all of one, none, and a scatter.
 func TestSZParallelEscapeOrder(t *testing.T) {
 	const eb = 1e-3
 	dims := []int{28, 96, 96}
@@ -167,12 +168,16 @@ func TestSZParallelEscapeOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := len(want)
-		want = quantizeField(sub, eb, codes[z0*ps:z1*ps], recon[z0*ps:z1*ps], want, false)
-		perSlab[s] = len(want) - before
+		quantizeField(sub, eb, codes[z0*ps:z1*ps], recon[z0*ps:z1*ps], true)
+		for i, c := range codes[z0*ps : z1*ps] {
+			if c == 0 {
+				want = append(want, sub.Data[i])
+				perSlab[s]++
+			}
+		}
 	}
 	if k := perSlab[0]; k == 0 || k == T*ps {
-		t.Fatalf("slab 0 escapes %d of %d points, want a part-full window", k, T*ps)
+		t.Fatalf("slab 0 escapes %d of %d points, want part of them", k, T*ps)
 	}
 	if perSlab[1] != T*ps || perSlab[2] != 0 || perSlab[3] == 0 {
 		t.Fatalf("per-slab escapes %v, want [part, all, none, some]", perSlab)
@@ -279,7 +284,7 @@ func TestSZ2ParallelIdentity(t *testing.T) {
 
 // A single parallel Compressor value shared across goroutines must be safe:
 // the pooled scratch is per-acquisition, never per-codec, and each call's
-// slabs write only their own windows of it. Run under -race.
+// slabs write only their own ranges of it. Run under -race.
 func TestSZSharedCompressorConcurrent(t *testing.T) {
 	f := parField([]int{17, 96, 96}, "noisy") // slabs of 8, 8 and 1 rows
 	c := &Compressor{Workers: 2}

@@ -26,8 +26,10 @@ var regionKernelShapes = []struct {
 
 // regionKernelBoxes returns the boxes the kernels are pinned on for a field
 // cut into slabs of T leading rows: one cell wide in every trailing
-// dimension, the whole field, ending in the middle of a slab, and starting on
-// a slab boundary.
+// dimension, the whole field, ending in the middle of a slab, starting on a
+// slab boundary, and prefix boxes 1, rowGroup-1, rowGroup and rowGroup+1
+// cells wide in every trailing dimension (rows and columns both stop short
+// of a row group's end).
 func regionKernelBoxes(dims []int, T int) [][2][]int {
 	nd := len(dims)
 	mk := func(lo0, hi0 int, tail func(n int) (int, int)) [2][]int {
@@ -47,12 +49,16 @@ func regionKernelBoxes(dims []int, T int) [][2][]int {
 	if midEnd > nz {
 		midEnd = nz
 	}
-	return [][2][]int{
+	boxes := [][2][]int{
 		mk(0, nz, func(n int) (int, int) { return n / 2, n/2 + 1 }),
 		mk(0, nz, func(n int) (int, int) { return 0, n }),
 		mk(1, midEnd, func(n int) (int, int) { return n / 4, n - n/4 }),
 		mk(start, nz, func(n int) (int, int) { return 0, (n + 1) / 2 }),
 	}
+	for _, w := range []int{1, rowGroup - 1, rowGroup, rowGroup + 1} {
+		boxes = append(boxes, mk(0, nz, func(n int) (int, int) { return 0, min(n, w) }))
+	}
+	return boxes
 }
 
 // The region decoders run the same 1D/2D/3D kernels as full decode, under a
@@ -181,10 +187,16 @@ func checkBoxCursor(t *testing.T, name string, full *grid.Field, eb float64, cod
 // escapes cut off the raw pool, a region whose box holds the points that need
 // them fails with the serial error on kernels and oracle alike, and a region
 // whose box leaves them outside (they are counted, never fetched) decodes.
+// The all-escape field's last row is the second of a row group, so the
+// overrun starts inside a group.
 func TestSZRegionRawExhaustedIdentity(t *testing.T) {
 	want := errRawExhausted().Error()
-	for _, dims := range [][]int{parControl, {19, 64, 128}} {
-		blob, err := compressSZ(parField(dims, "escape"), 1e-3, false, 1)
+	for _, c := range []struct {
+		dims []int
+		kind string
+	}{{parControl, "escape"}, {[]int{19, 64, 128}, "escape"}, {[]int{5, 2*rowGroup + 3, 8}, "inf"}} {
+		dims := c.dims
+		blob, err := compressSZ(parField(dims, c.kind), 1e-3, false, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

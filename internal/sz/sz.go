@@ -139,22 +139,10 @@ func compressSZ(f *grid.Field, eb float64, forceGeneric bool, workers int) ([]by
 	defer putU16s(codes)
 	recon := getF32s(n)
 	defer putF32s(recon)
-	// The escape pool is staged through the scratch pools too: at most n
-	// points can escape, so a capacity-n buffer guarantees the appends inside
-	// the kernels never reallocate. The slab windows below rely on
-	// cap(rawBuf) >= n, which getF32s(n) provides.
-	rawBuf := getF32s(n)[:0]
-	defer putF32s(rawBuf[:cap(rawBuf)])
-	raw := rawBuf
 	rowsPerSlab, nSlabs := szChunkLayout(f.Dims)
 	if nSlabs >= 2 {
 		obs.Inc("sz/chunked_encode")
 		ps := n / f.Dims[0]
-		// A slab of k points escapes at most k values, so slab [lo, hi) appends
-		// into its own window rawBuf[lo:hi] of the shared buffer: windows are
-		// disjoint, and the capacity cap keeps an append from ever reaching the
-		// next one.
-		nEsc := make([]int, nSlabs)
 		err := pool.RunErr(workers, nSlabs, func(s int) error {
 			z0, z1, subDims := slabSpan(f.Dims, rowsPerSlab, s)
 			lo, hi := z0*ps, z1*ps
@@ -162,28 +150,26 @@ func compressSZ(f *grid.Field, eb float64, forceGeneric bool, workers int) ([]by
 			if err != nil {
 				return fmt.Errorf("sz: %w", err)
 			}
-			nEsc[s] = len(quantizeField(sub, eb, codes[lo:hi], recon[lo:hi], rawBuf[lo:lo:hi], forceGeneric))
+			quantizeField(sub, eb, codes[lo:hi], recon[lo:hi], forceGeneric)
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		// Close the windows up in slab order: slabs are row-major ranges and
-		// each window is in row-major order, so this is the global row-major
-		// escape order of a serial walk. A window only ever moves toward the
-		// head (the escapes before it number at most lo), so the copy never
-		// overwrites a window it has yet to read.
-		for s, k := range nEsc {
-			lo := s * rowsPerSlab * ps
-			raw = append(raw, rawBuf[lo:lo+k]...)
-		}
 	} else {
-		raw = quantizeField(f, eb, codes, recon, rawBuf, forceGeneric)
+		quantizeField(f, eb, codes, recon, forceGeneric)
 	}
 
+	// The kernels mark an escape as code 0; the raw pool is the escaped
+	// values in row-major order, gathered while the codes are serialized.
 	codeBytes := getScratchBytes(2 * n)
+	raw := getF32s(n)[:0]
+	defer putF32s(raw[:cap(raw)])
 	for i, c := range codes {
 		binary.LittleEndian.PutUint16(codeBytes[2*i:], c)
+		if c == 0 {
+			raw = append(raw, f.Data[i])
+		}
 	}
 	var packedCodes []byte
 	var err error
