@@ -17,7 +17,9 @@
 //
 // and commit the diff alongside the change that caused it. Everything the
 // generator consumes is deterministic (datagen fields, serial codecs), so
-// an unchanged tree regenerates byte-identical fixtures.
+// an unchanged tree regenerates byte-identical fixtures, which main_test.go
+// checks. Fixtures pinning an older build's output (sz-indexed-seeded.blob
+// and its fuzz seed) are frozen: no generator writes them.
 package main
 
 import (

@@ -293,10 +293,9 @@ func ParseRegion(s string) (lo, hi []int, err error) { return roi.ParseRegion(s)
 // to the corresponding slice of a full decode. The cost scales with the
 // region, not the field: zfp seeks to block offsets, sz entropy-decodes only
 // the chunks covering the region's slabs and restarts the Lorenzo recurrence
-// at each one (legacy whole-stream sz blobs restart at the nearest indexed
-// slab instead, see IndexBlob), and brick stores read only intersecting
-// chunks. Codecs without seekable structure fall back to full decode +
-// slice — always correct, just slower.
+// at each one (a field under two slabs is one slab, decoded from row 0), and
+// brick stores read only intersecting chunks. Codecs without seekable
+// structure fall back to full decode + slice — always correct, just slower.
 func DecompressRegion(blob []byte, lo, hi []int) (*Field, error) {
 	return DecompressRegionParallel(blob, lo, hi, 1)
 }

@@ -123,13 +123,25 @@ func TestGoldenStreams(t *testing.T) {
 // and re-indexing today must reproduce the committed bytes. It also pins the
 // compatibility promise in the other direction: pre-index blobs (the raw
 // golden streams) must region-decode through the no-index fallback paths.
+//
+// sz-indexed-seeded.blob is frozen, decode-only: the same sz stream indexed by
+// an older build, which stored seed planes for one-slab blobs (its [4,12)³
+// region restarted at row 4's seed plane). Today's decoder never reads a
+// one-slab index, and that container must keep decoding bit-identically.
 func TestGoldenIndexedStreams(t *testing.T) {
 	lo, hi := []int{4, 4, 4}, []int{12, 12, 12}
-	for _, name := range []string{"sz", "zfp"} {
-		t.Run(name, func(t *testing.T) {
-			indexed := readGolden(t, name+"-indexed.blob")
-			raw := readGolden(t, name+".blob")
-			reconBytes := readGolden(t, name+".recon")
+	for _, c := range []struct {
+		name, codec, file string
+		frozen            bool
+	}{
+		{"sz", "sz", "sz-indexed.blob", false},
+		{"zfp", "zfp", "zfp-indexed.blob", false},
+		{"sz-seeded", "sz", "sz-indexed-seeded.blob", true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			indexed := readGolden(t, c.file)
+			raw := readGolden(t, c.codec+".blob")
+			reconBytes := readGolden(t, c.codec+".recon")
 			want, err := fieldio.Read(bytes.NewReader(reconBytes))
 			if err != nil {
 				t.Fatal(err)
@@ -176,13 +188,16 @@ func TestGoldenIndexedStreams(t *testing.T) {
 
 			// Index-build stability: re-indexing the committed raw stream must
 			// reproduce the committed indexed container byte for byte.
+			if c.frozen {
+				return
+			}
 			fresh, err := fxrz.IndexBlob(raw)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(fresh, indexed) {
 				t.Errorf("%s index build drifted: emits %d bytes differing from the %d-byte golden container",
-					name, len(fresh), len(indexed))
+					c.name, len(fresh), len(indexed))
 			}
 		})
 	}

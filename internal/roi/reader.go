@@ -20,14 +20,14 @@ const zfpBlockSide = 4
 //
 // For ZFP streams up to 3D the cache granularity is the codec's own 4^d
 // block, decoded through the seeking region path, so a cold query costs one
-// block, not one field. For SZ streams whose code section is chunked (the
-// encoder reset its predictor at every slab boundary) the granularity is one
-// slab, decoded through sz.DecompressRegion's seeking path — a cold query
-// entropy-decodes only the slab it landed in and reconstructs it with the
-// rank's full-decode Lorenzo kernel (the box is the whole slab), so filling
-// every slab costs what one full decode does. Remaining
-// streams (legacy whole-stream SZ, the other codecs, brick stores)
-// materialize in full on the first query and serve from memory thereafter.
+// block, not one field. For SZ streams the granularity is one slab (the
+// encoder resets its predictor at every slab boundary; a field under two
+// slabs is one slab), decoded through sz.DecompressRegion's seeking path — a
+// cold query entropy-decodes only the slab it landed in and reconstructs it
+// with the rank's full-decode Lorenzo kernel (the box is the whole slab), so
+// filling every slab costs what one full decode does. Remaining streams (the
+// other codecs, brick stores) materialize in full on the first query and
+// serve from memory thereafter.
 type Reader struct {
 	blob         []byte
 	inner, index []byte

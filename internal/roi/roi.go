@@ -19,10 +19,10 @@
 // container is exactly the pre-existing decode path, and blobs written
 // before the index existed (raw codec magic) keep decoding unchanged. The
 // checksum binds the index to the stream it was built from: the index is
-// derived data the codecs trust for seeking (sz seed planes in particular
-// feed straight into reconstruction), so a container whose index no longer
-// matches its inner blob must fail loudly rather than decode regions that
-// silently diverge from the full decode.
+// derived data the codecs trust for seeking (zfp block offsets, sz raw-pool
+// cursors), so a container whose index no longer matches its inner blob must
+// fail loudly rather than decode regions that silently diverge from the full
+// decode.
 package roi
 
 import (

@@ -13,8 +13,7 @@ import (
 )
 
 // chunkedShapes are field shapes that span at least two slabs under
-// szChunkLayout, one per rank (plus a single-slab control the tests use to
-// pin the legacy fallback).
+// szChunkLayout, one per rank.
 var chunkedShapes = [][]int{
 	{3 * 65536},      // 1D: 65536-point slabs
 	{2048, 64},       // 2D: 1024-row slabs
@@ -31,8 +30,8 @@ func chunkedWidths() []int {
 }
 
 // TestSZChunkedLayout pins the chunking policy: multi-slab fields emit the
-// chunked container with a row-aligned block size, sub-slab fields keep the
-// legacy whole-stream format byte-for-byte.
+// chunked container with a row-aligned block size, one-slab fields keep the
+// whole-stream entropy format and read back as one slab of every row.
 func TestSZChunkedLayout(t *testing.T) {
 	for _, dims := range chunkedShapes {
 		rows, nSlabs := szChunkLayout(dims)
@@ -48,14 +47,14 @@ func TestSZChunkedLayout(t *testing.T) {
 			t.Fatalf("%v: SlabRows = %d, want %d", dims, got, rows)
 		}
 	}
-	// 16³ (the golden-fixture shape) must stay legacy: one slab, no chunking.
+	// 16³ (the golden-fixture shape) is one slab: no chunking.
 	f := regionTestField(t, false, 16, 16, 16)
 	blob, err := New().Compress(f, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := SlabRows(blob); got != 0 {
-		t.Fatalf("16³ blob reports slab height %d, want legacy 0", got)
+	if got := SlabRows(blob); got != 16 {
+		t.Fatalf("16³ blob reports slab height %d, want one slab of 16", got)
 	}
 	h, payload, err := compress.ParseHeader(blob, compress.MagicSZ)
 	if err != nil {
@@ -66,7 +65,7 @@ func TestSZChunkedLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	if entropy.ChunkedBlockSize(packed) != 0 {
-		t.Fatal("sub-slab field emitted a chunked entropy container")
+		t.Fatal("one-slab field emitted a chunked entropy container")
 	}
 }
 
@@ -157,7 +156,7 @@ func TestSZChunkedConstantField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if SlabRows(blob) == 0 {
+	if SlabRows(blob) >= 48 {
 		t.Fatal("constant 48×64×64 blob is not chunked")
 	}
 	got, err := (&Compressor{Workers: 2}).Decompress(blob)
@@ -183,7 +182,7 @@ func TestSZChunkedRegionMatchesFullDecode(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v: %v", dims, err)
 			}
-			if SlabRows(blob) == 0 {
+			if SlabRows(blob) >= dims[0] {
 				t.Fatalf("%v: expected a chunked blob", dims)
 			}
 			full, err := New().Decompress(blob)
@@ -227,10 +226,9 @@ func TestSZChunkedRegionMatchesFullDecode(t *testing.T) {
 	}
 }
 
-// TestSZChunkedIndex pins the seedless index format for chunked blobs: slab
-// height equal to the chunk height, escape prefix sums, flag byte 2 per
-// boundary, and no seed planes (so the index is tiny and building it decodes
-// no samples).
+// TestSZChunkedIndex pins the index format for chunked blobs: slab height
+// equal to the chunk height, escape prefix sums and flag byte 2 per boundary
+// (so the index is tiny and building it decodes no samples).
 func TestSZChunkedIndex(t *testing.T) {
 	f := regionTestField(t, true, 48, 64, 64)
 	blob, err := New().Compress(f, 1e-3)
@@ -242,7 +240,7 @@ func TestSZChunkedIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(index) > 64 {
-		t.Fatalf("seedless index is %d bytes; expected escape counts only", len(index))
+		t.Fatalf("multi-slab index is %d bytes; expected escape counts only", len(index))
 	}
 	si, err := parseSZIndex(index, f.Dims, f.Size())
 	if err != nil {
@@ -254,20 +252,20 @@ func TestSZChunkedIndex(t *testing.T) {
 	if si.T != SlabRows(blob) {
 		t.Fatalf("index slab height %d != chunk height %d", si.T, SlabRows(blob))
 	}
-	for i, fl := range si.flags {
+	nb := len(si.cumEsc) - 1
+	for i, fl := range index[len(index)-nb:] {
 		if fl != 2 {
-			t.Fatalf("boundary %d flag = %d, want 2 (seed absent)", i+1, fl)
+			t.Fatalf("boundary %d flag = %d, want 2", i+1, fl)
 		}
 	}
-	// A seedless index paired with a legacy whole-stream blob must be
-	// rejected when the decoder needs the seed it does not carry.
-	if _, err := si.seedPlane(1, 64*64); err == nil {
-		t.Fatal("seedPlane on a flag-2 boundary succeeded")
-	}
-	// Flag bytes outside {0,1,2} stay rejected.
-	bad := bytes.Clone(index)
-	bad[len(bad)-1] = 3
-	if _, err := parseSZIndex(bad, f.Dims, f.Size()); err == nil {
-		t.Fatal("flag byte 3 accepted")
+	// Flags 0 and 1 marked the seed planes of a one-slab index, which no
+	// decoder reads; in a multi-slab index they, like any flag but 2, are
+	// corrupt.
+	for _, flag := range []byte{1, 3} {
+		bad := bytes.Clone(index)
+		bad[len(bad)-1] = flag
+		if _, err := parseSZIndex(bad, f.Dims, f.Size()); err == nil {
+			t.Fatalf("flag byte %d in a multi-slab index accepted", flag)
+		}
 	}
 }

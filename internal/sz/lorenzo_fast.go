@@ -220,23 +220,23 @@ func errRawExhausted() error {
 // reconstructField mirrors quantizeField on the decode side: the whole field
 // from an empty predictor, the box being all of it.
 func reconstructField(f *grid.Field, eb float64, codeBytes, rawPayload []byte, nraw uint64, forceGeneric bool) error {
-	_, err := reconstructBox(f.Data, f.Dims, 0, f.Dims[1:], eb, codeBytes, rawPayload, nraw, 0, forceGeneric)
+	_, err := reconstructBox(f.Data, f.Dims, f.Dims[1:], eb, codeBytes, rawPayload, nraw, 0, forceGeneric)
 	return err
 }
 
 // reconstructBox is the one Lorenzo reconstruction entry point, shared by
-// full and region decode. data holds dims[0] rows of the trailing dims and
-// codeBytes their codes; rows below row0 are already reconstructed (a legacy
-// blob's seed plane) and rows [row0, dims[0]) are decoded, starting at raw
-// cursor rawPos. Only points inside the prefix box [0, hiTail[d]) of the
-// trailing dimensions are written: every Lorenzo neighbor sits at offset -1,
-// so the box is closed under dependencies and nothing outside it is ever
-// read. Escape codes outside the box still consume their raw value — they are
-// counted, not decoded — so the returned cursor is exact for whatever decodes
-// next. A full decode is the call whose box is the whole field.
-func reconstructBox(data []float32, dims []int, row0 int, hiTail []int, eb float64, codeBytes, rawPayload []byte, nraw uint64, rawPos int, forceGeneric bool) (int, error) {
+// full and region decode. data holds the dims[0] rows of one slab — an
+// independent sub-field, decoded from an empty predictor — and codeBytes
+// their codes, starting at raw cursor rawPos. Only points inside the prefix
+// box [0, hiTail[d]) of the trailing dimensions are written: every Lorenzo
+// neighbor sits at offset -1, so the box is closed under dependencies and
+// nothing outside it is ever read. Escape codes outside the box still
+// consume their raw value — they are counted, not decoded — so the returned
+// cursor is exact for whatever decodes next. A full decode is the call whose
+// box is the whole slab.
+func reconstructBox(data []float32, dims, hiTail []int, eb float64, codeBytes, rawPayload []byte, nraw uint64, rawPos int, forceGeneric bool) (int, error) {
 	plane, box := elemCount(dims[1:]), elemCount(hiTail)
-	rows := int64(dims[0] - row0)
+	rows := int64(dims[0])
 	if box < plane {
 		obs.Add("sz/region_points_skipped", rows*int64(plane-box))
 	}
@@ -244,26 +244,25 @@ func reconstructBox(data []float32, dims []int, row0 int, hiTail []int, eb float
 		obs.Add("sz/reconstruct_fast_points", rows*int64(box))
 		switch len(dims) {
 		case 1:
-			return reconstruct1D(data, row0, eb, codeBytes, rawPayload, nraw, rawPos)
+			return reconstruct1D(data, eb, codeBytes, rawPayload, nraw, rawPos)
 		case 2:
-			return reconstructPlane(data, dims[1], row0, dims[0], hiTail[0], 2*eb, codeBytes, rawPayload, nraw, rawPos)
+			return reconstructPlane(data, dims[1], dims[0], hiTail[0], 2*eb, codeBytes, rawPayload, nraw, rawPos)
 		case 3:
-			return reconstructVolume(data, dims, row0, hiTail[0], hiTail[1], eb, codeBytes, rawPayload, nraw, rawPos)
+			return reconstructVolume(data, dims, hiTail[0], hiTail[1], eb, codeBytes, rawPayload, nraw, rawPos)
 		}
 	}
 	obs.Add("sz/reconstruct_generic_points", rows*int64(box))
-	return reconstructGeneric(data, dims, row0, hiTail, eb, codeBytes, rawPayload, nraw, rawPos)
+	return reconstructGeneric(data, dims, hiTail, eb, codeBytes, rawPayload, nraw, rawPos)
 }
 
 // reconstructGeneric is the N-d odometer decode path (4D fallback and test
 // oracle), one point at a time under the reconstructBox contract. The
 // prediction is pure, so computing it for escaped points too (which the
 // dispatch kernels also do) cannot change the output.
-func reconstructGeneric(data []float32, dims []int, row0 int, hiTail []int, eb float64, codeBytes, rawPayload []byte, nraw uint64, rawPos int) (int, error) {
+func reconstructGeneric(data []float32, dims, hiTail []int, eb float64, codeBytes, rawPayload []byte, nraw uint64, rawPos int) (int, error) {
 	twoEB := 2 * eb
 	lor := newLorenzo(dims)
-	lor.coord[0] = row0
-	for idx := row0 * elemCount(dims[1:]); idx < len(data); idx++ {
+	for idx := range data {
 		inBox := true
 		for d, h := range hiTail {
 			if lor.coord[d+1] >= h {
@@ -305,18 +304,15 @@ func rowCursors(cur *[rowGroup]int, codeBytes []byte, g, k, nx, hx int, nraw uin
 	return rawPos, nil
 }
 
-func reconstruct1D(data []float32, i0 int, eb float64, codeBytes, rawPayload []byte, nraw uint64, rawPos int) (int, error) {
+func reconstruct1D(data []float32, eb float64, codeBytes, rawPayload []byte, nraw uint64, rawPos int) (int, error) {
 	var cur [rowGroup]int
-	rawPos, err := rowCursors(&cur, codeBytes, i0, 1, len(data)-i0, len(data)-i0, nraw, rawPos)
-	if err != nil {
-		return 0, err
+	rawPos, err := rowCursors(&cur, codeBytes, 0, 1, len(data), len(data), nraw, rawPos)
+	if err != nil || len(data) == 0 {
+		return rawPos, err
 	}
 	twoEB := 2 * eb
-	if i0 == 0 && len(data) > 0 {
-		decPoint(data, 0, 0, twoEB, codeBytes, rawPayload, &cur[0])
-		i0 = 1
-	}
-	for i := i0; i < len(data); i++ {
+	decPoint(data, 0, 0, twoEB, codeBytes, rawPayload, &cur[0])
+	for i := 1; i < len(data); i++ {
 		pred := 0.0
 		pred += float64(data[i-1])
 		decPoint(data, i, pred, twoEB, codeBytes, rawPayload, &cur[0])
@@ -324,28 +320,24 @@ func reconstruct1D(data []float32, i0 int, eb float64, codeBytes, rawPayload []b
 	return rawPos, nil
 }
 
-// reconstructPlane is the decode twin of quantizePlane: rows [y0, y1) of a
+// reconstructPlane is the decode twin of quantizePlane: rows [0, ny) of a
 // plane of nx-point rows (a 2D field, or plane 0 of a 3D one), writing the
 // box columns [0, hx) of each. Every group takes its rows' raw cursors from
 // rowCursors first, so the rows in flight fetch escapes independently.
-func reconstructPlane(data []float32, nx, y0, y1, hx int, twoEB float64, codeBytes, rawPayload []byte, nraw uint64, rawPos int) (int, error) {
+func reconstructPlane(data []float32, nx, ny, hx int, twoEB float64, codeBytes, rawPayload []byte, nraw uint64, rawPos int) (int, error) {
 	var cur [rowGroup]int
-	var err error
-	y := y0
-	if y == 0 {
-		if rawPos, err = rowCursors(&cur, codeBytes, 0, 1, nx, hx, nraw, rawPos); err != nil {
-			return 0, err
-		}
-		decPoint(data, 0, 0, twoEB, codeBytes, rawPayload, &cur[0])
-		for i := 1; i < hx; i++ {
-			p := 0.0
-			p += float64(data[i-1])
-			decPoint(data, i, p, twoEB, codeBytes, rawPayload, &cur[0])
-		}
-		y = 1
+	rawPos, err := rowCursors(&cur, codeBytes, 0, 1, nx, hx, nraw, rawPos)
+	if err != nil {
+		return 0, err
 	}
-	for ; y < y1; y += rowGroup {
-		k := min(rowGroup, y1-y)
+	decPoint(data, 0, 0, twoEB, codeBytes, rawPayload, &cur[0])
+	for i := 1; i < hx; i++ {
+		p := 0.0
+		p += float64(data[i-1])
+		decPoint(data, i, p, twoEB, codeBytes, rawPayload, &cur[0])
+	}
+	for y := 1; y < ny; y += rowGroup {
+		k := min(rowGroup, ny-y)
 		g := y * nx
 		if rawPos, err = rowCursors(&cur, codeBytes, g, k, nx, hx, nraw, rawPos); err != nil {
 			return 0, err
@@ -372,70 +364,66 @@ func reconstructPlane(data []float32, nx, y0, y1, hx int, twoEB float64, codeByt
 	return rawPos, nil
 }
 
-// reconstructVolume is the decode twin of quantizeVolume: planes [z0, nz),
-// each decoded over rows [0, hy) and columns [0, hx) of the box, with the
-// escapes of rows [hy, ny) counted.
-func reconstructVolume(data []float32, dims []int, z0, hy, hx int, eb float64, codeBytes, rawPayload []byte, nraw uint64, rawPos int) (int, error) {
+// reconstructVolume is the decode twin of quantizeVolume: every plane
+// decoded over rows [0, hy) and columns [0, hx) of the box, with the escapes
+// of rows [hy, ny) counted. Plane 0 is reconstructPlane.
+func reconstructVolume(data []float32, dims []int, hy, hx int, eb float64, codeBytes, rawPayload []byte, nraw uint64, rawPos int) (int, error) {
 	nz, ny, nx := dims[0], dims[1], dims[2]
 	s0 := ny * nx
 	twoEB := 2 * eb
+	rawPos, err := reconstructPlane(data[:s0], nx, hy, hx, twoEB, codeBytes, rawPayload, nraw, rawPos)
+	if err != nil {
+		return 0, err
+	}
+	rawPos += countEscapes(codeBytes[2*hy*nx : 2*s0])
 	var cur [rowGroup]int
-	var err error
-	for z := z0; z < nz; z++ {
+	for z := 1; z < nz; z++ {
 		p0 := z * s0
-		if z == 0 {
-			if rawPos, err = reconstructPlane(data[:s0], nx, 0, hy, hx, twoEB, codeBytes, rawPayload, nraw, rawPos); err != nil {
-				return 0, err
-			}
-		} else {
-			if rawPos, err = rowCursors(&cur, codeBytes, p0, 1, nx, hx, nraw, rawPos); err != nil {
-				return 0, err
-			}
+		if rawPos, err = rowCursors(&cur, codeBytes, p0, 1, nx, hx, nraw, rawPos); err != nil {
+			return 0, err
+		}
+		p := 0.0
+		p += float64(data[p0-s0])
+		decPoint(data, p0, p, twoEB, codeBytes, rawPayload, &cur[0])
+		for i := p0 + 1; i < p0+hx; i++ {
 			p := 0.0
-			p += float64(data[p0-s0])
-			decPoint(data, p0, p, twoEB, codeBytes, rawPayload, &cur[0])
-			for i := p0 + 1; i < p0+hx; i++ {
+			p += float64(data[i-s0])
+			p += float64(data[i-1])
+			p -= float64(data[i-s0-1])
+			decPoint(data, i, p, twoEB, codeBytes, rawPayload, &cur[0])
+		}
+		for y := 1; y < hy; y += rowGroup {
+			k := min(rowGroup, hy-y)
+			g := p0 + y*nx
+			if rawPos, err = rowCursors(&cur, codeBytes, g, k, nx, hx, nraw, rawPos); err != nil {
+				return 0, err
+			}
+			for j := 0; j < k; j++ {
+				i := g + j*nx
 				p := 0.0
 				p += float64(data[i-s0])
-				p += float64(data[i-1])
-				p -= float64(data[i-s0-1])
-				decPoint(data, i, p, twoEB, codeBytes, rawPayload, &cur[0])
+				p += float64(data[i-nx])
+				p -= float64(data[i-s0-nx])
+				decPoint(data, i, p, twoEB, codeBytes, rawPayload, &cur[j])
 			}
-			for y := 1; y < hy; y += rowGroup {
-				k := min(rowGroup, hy-y)
-				g := p0 + y*nx
-				if rawPos, err = rowCursors(&cur, codeBytes, g, k, nx, hx, nraw, rawPos); err != nil {
-					return 0, err
-				}
-				for j := 0; j < k; j++ {
-					i := g + j*nx
+			for t := 1; t < hx+k-1; t++ {
+				jlo, jhi := max(0, t-hx+1), min(k, t)
+				i := g + t + jlo*(nx-1)
+				for j := jlo; j < jhi; j++ {
 					p := 0.0
 					p += float64(data[i-s0])
 					p += float64(data[i-nx])
 					p -= float64(data[i-s0-nx])
+					p += float64(data[i-1])
+					p -= float64(data[i-s0-1])
+					p -= float64(data[i-nx-1])
+					p += float64(data[i-s0-nx-1])
 					decPoint(data, i, p, twoEB, codeBytes, rawPayload, &cur[j])
-				}
-				for t := 1; t < hx+k-1; t++ {
-					jlo, jhi := max(0, t-hx+1), min(k, t)
-					i := g + t + jlo*(nx-1)
-					for j := jlo; j < jhi; j++ {
-						p := 0.0
-						p += float64(data[i-s0])
-						p += float64(data[i-nx])
-						p -= float64(data[i-s0-nx])
-						p += float64(data[i-1])
-						p -= float64(data[i-s0-1])
-						p -= float64(data[i-nx-1])
-						p += float64(data[i-s0-nx-1])
-						decPoint(data, i, p, twoEB, codeBytes, rawPayload, &cur[j])
-						i += nx - 1
-					}
+					i += nx - 1
 				}
 			}
 		}
-		if hy < ny {
-			rawPos += countEscapes(codeBytes[2*(p0+hy*nx) : 2*(p0+s0)])
-		}
+		rawPos += countEscapes(codeBytes[2*(p0+hy*nx) : 2*(p0+s0)])
 	}
 	return rawPos, nil
 }

@@ -12,11 +12,10 @@ import (
 	"github.com/fxrz-go/fxrz/internal/obs"
 )
 
-// regionKernelShapes pairs, per rank, a legacy whole-stream shape (one slab
-// under szChunkLayout, several under the seeded index) with a chunked one of
-// three slabs whose last is short.
+// regionKernelShapes pairs, per rank, a one-slab shape under szChunkLayout
+// with a chunked one of three slabs whose last is short.
 var regionKernelShapes = []struct {
-	legacy, chunked []int
+	oneSlab, chunked []int
 }{
 	{[]int{53}, []int{2*65536 + 100}},
 	{[]int{17, 21}, []int{19, 8192}},
@@ -61,14 +60,14 @@ func regionKernelBoxes(dims []int, T int) [][2][]int {
 	return boxes
 }
 
-// The region decoders run the same 1D/2D/3D kernels as full decode, under a
+// The region decoder runs the same 1D/2D/3D kernels as full decode, under a
 // prefix box and from a raw cursor. Both must agree with the N-d odometer
-// oracle bit for bit — legacy and chunked blobs, with and without an index —
-// and reconstructBox must leave the cursor exactly one past the last escape
+// oracle bit for bit — one-slab and chunked blobs, with and without an index
+// — and reconstructBox must leave the cursor exactly one past the last escape
 // of the rows it covered, in the box or not.
 func TestSZRegionKernelsMatchGeneric(t *testing.T) {
 	for _, pair := range regionKernelShapes {
-		for i, dims := range [][]int{pair.legacy, pair.chunked} {
+		for i, dims := range [][]int{pair.oneSlab, pair.chunked} {
 			for _, c := range []struct {
 				kind string
 				eb   float64
@@ -78,8 +77,8 @@ func TestSZRegionKernelsMatchGeneric(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: compress: %v", name, err)
 				}
-				chunked := SlabRows(blob) > 0
-				if chunked != (i == 1) {
+				T := SlabRows(blob)
+				if chunked := T < dims[0]; chunked != (i == 1) {
 					t.Fatalf("%s: chunked = %v", name, chunked)
 				}
 				full, err := decompressSZ(blob, true, 1)
@@ -91,14 +90,11 @@ func TestSZRegionKernelsMatchGeneric(t *testing.T) {
 					t.Fatalf("%s: index: %v", name, err)
 				}
 				si, err := parseSZIndex(index, dims, full.Size())
-				if err != nil || si == nil {
-					t.Fatalf("%s: no slab index (err %v)", name, err)
-				}
-				if !chunked && si.flags[0] == 2 {
-					t.Fatalf("%s: legacy blob got a seedless index", name)
+				if err != nil || (si == nil) != (i == 0) {
+					t.Fatalf("%s: index %v for a blob of %d-row slabs (err %v)", name, index, T, err)
 				}
 				codes, rawPayload, nraw := decodedSections(t, blob)
-				for _, box := range regionKernelBoxes(dims, si.T) {
+				for _, box := range regionKernelBoxes(dims, T) {
 					lo, hi := box[0], box[1]
 					want, err := grid.SliceRegion(full, lo, hi)
 					if err != nil {
@@ -140,45 +136,41 @@ func decodedSections(t *testing.T, blob []byte) (codes, rawPayload []byte, nraw 
 	return codes, rawPayload, nraw
 }
 
-// checkBoxCursor runs reconstructBox over rows [row0, hi[0]) of the code
-// stream as one predictor chain, from row 0 and restarted below an already
-// decoded row, on the kernels and on the oracle. (For a chunked blob that is
-// not the chain the encoder used, so the values are not the field's — but any
-// code stream is a valid input to both paths, and the escapes are the same.)
+// checkBoxCursor runs reconstructBox over rows [0, hi[0]) of the code stream
+// as one predictor chain, on the kernels and on the oracle. (For a chunked
+// blob that is not the chain the encoder used, so the values are not the
+// field's — but any code stream is a valid input to both paths, and the
+// escapes are the same.)
 func checkBoxCursor(t *testing.T, name string, full *grid.Field, eb float64, codes, rawPayload []byte, nraw uint64, hi []int) {
 	t.Helper()
 	dims := append([]int{hi[0]}, full.Dims[1:]...)
 	plane := elemCount(dims[1:])
-	for row0 := 0; row0 <= 1 && row0 < hi[0]; row0++ {
-		start := countEscapes(codes[:2*row0*plane])
-		wantCursor := countEscapes(codes[:2*hi[0]*plane])
-		var ref *grid.Field
-		for _, generic := range []bool{true, false} {
-			buf := make([]float32, hi[0]*plane)
-			for i := range buf {
-				buf[i] = -12345 // out-of-box points must stay unread
-			}
-			copy(buf, full.Data[:row0*plane])
-			cursor, err := reconstructBox(buf, dims, row0, hi[1:], eb, codes, rawPayload, nraw, start, generic)
-			if err != nil {
-				t.Fatalf("%s box %v row0=%d generic=%v: %v", name, hi, row0, generic, err)
-			}
-			if cursor != wantCursor {
-				t.Fatalf("%s box %v row0=%d generic=%v: cursor %d, want %d", name, hi, row0, generic, cursor, wantCursor)
-			}
-			view, err := grid.FromData("box", buf, dims...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := grid.SliceRegion(view, make([]int, len(dims)), hi)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ref == nil {
-				ref = got
-			} else if !bitsEqual(got.Data, ref.Data) {
-				t.Fatalf("%s box %v row0=%d: kernel and oracle reconstruct the box differently", name, hi, row0)
-			}
+	wantCursor := countEscapes(codes[:2*hi[0]*plane])
+	var ref *grid.Field
+	for _, generic := range []bool{true, false} {
+		buf := make([]float32, hi[0]*plane)
+		for i := range buf {
+			buf[i] = -12345 // out-of-box points must stay unread
+		}
+		cursor, err := reconstructBox(buf, dims, hi[1:], eb, codes, rawPayload, nraw, 0, generic)
+		if err != nil {
+			t.Fatalf("%s box %v generic=%v: %v", name, hi, generic, err)
+		}
+		if cursor != wantCursor {
+			t.Fatalf("%s box %v generic=%v: cursor %d, want %d", name, hi, generic, cursor, wantCursor)
+		}
+		view, err := grid.FromData("box", buf, dims...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := grid.SliceRegion(view, make([]int, len(dims)), hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = got
+		} else if !bitsEqual(got.Data, ref.Data) {
+			t.Fatalf("%s box %v: kernel and oracle reconstruct the box differently", name, hi)
 		}
 	}
 }
@@ -235,7 +227,7 @@ func TestSZRegionRawExhaustedIdentity(t *testing.T) {
 }
 
 // The N-d oracle must not creep back onto the read path unseen: a 3D region
-// decode, chunked or legacy, records only kernel points, a 4D one only
+// decode, chunked or one-slab, records only kernel points, a 4D one only
 // generic points, and the out-of-box points are accounted for.
 func TestSZRegionPointCounters(t *testing.T) {
 	obs.Enable()
@@ -245,8 +237,8 @@ func TestSZRegionPointCounters(t *testing.T) {
 		rows, generic int // reconstructed rows; 1 if the rank has no kernel
 	}{
 		{[]int{19, 64, 128}, []int{9, 8, 16}, []int{12, 40, 100}, 4, 0}, // chunked: slab [8, 16) cut at row 12
-		{[]int{12, 10, 11}, []int{7, 2, 3}, []int{11, 8, 9}, 5, 0},      // legacy, seeded at row 6 (slabs of 2)
-		{[]int{4, 5, 6, 7}, []int{1, 1, 1, 1}, []int{3, 4, 5, 6}, 2, 1}, // legacy 4D, seeded at row 1
+		{[]int{12, 10, 11}, []int{7, 2, 3}, []int{11, 8, 9}, 11, 0},     // one slab: rows [0, 11)
+		{[]int{4, 5, 6, 7}, []int{1, 1, 1, 1}, []int{3, 4, 5, 6}, 3, 1}, // one 4D slab: rows [0, 3)
 	} {
 		blob, err := compressSZ(parField(c.dims, "smooth"), 1e-3, false, 1)
 		if err != nil {
@@ -327,7 +319,7 @@ func TestSZRegionSharedCompressorConcurrent(t *testing.T) {
 		want        *grid.Field
 	}
 	var jobs []job
-	for _, dims := range [][]int{{17, 96, 96}, parControl} { // chunked (slabs of 8, 8, 1) and legacy
+	for _, dims := range [][]int{{17, 96, 96}, parControl} { // chunked (slabs of 8, 8, 1) and one slab
 		f := parField(dims, "escape")
 		blob, err := c.Compress(f, 1e-3)
 		if err != nil {

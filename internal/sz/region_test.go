@@ -1,7 +1,6 @@
 package sz
 
 import (
-	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -82,7 +81,7 @@ func TestSZDecompressRegionMatchesFullDecode(t *testing.T) {
 }
 
 func TestSZRegionIndexCorruptRejected(t *testing.T) {
-	f := regionTestField(t, true, 12, 10, 11)
+	f := regionTestField(t, true, 19, 64, 128) // slabs of 8, 8 and 3 rows
 	blob, err := New().Compress(f, 1e-3)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +91,7 @@ func TestSZRegionIndexCorruptRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(index) < 3 {
-		t.Skipf("index too small to corrupt (%d bytes)", len(index))
+		t.Fatalf("multi-slab index is %d bytes", len(index))
 	}
 	lo, hi := []int{8, 2, 2}, []int{12, 6, 6}
 	if _, err := DecompressRegion(blob, index[:len(index)-1], lo, hi); err == nil {
@@ -104,9 +103,10 @@ func TestSZRegionIndexCorruptRejected(t *testing.T) {
 }
 
 // TestSZRegionSkipsPrefix pins that an indexed region decode near the end of
-// the field does not reconstruct the whole prefix (the point of the index).
+// a multi-slab field does not reconstruct the whole prefix (the point of the
+// index).
 func TestSZRegionSkipsPrefix(t *testing.T) {
-	f := regionTestField(t, false, 64, 16, 16)
+	f := regionTestField(t, false, 64, 64, 64)
 	blob, err := New().Compress(f, 1e-3)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestSZRegionSkipsPrefix(t *testing.T) {
 	if si.T >= 64 {
 		t.Fatalf("slab height %d does not partition 64 rows", si.T)
 	}
-	got, err := DecompressRegion(blob, index, []int{60, 0, 0}, []int{64, 16, 16})
+	got, err := DecompressRegion(blob, index, []int{60, 0, 0}, []int{64, 64, 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestSZRegionSkipsPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := grid.SliceRegion(full, []int{60, 0, 0}, []int{64, 16, 16})
+	want, err := grid.SliceRegion(full, []int{60, 0, 0}, []int{64, 64, 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,18 +145,15 @@ func TestSZRegionSkipsPrefix(t *testing.T) {
 }
 
 // TestSZRegionIndexOverhead pins the <= 1% index budget on a realistically
-// sized stream, as zfp's TestRegionIndexOverhead does. It covers the index of
-// a chunked (multi-slab) blob, which is a few escape-count bytes per slab;
-// the seed-plane index of a legacy whole-stream blob is budgeted at
-// max(blob/8, 4 KiB) by slabHeight and is not under this cap — see
-// TestSZLegacyIndexBudget.
+// sized stream, as zfp's TestRegionIndexOverhead does: a multi-slab blob's
+// index is a few escape-count bytes per slab (a one-slab blob's is one byte).
 func TestSZRegionIndexOverhead(t *testing.T) {
 	f := regionTestField(t, true, 64, 64, 64)
 	blob, err := New().Compress(f, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if SlabRows(blob) == 0 {
+	if SlabRows(blob) >= 64 {
 		t.Fatal("a 64³ field did not compress to a multi-slab blob")
 	}
 	index, err := BuildRegionIndex(blob)
@@ -168,40 +165,5 @@ func TestSZRegionIndexOverhead(t *testing.T) {
 	}
 	if frac := float64(len(index)) / float64(len(blob)); frac > 0.01 {
 		t.Fatalf("index overhead %.4f of blob (%d / %d bytes), want <= 0.01", frac, len(index), len(blob))
-	}
-}
-
-// TestSZLegacyIndexBudget pins slabHeight's rule as it is: the seed planes of
-// a legacy whole-stream blob get max(blob/8, 4 KiB), so on a small field the
-// 4 KiB floor — not the eighth — is what sizes the index, which can then
-// approach the blob itself (DESIGN.md "Region-of-interest decode" has the
-// measured table).
-func TestSZLegacyIndexBudget(t *testing.T) {
-	// Index bytes that are not seed planes: T, the slab count, and one
-	// cumulative escape count per slab.
-	const framing = 2*binary.MaxVarintLen64 + szIndexMaxSlabs*binary.MaxVarintLen64
-	for _, dims := range [][]int{{16, 16, 16}, {24, 24, 24}, {256, 256}} {
-		f := regionTestField(t, false, dims...)
-		blob, err := New().Compress(f, 1e-3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if SlabRows(blob) != 0 {
-			t.Fatalf("%v: not a legacy whole-stream blob", dims)
-		}
-		index, err := BuildRegionIndex(blob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if si, err := parseSZIndex(index, f.Dims, f.Size()); err != nil || si == nil {
-			t.Fatalf("%v: no seed-plane index (err %v)", dims, err)
-		}
-		if budget := max(len(blob)/8, 4096); len(index) > budget+framing {
-			t.Errorf("%v: index %d bytes over max(blob/8, 4 KiB) = %d (blob %d)", dims, len(index), budget, len(blob))
-		}
-		if dims[0] == 16 && len(index) <= len(blob)/8 {
-			t.Errorf("%v: index %d bytes within blob/8 = %d: the 4 KiB floor no longer sizes small-field indexes; update DESIGN.md",
-				dims, len(index), len(blob)/8)
-		}
 	}
 }

@@ -67,8 +67,9 @@ const szSlabMinRows = 8
 // szChunkLayout maps a field's shape onto the chunked-entropy container:
 // slabs of rowsPerSlab leading-dimension rows, each 2·planeSize·rowsPerSlab
 // code bytes — one entropy chunk per slab, sized near the container's target.
-// A field that does not fill two slabs stays in the legacy whole-stream
-// format and runs serially: the slab is the only unit of intra-field fan-out.
+// A field that does not fill two slabs is one slab in the whole-stream
+// entropy format and runs serially: the slab is the only unit of intra-field
+// fan-out.
 func szChunkLayout(dims []int) (rowsPerSlab, nSlabs int) {
 	nz := dims[0]
 	if nz <= 0 {
@@ -82,19 +83,19 @@ func szChunkLayout(dims []int) (rowsPerSlab, nSlabs int) {
 	return rowsPerSlab, (nz + rowsPerSlab - 1) / rowsPerSlab
 }
 
-// szSlabRowsFromPacked recovers the slab height a chunked code stream was
-// encoded with (0 for a legacy whole-stream blob). The container is
+// szSlabRowsFromPacked recovers the slab height a code stream was encoded
+// with: a whole-stream blob is one slab of dims[0] rows. The container is
 // self-describing: a chunked blob's block size is always a whole number of
 // rows, and its presence is the signal that the encoder reset the Lorenzo
 // predictor at every slab boundary.
 func szSlabRowsFromPacked(packed []byte, dims []int) (int, error) {
-	blockBytes := entropy.ChunkedBlockSize(packed)
-	if blockBytes == 0 {
-		return 0, nil
-	}
 	nz := dims[0]
 	if nz <= 0 {
-		return 0, fmt.Errorf("sz: %w: chunked stream for empty dims", compress.ErrCorrupt)
+		return 0, fmt.Errorf("sz: %w: stream for empty dims", compress.ErrCorrupt)
+	}
+	blockBytes := entropy.ChunkedBlockSize(packed)
+	if blockBytes == 0 {
+		return nz, nil
 	}
 	rowBytes := 2 * (elemCount(dims) / nz)
 	if rowBytes == 0 || blockBytes%rowBytes != 0 {
@@ -120,14 +121,14 @@ func slabSpan(dims []int, T, s int) (z0, z1 int, subDims []int) {
 // quantization pass to the N-d odometer oracle so tests can prove the
 // specialized kernels emit identical blobs.
 //
-// Fields spanning two or more slabs (szChunkLayout) quantize slab by slab
-// with the Lorenzo predictor reset at every slab boundary — each slab is an
-// independent sub-field, so the slabs fan out across workers — and the code
-// stream is packed into the chunked entropy container with one chunk per
-// slab. That makes every slab decodable from its own chunk alone: the full
-// decoder fans slabs out the same way and the region decoder touches only the
-// chunks covering the request. Smaller fields keep the legacy whole-field
-// predictor and whole-stream container byte-identically, and run serially.
+// The field quantizes slab by slab (szChunkLayout) with the Lorenzo
+// predictor reset at every slab boundary — each slab is an independent
+// sub-field, so the slabs fan out across workers. A multi-slab code stream is
+// packed into the chunked entropy container with one chunk per slab, which
+// makes every slab decodable from its own chunk alone: the full decoder fans
+// slabs out the same way and the region decoder touches only the chunks
+// covering the request. A one-slab field keeps the whole-stream entropy
+// container.
 func compressSZ(f *grid.Field, eb float64, forceGeneric bool, workers int) ([]byte, error) {
 	if !(eb > 0) || math.IsInf(eb, 0) {
 		return nil, fmt.Errorf("sz: error bound must be a positive finite number, got %v", eb)
@@ -140,24 +141,19 @@ func compressSZ(f *grid.Field, eb float64, forceGeneric bool, workers int) ([]by
 	recon := getF32s(n)
 	defer putF32s(recon)
 	rowsPerSlab, nSlabs := szChunkLayout(f.Dims)
-	if nSlabs >= 2 {
-		obs.Inc("sz/chunked_encode")
-		ps := n / f.Dims[0]
-		err := pool.RunErr(workers, nSlabs, func(s int) error {
-			z0, z1, subDims := slabSpan(f.Dims, rowsPerSlab, s)
-			lo, hi := z0*ps, z1*ps
-			sub, err := grid.FromData(f.Name, f.Data[lo:hi], subDims...)
-			if err != nil {
-				return fmt.Errorf("sz: %w", err)
-			}
-			quantizeField(sub, eb, codes[lo:hi], recon[lo:hi], forceGeneric)
-			return nil
-		})
+	ps := n / f.Dims[0]
+	err := pool.RunErr(workers, nSlabs, func(s int) error {
+		z0, z1, subDims := slabSpan(f.Dims, rowsPerSlab, s)
+		lo, hi := z0*ps, z1*ps
+		sub, err := grid.FromData(f.Name, f.Data[lo:hi], subDims...)
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("sz: %w", err)
 		}
-	} else {
-		quantizeField(f, eb, codes, recon, forceGeneric)
+		quantizeField(sub, eb, codes[lo:hi], recon[lo:hi], forceGeneric)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// The kernels mark an escape as code 0; the raw pool is the escaped
@@ -172,9 +168,9 @@ func compressSZ(f *grid.Field, eb float64, forceGeneric bool, workers int) ([]by
 		}
 	}
 	var packedCodes []byte
-	var err error
 	if nSlabs >= 2 {
-		packedCodes, err = entropy.CompressBytesBlocks(codeBytes, 2*rowsPerSlab*(n/f.Dims[0]), workers)
+		obs.Inc("sz/chunked_encode")
+		packedCodes, err = entropy.CompressBytesBlocks(codeBytes, 2*rowsPerSlab*ps, workers)
 	} else {
 		packedCodes, err = entropy.CompressBytes(codeBytes)
 	}
@@ -226,11 +222,11 @@ func splitSZSections(dims []int, payload []byte) (packed, rawPayload []byte, nra
 // decompressSZ is the Decompress implementation; forceGeneric pins the
 // reconstruction pass to the N-d odometer oracle (see compressSZ).
 //
-// A chunked blob (szSlabRowsFromPacked) reconstructs slab by slab: the
-// entropy chunks fan out inside DecompressBytesParallel, and the slabs —
-// independent sub-fields thanks to the encoder's predictor resets — fan out
-// in reconstructSlabs under the same worker budget. A legacy whole-stream
-// blob is one dependency chain and reconstructs serially.
+// Every blob reconstructs slab by slab (szSlabRowsFromPacked): the entropy
+// chunks fan out inside DecompressBytesParallel, and the slabs — independent
+// sub-fields thanks to the encoder's predictor resets — fan out in
+// reconstructSlabs under the same worker budget. A whole-stream blob is one
+// slab and reconstructs serially.
 func decompressSZ(blob []byte, forceGeneric bool, workers int) (*grid.Field, error) {
 	defer obs.Span("decompress/sz")()
 	h, payload, err := compress.ParseHeader(blob, compress.MagicSZ)
@@ -256,12 +252,7 @@ func decompressSZ(blob []byte, forceGeneric bool, workers int) (*grid.Field, err
 	if err != nil {
 		return nil, fmt.Errorf("sz: %w", err)
 	}
-	if T > 0 {
-		err = reconstructSlabs(f, h.Knob, codeBytes, rawPayload, nraw, T, workers, forceGeneric)
-	} else {
-		err = reconstructField(f, h.Knob, codeBytes, rawPayload, nraw, forceGeneric)
-	}
-	if err != nil {
+	if err := reconstructSlabs(f, h.Knob, codeBytes, rawPayload, nraw, T, workers, forceGeneric); err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -288,25 +279,26 @@ func countEscapes(codeBytes []byte) int {
 	return n
 }
 
-// reconstructSlabs rebuilds a chunked blob's field slab by slab. Escapes sit
-// in the raw pool in global row-major order, so one counting pass over the
-// already-decoded code stream gives every slab its pool window up front;
-// slabs then reconstruct in any order and therefore in parallel, each with
-// the serial kernel. The serial decoder fails exactly when the stream escapes
-// more points than the pool holds, which the counting pass knows before any
-// slab runs — same error at every width.
+// reconstructSlabs rebuilds a field slab by slab. Escapes sit in the raw pool
+// in global row-major order, so one counting pass over the already-decoded
+// codes of slabs 0..n-2 gives every slab its pool window up front; slabs then
+// reconstruct in any order and therefore in parallel, each with the serial
+// kernel. The last slab's window is the rest of the pool: the counting pass
+// fails when the earlier slabs overrun it, and the last slab's kernel when it
+// does — the same errRawExhausted at every width, and a one-slab field pays
+// no counting pass.
 func reconstructSlabs(f *grid.Field, eb float64, codeBytes, rawPayload []byte, nraw uint64, T, workers int, forceGeneric bool) error {
 	nz := f.Dims[0]
 	ps := len(f.Data) / nz
 	nSlabs := (nz + T - 1) / T
 	starts := make([]int, nSlabs+1)
-	for s := 0; s < nSlabs; s++ {
-		z0, z1, _ := slabSpan(f.Dims, T, s)
-		starts[s+1] = starts[s] + countEscapes(codeBytes[2*z0*ps:2*z1*ps])
+	for s := 0; s < nSlabs-1; s++ {
+		starts[s+1] = starts[s] + countEscapes(codeBytes[2*s*T*ps:2*(s+1)*T*ps])
 	}
-	if uint64(starts[nSlabs]) > nraw {
+	if uint64(starts[nSlabs-1]) > nraw {
 		return errRawExhausted()
 	}
+	starts[nSlabs] = int(nraw)
 	return pool.RunErr(workers, nSlabs, func(s int) error {
 		z0, z1, subDims := slabSpan(f.Dims, T, s)
 		sub, err := grid.FromData(f.Name, f.Data[z0*ps:z1*ps], subDims...)
