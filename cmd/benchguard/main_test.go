@@ -109,7 +109,7 @@ func TestEveryGateFailsByName(t *testing.T) {
 				t.Errorf("%s, %s: passed", g.name, m.name)
 				continue
 			}
-			if !strings.Contains(err.Error(), m.want) || !strings.Contains(err.Error(), "1 of 8 gates failed") {
+			if !strings.Contains(err.Error(), m.want) || !strings.Contains(err.Error(), fmt.Sprintf("1 of %d gates failed", len(gates))) {
 				t.Errorf("%s, %s: error %q does not contain %q as the one failure", g.name, m.name, err, m.want)
 			}
 		}
@@ -120,8 +120,8 @@ func TestEveryGateFailsByName(t *testing.T) {
 // has to change this table as well as the one in main.go.
 func TestFloorsAreTheMergedOnes(t *testing.T) {
 	merged := map[string]float64{
-		"sz_quantize_3d": 1.5, "sz_reconstruct_3d": 1.5, "zfp_encode_ints": 0.9, "huffman_decode": 1.3, "lz_compress": 2.0,
-		"ca_scan": 2.0, "zfp_eighth": 4.0, "sz_eighth": 2.0,
+		"sz_quantize_3d": 1.5, "sz_reconstruct_3d": 1.5, "zfp_encode_ints": 5.0, "zfp_decode_ints": 2.0, "huffman_decode": 1.3,
+		"lz_compress": 2.0, "ca_scan": 2.0, "zfp_eighth": 4.0, "sz_eighth": 2.0,
 	}
 	if len(gates) != len(merged) {
 		t.Fatalf("%d gates, want %d", len(gates), len(merged))

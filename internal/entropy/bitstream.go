@@ -57,11 +57,7 @@ func (w *BitWriter) WriteBits(v uint64, n uint) {
 }
 
 func (w *BitWriter) flushWord() {
-	var b [8]byte
-	for i := range b {
-		b[i] = byte(w.acc >> (8 * i))
-	}
-	w.buf = append(w.buf, b[:]...)
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, w.acc)
 	w.acc = 0
 	w.nbits = 0
 }
@@ -190,18 +186,58 @@ func (r *BitReader) ReadBits(n uint) (uint64, error) {
 	return v, nil
 }
 
-// TryReadBit reads one bit, returning 0 (without error) at end of stream.
-// ZFP's decoder relies on zero padding past the encoded tail.
-func (r *BitReader) TryReadBit() uint {
-	b, err := r.ReadBit()
-	if err != nil {
-		return 0
-	}
-	return b
-}
-
 // TryReadBits is ReadBits with zero padding past the end of the stream.
 func (r *BitReader) TryReadBits(n uint) uint64 {
 	v, _ := r.ReadBits(n)
 	return v
+}
+
+// Peek returns the next 64 bits of the stream, least-significant first,
+// without consuming them. Bits past the end of the stream read as zero, as
+// with TryReadBits, so a caller can decode a whole window and Consume only
+// the bits it used. ZFP's decoder relies on that zero padding past the
+// encoded tail. Peek leaves the reader's state alone: the window is the
+// accumulator topped up straight from the buffer.
+func (r *BitReader) Peek() uint64 {
+	if r.pos+8 <= len(r.buf) {
+		return r.acc | binary.LittleEndian.Uint64(r.buf[r.pos:])<<r.nbits
+	}
+	return r.peekTail()
+}
+
+// peekTail is Peek within eight bytes of the end of the stream.
+func (r *BitReader) peekTail() uint64 {
+	v := r.acc
+	for i, s := r.pos, r.nbits; i < len(r.buf) && s < 64; i, s = i+1, s+8 {
+		v |= uint64(r.buf[i]) << s
+	}
+	return v
+}
+
+// Consume discards the next n bits, leaving the reader where TryReadBits
+// would for n up to 64; larger n skip whole bytes without reading them.
+// Consuming past the end of the stream leaves the reader at its end.
+func (r *BitReader) Consume(n uint) {
+	if n <= r.nbits {
+		r.acc >>= n
+		r.nbits -= n
+		return
+	}
+	r.consumeBytes(n - r.nbits)
+}
+
+// consumeBytes is Consume past the accumulator: it skips whole bytes and
+// keeps the unread high bits of the byte it stops in.
+func (r *BitReader) consumeBytes(n uint) {
+	r.pos += int(n / 8)
+	r.acc, r.nbits = 0, 0
+	if r.pos >= len(r.buf) {
+		r.pos = len(r.buf)
+		return
+	}
+	if rem := n % 8; rem > 0 {
+		r.acc = uint64(r.buf[r.pos]) >> rem
+		r.nbits = 8 - rem
+		r.pos++
+	}
 }

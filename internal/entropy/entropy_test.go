@@ -78,11 +78,32 @@ func TestBitReaderTruncation(t *testing.T) {
 	if _, err := r.ReadBit(); err == nil {
 		t.Fatal("expected truncation error")
 	}
-	if b := r.TryReadBit(); b != 0 {
-		t.Fatal("TryReadBit should zero-pad")
+	if v := r.Peek(); v != 0 {
+		t.Fatal("Peek should zero-pad")
 	}
 	if v := r.TryReadBits(13); v != 0 {
 		t.Fatal("TryReadBits should zero-pad")
+	}
+}
+
+// Peek must show exactly the 64 bits TryReadBits(64) would return next, and
+// Consume(n) must leave the reader where TryReadBits(n) would, from every
+// bit offset, into and past the zero padding after the stream's end.
+func TestPeekConsumeMatchesTryRead(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		buf := make([]byte, rng.Intn(40))
+		rng.Read(buf)
+		fast, ref := NewBitReader(buf), NewBitReader(buf)
+		for step := 0; step < 30; step++ {
+			ahead := *ref
+			if got, want := fast.Peek(), ahead.TryReadBits(64); got != want {
+				t.Fatalf("trial %d step %d: Peek %#x, want %#x", trial, step, got, want)
+			}
+			n := uint(rng.Intn(65))
+			fast.Consume(n)
+			ref.TryReadBits(n)
+		}
 	}
 }
 

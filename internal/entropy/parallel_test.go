@@ -85,8 +85,8 @@ func TestNewBitReaderAtMatchesConsumedReader(t *testing.T) {
 		}
 		at := NewBitReaderAt(buf, off)
 		for i := 0; i < 80; i++ {
-			want := seq.TryReadBit()
-			got := at.TryReadBit()
+			want := seq.TryReadBits(1)
+			got := at.TryReadBits(1)
 			if got != want {
 				t.Fatalf("off=%d: bit %d after offset: got %d, want %d", off, i, got, want)
 			}

@@ -14,11 +14,10 @@ const (
 	blockSide = 4
 )
 
-// fwdLift applies zfp's forward decorrelating transform to 4 elements with
-// stride s. The transform approximates 1/16 * [[4,4,4,4],[5,1,-1,-5],
+// fwdLift applies zfp's forward decorrelating transform to the 4 elements
+// of one line. The transform approximates 1/16 * [[4,4,4,4],[5,1,-1,-5],
 // [-4,4,4,-4],[-2,6,-6,2]] using reversible-ish lifting steps.
-func fwdLift(p []int32, off, s int) {
-	x, y, z, w := p[off], p[off+s], p[off+2*s], p[off+3*s]
+func fwdLift(x, y, z, w int32) (int32, int32, int32, int32) {
 	x += w
 	x >>= 1
 	w -= x
@@ -33,12 +32,11 @@ func fwdLift(p []int32, off, s int) {
 	y -= w
 	w += y >> 1
 	y -= w >> 1
-	p[off], p[off+s], p[off+2*s], p[off+3*s] = x, y, z, w
+	return x, y, z, w
 }
 
 // invLift inverts fwdLift (up to the transform's inherent rounding).
-func invLift(p []int32, off, s int) {
-	x, y, z, w := p[off], p[off+s], p[off+2*s], p[off+3*s]
+func invLift(x, y, z, w int32) (int32, int32, int32, int32) {
 	y += w >> 1
 	w -= y >> 1
 	y += w
@@ -53,37 +51,37 @@ func invLift(p []int32, off, s int) {
 	w += x
 	x <<= 1
 	x -= w
-	p[off], p[off+s], p[off+2*s], p[off+3*s] = x, y, z, w
+	return x, y, z, w
 }
 
 // fwdTransform decorrelates a 4^nd block in place, lifting along every
 // dimension. Strides follow the row-major layout of the gathered block.
+// Indices of the 3-D block are taken mod 64, which changes none of them and
+// lets the compiler drop the bounds checks.
 func fwdTransform(blk []int32, nd int) {
 	switch nd {
 	case 1:
-		fwdLift(blk, 0, 1)
+		blk[0], blk[1], blk[2], blk[3] = fwdLift(blk[0], blk[1], blk[2], blk[3])
 	case 2:
+		b := (*[16]int32)(blk)
 		for y := 0; y < 4; y++ {
-			fwdLift(blk, 4*y, 1)
+			b[4*y], b[4*y+1], b[4*y+2], b[4*y+3] = fwdLift(b[4*y], b[4*y+1], b[4*y+2], b[4*y+3])
 		}
 		for x := 0; x < 4; x++ {
-			fwdLift(blk, x, 4)
+			b[x], b[x+4], b[x+8], b[x+12] = fwdLift(b[x], b[x+4], b[x+8], b[x+12])
 		}
 	default: // 3
-		for z := 0; z < 4; z++ {
-			for y := 0; y < 4; y++ {
-				fwdLift(blk, 16*z+4*y, 1)
+		b := (*[64]int32)(blk)
+		for i := 0; i < 64; i += 4 {
+			b[i&63], b[(i+1)&63], b[(i+2)&63], b[(i+3)&63] = fwdLift(b[i&63], b[(i+1)&63], b[(i+2)&63], b[(i+3)&63])
+		}
+		for z := 0; z < 64; z += 16 {
+			for i := z; i < z+4; i++ {
+				b[i&63], b[(i+4)&63], b[(i+8)&63], b[(i+12)&63] = fwdLift(b[i&63], b[(i+4)&63], b[(i+8)&63], b[(i+12)&63])
 			}
 		}
-		for z := 0; z < 4; z++ {
-			for x := 0; x < 4; x++ {
-				fwdLift(blk, 16*z+x, 4)
-			}
-		}
-		for y := 0; y < 4; y++ {
-			for x := 0; x < 4; x++ {
-				fwdLift(blk, 4*y+x, 16)
-			}
+		for i := 0; i < 16; i++ {
+			b[i&63], b[(i+16)&63], b[(i+32)&63], b[(i+48)&63] = fwdLift(b[i&63], b[(i+16)&63], b[(i+32)&63], b[(i+48)&63])
 		}
 	}
 }
@@ -92,29 +90,27 @@ func fwdTransform(blk []int32, nd int) {
 func invTransform(blk []int32, nd int) {
 	switch nd {
 	case 1:
-		invLift(blk, 0, 1)
+		blk[0], blk[1], blk[2], blk[3] = invLift(blk[0], blk[1], blk[2], blk[3])
 	case 2:
+		b := (*[16]int32)(blk)
 		for x := 0; x < 4; x++ {
-			invLift(blk, x, 4)
+			b[x], b[x+4], b[x+8], b[x+12] = invLift(b[x], b[x+4], b[x+8], b[x+12])
 		}
 		for y := 0; y < 4; y++ {
-			invLift(blk, 4*y, 1)
+			b[4*y], b[4*y+1], b[4*y+2], b[4*y+3] = invLift(b[4*y], b[4*y+1], b[4*y+2], b[4*y+3])
 		}
 	default: // 3
-		for y := 0; y < 4; y++ {
-			for x := 0; x < 4; x++ {
-				invLift(blk, 4*y+x, 16)
+		b := (*[64]int32)(blk)
+		for i := 0; i < 16; i++ {
+			b[i&63], b[(i+16)&63], b[(i+32)&63], b[(i+48)&63] = invLift(b[i&63], b[(i+16)&63], b[(i+32)&63], b[(i+48)&63])
+		}
+		for z := 0; z < 64; z += 16 {
+			for i := z; i < z+4; i++ {
+				b[i&63], b[(i+4)&63], b[(i+8)&63], b[(i+12)&63] = invLift(b[i&63], b[(i+4)&63], b[(i+8)&63], b[(i+12)&63])
 			}
 		}
-		for z := 0; z < 4; z++ {
-			for x := 0; x < 4; x++ {
-				invLift(blk, 16*z+x, 4)
-			}
-		}
-		for z := 0; z < 4; z++ {
-			for y := 0; y < 4; y++ {
-				invLift(blk, 16*z+4*y, 1)
-			}
+		for i := 0; i < 64; i += 4 {
+			b[i&63], b[(i+1)&63], b[(i+2)&63], b[(i+3)&63] = invLift(b[i&63], b[(i+1)&63], b[(i+2)&63], b[(i+3)&63])
 		}
 	}
 }

@@ -2,175 +2,219 @@ package zfp
 
 import (
 	"math"
+	"math/bits"
 
 	"github.com/fxrz-go/fxrz/internal/entropy"
 )
 
 // Embedded bit-plane coding of a block of negabinary coefficients with
-// group testing, transcribed from zfp's encode_ints/decode_ints. Bit planes
-// are visited from most to least significant; within a plane, coefficients
+// group testing, following zfp's encode_ints/decode_ints. Bit planes are
+// visited from most to least significant; within a plane, coefficients
 // already known to be significant are coded verbatim and the remainder is
 // coded with a unary run-length scheme that stops at the first new
-// significant coefficient.
+// significant coefficient. Both directions work on whole words: a plane is
+// one uint64 with bit i for coefficient i, and each run of the scheme is
+// found with one trailing-zero count and written or read in one call. The
+// bit-at-a-time loops of zfp are kept in reference_test.go as the oracles.
 
-// transpose64 transposes a 64×64 bit matrix in place (Hacker's Delight
-// 7-3): six block-swap stages of 32 word pairs each, instead of the 64×64
-// single-bit moves of the naive loop. In the algorithm's convention, bit
-// (63-c) of a[r] is the matrix element at row r, column c.
-func transpose64(a *[64]uint64) {
-	m := uint64(0x00000000FFFFFFFF)
-	for j := uint(32); j != 0; j, m = j>>1, m^(m<<(j>>1)) {
-		for k := 0; k < 64; k = ((k | int(j)) + 1) &^ int(j) {
-			t := (a[k] ^ (a[k|int(j)] >> j)) & m
-			a[k] ^= t
-			a[k|int(j)] ^= t << j
+// gatherPlanes extracts every bit plane of a block's coefficients q, taken
+// in sequency order perm and mapped to negabinary on the way in: with
+// data[i] = int32ToNegabinary(q[perm[i]]), after the call p[31-k] holds
+// plane k across the coefficients (bit i set ⇔ bit k of data[i] set).
+// It is the lower half of a 64×64 bit-matrix transpose (Hacker's Delight
+// 7-3) whose row 63-i holds coefficient i: coefficients are 32 bits wide, so
+// the transpose's rows 0–31 come out zero and are never formed, its first
+// block-swap stage reduces to loading two coefficients per word, and five
+// stages of 16 word pairs remain. They run as two register passes: stages
+// 16 and 8 on each row quadruple {k, k+8, k+16, k+24}, then stages 4, 2 and
+// 1 on each run of eight rows.
+func gatherPlanes(q []int32, perm []int, p *[32]uint64) {
+	if len(perm) == 64 {
+		o := (*[64]int)(perm)
+		for k := range p {
+			p[k] = uint64(int32ToNegabinary(q[o[63-k]]))<<32 | uint64(int32ToNegabinary(q[o[31-k]]))
+		}
+	} else {
+		*p = [32]uint64{}
+		for i, j := range perm {
+			v := uint64(int32ToNegabinary(q[j]))
+			if i < 32 {
+				p[31-i] |= v
+			} else {
+				p[63-i] |= v << 32
+			}
 		}
 	}
+	const m16, m8, m4, m2, m1 = 0x0000FFFF0000FFFF, 0x00FF00FF00FF00FF, 0x0F0F0F0F0F0F0F0F, 0x3333333333333333, 0x5555555555555555
+	for k := 0; k < 8; k++ {
+		a, b, c, d := p[k], p[k+8], p[k+16], p[k+24]
+		a, c = swapBits(a, c, 16, m16)
+		b, d = swapBits(b, d, 16, m16)
+		a, b = swapBits(a, b, 8, m8)
+		c, d = swapBits(c, d, 8, m8)
+		p[k], p[k+8], p[k+16], p[k+24] = a, b, c, d
+	}
+	for k := 0; k < 32; k += 8 {
+		r := (*[8]uint64)(p[k : k+8])
+		r0, r1, r2, r3, r4, r5, r6, r7 := r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7]
+		r0, r4 = swapBits(r0, r4, 4, m4)
+		r1, r5 = swapBits(r1, r5, 4, m4)
+		r2, r6 = swapBits(r2, r6, 4, m4)
+		r3, r7 = swapBits(r3, r7, 4, m4)
+		r0, r2 = swapBits(r0, r2, 2, m2)
+		r1, r3 = swapBits(r1, r3, 2, m2)
+		r4, r6 = swapBits(r4, r6, 2, m2)
+		r5, r7 = swapBits(r5, r7, 2, m2)
+		r0, r1 = swapBits(r0, r1, 1, m1)
+		r2, r3 = swapBits(r2, r3, 1, m1)
+		r4, r5 = swapBits(r4, r5, 1, m1)
+		r6, r7 = swapBits(r6, r7, 1, m1)
+		*r = [8]uint64{r0, r1, r2, r3, r4, r5, r6, r7}
+	}
 }
 
-// gatherPlanes extracts every bit plane of a block in one transpose pass:
-// after the call, planes[63-k] holds plane k across the coefficients
-// (bit i set ⇔ bit k of data[i] set). Loading row 63-i with coefficient i
-// cancels the transpose's bit-order convention, so no per-plane bit reversal
-// is needed. Equivalent to, and property-tested against, the per-plane
-// gather loop the embedded coder used before.
-func gatherPlanes(data []uint32, planes *[64]uint64) {
-	*planes = [64]uint64{}
-	for i, v := range data {
-		planes[63-i] = uint64(v)
-	}
-	transpose64(planes)
+// swapBits is one block swap of the transpose on the row pair (a, b): the
+// j-bit column groups of a selected by m trade places with the groups of b
+// j bits higher.
+func swapBits(a, b uint64, j uint, m uint64) (uint64, uint64) {
+	t := (a ^ b>>j) & m
+	return a ^ t, b ^ t<<j
 }
 
-// encodeInts writes up to maxbits bits covering maxprec bit planes of data
-// (negabinary, ordered by sequency) and returns the number of bits written.
-// planes is caller-provided scratch for the one-pass plane gather.
-func encodeInts(w *entropy.BitWriter, maxbits, maxprec int, data []uint32, planes *[64]uint64) int {
-	size := len(data)
-	kmin := 0
-	if intPrec > maxprec {
-		kmin = intPrec - maxprec
+// encodeInts writes up to maxbits bits covering maxprec bit planes of the
+// block coefficients q (ordered by sequency through perm, negabinary) and
+// returns the number of bits written. p is caller-provided scratch for the
+// plane gather.
+//
+// Each group test is one append. With t zeros below the next significant
+// coefficient, the bitwise scheme writes a 1 (group is significant), t 0s
+// and a closing 1 — the t+2 low bits of 1|1<<(t+1) — or, when that
+// coefficient is the last one, no closing bit, since it must be the one:
+// the t+1 low bits of 1. A zero remainder is one 0 bit. The budget is
+// spent one bit at a time in the bitwise scheme, and coding stops when it
+// runs out, so a clipped group is exactly the low `left` bits of the group.
+// Appends collect in a local word that goes to w when the next one would
+// overflow it.
+func encodeInts(w *entropy.BitWriter, maxbits, maxprec int, q []int32, perm []int, p *[32]uint64) int {
+	size := len(perm)
+	kmin := max(intPrec-maxprec, 0)
+	gatherPlanes(q, perm, p)
+	var acc uint64
+	nacc := 0
+	put := func(v uint64, l int) {
+		if nacc+l > 64 {
+			w.WriteBits(acc, uint(nacc))
+			acc, nacc = 0, 0
+		}
+		acc |= (v & (1<<uint(l) - 1)) << uint(nacc)
+		nacc += l
 	}
-	// Step 1 (hoisted): gather all bit planes in one transpose instead of
-	// re-scanning the 64 coefficients once per plane.
-	gatherPlanes(data, planes)
-	bits := maxbits
+	left := maxbits
 	n := 0
-	for k := intPrec; k > kmin && bits > 0; k-- {
-		x := planes[64-k]
-		// Step 2: plane bits of already-significant coefficients, verbatim.
-		m := n
-		if m > bits {
-			m = bits
-		}
-		bits -= m
-		w.WriteBits(x, uint(m))
+	for k := intPrec; k > kmin && left > 0; k-- {
+		x := p[32-k]
+		// Plane bits of already-significant coefficients, verbatim.
+		m := min(n, left)
+		left -= m
+		put(x, m)
 		x >>= uint(m)
-		// Step 3: unary run-length code the rest.
-		for n < size && bits > 0 {
-			bits--
+		// Group tests over the rest, one append per run.
+		for n < size && left > 0 {
 			if x == 0 {
-				w.WriteBit(0)
+				put(0, 1)
+				left--
 				break
 			}
-			w.WriteBit(1)
-			for n < size-1 && bits > 0 {
-				bits--
-				b := uint(x & 1)
-				w.WriteBit(b)
-				if b != 0 {
-					break
-				}
-				x >>= 1
-				n++
+			t := bits.TrailingZeros64(x)
+			v, l := uint64(1)|1<<uint(t+1), t+2
+			if n+t == size-1 {
+				v, l = 1, t+1
 			}
-			x >>= 1
-			n++
+			l = min(l, left)
+			put(v, l)
+			left -= l
+			x >>= uint(t + 1)
+			n += t + 1
 		}
 	}
-	return maxbits - bits
+	w.WriteBits(acc, uint(nacc))
+	return maxbits - left
 }
 
-// decodeInts mirrors encodeInts, reconstructing coefficients from up to
-// maxbits bits; it returns the number of bits consumed. Reads past the
-// encoded tail see zeros, matching zfp's stream semantics.
-func decodeInts(r *entropy.BitReader, maxbits, maxprec int, data []uint32) int {
-	size := len(data)
-	for i := range data {
-		data[i] = 0
+// decodeInts mirrors encodeInts for a block of size coefficients,
+// reconstructing them into data from up to maxbits bits; it returns the
+// number of bits consumed. Reads past the encoded tail see zeros, matching
+// zfp's stream semantics. With data == nil it only consumes the bits: the
+// coder's control flow branches on the bits it reads, never on the
+// coefficients, which is what makes the serial offset skim of the parallel
+// decoder and the region seek possible in fixed-accuracy mode.
+//
+// Groups are read from a local 64-bit window of the stream. A group is the
+// group bit and then a run of at most size-1 ≤ 63 bits, so it always fits in
+// a fresh window. The bitwise scheme reads run bits while coefficients
+// before the last remain and budget is left, stopping after the first 1; the
+// coefficient where the run stops is significant whether a 1, the last
+// coefficient or the budget stopped it. The bits a group is decoded from are
+// exactly the bits it consumes, so when that is more than the window still
+// holds, the window is refilled and the group decoded again.
+func decodeInts(r *entropy.BitReader, maxbits, maxprec, size int, data []uint32) int {
+	if data != nil {
+		clear(data[:size])
 	}
-	kmin := 0
-	if intPrec > maxprec {
-		kmin = intPrec - maxprec
-	}
-	bits := maxbits
+	kmin := max(intPrec-maxprec, 0)
+	// The reader sits at the start of win, of which avail bits are unread.
+	win, avail := r.Peek(), 64
+	left := maxbits
 	n := 0
-	for k := intPrec; k > kmin && bits > 0; k-- {
-		kk := uint(k - 1)
-		m := n
-		if m > bits {
-			m = bits
+	for k := intPrec; k > kmin && left > 0; k-- {
+		m := min(n, left)
+		if m > avail {
+			win, avail = refill(r, avail)
 		}
-		bits -= m
-		x := r.TryReadBits(uint(m))
-		for n < size && bits > 0 {
-			bits--
-			if r.TryReadBit() == 0 {
+		x := win & (1<<uint(m) - 1)
+		win >>= uint(m)
+		avail -= m
+		left -= m
+		for n < size && left > 0 {
+			used, run := 1, -1 // run < 0: the rest of the plane is zero
+			if win&1 != 0 {
+				rem, budget := size-1-n, left-1
+				if t := bits.TrailingZeros64(win >> 1); t < rem && t < budget {
+					used, run = t+2, t
+				} else {
+					run = min(rem, budget)
+					used = run + 1
+				}
+			}
+			if used > avail {
+				win, avail = refill(r, avail)
+				continue
+			}
+			win >>= uint(used)
+			avail -= used
+			left -= used
+			if run < 0 {
 				break
 			}
-			for n < size-1 && bits > 0 {
-				bits--
-				if r.TryReadBit() != 0 {
-					break
-				}
-				n++
-			}
-			x |= uint64(1) << uint(n)
+			n += run
+			x |= 1 << uint(n)
 			n++
 		}
-		for i := 0; x != 0; i, x = i+1, x>>1 {
-			data[i] |= uint32(x&1) << kk
+		if data != nil {
+			for ; x != 0; x &= x - 1 {
+				data[bits.TrailingZeros64(x)] |= 1 << uint(k-1)
+			}
 		}
 	}
-	return maxbits - bits
+	r.Consume(uint(64 - avail))
+	return maxbits - left
 }
 
-// skipInts consumes exactly the bits decodeInts would for a block of `size`
-// coefficients, without materialising them, and returns the count. This is
-// what makes a serial offset skim possible in fixed-accuracy mode: the
-// embedded coder's control flow — plane reads, group tests, run-length
-// walks — branches only on the values of bits already read, never on the
-// reconstructed coefficients, so replaying the reads replays the consumption.
-func skipInts(r *entropy.BitReader, maxbits, maxprec, size int) int {
-	kmin := 0
-	if intPrec > maxprec {
-		kmin = intPrec - maxprec
-	}
-	bits := maxbits
-	n := 0
-	for k := intPrec; k > kmin && bits > 0; k-- {
-		m := n
-		if m > bits {
-			m = bits
-		}
-		bits -= m
-		r.TryReadBits(uint(m))
-		for n < size && bits > 0 {
-			bits--
-			if r.TryReadBit() == 0 {
-				break
-			}
-			for n < size-1 && bits > 0 {
-				bits--
-				if r.TryReadBit() != 0 {
-					break
-				}
-				n++
-			}
-			n++
-		}
-	}
-	return maxbits - bits
+// refill moves r past the 64-avail bits of its window already used and
+// returns a fresh window.
+func refill(r *entropy.BitReader, avail int) (uint64, int) {
+	r.Consume(uint(64 - avail))
+	return r.Peek(), 64
 }
 
 // blockEmax returns the common exponent for a block: the smallest e with

@@ -5,14 +5,104 @@ import (
 	"math"
 	"testing"
 
+	"github.com/fxrz-go/fxrz/internal/compress"
+	"github.com/fxrz-go/fxrz/internal/entropy"
 	"github.com/fxrz-go/fxrz/internal/grid"
 )
 
+// bitwiseDecompress is the fuzz oracle: Decompress with every block read by
+// the retained bitwise walk (decodeIntsBitwise, one bit per call) and copied
+// out sample by sample, so it shares the header checks and the block
+// arithmetic with the codec but none of its word-level kernels or block
+// copies.
+func bitwiseDecompress(blob []byte) (*grid.Field, error) {
+	h, payload, err := compress.ParseHeader(blob, compress.MagicZFP)
+	if err != nil {
+		return nil, err
+	}
+	if len(payload) < 1 {
+		return nil, compress.ErrCorrupt
+	}
+	mode, payload := payload[0], payload[1:]
+	if _, err := compress.CheckElems(h.Dims, len(payload)); err != nil {
+		return nil, err
+	}
+	f, err := grid.New(h.Name, h.Dims...)
+	if err != nil {
+		return nil, err
+	}
+	var minexp, maxbits int
+	switch mode {
+	case 0:
+		minexp = minExp(h.Knob)
+	case 1:
+		maxbits = blockBits(h.Knob, foldedNDims(h.Dims))
+	default:
+		return nil, compress.ErrCorrupt
+	}
+	dims := foldDims(h.Dims)
+	nd := len(dims)
+	strides := make([]int, nd)
+	for d, st := nd-1, 1; d >= 0; d, st = d-1, st*dims[d] {
+		strides[d] = st
+	}
+	ub := make([]uint32, len(perms[nd-1]))
+	q := make([]int32, len(ub))
+	vals := make([]float32, len(ub))
+	r := entropy.NewBitReader(payload)
+	k := 0
+	grid.VisitOrigins(dims, blockSide, func(origin []int) {
+		// Fixed-rate block k starts at bit k*maxbits: past the end of the
+		// stream for a knob too large for it.
+		if maxbits > 0 {
+			end := 8 * len(payload)
+			r = entropy.NewBitReaderAt(payload, end)
+			if k <= end/maxbits {
+				r = entropy.NewBitReaderAt(payload, k*maxbits)
+			}
+			k++
+		}
+		used := 1
+		clear(q)
+		emax := 0
+		if r.TryReadBits(1) != 0 {
+			emax = int(r.TryReadBits(emaxBits)) - emaxBias
+			used = headerBits
+			maxprec, budget := intPrec, maxbits
+			if maxbits == 0 {
+				maxprec, budget = precision(emax, minexp, nd), unbounded
+			}
+			clear(ub)
+			if maxprec > 0 {
+				used += decodeIntsBitwise(r, budget-used, maxprec, ub)
+			}
+			for i, p := range perms[nd-1] {
+				q[p] = negabinaryToInt32(ub[i])
+			}
+			invTransform(q, nd)
+		}
+		dequantize(q, emax, vals)
+		for i := range vals {
+			at, inside := 0, true
+			for d, rest := nd-1, i; d >= 0; d, rest = d-1, rest/blockSide {
+				c := origin[d] + rest%blockSide
+				at += c * strides[d]
+				inside = inside && c < dims[d]
+			}
+			if inside {
+				f.Data[at] = vals[i]
+			}
+		}
+	})
+	return f, nil
+}
+
 // FuzzDecompress drives the decoder with arbitrary byte streams: it must
-// return errors (or wrong data) on garbage, never panic or hang, and the
-// chunked parallel decoder must agree with the serial one bit for bit on
-// every input — including corrupt ones. Seeds are valid streams so mutations
-// explore near-valid inputs.
+// return errors (or wrong data) on garbage, never panic or hang, the chunked
+// parallel decoder must agree with the serial one bit for bit on every input
+// — including corrupt ones — and both must agree with bitwiseDecompress,
+// which shares none of their word-level kernels. Seeds are valid streams so
+// mutations explore near-valid inputs.
 func FuzzDecompress(f *testing.F) {
 	fld := grid.MustNew("seed", 6, 7, 5)
 	for i := range fld.Data {
@@ -29,6 +119,13 @@ func FuzzDecompress(f *testing.F) {
 		g, err := c.Decompress(data)
 		if err == nil && g != nil && g.Size() > 1<<24 {
 			t.Skip("oversized but well-formed header")
+		}
+		ref, rerr := bitwiseDecompress(data)
+		if (err == nil) != (rerr == nil) {
+			t.Fatalf("err=%v, bitwise oracle err=%v", err, rerr)
+		}
+		if err == nil && !zfpBitsEqual(g.Data, ref.Data) {
+			t.Fatalf("decode differs from the bitwise oracle")
 		}
 		for _, w := range []int{2, 3} {
 			pc := &Compressor{Workers: w}

@@ -175,33 +175,13 @@ func decodeBodyChunked(folded *grid.Field, payload []byte, minexp, maxbits, work
 }
 
 // skipBlock replays one block's bit consumption without reconstructing it,
-// returning the number of bits the decoder would consume. Must mirror
-// decodeBlock exactly; size is the number of coefficients per block.
+// returning the number of bits the decoder would consume: decodeBlockVals'
+// header read, coefficient walk and pad skip, minus the arithmetic. size is
+// the number of coefficients per block.
 func skipBlock(r *entropy.BitReader, minexp, maxbits, nd, size int) int {
-	used := 1
-	if r.TryReadBit() != 0 {
-		emax := int(r.TryReadBits(emaxBits)) - emaxBias
-		used = headerBits
-		maxprec := intPrec
-		budget := unbounded
-		if maxbits == 0 {
-			maxprec = precision(emax, minexp, nd)
-		} else {
-			budget = maxbits
-		}
-		if maxprec > 0 {
-			used += skipInts(r, budget-used, maxprec, size)
-		}
+	h := blockHeader(r, minexp, maxbits, nd)
+	if !h.zero && h.maxprec > 0 {
+		h.used += decodeInts(r, h.budget-h.used, h.maxprec, size, nil)
 	}
-	if maxbits > 0 {
-		for pad := maxbits - used; pad > 0; pad -= 64 {
-			n := pad
-			if n > 64 {
-				n = 64
-			}
-			r.TryReadBits(uint(n))
-		}
-		return maxbits
-	}
-	return used
+	return skipPad(r, maxbits, h.used)
 }

@@ -151,55 +151,52 @@ func parseRegionIndex(index []byte, mode byte, total, payloadBytes int) (stride 
 	return int(s), offs, nil
 }
 
-// blockSeeker positions a bit reader at the start of successive blocks,
+// blockSeeker positions one bit reader at the start of successive blocks,
 // jumping via the offset table (or fixed-rate arithmetic) and replaying
 // skipBlock for the remainder. Blocks must be requested in increasing order;
-// after decoding block k the caller reports it with advanced(k).
+// after decoding block k in used bits the caller reports it with
+// advanced(k, used).
 type blockSeeker struct {
 	payload                 []byte
 	minexp, maxbits, nd, bs int
 	stride                  int
 	offs                    []int
 	r                       *entropy.BitReader
-	pos                     int
+	pos, bit                int // block r is positioned at, and its bit offset
 }
 
 func (sk *blockSeeker) seek(k int) *entropy.BitReader {
-	if sk.maxbits > 0 {
-		if sk.r == nil || sk.pos != k {
-			sk.r = entropy.NewBitReaderAt(sk.payload, k*sk.maxbits)
-		}
-		sk.pos = k
-		return sk.r
-	}
-	if sk.r == nil || sk.pos > k {
-		sk.jump(k)
-	} else if sk.offs != nil {
+	switch {
+	case sk.maxbits > 0:
+		sk.skipTo(k, k*sk.maxbits)
+	case sk.offs != nil && (sk.r == nil || k/sk.stride*sk.stride > sk.pos):
 		// Jump only when it lands ahead of the current position; otherwise
 		// skimming forward from here is cheaper.
-		if p := k / sk.stride; p*sk.stride > sk.pos {
-			sk.jump(k)
-		}
+		p := k / sk.stride
+		sk.skipTo(p*sk.stride, sk.offs[p])
+	case sk.r == nil:
+		sk.skipTo(0, 0)
 	}
 	for sk.pos < k {
-		skipBlock(sk.r, sk.minexp, 0, sk.nd, sk.bs)
+		sk.bit += skipBlock(sk.r, sk.minexp, 0, sk.nd, sk.bs)
 		sk.pos++
 	}
 	return sk.r
 }
 
-func (sk *blockSeeker) jump(k int) {
-	if sk.offs != nil {
-		p := k / sk.stride
-		sk.r = entropy.NewBitReaderAt(sk.payload, sk.offs[p])
-		sk.pos = p * sk.stride
-		return
+// skipTo moves the reader to block k at the given bit offset: forward by
+// consuming the bits in between, backward (only a corrupt index asks for
+// that) with a new reader.
+func (sk *blockSeeker) skipTo(k, bit int) {
+	if sk.r == nil || bit < sk.bit {
+		sk.r = entropy.NewBitReaderAt(sk.payload, bit)
+	} else {
+		sk.r.Consume(uint(bit - sk.bit))
 	}
-	sk.r = entropy.NewBitReader(sk.payload)
-	sk.pos = 0
+	sk.pos, sk.bit = k, bit
 }
 
-func (sk *blockSeeker) advanced(k int) { sk.pos = k + 1 }
+func (sk *blockSeeker) advanced(k, used int) { sk.pos, sk.bit = k+1, sk.bit+used }
 
 // DecompressRegion decodes only the blocks of blob that intersect the
 // half-open region [lo, hi) (original field coordinates) and returns a field
@@ -293,8 +290,7 @@ func DecompressRegion(blob, index []byte, lo, hi []int) (*grid.Field, error) {
 			origin[d] = bc[d] * blockSide
 		}
 		r := sk.seek(k)
-		decodeBlockVals(r, s, minexp, maxbits, nd, perm)
-		sk.advanced(k)
+		sk.advanced(k, decodeBlockVals(r, s, minexp, maxbits, nd, perm))
 		if folded != nil {
 			scatterClipped(folded, origin, s.vals)
 		} else {
@@ -344,28 +340,23 @@ func scatterRegion(out *grid.Field, lo, hi, origin []int, buf []float32) {
 			b[d] = hi[d]
 		}
 	}
-	strides := out.Strides()
 	switch nd {
 	case 1:
-		for x := a[0]; x < b[0]; x++ {
-			out.Data[x-lo[0]] = buf[x-origin[0]]
-		}
+		copy(out.Data[a[0]-lo[0]:b[0]-lo[0]], buf[a[0]-origin[0]:])
 	case 2:
+		sy := out.Dims[1]
 		for y := a[0]; y < b[0]; y++ {
-			row := (y - lo[0]) * strides[0]
-			brow := (y - origin[0]) * blockSide
-			for x := a[1]; x < b[1]; x++ {
-				out.Data[row+x-lo[1]] = buf[brow+x-origin[1]]
-			}
+			row := (y-lo[0])*sy - lo[1]
+			brow := (y-origin[0])*blockSide - origin[1]
+			copy(out.Data[row+a[1]:row+b[1]], buf[brow+a[1]:])
 		}
 	default:
+		sy, sz := out.Dims[2], out.Dims[1]*out.Dims[2]
 		for z := a[0]; z < b[0]; z++ {
 			for y := a[1]; y < b[1]; y++ {
-				row := (z-lo[0])*strides[0] + (y-lo[1])*strides[1]
-				brow := (z-origin[0])*blockSide*blockSide + (y-origin[1])*blockSide
-				for x := a[2]; x < b[2]; x++ {
-					out.Data[row+x-lo[2]] = buf[brow+x-origin[2]]
-				}
+				row := (z-lo[0])*sz + (y-lo[1])*sy - lo[2]
+				brow := (z-origin[0])*blockSide*blockSide + (y-origin[1])*blockSide - origin[2]
+				copy(out.Data[row+a[2]:row+b[2]], buf[brow+a[2]:])
 			}
 		}
 	}

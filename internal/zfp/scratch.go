@@ -9,9 +9,11 @@ import (
 // Per-body scratch for the block pipeline, following the scratch-pool pattern
 // of internal/sz and internal/entropy: a stationary sweep encodes the same
 // field dozens of times, and the gather/quantize/negabinary buffers plus the
-// plane-transpose matrix are the recurring allocations. Every buffer is fully
-// overwritten before any read, so recycling is safe without zeroing (the
-// plane matrix is cleared by gatherPlanes itself).
+// plane matrix are the recurring allocations. Every buffer is fully
+// overwritten before any read, so recycling is safe without zeroing:
+// gatherPlanes loads all 32 plane words of a 64-coefficient block and
+// clears them itself for smaller blocks, and decodeInts clears the
+// coefficients it ORs planes into.
 //
 // Each get reports a hit or miss to the obs counters zfp/scratch_hit and
 // zfp/scratch_miss.
@@ -21,7 +23,7 @@ type blockScratch struct {
 	vals   []float32
 	q      []int32
 	ub     []uint32
-	planes [64]uint64
+	planes [32]uint64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(blockScratch) }}

@@ -197,7 +197,7 @@ func foldedNDims(dims []int) int {
 // walk and the chunked parallel path, so the two are identical by
 // construction.
 func encodeBlock(w *entropy.BitWriter, folded *grid.Field, origin []int, s *blockScratch, minexp, maxbits, nd int, perm []int) {
-	vals, q, ub := s.vals, s.q, s.ub
+	vals, q := s.vals, s.q
 	gatherPadded(folded, origin, vals)
 	used := 0
 	emax, zero := blockEmax(vals)
@@ -209,8 +209,8 @@ func encodeBlock(w *entropy.BitWriter, folded *grid.Field, origin []int, s *bloc
 		w.WriteBit(0)
 		used = 1
 	} else {
-		w.WriteBit(1)
-		w.WriteBits(uint64(emax+emaxBias), emaxBits)
+		// The nonzero flag and the biased exponent, low bit first.
+		w.WriteBits(1|uint64(emax+emaxBias)<<1, headerBits)
 		used = headerBits
 		maxprec := intPrec
 		if maxbits == 0 {
@@ -219,20 +219,13 @@ func encodeBlock(w *entropy.BitWriter, folded *grid.Field, origin []int, s *bloc
 		if maxprec > 0 {
 			quantize(vals, emax, q)
 			fwdTransform(q, nd)
-			for i, p := range perm {
-				ub[i] = int32ToNegabinary(q[p])
-			}
-			used += encodeInts(w, budget-used, maxprec, ub, &s.planes)
+			used += encodeInts(w, budget-used, maxprec, q, perm, &s.planes)
 		}
 	}
 	// Fixed-rate blocks are padded to exactly the budget.
 	if maxbits > 0 {
 		for pad := maxbits - used; pad > 0; pad -= 64 {
-			n := pad
-			if n > 64 {
-				n = 64
-			}
-			w.WriteBits(0, uint(n))
+			w.WriteBits(0, uint(min(pad, 64)))
 		}
 	}
 }
@@ -277,48 +270,61 @@ func decodeBlock(r *entropy.BitReader, folded *grid.Field, origin []int, s *bloc
 
 // decodeBlockVals decodes one 4^d block from r into s.vals without scattering
 // it anywhere, consuming exactly the bits the block occupies (including the
-// fixed-rate pad). The region decoder uses it directly so a block can be
-// scattered into a region-shaped destination instead of the full field.
-func decodeBlockVals(r *entropy.BitReader, s *blockScratch, minexp, maxbits, nd int, perm []int) {
+// fixed-rate pad), and returns that count. The region decoder uses it
+// directly so a block can be scattered into a region-shaped destination
+// instead of the full field.
+func decodeBlockVals(r *entropy.BitReader, s *blockScratch, minexp, maxbits, nd int, perm []int) int {
 	vals, q, ub := s.vals, s.q, s.ub
-	used := 1
-	nonzero := r.TryReadBit()
-	if nonzero == 0 {
-		for i := range vals {
-			vals[i] = 0
-		}
+	h := blockHeader(r, minexp, maxbits, nd)
+	if h.zero {
+		clear(vals)
 	} else {
-		emax := int(r.TryReadBits(emaxBits)) - emaxBias
-		used = headerBits
-		maxprec := intPrec
-		budget := unbounded
-		if maxbits == 0 {
-			maxprec = precision(emax, minexp, nd)
+		if h.maxprec > 0 {
+			h.used += decodeInts(r, h.budget-h.used, h.maxprec, len(ub), ub)
 		} else {
-			budget = maxbits
-		}
-		if maxprec > 0 {
-			used += decodeInts(r, budget-used, maxprec, ub)
-		} else {
-			for i := range ub {
-				ub[i] = 0
-			}
+			clear(ub)
 		}
 		for i, p := range perm {
 			q[p] = negabinaryToInt32(ub[i])
 		}
 		invTransform(q, nd)
-		dequantize(q, emax, vals)
+		dequantize(q, h.emax, vals)
 	}
-	if maxbits > 0 {
-		for pad := maxbits - used; pad > 0; pad -= 64 {
-			n := pad
-			if n > 64 {
-				n = 64
-			}
-			r.TryReadBits(uint(n))
-		}
+	return skipPad(r, maxbits, h.used)
+}
+
+// header is what a block's leading bits say: an all-zero block, or its
+// common exponent and the plane count and bit budget of its coefficients.
+// used counts the bits the block has consumed so far.
+type header struct {
+	zero                        bool
+	emax, maxprec, budget, used int
+}
+
+// blockHeader reads a block's nonzero flag and exponent in one window.
+func blockHeader(r *entropy.BitReader, minexp, maxbits, nd int) header {
+	win := r.Peek()
+	if win&1 == 0 {
+		r.Consume(1)
+		return header{zero: true, used: 1}
 	}
+	r.Consume(headerBits)
+	h := header{emax: int(win>>1&(1<<emaxBits-1)) - emaxBias, maxprec: intPrec, budget: maxbits, used: headerBits}
+	if maxbits == 0 {
+		h.maxprec = precision(h.emax, minexp, nd)
+		h.budget = unbounded
+	}
+	return h
+}
+
+// skipPad consumes the rest of a fixed-rate block after used bits and
+// returns the bits the whole block occupies.
+func skipPad(r *entropy.BitReader, maxbits, used int) int {
+	if maxbits == 0 {
+		return used
+	}
+	r.Consume(uint(maxbits - used))
+	return maxbits
 }
 
 // decodeBody reconstructs the field body written by encodeBody. With
@@ -349,43 +355,51 @@ func decodeBody(f *grid.Field, payload []byte, minexp, maxbits, workers int) err
 	return nil
 }
 
+// blockExtent returns how many samples of the block at origin lie inside
+// dims along each dimension (blockSide except at the far edges).
+func blockExtent(dims, origin []int) [3]int {
+	var ext [3]int
+	for d := range dims {
+		ext[d] = min(blockSide, dims[d]-origin[d])
+	}
+	return ext
+}
+
 // gatherPadded copies the (possibly clipped) block at origin into buf and
 // pads partial lines with zfp's pad pattern so the transform sees a full 4^d
-// block without introducing artificial discontinuities.
+// block without introducing artificial discontinuities. A 3-D block inside
+// the field is 16 plain four-sample row copies.
 func gatherPadded(f *grid.Field, origin []int, buf []float32) {
-	nd := len(f.Dims)
-	ext := make([]int, nd)
-	for d := range ext {
-		ext[d] = blockSide
-		if origin[d]+ext[d] > f.Dims[d] {
-			ext[d] = f.Dims[d] - origin[d]
-		}
-	}
-	strides := f.Strides()
-	switch nd {
+	ext := blockExtent(f.Dims, origin)
+	switch len(f.Dims) {
 	case 1:
-		for x := 0; x < ext[0]; x++ {
-			buf[x] = f.Data[origin[0]+x]
-		}
+		copy(buf[:ext[0]], f.Data[origin[0]:])
 		padLine(buf, 0, 1, ext[0])
 	case 2:
+		sy := f.Dims[1]
 		for y := 0; y < ext[0]; y++ {
-			row := (origin[0] + y) * strides[0]
-			for x := 0; x < ext[1]; x++ {
-				buf[4*y+x] = f.Data[row+origin[1]+x]
-			}
+			row := (origin[0]+y)*sy + origin[1]
+			copy(buf[4*y:4*y+ext[1]], f.Data[row:])
 			padLine(buf, 4*y, 1, ext[1])
 		}
 		for x := 0; x < blockSide; x++ {
 			padLine(buf, x, 4, ext[0])
 		}
 	default: // 3
+		sy, sz := f.Dims[2], f.Dims[1]*f.Dims[2]
+		base := origin[0]*sz + origin[1]*sy + origin[2]
+		if ext == [3]int{blockSide, blockSide, blockSide} {
+			b := (*[64]float32)(buf)
+			for z := 0; z < 4; z++ {
+				for y := 0; y < 4; y++ {
+					*(*[4]float32)(b[16*z+4*y:]) = *(*[4]float32)(f.Data[base+z*sz+y*sy:])
+				}
+			}
+			return
+		}
 		for z := 0; z < ext[0]; z++ {
 			for y := 0; y < ext[1]; y++ {
-				row := (origin[0]+z)*strides[0] + (origin[1]+y)*strides[1]
-				for x := 0; x < ext[2]; x++ {
-					buf[16*z+4*y+x] = f.Data[row+origin[2]+x]
-				}
+				copy(buf[16*z+4*y:16*z+4*y+ext[2]], f.Data[base+z*sz+y*sy:])
 				padLine(buf, 16*z+4*y, 1, ext[2])
 			}
 			for x := 0; x < blockSide; x++ {
@@ -400,36 +414,35 @@ func gatherPadded(f *grid.Field, origin []int, buf []float32) {
 	}
 }
 
-// scatterClipped writes the valid region of a decoded block back.
+// scatterClipped writes the valid region of a decoded block back; a 3-D
+// block inside the field is 16 four-sample row copies.
 func scatterClipped(f *grid.Field, origin []int, buf []float32) {
-	nd := len(f.Dims)
-	ext := make([]int, nd)
-	for d := range ext {
-		ext[d] = blockSide
-		if origin[d]+ext[d] > f.Dims[d] {
-			ext[d] = f.Dims[d] - origin[d]
-		}
-	}
-	strides := f.Strides()
-	switch nd {
+	ext := blockExtent(f.Dims, origin)
+	switch len(f.Dims) {
 	case 1:
-		for x := 0; x < ext[0]; x++ {
-			f.Data[origin[0]+x] = buf[x]
-		}
+		copy(f.Data[origin[0]:origin[0]+ext[0]], buf)
 	case 2:
+		sy := f.Dims[1]
 		for y := 0; y < ext[0]; y++ {
-			row := (origin[0] + y) * strides[0]
-			for x := 0; x < ext[1]; x++ {
-				f.Data[row+origin[1]+x] = buf[4*y+x]
-			}
+			row := (origin[0]+y)*sy + origin[1]
+			copy(f.Data[row:row+ext[1]], buf[4*y:])
 		}
 	default:
+		sy, sz := f.Dims[2], f.Dims[1]*f.Dims[2]
+		base := origin[0]*sz + origin[1]*sy + origin[2]
+		if ext == [3]int{blockSide, blockSide, blockSide} {
+			b := (*[64]float32)(buf)
+			for z := 0; z < 4; z++ {
+				for y := 0; y < 4; y++ {
+					*(*[4]float32)(f.Data[base+z*sz+y*sy:]) = *(*[4]float32)(b[16*z+4*y:])
+				}
+			}
+			return
+		}
 		for z := 0; z < ext[0]; z++ {
 			for y := 0; y < ext[1]; y++ {
-				row := (origin[0]+z)*strides[0] + (origin[1]+y)*strides[1]
-				for x := 0; x < ext[2]; x++ {
-					f.Data[row+origin[2]+x] = buf[16*z+4*y+x]
-				}
+				row := base + z*sz + y*sy
+				copy(f.Data[row:row+ext[2]], buf[16*z+4*y:])
 			}
 		}
 	}

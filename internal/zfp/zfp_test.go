@@ -3,6 +3,8 @@ package zfp
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 
@@ -72,8 +74,8 @@ func TestLiftInverseNearExact(t *testing.T) {
 			p[i] = int32(rng.Intn(1<<28) - 1<<27)
 			q[i] = p[i]
 		}
-		fwdLift(q[:], 0, 1)
-		invLift(q[:], 0, 1)
+		q[0], q[1], q[2], q[3] = fwdLift(q[0], q[1], q[2], q[3])
+		q[0], q[1], q[2], q[3] = invLift(q[0], q[1], q[2], q[3])
 		for i := range p {
 			d := int64(p[i]) - int64(q[i])
 			if d < -4 || d > 4 {
@@ -141,14 +143,15 @@ func TestEncodeDecodeIntsMirror(t *testing.T) {
 		maxprec := 1 + rng.Intn(32)
 		for _, maxbits := range []int{unbounded, 30, 100, 1} {
 			w := &entropy.BitWriter{}
-			var planes [64]uint64
-			used := encodeInts(w, maxbits, maxprec, data, &planes)
+			var planes [32]uint64
+			q, perm := unordered(data)
+			used := encodeInts(w, maxbits, maxprec, q, perm, &planes)
 			if used > maxbits {
 				t.Fatalf("encode used %d > budget %d", used, maxbits)
 			}
 			got := make([]uint32, size)
 			r := entropy.NewBitReader(w.Bytes())
-			dused := decodeInts(r, maxbits, maxprec, got)
+			dused := decodeInts(r, maxbits, maxprec, size, got)
 			if dused != used {
 				t.Fatalf("decode consumed %d bits, encode produced %d (maxbits=%d maxprec=%d)", dused, used, maxbits, maxprec)
 			}
@@ -257,5 +260,62 @@ func Test4DFoldsTo3D(t *testing.T) {
 	maxErr, _ := compress.MaxAbsError(f, g)
 	if maxErr > 1e-3 {
 		t.Errorf("4D max error %g > 1e-3", maxErr)
+	}
+}
+
+// raceEnabled is set by race_test.go: the race detector makes sync.Pool drop
+// a random share of what it is handed, so pooled buffers stop being reused
+// and allocation counts stop repeating.
+var raceEnabled bool
+
+// A block allocates nothing: at w = 1, Compress, Decompress and
+// DecompressRegion make exactly as many allocations on a 64³ field (4096
+// blocks) as on a 32³ one (512 blocks), in both modes. The collector is off
+// while counting: a collection empties every sync.Pool, and a larger field
+// would trigger more of them.
+func TestZFPAllocsIndependentOfBlocks(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled buffers at random under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	type counts struct{ compress, decompress, region float64 }
+	measure := func(c compress.Compressor, knob float64, n int) counts {
+		runtime.GC()
+		f := regionTestField(t, n, n, n)
+		blob, err := c.Compress(f, knob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		index, err := BuildRegionIndex(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, hi := []int{n / 4, n / 4, n / 4}, []int{3 * n / 4, 3 * n / 4, 3 * n / 4}
+		return counts{
+			compress: testing.AllocsPerRun(10, func() {
+				if _, err := c.Compress(f, knob); err != nil {
+					t.Fatal(err)
+				}
+			}),
+			decompress: testing.AllocsPerRun(10, func() {
+				if _, err := c.Decompress(blob); err != nil {
+					t.Fatal(err)
+				}
+			}),
+			region: testing.AllocsPerRun(10, func() {
+				if _, err := DecompressRegion(blob, index, lo, hi); err != nil {
+					t.Fatal(err)
+				}
+			}),
+		}
+	}
+	for _, m := range []struct {
+		c    compress.Compressor
+		knob float64
+	}{{&Compressor{Workers: 1}, 1e-3}, {&FixedRate{Workers: 1}, 8}} {
+		small, large := measure(m.c, m.knob, 32), measure(m.c, m.knob, 64)
+		if small != large {
+			t.Errorf("%s: allocations per call on 32³ %+v, on 64³ %+v", m.c.Name(), small, large)
+		}
 	}
 }
