@@ -137,8 +137,8 @@ func TestUnpackRegion(t *testing.T) {
 	for z := 0; z < 7; z++ {
 		for y := 0; y < 7; y++ {
 			for x := 0; x < 6; x++ {
-				want := full.At(z+2, y+3, x+1)
-				got := region.At(z, y, x)
+				want := full.Data[full.Index(z+2, y+3, x+1)]
+				got := region.Data[region.Index(z, y, x)]
 				if math.Float32bits(want) != math.Float32bits(got) {
 					t.Fatalf("region (%d,%d,%d) = %x, want %x", z, y, x,
 						math.Float32bits(got), math.Float32bits(want))

@@ -175,7 +175,7 @@ func TestGoldenIndexedStreams(t *testing.T) {
 				for z := lo[0]; z < hi[0]; z++ {
 					for y := lo[1]; y < hi[1]; y++ {
 						for x := lo[2]; x < hi[2]; x++ {
-							wantV := want.At(z, y, x)
+							wantV := want.Data[want.Index(z, y, x)]
 							if math.Float32bits(region.Data[i]) != math.Float32bits(wantV) {
 								t.Fatalf("%s region sample (%d,%d,%d) = %x, want %x", src.kind,
 									z, y, x, math.Float32bits(region.Data[i]), math.Float32bits(wantV))

@@ -77,7 +77,7 @@ func TestReadRegionMatchesFull(t *testing.T) {
 		for i := 0; i < region.Size(); i++ {
 			c := region.Coord(i)
 			gc := []int{c[0] + origin[0], c[1] + origin[1], c[2] + origin[2]}
-			if region.Data[i] != full.At(gc...) {
+			if region.Data[i] != full.Data[full.Index(gc...)] {
 				t.Fatalf("region %v+%v: mismatch at %v", origin, shape, c)
 			}
 		}

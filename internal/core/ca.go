@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sync"
 
 	"github.com/fxrz-go/fxrz/internal/grid"
 	"github.com/fxrz-go/fxrz/internal/obs"
@@ -63,12 +62,8 @@ func NonConstantRatioParallel(f *grid.Field, blockSide int, lambda float64, work
 		return 1
 	}
 
-	kp := caRangePool.Get().(*[]keyRange)
-	defer caRangePool.Put(kp)
-	if cap(*kp) < total {
-		*kp = make([]keyRange, total)
-	}
-	s.ranges = (*kp)[:total]
+	s.ranges = caRanges.Get(total)
+	defer caRanges.Put(s.ranges)
 
 	d0 := s.lead[0]
 	var mean float64
@@ -111,10 +106,11 @@ func NonConstantRatioParallel(f *grid.Field, blockSide int, lambda float64, work
 // keyRange is one block's running value range, held as order keys.
 type keyRange struct{ lo, hi int32 }
 
-// caRangePool recycles the per-block range array (8 bytes per block) between
+// caRanges recycles the per-block range array (8 bytes per block) between
 // scans, like internal/entropy's scratch: an estimate-heavy daemon would
-// otherwise allocate field/32 bytes of garbage per request.
-var caRangePool = sync.Pool{New: func() any { return new([]keyRange) }}
+// otherwise allocate field/32 bytes of garbage per request. Every scan
+// initialises the ranges it folds into, so recycled contents never show.
+var caRanges = pool.NewSlices[keyRange]("core/scratch_hit", "core/scratch_miss")
 
 // orderKey maps a float32 to an int32 that sorts the same way: the bit
 // pattern, with the 31 magnitude bits flipped when the sign is set. Integer

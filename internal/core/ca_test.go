@@ -211,7 +211,7 @@ func TestOrderKey(t *testing.T) {
 }
 
 // One scan may allocate a constant number of objects — none per block or per
-// row: the range array comes from caRangePool and the odometer lives on the
+// row: the range array comes from caRanges and the odometer lives on the
 // stack. What is left is the scan state and the mean the parallel branch's
 // closure captures, plus pool.Run's goroutines at workers > 1.
 func TestCAScanAllocsConstant(t *testing.T) {

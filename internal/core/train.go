@@ -377,8 +377,5 @@ func (fw *Framework) Stats() TrainStats { return fw.stats }
 // CompressorName reports which codec the framework was trained for.
 func (fw *Framework) CompressorName() string { return fw.compressor }
 
-// Axis returns the knob axis of the framework's compressor.
-func (fw *Framework) Axis() compress.Axis { return fw.axis }
-
 // TrainedRatioRange reports the adjusted-ratio hull covered by training.
 func (fw *Framework) TrainedRatioRange() (lo, hi float64) { return fw.ratioLo, fw.ratioHi }

@@ -93,7 +93,7 @@ func BenchmarkKernelLZCompress(b *testing.B) {
 		b.Run(v.name, func(b *testing.B) {
 			b.SetBytes(int64(len(data)))
 			for i := 0; i < b.N; i++ {
-				putBytes(v.fn(data))
+				byteScratch.Put(v.fn(data))
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(data)), "ns/elem")
 		})

@@ -104,11 +104,11 @@ func (w *BitWriter) AppendBits(src []byte, nbits int) {
 // through the package scratch pool. Once the slice returned by Bytes has been
 // copied out (e.g. appended to an output blob), hand it back with
 // RecycleBuffer so the next writer starts with warmed capacity.
-func NewPooledBitWriter() *BitWriter { return &BitWriter{buf: getBytes()} }
+func NewPooledBitWriter() *BitWriter { return &BitWriter{buf: byteScratch.Get(0)} }
 
 // RecycleBuffer returns a byte buffer (typically a BitWriter payload obtained
 // via Bytes) to the scratch pool. The caller must not touch b afterwards.
-func RecycleBuffer(b []byte) { putBytes(b) }
+func RecycleBuffer(b []byte) { byteScratch.Put(b) }
 
 // BitReader reads bits LSB-first from a byte slice produced by BitWriter.
 type BitReader struct {

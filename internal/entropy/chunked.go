@@ -39,10 +39,11 @@ package entropy
 // Encoding is deterministic at every worker width: chunk boundaries depend
 // only on the input length, the shared frequency table is summed in chunk
 // order (integer sums are order-independent), and per-chunk payloads are
-// assembled serially. The whole-stream coders remain untouched as the
-// bit-exactness oracles and as the decode path for all pre-existing blobs;
-// every decode entry point here sniffs the sentinel and transparently falls
-// back to them.
+// assembled serially. The whole-stream blobs are the one-chunk case under a
+// shorter header: they encode through the same code builder (encodeChunks),
+// parse into the same chunkedCore (parseHuffmanHeader), and decode through
+// the same symbol and LZ loops. Every decode entry point here sniffs the
+// sentinel, so any blob either encoder produced decodes through any of them.
 
 import (
 	"encoding/binary"
@@ -60,19 +61,15 @@ const (
 	chunkedVersion      = 1
 
 	// ChunkTargetBytes is the target source bytes per chunk of the byte
-	// container (and, via DefaultChunkSymbols, symbols per chunk of the
-	// symbol container): large enough that the per-chunk uvarint bookkeeping
-	// and LZ window reset stay far under 1% of the payload, small enough
-	// that a handful of chunks cover a typical field and region reads skip
-	// most of them. Exported so callers aligning chunk boundaries to their
-	// own structure (sz rows) can derive a block size near this target.
+	// container and the symbols per chunk of the symbol container: large
+	// enough that the per-chunk uvarint bookkeeping and LZ window reset stay
+	// far under 1% of the payload, small enough that a handful of chunks cover
+	// a typical field and region reads skip most of them. Inputs shorter than
+	// two chunks encode in the whole-stream format (the same two-unit cutoff
+	// sz applies to its slabs — below it the fan-out costs more than it buys).
+	// Exported so callers aligning chunk boundaries to their own structure
+	// (sz rows) can derive a block size near this target.
 	ChunkTargetBytes = 1 << 17
-
-	// DefaultChunkSymbols is the symbol-container chunk size: inputs shorter
-	// than two chunks encode in the legacy whole-stream format (the same
-	// two-unit cutoff sz applies to its slabs — below it the fan-out costs
-	// more than it buys).
-	DefaultChunkSymbols = 1 << 17
 
 	// maxChunksCap bounds hostile chunk counts before any per-chunk
 	// allocation happens.
@@ -104,23 +101,18 @@ func ChunkedBlockSize(blob []byte) int {
 }
 
 // HuffmanEncodeChunked encodes symbols like HuffmanEncode but into the
-// chunked container, splitting the stream into DefaultChunkSymbols-symbol
+// chunked container, splitting the stream into ChunkTargetBytes-symbol
 // chunks that HuffmanDecodeChunked can decode in parallel. Inputs shorter
 // than two chunks produce the legacy whole-stream format byte-identically.
 // Output is identical at every worker count.
 func HuffmanEncodeChunked(symbols []uint32, alphabet, workers int) ([]byte, error) {
-	nchunks := (len(symbols) + DefaultChunkSymbols - 1) / DefaultChunkSymbols
+	nchunks := (len(symbols) + ChunkTargetBytes - 1) / ChunkTargetBytes
 	if nchunks < 2 {
 		return HuffmanEncode(symbols, alphabet)
 	}
 	chunks := make([][]uint32, nchunks)
 	for i := range chunks {
-		lo := i * DefaultChunkSymbols
-		hi := lo + DefaultChunkSymbols
-		if hi > len(symbols) {
-			hi = len(symbols)
-		}
-		chunks[i] = symbols[lo:hi]
+		chunks[i] = symbols[i*ChunkTargetBytes : min((i+1)*ChunkTargetBytes, len(symbols))]
 	}
 	out := []byte{chunkedSentinel, chunkedMagicHuffman, chunkedVersion}
 	return appendChunkedCore(out, chunks, alphabet, workers)
@@ -139,20 +131,7 @@ func HuffmanDecodeChunked(blob []byte, workers int) ([]uint32, error) {
 		return nil, err
 	}
 	recordChunkedDecode(len(h.counts))
-	out := make([]uint32, h.n)
-	offs := make([]int, len(h.counts))
-	sum := 0
-	for i, c := range h.counts {
-		offs[i] = sum
-		sum += c
-	}
-	err = h.decodeInto(workers, func(i int) []uint32 {
-		return out[offs[i] : offs[i] : offs[i]+h.counts[i]]
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return h.decodeAll(workers, true)
 }
 
 // CompressBytesChunked is CompressBytes in the chunked container: src is cut
@@ -202,7 +181,7 @@ func CompressBytesBlocks(src []byte, blockBytes, workers int) ([]byte, error) {
 	for _, b := range lz {
 		total += len(b)
 	}
-	syms := getU32s(total)
+	syms := u32Scratch.Get(total)
 	pos := 0
 	for i, b := range lz {
 		chunk := syms[pos : pos+len(b)]
@@ -211,13 +190,13 @@ func CompressBytesBlocks(src []byte, blockBytes, workers int) ([]byte, error) {
 		}
 		chunks[i] = chunk
 		pos += len(b)
-		putBytes(b)
+		byteScratch.Put(b)
 	}
 	out := []byte{chunkedSentinel, chunkedMagicBytes, chunkedVersion}
 	out = binary.AppendUvarint(out, uint64(len(src)))
 	out = binary.AppendUvarint(out, uint64(blockBytes))
 	out, err := appendChunkedCore(out, chunks, 256, workers)
-	putU32s(syms)
+	u32Scratch.Put(syms)
 	return out, err
 }
 
@@ -284,19 +263,20 @@ func DecompressBytesRange(blob []byte, off, end, totalLen, workers int) ([]byte,
 	return buf[off-c0*blockBytes : end-c0*blockBytes], nil
 }
 
-// decompressBytesLegacy is the pre-chunking whole-stream pipeline (Huffman
-// then LZ), retained as the decode path for every legacy blob and as the
-// oracle the chunked round-trip tests pin against.
+// decompressBytesLegacy decodes a whole-stream blob (Huffman then LZ) as the
+// one chunk it is: symbols and LZ bytes stage in pooled scratch, and the LZ
+// output grows on demand from a capped first allocation.
 func decompressBytesLegacy(blob []byte) ([]byte, error) {
-	syms, err := HuffmanDecode(blob)
+	h, err := parseHuffmanHeader(blob)
 	if err != nil {
 		return nil, err
 	}
-	lz := make([]byte, len(syms))
-	for i, s := range syms {
-		lz[i] = byte(s)
+	dec, err := h.newDecoder(true)
+	if err != nil {
+		return nil, err
 	}
-	return LZDecompress(lz)
+	defer dec.release()
+	return h.decodeLZChunk(dec, 0, nil)
 }
 
 // recordChunkedDecode bumps the chunked-traffic counters: serve-time adoption
@@ -319,67 +299,21 @@ type chunkedCore struct {
 }
 
 // appendChunkedCore appends the shared-table multi-chunk encoding of chunks
-// to out: alphabet, total count, per-chunk counts, one length table built
-// from the summed frequencies, per-chunk payload lengths, then the payloads.
-// Per-chunk frequency counting and payload emission fan out over the pool;
-// chunk-ordered summation and serial assembly keep the bytes identical at
-// every worker count.
+// to out: alphabet, total count, per-chunk counts, the one length table
+// encodeChunks built from the summed frequencies, per-chunk payload lengths,
+// then the payloads.
 func appendChunkedCore(out []byte, chunks [][]uint32, alphabet, workers int) ([]byte, error) {
-	if alphabet <= 0 {
-		return nil, fmt.Errorf("entropy: invalid alphabet size %d", alphabet)
+	lengths, payloads, err := encodeChunks(chunks, alphabet, workers)
+	if err != nil {
+		return nil, err
 	}
-	nchunks := len(chunks)
 	total := 0
 	for _, c := range chunks {
 		total += len(c)
 	}
-	partial := make([][]int, nchunks)
-	bad := make([]int, nchunks)
-	pool.Run(workers, nchunks, func(i int) {
-		pf := getInts(alphabet)
-		partial[i] = pf
-		bad[i] = -1
-		for j, s := range chunks[i] {
-			if int(s) >= alphabet {
-				bad[i] = j
-				return
-			}
-			pf[s]++
-		}
-	})
-	freq := getInts(alphabet)
-	badSym := int64(-1)
-	for i := nchunks - 1; i >= 0; i-- {
-		if bad[i] >= 0 {
-			badSym = int64(chunks[i][bad[i]])
-		}
-		for sym, c := range partial[i] {
-			freq[sym] += c
-		}
-		putInts(partial[i])
-	}
-	if badSym >= 0 {
-		putInts(freq)
-		return nil, fmt.Errorf("entropy: symbol %d outside alphabet %d", badSym, alphabet)
-	}
-	lengths := huffmanLengths(freq)
-	putInts(freq)
-	codes := canonicalCodes(lengths)
-
-	payloads := make([][]byte, nchunks)
-	pool.Run(workers, nchunks, func(i int) {
-		w := NewPooledBitWriter()
-		for _, s := range chunks[i] {
-			c := codes[s]
-			w.WriteBits(uint64(c.code), uint(c.len))
-		}
-		payloads[i] = w.Bytes()
-	})
-	putCodes(codes)
-
 	out = binary.AppendUvarint(out, uint64(alphabet))
 	out = binary.AppendUvarint(out, uint64(total))
-	out = binary.AppendUvarint(out, uint64(nchunks))
+	out = binary.AppendUvarint(out, uint64(len(chunks)))
 	for _, c := range chunks {
 		out = binary.AppendUvarint(out, uint64(len(c)))
 	}
@@ -389,7 +323,7 @@ func appendChunkedCore(out []byte, chunks [][]uint32, alphabet, workers int) ([]
 	}
 	for _, p := range payloads {
 		out = append(out, p...)
-		RecycleBuffer(p)
+		byteScratch.Put(p)
 	}
 	return out, nil
 }
@@ -498,171 +432,74 @@ func parseChunkedBytes(blob []byte) (h *chunkedCore, srcLen, blockBytes int, err
 	return h, int(s), int(b), nil
 }
 
-// newDecoder builds the shared canonical decoder for the container's length
-// table. The decoder is read-only after construction, so every chunk worker
-// shares it; the caller must release() it once all workers are done.
-func (h *chunkedCore) newDecoder() (*canonicalDecoder, error) {
-	dec, err := newCanonicalDecoder(h.lengths, h.n >= decTableMinSymbols)
+// forChunks runs fn over n chunks: a lone chunk runs inline, several fan
+// out over pool.RunErr, which reports the lowest-indexed chunk's error.
+func forChunks(workers, n int, fn func(i int) error) error {
+	if n == 1 {
+		return fn(0)
+	}
+	return pool.RunErr(workers, n, fn)
+}
+
+// decodeAll decodes every chunk, up to workers at a time, into one slice;
+// useTable is huffmanDecode's seam.
+func (h *chunkedCore) decodeAll(workers int, useTable bool) ([]uint32, error) {
+	dec, err := h.newDecoder(useTable)
 	if err != nil {
 		return nil, err
 	}
-	if dec.table != nil {
-		obs.Inc("entropy/huffdec_table")
-	} else {
-		obs.Inc("entropy/huffdec_bitwise")
+	defer dec.release()
+	out := make([]uint32, h.n)
+	offs := make([]int, len(h.counts)+1)
+	for i, c := range h.counts {
+		offs[i+1] = offs[i] + c
 	}
-	return dec, nil
-}
-
-// decodeChunk decodes chunk i's symbols into out (len 0, cap == counts[i]).
-func (h *chunkedCore) decodeChunk(dec *canonicalDecoder, i int, out []uint32) ([]uint32, error) {
-	r := NewBitReader(h.payloads[i])
-	n := h.counts[i]
-	if dec.table != nil {
-		return dec.decodeAllTable(r, n, out)
-	}
-	for j := 0; j < n; j++ {
-		s, err := dec.decodeSlow(r)
-		if err != nil {
-			return nil, fmt.Errorf("entropy: symbol %d/%d: %w", j, n, err)
-		}
-		out = append(out, s)
+	err = forChunks(workers, len(h.counts), func(i int) error {
+		return h.decodeChunk(dec, i, out[offs[i]:offs[i+1]])
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// decodeInto decodes every chunk concurrently, writing chunk i's symbols
-// into the slice dst(i) returns (len 0, cap counts[i], disjoint per chunk).
-func (h *chunkedCore) decodeInto(workers int, dst func(i int) []uint32) error {
-	dec, err := h.newDecoder()
-	if err != nil {
-		return err
+// decodeChunk decodes chunk i's symbols into out (len counts[i]).
+func (h *chunkedCore) decodeChunk(dec *canonicalDecoder, i int, out []uint32) error {
+	r := BitReader{buf: h.payloads[i]}
+	return dec.decode(&r, out)
+}
+
+// decodeLZChunk Huffman-decodes chunk i's LZ token bytes into pooled scratch
+// and LZ-decodes them onto dst as lzDecode does.
+func (h *chunkedCore) decodeLZChunk(dec *canonicalDecoder, i int, dst []byte) ([]byte, error) {
+	syms := u32Scratch.Get(h.counts[i])
+	defer u32Scratch.Put(syms)
+	if err := h.decodeChunk(dec, i, syms); err != nil {
+		return nil, err
 	}
-	defer dec.release()
-	errs := make([]error, len(h.counts))
-	pool.Run(workers, len(h.counts), func(i int) {
-		out, err := h.decodeChunk(dec, i, dst(i))
-		if err == nil && len(out) != h.counts[i] {
-			err = fmt.Errorf("entropy: chunk %d decoded %d symbols, want %d", i, len(out), h.counts[i])
-		}
-		errs[i] = err
-	})
-	return firstErr(errs)
+	lz := byteScratch.Get(len(syms))
+	defer byteScratch.Put(lz)
+	for j, s := range syms {
+		lz[j] = byte(s)
+	}
+	return lzDecode(dst, lz)
 }
 
 // decodeBlocksInto decodes byte-container chunks [c0, c1) into out, which
 // must hold exactly the source bytes those blocks cover (the last block may
-// be ragged). Each chunk Huffman-decodes its LZ bytes and LZ-decodes them
-// into its disjoint segment of out.
+// be ragged). Each chunk LZ-decodes in place into its disjoint segment of out.
 func (h *chunkedCore) decodeBlocksInto(out []byte, c0, c1, blockBytes, workers int) error {
 	if h.alphabet != 256 {
 		return fmt.Errorf("entropy: chunked byte stream has alphabet %d, want 256", h.alphabet)
 	}
-	dec, err := h.newDecoder()
+	dec, err := h.newDecoder(true)
 	if err != nil {
 		return err
 	}
 	defer dec.release()
-	base := c0 * blockBytes
-	errs := make([]error, c1-c0)
-	pool.Run(workers, c1-c0, func(t int) {
-		i := c0 + t
-		syms := getU32s(h.counts[i])[:0]
-		syms, err := h.decodeChunk(dec, i, syms)
-		if err != nil {
-			errs[t] = err
-			putU32s(syms[:cap(syms)])
-			return
-		}
-		lz := getScratchLZ(len(syms))
-		for j, s := range syms {
-			lz[j] = byte(s)
-		}
-		putU32s(syms[:cap(syms)])
-		lo := i*blockBytes - base
-		hi := lo + blockBytes
-		if hi > len(out) {
-			hi = len(out)
-		}
-		errs[t] = lzDecompressInto(out[lo:hi], lz)
-		putScratchLZ(lz)
+	return forChunks(workers, c1-c0, func(t int) error {
+		lo := t * blockBytes
+		_, err := h.decodeLZChunk(dec, c0+t, out[lo:lo:min(lo+blockBytes, len(out))])
+		return err
 	})
-	return firstErr(errs)
-}
-
-// getScratchLZ / putScratchLZ stage per-chunk LZ byte buffers through the
-// byte pool.
-func getScratchLZ(n int) []byte {
-	b := getBytes()
-	if cap(b) < n {
-		return make([]byte, n)
-	}
-	return b[:n]
-}
-
-func putScratchLZ(b []byte) { putBytes(b) }
-
-func firstErr(errs []error) error {
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
-	}
-	return nil
-}
-
-// lzDecompressInto is LZDecompress for a destination of exactly known size:
-// the token stream must decode to len(dst) bytes, written in place. It
-// mirrors LZDecompress's validation token for token (the chunked round-trip
-// tests and FuzzChunkedEntropy pin the two against each other).
-func lzDecompressInto(dst []byte, blob []byte) error {
-	size, k := binary.Uvarint(blob)
-	if k <= 0 {
-		return ErrTruncated
-	}
-	blob = blob[k:]
-	if size != uint64(len(dst)) {
-		return fmt.Errorf("entropy: chunk holds %d bytes, block expects %d", size, len(dst))
-	}
-	pos := 0
-	for {
-		litLen, k := binary.Uvarint(blob)
-		if k <= 0 {
-			return ErrTruncated
-		}
-		blob = blob[k:]
-		if uint64(len(blob)) < litLen {
-			return ErrTruncated
-		}
-		if litLen > uint64(len(dst)-pos) {
-			return fmt.Errorf("entropy: literals overflow declared size %d", size)
-		}
-		pos += copy(dst[pos:], blob[:litLen])
-		blob = blob[litLen:]
-		matchLen, k := binary.Uvarint(blob)
-		if k <= 0 {
-			return ErrTruncated
-		}
-		blob = blob[k:]
-		if matchLen == 0 {
-			break
-		}
-		if matchLen > lzMaxMatch || matchLen > uint64(len(dst)-pos) {
-			return fmt.Errorf("entropy: invalid match length %d at output offset %d", matchLen, pos)
-		}
-		dist, k := binary.Uvarint(blob)
-		if k <= 0 {
-			return ErrTruncated
-		}
-		blob = blob[k:]
-		if dist == 0 || dist > uint64(pos) {
-			return fmt.Errorf("entropy: invalid match distance %d at output offset %d", dist, pos)
-		}
-		lzCopyMatch(dst, pos, int(dist), int(matchLen))
-		pos += int(matchLen)
-	}
-	if pos != len(dst) {
-		return fmt.Errorf("entropy: decoded %d bytes, header said %d", pos, size)
-	}
-	return nil
 }

@@ -2,6 +2,7 @@ package entropy
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"runtime"
@@ -224,7 +225,7 @@ func TestChunkedBytesRange(t *testing.T) {
 // the legacy format below the two-chunk cutoff.
 func TestChunkedHuffmanIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	n := 2*DefaultChunkSymbols + 513 // three chunks, last one ragged
+	n := 2*ChunkTargetBytes + 513 // three chunks, last one ragged
 	syms := make([]uint32, n)
 	for i := range syms {
 		if rng.Intn(16) == 0 {
@@ -265,7 +266,7 @@ func TestChunkedHuffmanIdentity(t *testing.T) {
 	}
 	// Legacy blobs pass through the chunk-aware decoder; short inputs fall
 	// back to the legacy format byte-identically.
-	short := syms[:DefaultChunkSymbols-1]
+	short := syms[:ChunkTargetBytes-1]
 	chunked, err := HuffmanEncodeChunked(short, alphabet, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +289,7 @@ func TestChunkedHuffmanIdentity(t *testing.T) {
 	}
 	// Out-of-alphabet symbols must be rejected with the same shape of error
 	// as the whole-stream encoder.
-	bad := make([]uint32, 3*DefaultChunkSymbols)
+	bad := make([]uint32, 3*ChunkTargetBytes)
 	bad[len(bad)-1] = alphabet
 	if _, err := HuffmanEncodeChunked(bad, alphabet, 2); err == nil {
 		t.Fatal("out-of-alphabet symbol accepted")
@@ -298,7 +299,7 @@ func TestChunkedHuffmanIdentity(t *testing.T) {
 // TestChunkedConstantInput: a single-symbol alphabet exercises the 1-bit
 // degenerate code path across chunks.
 func TestChunkedConstantInput(t *testing.T) {
-	syms := make([]uint32, 2*DefaultChunkSymbols+3)
+	syms := make([]uint32, 2*ChunkTargetBytes+3)
 	blob, err := HuffmanEncodeChunked(syms, 4, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -347,42 +348,46 @@ func TestChunkedOverhead(t *testing.T) {
 	}
 }
 
-// TestLZDecompressIntoMatchesOracle pins the fixed-destination LZ decoder
-// against LZDecompress over a spread of inputs.
-func TestLZDecompressIntoMatchesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		n := rng.Intn(4096)
-		src := make([]byte, n)
-		switch trial % 3 {
-		case 0:
-			rng.Read(src)
-		case 1: // repetitive: long overlapping matches
-			for i := range src {
-				src[i] = byte(i % (1 + trial))
-			}
-		case 2: // runs: distance-1 overlap replication
-			for i := range src {
-				src[i] = byte(i / 64)
-			}
+// TestLZDecodeRejectsHostileStreams feeds corrupt token streams to both
+// entries of the one LZ token loop — grow-on-demand (LZDecompress) and a
+// fixed destination (the chunk path) — and both must refuse every one. The
+// fixed destination has the declared size as capacity, capped at 1 MiB: past
+// that it is refused for the mismatch before the size checks run.
+func TestLZDecodeRejectsHostileStreams(t *testing.T) {
+	uv := func(vs ...uint64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.AppendUvarint(b, v)
 		}
-		blob := LZCompress(src)
-		want, err := LZDecompress(blob)
-		if err != nil {
-			t.Fatalf("trial %d: oracle: %v", trial, err)
+		return b
+	}
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	lit := []byte("abcd")
+	cases := []struct {
+		name string
+		size uint64 // the size the stream declares
+		blob []byte
+	}{
+		{"no header", 0, nil},
+		{"truncated header", 0, []byte{0x80}},
+		{"implausible size", 1<<36 + 1, uv(1<<36+1, 0, 0)},
+		{"impossible expansion", 1 << 20, uv(1<<20, 0, 0)},
+		{"literals overflow", 2, cat(uv(2, 4), lit, uv(0))},
+		{"truncated literals", 4, cat(uv(4, 4), lit[:2])},
+		{"missing terminator", 4, cat(uv(4, 4), lit)},
+		{"match over lzMaxMatch", lzMaxMatch + 5, cat(uv(lzMaxMatch+5, 4), lit, uv(lzMaxMatch+1, 1, 0))},
+		{"match overflows size", 6, cat(uv(6, 4), lit, uv(4, 1, 0))},
+		{"zero distance", 8, cat(uv(8, 4), lit, uv(4, 0, 0))},
+		{"distance past output", 8, cat(uv(8, 4), lit, uv(4, 5, 0))},
+		{"truncated distance", 8, cat(uv(8, 4), lit, uv(4))},
+		{"short of declared size", 5, cat(uv(5, 4), lit, uv(0))},
+	}
+	for _, c := range cases {
+		if out, err := LZDecompress(c.blob); err == nil {
+			t.Errorf("%s: grow-on-demand accepted it (%d bytes)", c.name, len(out))
 		}
-		dst := make([]byte, n)
-		if err := lzDecompressInto(dst, blob); err != nil {
-			t.Fatalf("trial %d: into: %v", trial, err)
-		}
-		if !bytes.Equal(dst, want) {
-			t.Fatalf("trial %d: fixed-destination decode differs from oracle", trial)
-		}
-		// A destination of the wrong size must be rejected.
-		if n > 0 {
-			if err := lzDecompressInto(make([]byte, n-1), blob); err == nil {
-				t.Fatalf("trial %d: short destination accepted", trial)
-			}
+		if out, err := lzDecode(make([]byte, 0, min(c.size, 1<<20)), c.blob); err == nil {
+			t.Errorf("%s: fixed destination accepted it (%d bytes)", c.name, len(out))
 		}
 	}
 }

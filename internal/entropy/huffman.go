@@ -18,45 +18,83 @@ const maxHuffmanLen = 32
 // HuffmanEncode entropy-codes a sequence of symbols drawn from the alphabet
 // [0, alphabet). The output embeds a canonical code-length table followed by
 // the bit stream, so HuffmanDecode needs no side information beyond the blob.
+// It is the one-chunk case of the chunked container's coder (encodeChunks)
+// under the whole-stream header.
 func HuffmanEncode(symbols []uint32, alphabet int) ([]byte, error) {
-	if alphabet <= 0 {
-		return nil, fmt.Errorf("entropy: invalid alphabet size %d", alphabet)
+	lengths, payloads, err := encodeChunks([][]uint32{symbols}, alphabet, 1)
+	if err != nil {
+		return nil, err
 	}
-	freq := getInts(alphabet)
-	for _, s := range symbols {
-		if int(s) >= alphabet {
-			putInts(freq)
-			return nil, fmt.Errorf("entropy: symbol %d outside alphabet %d", s, alphabet)
-		}
-		freq[s]++
-	}
-	lengths := huffmanLengths(freq)
-	putInts(freq)
-	codes := canonicalCodes(lengths)
-
-	// Stage the header through the scratch pool like the bitstream buffer:
-	// only the final exact-size blob is freshly allocated (callers keep it,
-	// so it can never be recycled).
-	hdr := getBytes()
+	payload := payloads[0]
+	// Stage the header through the scratch pool like the payload: only the
+	// final exact-size blob is freshly allocated (callers keep it, so it can
+	// never be recycled).
+	hdr := byteScratch.Get(0)
 	hdr = binary.AppendUvarint(hdr, uint64(alphabet))
 	hdr = binary.AppendUvarint(hdr, uint64(len(symbols)))
 	// Length table: run-length encode zeros since most alphabets are sparse.
 	hdr = appendLengthTable(hdr, lengths)
-
-	w := &BitWriter{buf: getBytes()}
-	for _, s := range symbols {
-		c := codes[s]
-		w.WriteBits(uint64(c.code), uint(c.len))
-	}
-	putCodes(codes)
-	payload := w.Bytes()
 	hdr = binary.AppendUvarint(hdr, uint64(len(payload)))
 	out := make([]byte, 0, len(hdr)+len(payload))
 	out = append(out, hdr...)
 	out = append(out, payload...)
-	putBytes(hdr)
-	putBytes(payload)
+	byteScratch.Put(hdr)
+	byteScratch.Put(payload)
 	return out, nil
+}
+
+// encodeChunks is the one Huffman code builder: it counts every chunk's
+// symbol frequencies, sums them in chunk order into one canonical code, and
+// emits each chunk's bit stream with that code. Counting and emission fan out
+// per chunk; integer sums and per-chunk streams make the result identical at
+// every worker count. The payloads come from the byte scratch pool.
+func encodeChunks(chunks [][]uint32, alphabet, workers int) (lengths []uint8, payloads [][]byte, err error) {
+	if alphabet <= 0 {
+		return nil, nil, fmt.Errorf("entropy: invalid alphabet size %d", alphabet)
+	}
+	freqs := make([][]int, len(chunks))
+	defer func() {
+		for _, f := range freqs {
+			intScratch.Put(f)
+		}
+	}()
+	// pool.RunErr's lowest-index error is the first bad symbol of the first
+	// chunk holding one, the one a serial scan would report.
+	err = forChunks(workers, len(chunks), func(i int) error {
+		f := intScratch.Get(alphabet)
+		clear(f)
+		freqs[i] = f
+		for _, s := range chunks[i] {
+			if int(s) >= alphabet {
+				return fmt.Errorf("entropy: symbol %d outside alphabet %d", s, alphabet)
+			}
+			f[s]++
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	freq := freqs[0]
+	for _, f := range freqs[1:] {
+		for s, c := range f {
+			freq[s] += c
+		}
+	}
+	lengths = huffmanLengths(freq)
+	codes := canonicalCodes(lengths)
+	defer codeScratch.Put(codes)
+	payloads = make([][]byte, len(chunks))
+	_ = forChunks(workers, len(chunks), func(i int) error { // emission cannot fail
+		w := NewPooledBitWriter()
+		for _, s := range chunks[i] {
+			c := codes[s]
+			w.WriteBits(uint64(c.code), uint(c.len))
+		}
+		payloads[i] = w.Bytes()
+		return nil
+	})
+	return lengths, payloads, nil
 }
 
 // HuffmanDecode reverses HuffmanEncode.
@@ -68,72 +106,51 @@ func HuffmanDecode(blob []byte) ([]uint32, error) {
 // the table-driven fast path; tests pass false to pin the table decoder to
 // the bit-at-a-time oracle.
 func huffmanDecode(blob []byte, useTable bool) ([]uint32, error) {
-	alphabet, n, lengths, payload, err := parseHuffmanHeader(blob)
+	h, err := parseHuffmanHeader(blob)
 	if err != nil {
 		return nil, err
 	}
-	if alphabet == 0 {
-		return nil, fmt.Errorf("entropy: zero alphabet")
-	}
-	if alphabet > 1 && n > 8*len(payload) {
-		return nil, fmt.Errorf("entropy: %d symbols cannot fit in %d payload bytes", n, len(payload))
-	}
-	dec, err := newCanonicalDecoder(lengths, useTable && n >= decTableMinSymbols)
-	if err != nil {
-		return nil, err
-	}
-	defer dec.release()
-	if dec.table != nil {
-		obs.Inc("entropy/huffdec_table")
-	} else {
-		obs.Inc("entropy/huffdec_bitwise")
-	}
-	r := NewBitReader(payload)
-	capHint := n
-	if capHint > 1<<20 {
-		capHint = 1 << 20 // a corrupt count must not drive the allocation
-	}
-	out := make([]uint32, 0, capHint)
-	if dec.table != nil {
-		return dec.decodeAllTable(r, n, out)
-	}
-	for i := 0; i < n; i++ {
-		s, err := dec.decodeSlow(r)
-		if err != nil {
-			return nil, fmt.Errorf("entropy: symbol %d/%d: %w", i, n, err)
-		}
-		out = append(out, s)
-	}
-	return out, nil
+	return h.decodeAll(1, useTable)
 }
 
-func parseHuffmanHeader(blob []byte) (alphabet, n int, lengths []uint8, payload []byte, err error) {
+// parseHuffmanHeader parses a whole-stream blob as the one-chunk container it
+// is, so both formats decode through the same chunk loop.
+func parseHuffmanHeader(blob []byte) (*chunkedCore, error) {
 	a, k := binary.Uvarint(blob)
 	if k <= 0 {
-		return 0, 0, nil, nil, ErrTruncated
+		return nil, ErrTruncated
 	}
 	blob = blob[k:]
 	cnt, k := binary.Uvarint(blob)
 	if k <= 0 {
-		return 0, 0, nil, nil, ErrTruncated
+		return nil, ErrTruncated
 	}
 	blob = blob[k:]
 	if a > 1<<24 || cnt > 1<<34 {
-		return 0, 0, nil, nil, fmt.Errorf("entropy: implausible header (alphabet %d, count %d)", a, cnt)
+		return nil, fmt.Errorf("entropy: implausible header (alphabet %d, count %d)", a, cnt)
 	}
-	lengths, blob, err = readLengthTable(blob, int(a))
+	lengths, blob, err := readLengthTable(blob, int(a))
 	if err != nil {
-		return 0, 0, nil, nil, err
+		return nil, err
 	}
 	plen, k := binary.Uvarint(blob)
 	if k <= 0 {
-		return 0, 0, nil, nil, ErrTruncated
+		return nil, ErrTruncated
 	}
 	blob = blob[k:]
 	if uint64(len(blob)) < plen {
-		return 0, 0, nil, nil, ErrTruncated
+		return nil, ErrTruncated
 	}
-	return int(a), int(cnt), lengths, blob[:plen], nil
+	if a == 0 {
+		return nil, fmt.Errorf("entropy: zero alphabet")
+	}
+	// Every code is at least one bit long, so the count cannot exceed the
+	// payload's bit length; this also bounds the output allocation.
+	n, payload := int(cnt), blob[:plen]
+	if n > 8*len(payload) {
+		return nil, fmt.Errorf("entropy: %d symbols cannot fit in %d payload bytes", n, len(payload))
+	}
+	return &chunkedCore{alphabet: int(a), n: n, counts: []int{n}, lengths: lengths, payloads: [][]byte{payload}}, nil
 }
 
 // huffmanLengths computes code lengths from frequencies via the classic
@@ -241,8 +258,10 @@ type huffCode struct {
 
 // canonicalCodes assigns canonical codes (shorter codes first, then by
 // symbol), stored bit-reversed so they can be emitted LSB-first. The table
-// comes from the scratch pool; callers return it with putCodes. Entries for
-// zero-length symbols are left stale — see getCodes.
+// comes from the scratch pool; callers return it with codeScratch.Put.
+// Entries for zero-length symbols are left stale: encoders only index the
+// table with symbols whose frequency is non-zero, which always have a
+// freshly assigned code.
 func canonicalCodes(lengths []uint8) []huffCode {
 	type symLen struct {
 		sym int
@@ -260,7 +279,7 @@ func canonicalCodes(lengths []uint8) []huffCode {
 		}
 		return syms[i].sym < syms[j].sym
 	})
-	codes := getCodes(len(lengths))
+	codes := codeScratch.Get(len(lengths))
 	var code uint32
 	var prevLen uint8
 	for _, sl := range syms {
@@ -288,8 +307,12 @@ const (
 
 // decEntry packs a first-level table hit as symbol<<6 | codeLen. Zero means
 // "no code of length ≤ decTableBits has this prefix". Symbols fit in 24 bits
-// (parseHuffmanHeader caps the alphabet at 2^24) and lengths in 6.
+// (both header parsers cap the alphabet at 2^24) and lengths in 6.
 type decEntry uint32
+
+// noTable is the first-level table of a decoder built without one: every
+// entry misses, so every symbol takes the canonical walk.
+var noTable = new([decTableSize]decEntry)
 
 // canonicalDecoder resolves short codes through a fixed-width first-level
 // table and walks the remainder bit by bit using first-code/offset tables.
@@ -305,10 +328,15 @@ type canonicalDecoder struct {
 	table []decEntry
 }
 
-func newCanonicalDecoder(lengths []uint8, buildTable bool) (*canonicalDecoder, error) {
+// newDecoder builds the canonical decoder for the container's length table,
+// with the first-level table when useTable is set and the stream is long
+// enough to amortise it. The decoder is read-only after construction, so
+// every chunk worker shares it; the caller must release() it once all
+// workers are done.
+func (h *chunkedCore) newDecoder(useTable bool) (*canonicalDecoder, error) {
 	d := &canonicalDecoder{}
 	var kraft uint64
-	for _, l := range lengths {
+	for _, l := range h.lengths {
 		if l > maxHuffmanLen {
 			return nil, fmt.Errorf("entropy: code length %d exceeds cap", l)
 		}
@@ -327,8 +355,8 @@ func newCanonicalDecoder(lengths []uint8, buildTable bool) (*canonicalDecoder, e
 		idx += d.count[l]
 	}
 	d.symbols = make([]uint32, idx)
-	next := make([]int, maxHuffmanLen+1)
-	for s, l := range lengths {
+	var next [maxHuffmanLen + 1]int
+	for s, l := range h.lengths {
 		if l > 0 {
 			d.symbols[d.offset[l]+next[l]] = uint32(s)
 			next[l]++
@@ -337,8 +365,11 @@ func newCanonicalDecoder(lengths []uint8, buildTable bool) (*canonicalDecoder, e
 	// An over-subscribed length table (Kraft sum > 1) assigns overlapping
 	// codes; reversed indices would collide, so leave the table off and let
 	// the bit-wise walk reproduce the historical behaviour for such blobs.
-	if buildTable && kraft <= 1<<maxHuffmanLen {
+	if useTable && h.n >= decTableMinSymbols && kraft <= 1<<maxHuffmanLen {
 		d.buildTable()
+		obs.Inc("entropy/huffdec_table")
+	} else {
+		obs.Inc("entropy/huffdec_bitwise")
 	}
 	return d, nil
 }
@@ -348,7 +379,8 @@ func newCanonicalDecoder(lengths []uint8, buildTable bool) (*canonicalDecoder, e
 // bits of the reader's accumulator hold the code's leading bits reversed) and
 // is replicated across every high-bit padding.
 func (d *canonicalDecoder) buildTable() {
-	d.table = getDecTable()
+	d.table = decScratch.Get(decTableSize)
+	clear(d.table)
 	for l := 1; l <= decTableBits; l++ {
 		e := decEntry(l)
 		for j := 0; j < d.count[l]; j++ {
@@ -364,22 +396,24 @@ func (d *canonicalDecoder) buildTable() {
 // release returns the pooled decode table, if any. The decoder must not be
 // used afterwards.
 func (d *canonicalDecoder) release() {
-	if d.table != nil {
-		putDecTable(d.table)
-		d.table = nil
-	}
+	decScratch.Put(d.table)
+	d.table = nil
 }
 
-// decodeAllTable decodes n symbols through the first-level table, shadowing
-// the bit-reader state in locals so the hot loop keeps it in registers
-// (per-symbol method calls would spill it on every iteration). Long codes,
-// invalid prefixes and stream tails sync the reader and take the canonical
-// walk, so error behaviour is identical to the bit-wise path.
-func (d *canonicalDecoder) decodeAllTable(r *BitReader, n int, out []uint32) ([]uint32, error) {
-	table := d.table
+// decode is the one Huffman symbol loop: it fills out with the next len(out)
+// symbols of r through the first-level table, shadowing the bit-reader state
+// in locals so the hot loop keeps it in registers (per-symbol method calls
+// would spill it on every iteration). Long codes, invalid prefixes, stream
+// tails and every symbol of a table-less decoder sync the reader and take the
+// canonical walk, so error behaviour is the bit-wise walk's.
+func (d *canonicalDecoder) decode(r *BitReader, out []uint32) error {
+	table := noTable
+	if d.table != nil {
+		table = (*[decTableSize]decEntry)(d.table)
+	}
 	buf := r.buf
 	acc, nbits, pos := r.acc, r.nbits, r.pos
-	for i := 0; i < n; i++ {
+	for i := range out {
 		if nbits < decTableBits {
 			for nbits <= 56 && pos < len(buf) {
 				acc |= uint64(buf[pos]) << nbits
@@ -393,19 +427,19 @@ func (d *canonicalDecoder) decodeAllTable(r *BitReader, n int, out []uint32) ([]
 		if l := uint(e) & 63; l != 0 && l <= nbits {
 			acc >>= l
 			nbits -= l
-			out = append(out, uint32(e>>6))
+			out[i] = uint32(e >> 6)
 			continue
 		}
 		r.acc, r.nbits, r.pos = acc, nbits, pos
 		s, err := d.decodeSlow(r)
 		if err != nil {
-			return nil, fmt.Errorf("entropy: symbol %d/%d: %w", i, n, err)
+			return fmt.Errorf("entropy: symbol %d/%d: %w", i, len(out), err)
 		}
-		out = append(out, s)
+		out[i] = s
 		acc, nbits, pos = r.acc, r.nbits, r.pos
 	}
 	r.acc, r.nbits, r.pos = acc, nbits, pos
-	return out, nil
+	return nil
 }
 
 // decodeSlow is the canonical bit-at-a-time walk: the oracle the table path

@@ -36,21 +36,21 @@ func lzHash(b []byte) uint32 {
 
 // LZCompress compresses src. The output always starts with the uncompressed
 // length so the decoder can allocate exactly once. The result comes from the
-// byte pool; in-package callers hand it back with putBytes.
+// byte scratch pool; in-package callers hand it back with byteScratch.Put.
 //
 // The match search does far less work than comparing every chain candidate
 // byte by byte, but chooses exactly the (length, distance) pairs that would:
 // lz_ref_test.go pins the token stream to the frozen byte-wise encoder, and
 // DESIGN.md ("LZ match search") lists the invariants that make it so.
 func LZCompress(src []byte) []byte {
-	out := binary.AppendUvarint(getBytes(), uint64(len(src)))
+	out := binary.AppendUvarint(byteScratch.Get(0), uint64(len(src)))
 	// Hash-chain state comes from the scratch pool. Both tables store
 	// position+1 so that 0 means "empty" and head re-arms with one clear;
 	// prev entries are only ever read through chains written during this
 	// run, so prev needs no initialisation.
-	head := getInt32s(1 << lzHashBits)
+	head := int32Scratch.Get(1 << lzHashBits)
 	clear(head)
-	prev := getInt32s(len(src))
+	prev := int32Scratch.Get(len(src))
 
 	litStart := 0
 	i := 0
@@ -108,8 +108,8 @@ func LZCompress(src []byte) []byte {
 	}
 	// Trailing literals and terminator.
 	emit(len(src), 0, 0)
-	putInt32s(head)
-	putInt32s(prev)
+	int32Scratch.Put(head)
+	int32Scratch.Put(prev)
 	return out
 }
 
@@ -131,11 +131,24 @@ func matchLength(src []byte, a, b, max int) int {
 
 // LZDecompress reverses LZCompress.
 func LZDecompress(blob []byte) ([]byte, error) {
+	return lzDecode(nil, blob)
+}
+
+// lzDecode is the one LZ token loop: it decodes blob onto dst[:0], appending
+// up to the size the stream declares. A nil dst starts from min(size, 1 MiB)
+// capacity and grows on demand, so a corrupt header cannot demand a huge
+// buffer up front. Any other dst is a fixed destination: the declared size
+// must be exactly cap(dst), so every byte lands in place and nothing
+// reallocates.
+func lzDecode(dst, blob []byte) ([]byte, error) {
 	size, k := binary.Uvarint(blob)
 	if k <= 0 {
 		return nil, ErrTruncated
 	}
 	blob = blob[k:]
+	if dst != nil && size != uint64(cap(dst)) {
+		return nil, fmt.Errorf("entropy: chunk holds %d bytes, block expects %d", size, cap(dst))
+	}
 	if size > 1<<36 {
 		return nil, fmt.Errorf("entropy: implausible uncompressed size %d", size)
 	}
@@ -144,11 +157,10 @@ func LZDecompress(blob []byte) ([]byte, error) {
 	if size > uint64(len(blob))*lzMaxMatch+64 {
 		return nil, fmt.Errorf("entropy: claimed size %d impossible for %d input bytes", size, len(blob))
 	}
-	capHint := size
-	if capHint > 1<<20 {
-		capHint = 1 << 20 // grow on demand; do not trust the header blindly
+	if dst == nil {
+		dst = make([]byte, 0, min(size, 1<<20))
 	}
-	out := make([]byte, 0, capHint)
+	out := dst[:0]
 	for {
 		litLen, k := binary.Uvarint(blob)
 		if k <= 0 {
@@ -210,13 +222,13 @@ func lzCopyMatch(dst []byte, pos, dist, n int) {
 // the LZ output bytes. On incompressible input the overhead is a few bytes.
 func CompressBytes(src []byte) ([]byte, error) {
 	lz := LZCompress(src)
-	syms := getU32s(len(lz))
+	syms := u32Scratch.Get(len(lz))
 	for i, b := range lz {
 		syms[i] = uint32(b)
 	}
-	putBytes(lz)
+	byteScratch.Put(lz)
 	blob, err := HuffmanEncode(syms, 256)
-	putU32s(syms)
+	u32Scratch.Put(syms)
 	return blob, err
 }
 

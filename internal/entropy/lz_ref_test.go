@@ -9,7 +9,8 @@ import (
 )
 
 // lzCompressRef is LZCompress as it stood before the match search was
-// rewritten, frozen verbatim (only the two function names changed): every
+// rewritten, frozen verbatim (only the two function names and the scratch
+// pool calls changed): every
 // chain candidate is fully compared one byte at a time. It is the oracle the
 // identity tests and FuzzLZCompressMatchesRef hold the fast search to — the
 // two must emit the same token stream byte for byte. Do not "improve" it.
@@ -18,11 +19,11 @@ func lzCompressRef(src []byte) []byte {
 	// Hash-chain state comes from the scratch pool: head is re-armed to -1
 	// below, and prev entries are only ever read through chains written during
 	// this run, so neither needs a fresh allocation.
-	head := getInt32s(1 << lzHashBits)
+	head := int32Scratch.Get(1 << lzHashBits)
 	for i := range head {
 		head[i] = -1
 	}
-	prev := getInt32s(len(src))
+	prev := int32Scratch.Get(len(src))
 
 	litStart := 0
 	i := 0
@@ -72,8 +73,8 @@ func lzCompressRef(src []byte) []byte {
 	}
 	// Trailing literals and terminator.
 	emit(len(src), 0, 0)
-	putInt32s(head)
-	putInt32s(prev)
+	int32Scratch.Put(head)
+	int32Scratch.Put(prev)
 	return out
 }
 
@@ -150,15 +151,22 @@ func TestLZCompressMatchesRef(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Errorf("%d-byte input: token stream differs from reference (%d vs %d bytes)", len(src), len(got), len(want))
 			}
-			// Both decoders share lzCopyMatch; the periodic inputs decode
-			// through its overlapping (run-replicating) branch.
+			// Both lzDecode entries round-trip; the periodic inputs decode
+			// through lzCopyMatch's overlapping (run-replicating) branch.
 			back, err := LZDecompress(got)
 			if err != nil || !bytes.Equal(back, src) {
-				t.Errorf("LZDecompress round trip failed (err %v)", err)
+				t.Errorf("grow-on-demand round trip failed (err %v)", err)
 			}
-			into := make([]byte, len(src))
-			if err := lzDecompressInto(into, got); err != nil || !bytes.Equal(into, src) {
-				t.Errorf("lzDecompressInto round trip failed (err %v)", err)
+			into := make([]byte, 0, len(src))
+			back, err = lzDecode(into, got)
+			if err != nil || !bytes.Equal(back, src) {
+				t.Errorf("fixed-destination round trip failed (err %v)", err)
+			} else if len(src) > 0 && &back[0] != &into[:1][0] {
+				t.Errorf("fixed-destination decode reallocated")
+			}
+			// A fixed destination the stream does not fill exactly is refused.
+			if _, err := lzDecode(make([]byte, 0, len(src)+1), got); err == nil {
+				t.Errorf("fixed destination one byte too large accepted")
 			}
 		})
 	}

@@ -1,155 +1,24 @@
 package entropy
 
-import (
-	"sync"
+import "github.com/fxrz-go/fxrz/internal/pool"
 
-	"github.com/fxrz-go/fxrz/internal/obs"
-)
-
-// Scratch pools for the hot encode path. A training sweep runs the full
-// compressor pipeline dozens of times per field; recycling the frequency
-// table, bit-stream payload and symbol buffers across runs removes the
-// allocations that otherwise dominate sweep GC pressure. Buffers handed out
-// here are either zeroed on get (getInts) or fully overwritten by their only
-// consumer before any read, so recycling never leaks stale state.
-//
-// Each get reports a hit (recycled capacity sufficed) or a miss (fresh
-// allocation) to the obs counters entropy/scratch_hit and
-// entropy/scratch_miss, so sweeps can verify the pools actually absorb the
-// steady-state allocation traffic.
-
+// Scratch pools for the entropy stages: the frequency table, code table,
+// LZ hash chains, decode table, symbol buffers and bit-stream payloads that a
+// training sweep would otherwise allocate on every one of its dozens of runs
+// per field. Every pool reports to the obs counters entropy/scratch_hit and
+// entropy/scratch_miss. A buffer comes back with unspecified contents: the
+// two readers that need zeros, the frequency count and the first-level decode
+// table, clear it where they take it, and every other consumer overwrites an
+// entry before reading it.
 var (
-	bytePool  = sync.Pool{New: func() any { return new([]byte) }}
-	intPool   = sync.Pool{New: func() any { return new([]int) }}
-	int32Pool = sync.Pool{New: func() any { return new([]int32) }}
-	u32Pool   = sync.Pool{New: func() any { return new([]uint32) }}
-	codePool  = sync.Pool{New: func() any { return new([]huffCode) }}
-	decPool   = sync.Pool{New: func() any { return new([]decEntry) }}
+	byteScratch  = newScratch[byte]()
+	intScratch   = newScratch[int]()
+	int32Scratch = newScratch[int32]()
+	u32Scratch   = newScratch[uint32]()
+	codeScratch  = newScratch[huffCode]()
+	decScratch   = newScratch[decEntry]()
 )
 
-// record bumps the pool hit/miss counters.
-func record(hit bool) {
-	if hit {
-		obs.Inc("entropy/scratch_hit")
-	} else {
-		obs.Inc("entropy/scratch_miss")
-	}
-}
-
-// getBytes returns an empty byte slice with recycled capacity.
-func getBytes() []byte {
-	p := bytePool.Get().(*[]byte)
-	record(cap(*p) > 0)
-	return (*p)[:0]
-}
-
-func putBytes(b []byte) {
-	if cap(b) == 0 {
-		return
-	}
-	bytePool.Put(&b)
-}
-
-// getInts returns a zeroed int slice of length n.
-func getInts(n int) []int {
-	p := intPool.Get().(*[]int)
-	s := *p
-	if cap(s) < n {
-		record(false)
-		return make([]int, n)
-	}
-	record(true)
-	s = s[:n]
-	clear(s)
-	return s
-}
-
-func putInts(s []int) {
-	if cap(s) == 0 {
-		return
-	}
-	intPool.Put(&s)
-}
-
-// getInt32s returns an int32 slice of length n. Contents are unspecified —
-// the caller must initialise every entry it reads.
-func getInt32s(n int) []int32 {
-	p := int32Pool.Get().(*[]int32)
-	s := *p
-	if cap(s) < n {
-		record(false)
-		return make([]int32, n)
-	}
-	record(true)
-	return s[:n]
-}
-
-func putInt32s(s []int32) {
-	if cap(s) == 0 {
-		return
-	}
-	int32Pool.Put(&s)
-}
-
-// getU32s returns a uint32 slice of length n. Contents are unspecified.
-func getU32s(n int) []uint32 {
-	p := u32Pool.Get().(*[]uint32)
-	s := *p
-	if cap(s) < n {
-		record(false)
-		return make([]uint32, n)
-	}
-	record(true)
-	return s[:n]
-}
-
-func putU32s(s []uint32) {
-	if cap(s) == 0 {
-		return
-	}
-	u32Pool.Put(&s)
-}
-
-// getCodes returns a huffCode slice of length n. Entries for symbols absent
-// from the current alphabet may hold stale codes; encoders only index the
-// table with symbols whose frequency is non-zero, which always have a
-// freshly-assigned code.
-func getCodes(n int) []huffCode {
-	p := codePool.Get().(*[]huffCode)
-	s := *p
-	if cap(s) < n {
-		record(false)
-		return make([]huffCode, n)
-	}
-	record(true)
-	return s[:n]
-}
-
-func putCodes(s []huffCode) {
-	if cap(s) == 0 {
-		return
-	}
-	codePool.Put(&s)
-}
-
-// getDecTable returns a zeroed first-level Huffman decode table
-// (decTableSize entries, ~16 KiB) with recycled backing storage.
-func getDecTable() []decEntry {
-	p := decPool.Get().(*[]decEntry)
-	s := *p
-	if cap(s) < decTableSize {
-		record(false)
-		return make([]decEntry, decTableSize)
-	}
-	record(true)
-	s = s[:decTableSize]
-	clear(s)
-	return s
-}
-
-func putDecTable(s []decEntry) {
-	if cap(s) == 0 {
-		return
-	}
-	decPool.Put(&s)
+func newScratch[T any]() *pool.Slices[T] {
+	return pool.NewSlices[T]("entropy/scratch_hit", "entropy/scratch_miss")
 }

@@ -9,15 +9,6 @@ type Block struct {
 	Shape []int
 }
 
-// Size returns the number of samples in the block.
-func (b Block) Size() int {
-	n := 1
-	for _, s := range b.Shape {
-		n *= s
-	}
-	return n
-}
-
 // VisitBlocks partitions the field into side^N blocks (clipped at the
 // boundary) and calls fn once per block with the block descriptor and the
 // block's sample values gathered into buf. The buffer is reused between

@@ -123,9 +123,6 @@ func (f *Field) Coord(idx int) []int {
 	return c
 }
 
-// At returns the sample at the given coordinates.
-func (f *Field) At(coord ...int) float32 { return f.Data[f.Index(coord...)] }
-
 // Set stores a sample at the given coordinates.
 func (f *Field) Set(v float32, coord ...int) { f.Data[f.Index(coord...)] = v }
 

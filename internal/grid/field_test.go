@@ -93,12 +93,12 @@ func TestStrides(t *testing.T) {
 func TestAtSetCloneIndependence(t *testing.T) {
 	f := MustNew("t", 4, 4)
 	f.Set(3.5, 2, 1)
-	if got := f.At(2, 1); got != 3.5 {
+	if got := f.Data[f.Index(2, 1)]; got != 3.5 {
 		t.Fatalf("At = %v", got)
 	}
 	g := f.Clone()
 	g.Set(-1, 2, 1)
-	if f.At(2, 1) != 3.5 {
+	if f.Data[f.Index(2, 1)] != 3.5 {
 		t.Error("Clone shares backing storage with original")
 	}
 }
@@ -161,8 +161,8 @@ func TestSubsampleDims(t *testing.T) {
 	if got, want := s.Dims, []int{3, 3}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("Subsample dims = %v, want %v", got, want)
 	}
-	if s.At(1, 1) != f.At(4, 4) {
-		t.Errorf("Subsample value mismatch: %v vs %v", s.At(1, 1), f.At(4, 4))
+	if s.Data[s.Index(1, 1)] != f.Data[f.Index(4, 4)] {
+		t.Errorf("Subsample value mismatch: %v vs %v", s.Data[s.Index(1, 1)], f.Data[f.Index(4, 4)])
 	}
 }
 
@@ -174,8 +174,12 @@ func TestVisitBlocksCoversFieldOnce(t *testing.T) {
 	total := 0
 	sum := 0.0
 	VisitBlocks(f, 4, func(b Block, vals []float32) {
-		if len(vals) != b.Size() {
-			t.Fatalf("block %v: %d vals, want %d", b, len(vals), b.Size())
+		size := 1
+		for _, s := range b.Shape {
+			size *= s
+		}
+		if len(vals) != size {
+			t.Fatalf("block %v: %d vals, want %d", b, len(vals), size)
 		}
 		total += len(vals)
 		for _, v := range vals {

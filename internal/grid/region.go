@@ -143,9 +143,6 @@ func (it *RegionIter) Next() bool {
 // Value returns the sample at the current position.
 func (it *RegionIter) Value() float32 { return it.f.Data[it.idx] }
 
-// Index returns the linear index of the current position in the field.
-func (it *RegionIter) Index() int { return it.idx }
-
 // Coord returns the current coordinates. The returned slice aliases the
 // iterator's internal array and is overwritten by the next call to Next.
 func (it *RegionIter) Coord() []int { return it.coord[:it.nd] }

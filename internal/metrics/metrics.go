@@ -67,37 +67,6 @@ func StdDev(f *grid.Field) float64 {
 	return math.Sqrt(s / float64(n))
 }
 
-// Histogram bins the field's values into `bins` equal-width buckets over its
-// value range and returns the counts plus the bucket edges (len bins+1).
-// Used for the data-distribution comparison of Fig 8.
-func Histogram(f *grid.Field, bins int) (counts []int, edges []float64, err error) {
-	if bins <= 0 {
-		return nil, nil, fmt.Errorf("metrics: bins must be positive, got %d", bins)
-	}
-	mn, mx := f.Range()
-	counts = make([]int, bins)
-	edges = make([]float64, bins+1)
-	width := (mx - mn) / float64(bins)
-	for i := range edges {
-		edges[i] = mn + float64(i)*width
-	}
-	if width == 0 {
-		counts[0] = f.Size()
-		return counts, edges, nil
-	}
-	for _, v := range f.Data {
-		b := int((float64(v) - mn) / width)
-		if b >= bins {
-			b = bins - 1
-		}
-		if b < 0 {
-			b = 0
-		}
-		counts[b]++
-	}
-	return counts, edges, nil
-}
-
 // HistogramDistance returns the L1 distance between the normalised
 // histograms of two fields over a shared range — a scalar summary of "how
 // different are these distributions" for the Fig 8 experiment. 0 means

@@ -78,34 +78,6 @@ func TestStdDev(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	f := grid.MustNew("f", 6)
-	copy(f.Data, []float32{0, 0.1, 0.5, 0.9, 1.0, 0.4})
-	counts, edges, err := Histogram(f, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(counts) != 2 || len(edges) != 3 {
-		t.Fatalf("shapes: %v %v", counts, edges)
-	}
-	if counts[0]+counts[1] != 6 {
-		t.Errorf("counts %v don't sum to size", counts)
-	}
-	// Half-open bins: 0.5 falls in the upper bin.
-	if counts[0] != 3 || counts[1] != 3 {
-		t.Errorf("counts = %v, want [3 3]", counts)
-	}
-	if _, _, err := Histogram(f, 0); err == nil {
-		t.Error("zero bins accepted")
-	}
-	c := grid.MustNew("c", 3)
-	c.Fill(7)
-	counts, _, err = Histogram(c, 4)
-	if err != nil || counts[0] != 3 {
-		t.Errorf("constant field histogram: %v, %v", counts, err)
-	}
-}
-
 func TestHistogramDistance(t *testing.T) {
 	a := grid.MustNew("a", 100)
 	b := grid.MustNew("b", 100)

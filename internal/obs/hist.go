@@ -62,12 +62,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.buckets[bucketOf(d)].Add(1)
 }
 
-// Count returns the number of recorded samples.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Total returns the summed duration of all samples.
-func (h *Histogram) Total() time.Duration { return time.Duration(h.sum.Load()) }
-
 // Quantile estimates the q-th quantile (0 ≤ q ≤ 1) from the bucket counts.
 // It returns 0 for an empty histogram.
 func (h *Histogram) Quantile(q float64) time.Duration {

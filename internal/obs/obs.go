@@ -175,12 +175,6 @@ func Enable() Recorder {
 // Disable reinstalls the no-op recorder, dropping any recorded state.
 func Disable() { active.Store(&holder{r: nop{}}) }
 
-// Enabled reports whether a live recorder is installed.
-func Enabled() bool {
-	_, ok := active.Load().r.(*live)
-	return ok
-}
-
 // Inc adds 1 to the named counter.
 func Inc(name string) { active.Load().r.Add(name, 1) }
 

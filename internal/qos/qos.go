@@ -255,17 +255,6 @@ func (c *Controller) MaxCost(i int) int {
 // Capacity returns the total slot count.
 func (c *Controller) Capacity() int { return c.capacity }
 
-// Reserve returns class i's guaranteed slot count.
-func (c *Controller) Reserve(i int) int { return c.reserve[i] }
-
-// InFlight returns class i's currently admitted count (racy by nature; for
-// gauges, health output and tests).
-func (c *Controller) InFlight(i int) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.inflight[i]
-}
-
 // Total returns the currently admitted count across all classes.
 func (c *Controller) Total() int {
 	c.mu.Lock()

@@ -40,7 +40,7 @@ func TestReserveDistribution(t *testing.T) {
 	for _, tc := range cases {
 		c := NewController(tc.capacity, tc.classes)
 		for i, want := range tc.want {
-			if got := c.Reserve(i); got != want {
+			if got := c.Status()[i].Reserve; got != want {
 				t.Errorf("capacity %d: reserve[%d] = %d, want %d", tc.capacity, i, got, want)
 			}
 		}
@@ -187,7 +187,7 @@ func TestInvariantProperty(t *testing.T) {
 			c.Release(i)
 			held[i]--
 		} else {
-			under := c.InFlight(i) < c.Reserve(i)
+			under := c.Status()[i].InFlight < c.Status()[i].Reserve
 			if c.TryAcquire(i) {
 				held[i]++
 			} else if under {
@@ -197,7 +197,7 @@ func TestInvariantProperty(t *testing.T) {
 		free := c.Capacity() - c.Total()
 		needed := 0
 		for j := range serveClasses {
-			if d := c.Reserve(j) - c.InFlight(j); d > 0 {
+			if d := c.Status()[j].Reserve - c.Status()[j].InFlight; d > 0 {
 				needed += d
 			}
 		}
@@ -220,7 +220,7 @@ func TestConcurrentAccounting(t *testing.T) {
 			for k := 0; k < 400; k++ {
 				i := rng.Intn(len(serveClasses))
 				if c.TryAcquire(i) {
-					if c.InFlight(i) < 1 || c.Total() > c.Capacity() {
+					if c.Status()[i].InFlight < 1 || c.Total() > c.Capacity() {
 						t.Errorf("inconsistent counts under concurrency")
 					}
 					c.Release(i)
@@ -233,8 +233,8 @@ func TestConcurrentAccounting(t *testing.T) {
 		t.Fatalf("total = %d after all releases, want 0", c.Total())
 	}
 	for i := range serveClasses {
-		if c.InFlight(i) != 0 {
-			t.Errorf("class %d inflight = %d after all releases", i, c.InFlight(i))
+		if c.Status()[i].InFlight != 0 {
+			t.Errorf("class %d inflight = %d after all releases", i, c.Status()[i].InFlight)
 		}
 	}
 }
@@ -326,9 +326,9 @@ func TestBatchTicketAllOrNothing(t *testing.T) {
 	if c.TryAcquireN(1, 6) {
 		t.Fatal("6-slot unpack batch admitted with only 5 free")
 	}
-	if c.Total() != before || c.InFlight(1) != 3 {
+	if c.Total() != before || c.Status()[1].InFlight != 3 {
 		t.Fatalf("shed batch changed the books: total %d->%d, inflight %d",
-			before, c.Total(), c.InFlight(1))
+			before, c.Total(), c.Status()[1].InFlight)
 	}
 	c.ReleaseN(1, 3)
 }

@@ -32,7 +32,6 @@ type Reader struct {
 	blob         []byte
 	inner, index []byte
 	codec        codecs.Codec
-	name         string
 	nd           int
 	dims         [grid.MaxDims]int
 	isBrick      bool
@@ -85,7 +84,6 @@ func NewReader(blob []byte) (*Reader, error) {
 		return nil, fmt.Errorf("roi: %w", err)
 	}
 	r.inner, r.index = inner, index
-	r.name = h.Name
 	r.nd = len(h.Dims)
 	copy(r.dims[:], h.Dims)
 	if inner[0] == compress.MagicZFP && r.nd <= 3 {
@@ -102,13 +100,6 @@ func NewReader(blob []byte) (*Reader, error) {
 	}
 	return r, nil
 }
-
-// Name returns the field name recorded in the stream ("" for brick stores,
-// which carry their own naming).
-func (r *Reader) Name() string { return r.name }
-
-// Dims returns the field geometry.
-func (r *Reader) Dims() []int { return append([]int(nil), r.dims[:r.nd]...) }
 
 // At returns the decoded sample at coord, decoding lazily. After the blocks
 // covering a region have been touched once, further queries in that region

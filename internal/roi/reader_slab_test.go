@@ -48,7 +48,7 @@ func TestReaderSZSlabMode(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: At(%d,%d,%d): %v", tc.name, z, y, x, err)
 			}
-			if want := full.At(z, y, x); math.Float32bits(got) != math.Float32bits(want) {
+			if want := full.Data[full.Index(z, y, x)]; math.Float32bits(got) != math.Float32bits(want) {
 				t.Fatalf("%s: At(%d,%d,%d) = %v, want %v", tc.name, z, y, x, got, want)
 			}
 		}

@@ -228,7 +228,7 @@ func TestReaderAtMatchesDecode(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: At(%d,%d,%d): %v", mk.name, z, y, x, err)
 			}
-			if want := full.At(z, y, x); math.Float32bits(got) != math.Float32bits(want) {
+			if want := full.Data[full.Index(z, y, x)]; math.Float32bits(got) != math.Float32bits(want) {
 				t.Fatalf("%s: At(%d,%d,%d) = %v, want %v", mk.name, z, y, x, got, want)
 			}
 		}

@@ -326,7 +326,7 @@ func TestUnpackRegion(t *testing.T) {
 		for z := lo[0]; z < hi[0]; z++ {
 			for y := lo[1]; y < hi[1]; y++ {
 				for x := lo[2]; x < hi[2]; x++ {
-					if math.Float32bits(g.Data[i]) != math.Float32bits(full.At(z, y, x)) {
+					if math.Float32bits(g.Data[i]) != math.Float32bits(full.Data[full.Index(z, y, x)]) {
 						t.Fatalf("%s: region sample (%d,%d,%d) differs from full decode", src.kind, z, y, x)
 					}
 					i++

@@ -61,9 +61,6 @@ func (r *Ring) Self() string { return r.self }
 // Members returns the sorted peer list (a copy).
 func (r *Ring) Members() []string { return append([]string(nil), r.peers...) }
 
-// N returns the ring size.
-func (r *Ring) N() int { return len(r.peers) }
-
 // Owner returns the peer owning key: the peer with the highest rendezvous
 // score. Ties (a hash collision across peers) break toward the
 // lexicographically smaller peer, so every instance agrees.

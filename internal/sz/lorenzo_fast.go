@@ -110,7 +110,7 @@ func quantizeFieldGeneric(f *grid.Field, eb float64, codes []uint16, recon []flo
 	twoEB := 2 * eb
 	lor := newLorenzo(f.Dims)
 	for idx := range f.Data {
-		codes[idx], recon[idx] = encPoint(float64(f.Data[idx]), lor.predict(recon, idx), eb, twoEB)
+		codes[idx], recon[idx] = encPoint(float64(f.Data[idx]), lor.predict(recon, idx, lor.coord), eb, twoEB)
 		lor.advance()
 	}
 }
@@ -275,7 +275,7 @@ func reconstructGeneric(data []float32, dims, hiTail []int, eb float64, codeByte
 		case inBox && escape && uint64(rawPos) >= nraw:
 			return 0, errRawExhausted()
 		case inBox:
-			decPoint(data, idx, lor.predict(data, idx), twoEB, codeBytes, rawPayload, &rawPos)
+			decPoint(data, idx, lor.predict(data, idx, lor.coord), twoEB, codeBytes, rawPayload, &rawPos)
 		case escape:
 			rawPos++
 		}

@@ -231,8 +231,8 @@ func decompressRegion(blob, index []byte, lo, hi []int, forceGeneric bool) (*gri
 	}
 
 	rows := hi[0] - z0
-	buf := getF32s(rows * planeSize)
-	defer putF32s(buf)
+	buf := f32Scratch.Get(rows * planeSize)
+	defer f32Scratch.Put(buf)
 	rawPos := cum0
 	for s := s0; s*T < hi[0]; s++ {
 		zs, ze, slabDims := slabSpan(h.Dims, T, s)

@@ -307,7 +307,7 @@ func TestCountEscapesMatchesBytewise(t *testing.T) {
 	}
 }
 
-// Region decodes take their row buffer from the same getF32s pool as
+// Region decodes take their row buffer from the same f32Scratch pool as
 // Compress and leave the part outside the box unwritten, so whatever a
 // concurrent Compress or region decode left there must never show in a
 // result. Goroutines sharing one Compressor mix both; run under -race.

@@ -1,90 +1,20 @@
 package sz
 
-import (
-	"sync"
-
-	"github.com/fxrz-go/fxrz/internal/obs"
-)
+import "github.com/fxrz-go/fxrz/internal/pool"
 
 // Scratch pools for the quantization buffers of both SZ codecs. A stationary
 // sweep compresses the same field dozens of times; the code, reconstruction
 // and byte-serialisation buffers are the three large per-run allocations, and
 // all three are fully overwritten before any read (the Lorenzo predictor only
 // consults reconstructed values at indices already written this run), so
-// recycling them is safe without zeroing.
-//
-// Each get reports a hit or miss to the obs counters sz/scratch_hit and
-// sz/scratch_miss (a miss is a fresh allocation because no recycled buffer
-// was large enough).
-
+// recycling them is safe without zeroing. Every pool reports to the obs
+// counters sz/scratch_hit and sz/scratch_miss.
 var (
-	u16Pool  = sync.Pool{New: func() any { return new([]uint16) }}
-	f32Pool  = sync.Pool{New: func() any { return new([]float32) }}
-	bytePool = sync.Pool{New: func() any { return new([]byte) }}
+	u16Scratch  = newScratch[uint16]()
+	f32Scratch  = newScratch[float32]()
+	byteScratch = newScratch[byte]()
 )
 
-// record bumps the pool hit/miss counters.
-func record(hit bool) {
-	if hit {
-		obs.Inc("sz/scratch_hit")
-	} else {
-		obs.Inc("sz/scratch_miss")
-	}
-}
-
-// getU16s returns a uint16 slice of length n with unspecified contents.
-func getU16s(n int) []uint16 {
-	p := u16Pool.Get().(*[]uint16)
-	s := *p
-	if cap(s) < n {
-		record(false)
-		return make([]uint16, n)
-	}
-	record(true)
-	return s[:n]
-}
-
-func putU16s(s []uint16) {
-	if cap(s) == 0 {
-		return
-	}
-	u16Pool.Put(&s)
-}
-
-// getF32s returns a float32 slice of length n with unspecified contents.
-func getF32s(n int) []float32 {
-	p := f32Pool.Get().(*[]float32)
-	s := *p
-	if cap(s) < n {
-		record(false)
-		return make([]float32, n)
-	}
-	record(true)
-	return s[:n]
-}
-
-func putF32s(s []float32) {
-	if cap(s) == 0 {
-		return
-	}
-	f32Pool.Put(&s)
-}
-
-// getScratchBytes returns a byte slice of length n with unspecified contents.
-func getScratchBytes(n int) []byte {
-	p := bytePool.Get().(*[]byte)
-	s := *p
-	if cap(s) < n {
-		record(false)
-		return make([]byte, n)
-	}
-	record(true)
-	return s[:n]
-}
-
-func putScratchBytes(s []byte) {
-	if cap(s) == 0 {
-		return
-	}
-	bytePool.Put(&s)
+func newScratch[T any]() *pool.Slices[T] {
+	return pool.NewSlices[T]("sz/scratch_hit", "sz/scratch_miss")
 }

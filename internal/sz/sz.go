@@ -136,10 +136,10 @@ func compressSZ(f *grid.Field, eb float64, forceGeneric bool, workers int) ([]by
 	defer obs.Span("compress/sz")()
 	obs.Inc("compressor_runs/sz")
 	n := f.Size()
-	codes := getU16s(n)
-	defer putU16s(codes)
-	recon := getF32s(n)
-	defer putF32s(recon)
+	codes := u16Scratch.Get(n)
+	defer u16Scratch.Put(codes)
+	recon := f32Scratch.Get(n)
+	defer f32Scratch.Put(recon)
 	rowsPerSlab, nSlabs := szChunkLayout(f.Dims)
 	ps := n / f.Dims[0]
 	err := pool.RunErr(workers, nSlabs, func(s int) error {
@@ -158,9 +158,9 @@ func compressSZ(f *grid.Field, eb float64, forceGeneric bool, workers int) ([]by
 
 	// The kernels mark an escape as code 0; the raw pool is the escaped
 	// values in row-major order, gathered while the codes are serialized.
-	codeBytes := getScratchBytes(2 * n)
-	raw := getF32s(n)[:0]
-	defer putF32s(raw[:cap(raw)])
+	codeBytes := byteScratch.Get(2 * n)
+	raw := f32Scratch.Get(n)[:0]
+	defer f32Scratch.Put(raw[:cap(raw)])
 	for i, c := range codes {
 		binary.LittleEndian.PutUint16(codeBytes[2*i:], c)
 		if c == 0 {
@@ -174,11 +174,11 @@ func compressSZ(f *grid.Field, eb float64, forceGeneric bool, workers int) ([]by
 	} else {
 		packedCodes, err = entropy.CompressBytes(codeBytes)
 	}
-	putScratchBytes(codeBytes)
+	byteScratch.Put(codeBytes)
 	if err != nil {
 		return nil, fmt.Errorf("sz: encode codes: %w", err)
 	}
-	rawBytes := getScratchBytes(4 * len(raw))
+	rawBytes := byteScratch.Get(4 * len(raw))
 	for i, v := range raw {
 		binary.LittleEndian.PutUint32(rawBytes[4*i:], math.Float32bits(v))
 	}
@@ -188,7 +188,7 @@ func compressSZ(f *grid.Field, eb float64, forceGeneric bool, workers int) ([]by
 	out = append(out, packedCodes...)
 	out = binary.AppendUvarint(out, uint64(len(raw)))
 	out = append(out, rawBytes...)
-	putScratchBytes(rawBytes)
+	byteScratch.Put(rawBytes)
 	return out, nil
 }
 
@@ -309,18 +309,19 @@ func reconstructSlabs(f *grid.Field, eb float64, codeBytes, rawPayload []byte, n
 	})
 }
 
-// lorenzo evaluates the N-dimensional Lorenzo predictor at successive
-// row-major positions. The predictor is the inclusion–exclusion sum over the
-// 2^d-1 neighbors at offset -1 in each subset of dimensions:
+// lorenzo evaluates the N-dimensional Lorenzo predictor. The predictor is
+// the inclusion–exclusion sum over the 2^d-1 neighbors at offset -1 in each
+// subset of dimensions:
 //
 //	pred(x) = Σ_{∅≠S⊆dims} (-1)^(|S|+1) · v(x - Σ_{d∈S} e_d)
 //
 // which reduces to equations (1) and (2) of the paper in 2D/3D. Neighbors
-// outside the grid contribute zero, consistently on both codec sides.
+// outside the grid contribute zero, consistently on both codec sides. The
+// classic codec's generic walk steps the coord odometer through row-major
+// order with advance; sz2's blockwise walk passes its own coordinate.
 type lorenzo struct {
-	dims    []int
-	strides []int
-	coord   []int
+	dims  []int
+	coord []int
 	// offs[m] is the linear offset of the neighbor for subset mask m+1.
 	offs  []int
 	signs []float64
@@ -328,10 +329,10 @@ type lorenzo struct {
 
 func newLorenzo(dims []int) *lorenzo {
 	l := &lorenzo{dims: dims, coord: make([]int, len(dims))}
+	strides := make([]int, len(dims))
 	st := 1
-	l.strides = make([]int, len(dims))
 	for i := len(dims) - 1; i >= 0; i-- {
-		l.strides[i] = st
+		strides[i] = st
 		st *= dims[i]
 	}
 	nmask := 1 << len(dims)
@@ -339,7 +340,7 @@ func newLorenzo(dims []int) *lorenzo {
 		off := 0
 		for d := 0; d < len(dims); d++ {
 			if m&(1<<d) != 0 {
-				off += l.strides[d]
+				off += strides[d]
 			}
 		}
 		l.offs = append(l.offs, off)
@@ -352,15 +353,15 @@ func newLorenzo(dims []int) *lorenzo {
 	return l
 }
 
-// predict computes the Lorenzo prediction for the current position using
-// already-reconstructed values in data.
-func (l *lorenzo) predict(data []float32, idx int) float64 {
+// predict computes the Lorenzo prediction at linear index idx, grid
+// coordinate coord, from the already-reconstructed values in data.
+func (l *lorenzo) predict(data []float32, idx int, coord []int) float64 {
 	var pred float64
 	nmask := 1 << len(l.dims)
 	for m := 1; m < nmask; m++ {
 		ok := true
 		for d := 0; d < len(l.dims); d++ {
-			if m&(1<<d) != 0 && l.coord[d] == 0 {
+			if m&(1<<d) != 0 && coord[d] == 0 {
 				ok = false
 				break
 			}

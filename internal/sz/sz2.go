@@ -55,14 +55,14 @@ func (c *V2) Compress(f *grid.Field, eb float64) ([]byte, error) {
 	defer obs.Span("compress/sz2")()
 	obs.Inc("compressor_runs/sz2")
 	n := f.Size()
-	recon := getF32s(n)
-	defer putF32s(recon)
-	codes := getU16s(n)[:0]
-	defer func() { putU16s(codes) }()
+	recon := f32Scratch.Get(n)
+	defer f32Scratch.Put(recon)
+	codes := u16Scratch.Get(n)[:0]
+	defer func() { u16Scratch.Put(codes) }()
 	// Escapes are staged through the float32 scratch pool: at most n points
 	// can escape, so the capacity-n buffer below never regrows.
-	raw := getF32s(n)[:0]
-	defer putF32s(raw[:cap(raw)])
+	raw := f32Scratch.Get(n)[:0]
+	defer f32Scratch.Put(raw[:cap(raw)])
 	var modeBits []byte
 	var coeffCodes []byte
 	twoEB := 2 * eb
@@ -71,7 +71,7 @@ func (c *V2) Compress(f *grid.Field, eb float64) ([]byte, error) {
 	coeffQ := eb / (4 * regBlockSide)
 
 	strides := f.Strides()
-	lor := &lorenzoAt{dims: f.Dims, strides: strides}
+	lor := newLorenzo(f.Dims)
 	// Reusable global-coordinate buffer: origin+local, computed in place so
 	// the per-point predictor never allocates.
 	gcoord := make([]int, f.NDims())
@@ -106,7 +106,7 @@ func (c *V2) Compress(f *grid.Field, eb float64) ([]byte, error) {
 				for d := range gcoord {
 					gcoord[d] = origin[d] + local[d]
 				}
-				lorErr += math.Abs(v - lor.predictOriginal(f.Data, idx, gcoord))
+				lorErr += math.Abs(v - lor.predict(f.Data, idx, gcoord))
 			})
 			useReg = regErr < lorErr
 		}
@@ -128,7 +128,7 @@ func (c *V2) Compress(f *grid.Field, eb float64) ([]byte, error) {
 				for d := range gcoord {
 					gcoord[d] = origin[d] + local[d]
 				}
-				pred = lor.predictRecon(recon, idx, gcoord)
+				pred = lor.predict(recon, idx, gcoord)
 			}
 			q := math.Round((v - pred) / twoEB)
 			if !math.IsNaN(q) && !math.IsInf(q, 0) {
@@ -147,7 +147,7 @@ func (c *V2) Compress(f *grid.Field, eb float64) ([]byte, error) {
 		})
 	})
 
-	codeBytes := getScratchBytes(2 * len(codes))
+	codeBytes := byteScratch.Get(2 * len(codes))
 	for i, c := range codes {
 		binary.LittleEndian.PutUint16(codeBytes[2*i:], c)
 	}
@@ -156,7 +156,7 @@ func (c *V2) Compress(f *grid.Field, eb float64) ([]byte, error) {
 	// has to be — Decompress fans the chunks of each stream across workers.
 	workers := pool.Workers(c.Workers)
 	packedCodes, err := entropy.CompressBytesChunked(codeBytes, workers)
-	putScratchBytes(codeBytes)
+	byteScratch.Put(codeBytes)
 	if err != nil {
 		return nil, fmt.Errorf("sz2: encode codes: %w", err)
 	}
@@ -239,7 +239,7 @@ func (c *V2) Decompress(blob []byte) (*grid.Field, error) {
 	coeffQ := eb / (4 * regBlockSide)
 	nd := f.NDims()
 	strides := f.Strides()
-	lor := &lorenzoAt{dims: f.Dims, strides: strides}
+	lor := newLorenzo(f.Dims)
 	gcoord := make([]int, nd)
 
 	pos, rawPos, blockIdx := 0, 0, 0
@@ -286,7 +286,7 @@ func (c *V2) Decompress(blob []byte) (*grid.Field, error) {
 				for d := range gcoord {
 					gcoord[d] = origin[d] + local[d]
 				}
-				pred = lor.predictRecon(f.Data, idx, gcoord)
+				pred = lor.predict(f.Data, idx, gcoord)
 			}
 			f.Data[idx] = float32(pred + twoEB*float64(int(code)-radius))
 		})
@@ -349,51 +349,6 @@ func evalLinear(rc []float64, local []int) float64 {
 		v += rc[d+1] * float64(local[d])
 	}
 	return v
-}
-
-// lorenzoAt evaluates the Lorenzo predictor at an arbitrary position (the
-// block processing order is not row-major over the field, so the streaming
-// odometer of the classic codec does not apply).
-type lorenzoAt struct {
-	dims    []int
-	strides []int
-}
-
-func (l *lorenzoAt) predictRecon(data []float32, idx int, coord []int) float64 {
-	return l.predict(data, idx, coord)
-}
-
-func (l *lorenzoAt) predictOriginal(data []float32, idx int, coord []int) float64 {
-	return l.predict(data, idx, coord)
-}
-
-func (l *lorenzoAt) predict(data []float32, idx int, coord []int) float64 {
-	nd := len(l.dims)
-	var pred float64
-	for m := 1; m < 1<<nd; m++ {
-		ok := true
-		off := 0
-		bits := 0
-		for d := 0; d < nd; d++ {
-			if m&(1<<d) != 0 {
-				if coord[d] == 0 {
-					ok = false
-					break
-				}
-				off += l.strides[d]
-				bits++
-			}
-		}
-		if !ok {
-			continue
-		}
-		sign := 1.0
-		if bits%2 == 0 {
-			sign = -1
-		}
-		pred += sign * float64(data[idx-off])
-	}
-	return pred
 }
 
 // Helpers shared by the encoder and decoder.

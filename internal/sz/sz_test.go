@@ -82,9 +82,9 @@ func TestLorenzoPrediction2D(t *testing.T) {
 	data := f.Data
 	for idx := 0; idx < f.Size(); idx++ {
 		c := f.Coord(idx)
-		pred := l.predict(data, idx)
+		pred := l.predict(data, idx, l.coord)
 		if c[0] > 0 && c[1] > 0 {
-			want := float64(f.At(c...))
+			want := float64(f.Data[f.Index(c...)])
 			if math.Abs(pred-want) > 1e-5 {
 				t.Fatalf("Lorenzo at %v: pred %v, want %v", c, pred, want)
 			}
@@ -100,10 +100,10 @@ func TestLorenzoPrediction3DMatchesPaperFormula(t *testing.T) {
 		f.Data[i] = rng.Float32()
 	}
 	l := newLorenzo(f.Dims)
-	d := func(z, y, x int) float64 { return float64(f.At(z, y, x)) }
+	d := func(z, y, x int) float64 { return float64(f.Data[f.Index(z, y, x)]) }
 	for idx := 0; idx < f.Size(); idx++ {
 		c := f.Coord(idx)
-		pred := l.predict(f.Data, idx)
+		pred := l.predict(f.Data, idx, l.coord)
 		if c[0] > 0 && c[1] > 0 && c[2] > 0 {
 			i, j, k := c[0], c[1], c[2]
 			// Equation (2) of the paper.

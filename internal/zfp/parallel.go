@@ -142,16 +142,13 @@ func decodeBodyChunked(folded *grid.Field, payload []byte, minexp, maxbits, work
 		}
 	} else {
 		stop := obs.Span("zfp/offset_scan")
+		// Only chunk starts are read, so the skim stops at the last one.
 		r := entropy.NewBitReader(payload)
 		bitPos := 0
-		for ci := 0; ci < nchunks; ci++ {
-			starts[ci] = bitPos
-			lo, hi := ci*per, (ci+1)*per
-			if hi > total {
-				hi = total
-			}
-			for k := lo; k < hi; k++ {
-				bitPos += skipBlock(r, minexp, maxbits, nd, bs)
+		for k := 0; k < (nchunks-1)*per; k++ {
+			bitPos += skipBlock(r, minexp, maxbits, nd, bs)
+			if (k+1)%per == 0 {
+				starts[(k+1)/per] = bitPos
 			}
 		}
 		stop()

@@ -48,7 +48,7 @@ func sliceRegion(t testing.TB, f *fxrz.Field, lo, hi []int) []float32 {
 	out := make([]float32, 0, n)
 	coord := append([]int(nil), lo...)
 	for {
-		out = append(out, f.At(coord...))
+		out = append(out, f.Data[f.Index(coord...)])
 		d := len(coord) - 1
 		for ; d >= 0; d-- {
 			coord[d]++
