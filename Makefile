@@ -76,4 +76,5 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzBatchContainer$$' -fuzztime $(FUZZTIME) ./internal/batch/
 	go test -run '^$$' -fuzz '^FuzzFieldDecode$$' -fuzztime $(FUZZTIME) ./internal/fieldio/
 	go test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/brick/
+	go test -run '^$$' -fuzz '^FuzzForestUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/ml/
 	go test -run '^$$' -fuzz '^FuzzDecompress$$' -fuzztime $(FUZZTIME) .

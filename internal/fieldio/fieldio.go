@@ -23,6 +23,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"github.com/fxrz-go/fxrz/internal/grid"
 )
@@ -34,6 +35,17 @@ const magicWord = "fxrzfield"
 // a name plus four 13-digit dims fit comfortably, and a binary blob mistaken
 // for a field file fails after 4 KiB.
 const maxHeaderLen = 4096
+
+// samplesLE reports that a float32 sits in memory as the container stores
+// it, little-endian, so a payload moves in one copy through sampleBytes.
+// Elsewhere Decode and Write convert sample by sample; the tests clear it to
+// hold the one-copy path to those loops.
+var samplesLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// sampleBytes views s as the 4·len(s) bytes it occupies in memory.
+func sampleBytes(s []float32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), 4*len(s))
+}
 
 // Write serialises f to w in the fxrzfield container format.
 func Write(w io.Writer, f *grid.Field) error {
@@ -47,10 +59,14 @@ func Write(w io.Writer, f *grid.Field) error {
 		fmt.Fprintf(bw, " %d", d)
 	}
 	bw.WriteByte('\n')
-	var buf [4]byte
-	for _, v := range f.Data {
-		binary.LittleEndian.PutUint32(buf[:], math.Float32bits(v))
-		bw.Write(buf[:])
+	if samplesLE {
+		bw.Write(sampleBytes(f.Data))
+	} else {
+		var buf [4]byte
+		for _, v := range f.Data {
+			binary.LittleEndian.PutUint32(buf[:], math.Float32bits(v))
+			bw.Write(buf[:])
+		}
 	}
 	return bw.Flush()
 }
@@ -59,7 +75,7 @@ func Write(w io.Writer, f *grid.Field) error {
 // header's say-so: the dims are validated (grid.CheckDims: 1–4 strictly
 // positive extents, bounded product) and the payload checked to hold the
 // 4·n sample bytes they claim before the sample slice is made, so a hostile
-// header costs O(len(data)) whatever sizes it names. Samples are converted
+// header costs O(len(data)) whatever sizes it names. Samples are copied
 // straight from data, which is not retained; bytes past the last sample are
 // ignored.
 func Decode(data []byte) (*grid.Field, error) {
@@ -92,8 +108,12 @@ func Decode(data []byte) (*grid.Field, error) {
 		return nil, fmt.Errorf("fieldio: reading %d samples: %w", n, io.ErrUnexpectedEOF)
 	}
 	vals := make([]float32, n)
-	for i := range vals {
-		vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+	if samplesLE {
+		copy(sampleBytes(vals), raw)
+	} else {
+		for i := range vals {
+			vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+		}
 	}
 	return grid.FromData(parts[1], vals, dims...)
 }

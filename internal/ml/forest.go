@@ -3,7 +3,8 @@ package ml
 import (
 	"math/rand"
 	"runtime"
-	"sync"
+
+	"github.com/fxrz-go/fxrz/internal/pool"
 )
 
 // ForestConfig controls the random forest regressor the paper adopts for
@@ -55,42 +56,25 @@ func (f *Forest) Fit(X [][]float64, y []float64) error {
 		}
 	}
 	f.trees = make([]*Tree, f.cfg.Trees)
-
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	errs := make([]error, f.cfg.Trees)
-	for t := 0; t < f.cfg.Trees; t++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(t int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			rng := rand.New(rand.NewSource(f.cfg.Seed + int64(t)*7919))
-			n := len(X)
-			bx := make([][]float64, n)
-			by := make([]float64, n)
-			for i := 0; i < n; i++ {
-				j := rng.Intn(n)
-				bx[i] = X[j]
-				by[i] = y[j]
-			}
-			tree := NewTree(TreeConfig{
-				MaxDepth:    f.cfg.MaxDepth,
-				MinLeaf:     f.cfg.MinLeaf,
-				MaxFeatures: maxFeat,
-				Seed:        f.cfg.Seed + int64(t)*104729,
-			})
-			errs[t] = tree.Fit(bx, by)
-			f.trees[t] = tree
-		}(t)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	return pool.RunErr(runtime.GOMAXPROCS(0), f.cfg.Trees, func(t int) error {
+		rng := rand.New(rand.NewSource(f.cfg.Seed + int64(t)*7919))
+		n := len(X)
+		bx := make([][]float64, n)
+		by := make([]float64, n)
+		for i := 0; i < n; i++ {
+			j := rng.Intn(n)
+			bx[i] = X[j]
+			by[i] = y[j]
 		}
-	}
-	return nil
+		tree := NewTree(TreeConfig{
+			MaxDepth:    f.cfg.MaxDepth,
+			MinLeaf:     f.cfg.MinLeaf,
+			MaxFeatures: maxFeat,
+			Seed:        f.cfg.Seed + int64(t)*104729,
+		})
+		f.trees[t] = tree
+		return tree.Fit(bx, by)
+	})
 }
 
 // Predict implements Regressor: the mean of the trees' predictions.

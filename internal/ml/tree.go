@@ -35,13 +35,18 @@ type Tree struct {
 	dim   int
 }
 
+// treeNode is one node of a tree stored in preorder: an internal node's left
+// child is the node after it, so only the right child is indexed. Sixteen
+// bytes, four to a cache line.
 type treeNode struct {
-	// feature < 0 marks a leaf carrying value; otherwise the split is
-	// x[feature] <= threshold → left, else right.
-	feature     int
-	threshold   float64
-	value       float64
-	left, right int
+	// v is the split threshold of an internal node — x[feature] <= v goes
+	// left, anything else (NaN, or x too short to hold feature) right — and
+	// the value of a leaf.
+	v float64
+	// right indexes the right child; unused in a leaf.
+	right int32
+	// feature is the split feature, or -1 in a leaf.
+	feature int32
 }
 
 // NewTree returns an untrained tree with the given configuration.
@@ -71,10 +76,8 @@ func (t *Tree) Fit(X [][]float64, y []float64) error {
 // grow builds the subtree over the samples in idx and returns its node index.
 func (t *Tree) grow(X [][]float64, y []float64, idx []int, depth int, rng *rand.Rand) int {
 	node := len(t.nodes)
-	t.nodes = append(t.nodes, treeNode{feature: -1})
-
 	mean, sse := meanSSE(y, idx)
-	t.nodes[node].value = mean
+	t.nodes = append(t.nodes, treeNode{v: mean, feature: -1})
 	if sse == 0 || len(idx) < 2*t.cfg.MinLeaf || (t.cfg.MaxDepth > 0 && depth > t.cfg.MaxDepth) {
 		return node
 	}
@@ -94,12 +97,9 @@ func (t *Tree) grow(X [][]float64, y []float64, idx []int, depth int, rng *rand.
 	if len(left) < t.cfg.MinLeaf || len(right) < t.cfg.MinLeaf {
 		return node
 	}
-	l := t.grow(X, y, left, depth+1, rng)
+	t.grow(X, y, left, depth+1, rng) // lands at node+1
 	r := t.grow(X, y, right, depth+1, rng)
-	t.nodes[node].feature = feat
-	t.nodes[node].threshold = thr
-	t.nodes[node].left = l
-	t.nodes[node].right = r
+	t.nodes[node] = treeNode{v: thr, right: int32(r), feature: int32(feat)}
 	return node
 }
 
@@ -169,18 +169,22 @@ func (t *Tree) Predict(x []float64) float64 {
 	if len(t.nodes) == 0 {
 		return 0
 	}
-	n := 0
+	var n int32
 	for {
-		nd := t.nodes[n]
+		nd := &t.nodes[n]
 		if nd.feature < 0 {
-			return nd.value
+			return nd.v
 		}
-		if nd.feature < len(x) && x[nd.feature] <= nd.threshold {
-			n = nd.left
-		} else {
-			n = nd.right
-		}
+		n = nd.next(n, x)
 	}
+}
+
+// next returns the child of internal node n that x descends to.
+func (nd *treeNode) next(n int32, x []float64) int32 {
+	if int(nd.feature) < len(x) && x[nd.feature] <= nd.v {
+		return n + 1
+	}
+	return nd.right
 }
 
 // Depth returns the height of the trained tree (0 for a stump/leaf).
@@ -188,13 +192,13 @@ func (t *Tree) Depth() int {
 	if len(t.nodes) == 0 {
 		return 0
 	}
-	var walk func(n int) int
-	walk = func(n int) int {
+	var walk func(n int32) int
+	walk = func(n int32) int {
 		nd := t.nodes[n]
 		if nd.feature < 0 {
 			return 0
 		}
-		l, r := walk(nd.left), walk(nd.right)
+		l, r := walk(n+1), walk(nd.right)
 		if r > l {
 			l = r
 		}
