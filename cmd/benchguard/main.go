@@ -38,6 +38,7 @@ var gates = []gate{
 	{"huffman_decode", "BenchmarkKernelHuffmanDecode/bitwise", "BenchmarkKernelHuffmanDecode/table", "ns/elem", 1.3},
 	{"lz_compress", "BenchmarkKernelLZCompress/ref", "BenchmarkKernelLZCompress/fast", "ns/elem", 2.0},
 	{"ca_scan", "BenchmarkKernelCAScan/odometer", "BenchmarkKernelCAScan/fast", "ns/elem", 2.0},
+	{"features_3d", "BenchmarkKernelFeatures3D/oracle", "BenchmarkKernelFeatures3D/lattice", "ns/elem", 1.5},
 	{"zfp_eighth", "BenchmarkRegionDecode/zfp/full", "BenchmarkRegionDecode/zfp/eighth", "ns/op", 4.0},
 	{"sz_eighth", "BenchmarkRegionDecode/sz/full", "BenchmarkRegionDecode/sz/eighth", "ns/op", 2.0},
 }

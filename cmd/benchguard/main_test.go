@@ -121,7 +121,7 @@ func TestEveryGateFailsByName(t *testing.T) {
 func TestFloorsAreTheMergedOnes(t *testing.T) {
 	merged := map[string]float64{
 		"sz_quantize_3d": 1.5, "sz_reconstruct_3d": 1.5, "zfp_encode_ints": 5.0, "zfp_decode_ints": 2.0, "huffman_decode": 1.3,
-		"lz_compress": 2.0, "ca_scan": 2.0, "zfp_eighth": 4.0, "sz_eighth": 2.0,
+		"lz_compress": 2.0, "ca_scan": 2.0, "features_3d": 1.5, "zfp_eighth": 4.0, "sz_eighth": 2.0,
 	}
 	if len(gates) != len(merged) {
 		t.Fatalf("%d gates, want %d", len(gates), len(merged))

@@ -62,4 +62,35 @@ func BenchmarkKernelCAScan(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelFeatures3D times the estimate's feature pass at the
+// default stride 4 the old way (ExtractFeatures: a grid.Subsample copy, then
+// the generic pass over all eight features) against
+// ExtractFeaturesParallel's in-place rank-3 kernel at width 1, on the
+// standard bench field and a crop of it that is ragged in every dimension.
+// cmd/benchguard's features_3d row reads the oracle and lattice legs.
+func BenchmarkKernelFeatures3D(b *testing.B) {
+	aligned := compresstest.BenchField()
+	ragged, err := grid.SliceRegion(aligned, []int{0, 0, 0}, []int{61, 63, 62})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fields := []*grid.Field{aligned, ragged}
+	for _, v := range []struct {
+		name    string
+		extract func(*grid.Field, int) Features
+	}{{"oracle", ExtractFeatures}, {"lattice", func(f *grid.Field, stride int) Features {
+		return ExtractFeaturesParallel(f, stride, 1)
+	}}} {
+		b.Run(v.name, func(b *testing.B) {
+			b.SetBytes(int64(aligned.Bytes() + ragged.Bytes()))
+			for i := 0; i < b.N; i++ {
+				for _, f := range fields {
+					benchSink = v.extract(f, 4).MND
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(aligned.Size()+ragged.Size()), "ns/elem")
+		})
+	}
+}
+
 var benchSink float64

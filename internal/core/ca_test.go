@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/fxrz-go/fxrz/internal/grid"
+	"github.com/fxrz-go/fxrz/internal/obs"
 )
 
 // nonConstantRatioOracle is the scan as it was before the streaming pass,
@@ -86,17 +87,19 @@ func blockRangeOdometer(data []float32, base int, shape, strides, coord []int) (
 	return mn, mx
 }
 
+func fillUniform(data []float32, rng *rand.Rand) {
+	for i := range data {
+		data[i] = rng.Float32() * 10
+	}
+}
+
 // caDataClasses fill a field with the value classes the exactness argument
 // in DESIGN.md has to cover.
 var caDataClasses = []struct {
 	name string
 	fill func(data []float32, rng *rand.Rand)
 }{
-	{"uniform", func(data []float32, rng *rand.Rand) {
-		for i := range data {
-			data[i] = rng.Float32() * 10
-		}
-	}},
+	{"uniform", fillUniform},
 	{"mixed-sign", func(data []float32, rng *rand.Rand) {
 		for i := range data {
 			data[i] = float32(rng.NormFloat64()) * 3
@@ -159,6 +162,80 @@ var caDataClasses = []struct {
 			data[i] = level
 		}
 	}},
+	// Smooth ramps mixed with flat stretches, so both verdicts occur at λ 0.15.
+	{"ramps-flats", func(data []float32, rng *rand.Rand) {
+		for i := range data {
+			data[i] = 1
+			if rng.Intn(3) != 0 {
+				data[i] = float32(rng.NormFloat64())
+			}
+		}
+	}},
+	// The knife edges of the parallel scan's threshold band. A mean of
+	// exactly 0: one or a few integer plateaus whose mirror image ends the
+	// field, so every order sums to 0 and the flat blocks sit on the zero
+	// threshold.
+	{"zero-mean", func(data []float32, rng *rand.Rand) {
+		level := float32(1 + rng.Intn(3))
+		n := len(data)
+		for i := 0; i < n/2; i++ {
+			if rng.Intn(n/4+1) == 0 {
+				level = float32(rng.Intn(7) - 3)
+			}
+			data[i], data[n-1-i] = level, -level
+		}
+		if n%2 == 1 {
+			data[n/2] = 0
+		}
+	}},
+	// A mean of exactly 1 from pairs 1 ± a, a held over long stretches: most
+	// block ranges are 0, 0.5 or 2, and at λ 0.5 and 2 some equal the
+	// threshold.
+	{"range-at-threshold", func(data []float32, rng *rand.Rand) {
+		a := float32(0.25)
+		for i := 0; i+1 < len(data); i += 2 {
+			if rng.Intn(len(data)/16+1) == 0 {
+				a = []float32{0, 0.25, 1}[rng.Intn(3)]
+			}
+			data[i], data[i+1] = 1-a, 1+a
+		}
+		if len(data)%2 == 1 {
+			data[len(data)-1] = 1
+		}
+	}},
+	// Magnitudes 2^-30 to 2^30 of both signs: slab sums and the serial sum
+	// round differently.
+	{"rounding", func(data []float32, rng *rand.Rand) {
+		for i := range data {
+			data[i] = float32(math.Ldexp(rng.Float64()-0.4, rng.Intn(61)-30))
+		}
+	}},
+	// ±2^60 at the two ends around ones: the serial sum loses every one and
+	// is exactly 0, while a slab of ones sums them exactly, so a parallel
+	// scan's sum is not 0. Only a Mean pass gets the zero threshold that
+	// makes the flat blocks non-constant.
+	{"cancelling", func(data []float32, _ *rand.Rand) {
+		for i := range data {
+			data[i] = 1
+		}
+		data[0] += 0x1p60
+		data[len(data)-1] -= 0x1p60
+	}},
+	// One NaN, one +Inf, or a +Inf and a -Inf, anywhere in the field, so a
+	// non-finite sum shows up in any slab.
+	{"nan-one", func(data []float32, rng *rand.Rand) {
+		fillUniform(data, rng)
+		data[rng.Intn(len(data))] = float32(math.NaN())
+	}},
+	{"inf-one", func(data []float32, rng *rand.Rand) {
+		fillUniform(data, rng)
+		data[rng.Intn(len(data))] = float32(math.Inf(1))
+	}},
+	{"inf-both", func(data []float32, rng *rand.Rand) {
+		fillUniform(data, rng)
+		data[rng.Intn(len(data))] = float32(math.Inf(1))
+		data[rng.Intn(len(data))] = float32(math.Inf(-1))
+	}},
 }
 
 // TestCAStreamMatchesOdometer pins the streaming scan to the per-block
@@ -191,6 +268,155 @@ func TestCAStreamMatchesOdometer(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCAKnifeEdgeFallback checks where the parallel scan pays for a Mean
+// pass. On the knife-edge classes some block range falls inside the threshold
+// band, so ca/exact_mean_fallback fires, and on "cancelling" R depends on
+// the Mean pass. On smooth and noisy data, and on a field whose slab sums
+// merely round differently from the serial sum, it does not fire. R is the
+// serial value throughout.
+func TestCAKnifeEdgeFallback(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	smooth := func(data []float32, _ *rand.Rand) { copy(data, waveField("wave", 24, 5).Data) }
+	rng := rand.New(rand.NewSource(17))
+	f := grid.MustNew("ca", 24, 24, 24)
+	const workers = 2
+	roundedApart := false
+	for _, c := range []struct {
+		name   string
+		fill   func([]float32, *rand.Rand)
+		lambda float64
+		fires  bool
+	}{
+		{"zero-mean", caClass("zero-mean"), DefaultLambda, true},
+		{"range-at-threshold", caClass("range-at-threshold"), 0.5, true},
+		{"range-at-threshold", caClass("range-at-threshold"), 2, true},
+		{"range-at-threshold", caClass("range-at-threshold"), DefaultLambda, false},
+		{"cancelling", caClass("cancelling"), DefaultLambda, true},
+		{"smooth", smooth, DefaultLambda, false},
+		{"uniform", caClass("uniform"), DefaultLambda, false},
+		{"mixed-sign", caClass("mixed-sign"), DefaultLambda, false},
+		{"negative", caClass("negative"), DefaultLambda, false},
+		{"rounding", caClass("rounding"), DefaultLambda, false},
+		{"nan-one", caClass("nan-one"), DefaultLambda, false},
+		{"inf-both", caClass("inf-both"), DefaultLambda, false},
+	} {
+		c.fill(f.Data, rng)
+		before := obs.TakeSnapshot().Counters["ca/exact_mean_fallback"]
+		got := NonConstantRatioParallel(f, DefaultBlockSide, c.lambda, workers)
+		fired := obs.TakeSnapshot().Counters["ca/exact_mean_fallback"] - before
+		if want := nonConstantRatioOracle(f, DefaultBlockSide, c.lambda); got != want {
+			t.Errorf("%s λ %g: R = %v, oracle %v", c.name, c.lambda, got, want)
+		}
+		if (fired > 0) != c.fires {
+			t.Errorf("%s λ %g: exact_mean_fallback counted %d, want it to fire: %v", c.name, c.lambda, fired, c.fires)
+		}
+		if c.name == "rounding" {
+			roundedApart = slabSum(f, DefaultBlockSide, workers) != serialSum(f.Data)
+		}
+	}
+	if !roundedApart {
+		t.Error("the rounding class summed to the serial bits: the band went unexercised")
+	}
+}
+
+// The width-1 scan adds the samples in Mean's order, on every shape and block
+// side, so its threshold needs no band.
+func TestCAScanSumIsSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, shape := range [][]int{{64}, {9, 7}, {16, 17}, {7, 9, 5}, {33, 21, 17}, {9, 5, 6, 7}} {
+		f := grid.MustNew("sum", shape...)
+		caClass("rounding")(f.Data, rng)
+		for _, side := range []int{1, 2, 3, 4, 5} {
+			s, total := newCAScan(f, side)
+			s.ranges = make([]keyRange, total)
+			if got, want := s.scan(0, s.lead[0]), serialSum(f.Data); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("shape %v side %d: scan sum %v, serial %v", shape, side, got, want)
+			}
+		}
+	}
+}
+
+// TestThresholdBandBracketsSerialSum holds thresholdBand to its promise: for
+// samples added in slab order, the threshold of the serial sum lies inside
+// the band, on data built to make the two orders round apart.
+func TestThresholdBandBracketsSerialSum(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	f := grid.MustNew("band", 20, 9, 13)
+	apart := 0
+	for trial := range 300 {
+		switch trial % 3 {
+		case 0:
+			caClass("rounding")(f.Data, rng)
+		case 1: // a few huge terms that cancel, over small ones
+			for i := range f.Data {
+				f.Data[i] = rng.Float32()
+				if rng.Intn(50) == 0 {
+					f.Data[i] = float32(math.Ldexp(float64(rng.Intn(3)-1), 60))
+				}
+			}
+		default:
+			fillUniform(f.Data, rng)
+		}
+		n := float64(f.Size())
+		mn, mx := f.Range()
+		maxAbs := max(math.Abs(mn), math.Abs(mx))
+		serial := serialSum(f.Data)
+		for _, workers := range []int{2, 3, 5} {
+			sum := slabSum(f, DefaultBlockSide, workers)
+			if sum != serial {
+				apart++
+			}
+			for _, lambda := range []float64{0.001, DefaultLambda, 1} {
+				want := lambda * math.Abs(f.Mean())
+				if lo, hi := thresholdBand(sum, n, maxAbs, lambda); !(lo <= want && want <= hi) {
+					t.Fatalf("trial %d workers %d λ %g: serial threshold %v outside [%v, %v]", trial, workers, lambda, want, lo, hi)
+				}
+			}
+		}
+	}
+	if apart == 0 {
+		t.Error("no slab sum rounded apart from the serial sum: the band went unexercised")
+	}
+}
+
+func caClass(name string) func([]float32, *rand.Rand) {
+	for _, c := range caDataClasses {
+		if c.name == name {
+			return c.fill
+		}
+	}
+	panic("no data class " + name)
+}
+
+// serialSum adds the samples in index order, as grid.Field.Mean does.
+func serialSum(data []float32) float64 {
+	var sum float64
+	for _, v := range data {
+		sum += float64(v)
+	}
+	return sum
+}
+
+// slabSum adds f's samples the way a parallel scan at this width does: one
+// chain per slab of block rows, the chains added in slab order.
+func slabSum(f *grid.Field, side, workers int) float64 {
+	d0 := f.Dims[0]
+	nb0 := (d0 + side - 1) / side
+	slabs := min(nb0, caSlabsPerWorker*workers)
+	row := f.Size() / d0
+	var sum float64
+	for i := range slabs {
+		z0, z1 := i*nb0/slabs*side, min((i+1)*nb0/slabs*side, d0)
+		var part float64
+		for _, v := range f.Data[z0*row : z1*row] {
+			part += float64(v)
+		}
+		sum += part
+	}
+	return sum
 }
 
 // The order keys must sort every non-NaN float32 like the floats themselves

@@ -105,9 +105,9 @@ func TestTrainParallelismDeterminism(t *testing.T) {
 
 // TestNonConstantRatioParallelQuick is the testing/quick property of the
 // issue: parallel NonConstantRatio must equal the serial reference for
-// arbitrary fields, block sides and worker counts.
+// arbitrary fields, data classes, block sides and worker counts.
 func TestNonConstantRatioParallelQuick(t *testing.T) {
-	property := func(seed int64, dimSel, sideSel, workerSel uint8) bool {
+	property := func(seed int64, dimSel, classSel, sideSel, workerSel uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		nd := 1 + int(dimSel)%3
 		dims := make([]int, nd)
@@ -115,32 +115,28 @@ func TestNonConstantRatioParallelQuick(t *testing.T) {
 			dims[i] = 1 + rng.Intn(9)
 		}
 		f := grid.MustNew("quick", dims...)
-		for i := range f.Data {
-			// Mix smooth ramps with flat stretches so both block verdicts occur.
-			if rng.Intn(3) == 0 {
-				f.Data[i] = 1
-			} else {
-				f.Data[i] = float32(rng.NormFloat64())
-			}
-		}
+		class := caDataClasses[int(classSel)%len(caDataClasses)]
+		class.fill(f.Data, rng)
 		side := 1 + int(sideSel)%5
 		workers := 1 + int(workerSel)%8
 		serial := NonConstantRatioParallel(f, side, DefaultLambda, 1)
 		parallel := NonConstantRatioParallel(f, side, DefaultLambda, workers)
 		if serial != parallel {
-			t.Logf("dims=%v side=%d workers=%d: serial=%v parallel=%v", dims, side, workers, serial, parallel)
+			t.Logf("dims=%v %s side=%d workers=%d: serial=%v parallel=%v", dims, class.name, side, workers, serial, parallel)
 			return false
 		}
 		return true
 	}
-	if err := quick.Check(property, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(property, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
 
 // TestExtractFeaturesParallelDeterminism checks bit-identical features at
 // every worker count on a field large enough to span multiple reduction
-// chunks (40³ = 64000 > reductionChunk).
+// chunks (40³ = 64000 > reductionChunk), and that the two entry points agree:
+// the same five adopted features, and ExtractFeatures's gradients those of
+// the generic pass over the lattice in place.
 func TestExtractFeaturesParallelDeterminism(t *testing.T) {
 	f := waveField("chunked", 40, 7)
 	if f.Size() <= reductionChunk {
@@ -153,9 +149,15 @@ func TestExtractFeaturesParallelDeterminism(t *testing.T) {
 			t.Errorf("workers=%d: features diverged\n got %+v\nwant %+v", workers, got, serial)
 		}
 	}
-	// Strided extraction must agree with the historic entry point.
-	if got, want := ExtractFeaturesParallel(f, 4, 8), ExtractFeatures(f, 4); got != want {
-		t.Errorf("strided parallel features diverged\n got %+v\nwant %+v", got, want)
+	for _, stride := range []int{1, 4} {
+		par, all := ExtractFeaturesParallel(f, stride, 8), ExtractFeatures(f, stride)
+		if !sameBits(par.Vector(), all.Vector()) {
+			t.Errorf("stride %d: adopted features diverged\n got %+v\nwant %+v", stride, par, all)
+		}
+		inPlace := latticeOf(f, stride).extract(1, true)
+		if !sameBits(all.FullVector()[5:], inPlace.FullVector()[5:]) || all.MeanGradient == 0 {
+			t.Errorf("stride %d: gradients %+v, in place %+v", stride, all, inPlace)
+		}
 	}
 }
 
