@@ -1,8 +1,10 @@
 // Package codecs is the roster of built-in codecs: one row per codec, and
 // every dispatcher — by name (fxrz.ByName, saved models, the experiment
 // harness) or by stream magic (full decode, region decode, indexing, brick
-// stores) — is a lookup in Table. Adding a codec, or giving an existing one a
-// seekable layout, is one edit here.
+// stores, the roi.Reader tile cache) — is a lookup in Table. Adding a codec,
+// or giving an existing one a seekable layout, is one edit here: a seekable
+// row carries its region index, its region decode (whose whole-field case is
+// the codec's full decode) and the tile it decodes most cheaply alone.
 package codecs
 
 import (
@@ -34,18 +36,22 @@ type Codec struct {
 	// full decode + slice.
 	BuildRegionIndex func(blob []byte) ([]byte, error)
 	DecompressRegion func(blob, index []byte, lo, hi []int) (*grid.Field, error)
+	// RegionTile is the shape of the region a seekable blob decodes most
+	// cheaply on its own — zfp's 4^d block, one sz slab — and the cache tile
+	// of roi.Reader. A nil hook, or a nil result, means the whole field.
+	RegionTile func(blob []byte) []int
 }
 
 // Table lists the built-in codecs. The two zfp modes share one magic (the
 // mode is recorded in the stream and either instance decodes both); ByMagic
 // resolves it to the first row.
 var Table = []Codec{
-	{"sz", compress.MagicSZ, func() compress.Compressor { return sz.New() }, sz.BuildRegionIndex, sz.DecompressRegion},
-	{"sz2", compress.MagicSZ2, func() compress.Compressor { return sz.NewV2() }, nil, nil},
-	{"zfp", compress.MagicZFP, func() compress.Compressor { return zfp.New() }, zfp.BuildRegionIndex, zfp.DecompressRegion},
-	{"zfp-rate", compress.MagicZFP, func() compress.Compressor { return zfp.NewFixedRate() }, zfp.BuildRegionIndex, zfp.DecompressRegion},
-	{"fpzip", compress.MagicFPZIP, func() compress.Compressor { return fpzip.New() }, nil, nil},
-	{"mgard", compress.MagicMGARD, func() compress.Compressor { return mgard.New() }, nil, nil},
+	{"sz", compress.MagicSZ, func() compress.Compressor { return sz.New() }, sz.BuildRegionIndex, sz.DecompressRegion, sz.RegionTile},
+	{"sz2", compress.MagicSZ2, func() compress.Compressor { return sz.NewV2() }, nil, nil, nil},
+	{"zfp", compress.MagicZFP, func() compress.Compressor { return zfp.New() }, zfp.BuildRegionIndex, zfp.DecompressRegion, zfp.RegionTile},
+	{"zfp-rate", compress.MagicZFP, func() compress.Compressor { return zfp.NewFixedRate() }, zfp.BuildRegionIndex, zfp.DecompressRegion, zfp.RegionTile},
+	{"fpzip", compress.MagicFPZIP, func() compress.Compressor { return fpzip.New() }, nil, nil, nil},
+	{"mgard", compress.MagicMGARD, func() compress.Compressor { return mgard.New() }, nil, nil, nil},
 }
 
 // Names returns the codec names in table order.

@@ -19,7 +19,7 @@ func TestReaderSZSlabMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sz.SlabRows(blob) >= 48 {
+	if sz.RegionTile(blob)[0] >= 48 {
 		t.Fatal("48×64×64 sz blob is not chunked; slab mode untested")
 	}
 	indexed, err := Build(blob)
@@ -67,8 +67,8 @@ func TestReaderSZSlabMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.slabT != 16 {
-		t.Fatalf("one-slab 16³ reader has slab height %d, want 16", r.slabT)
+	if r.tile[0] != 16 {
+		t.Fatalf("one-slab 16³ reader has tile height %d, want 16", r.tile[0])
 	}
 	for i := range smallFull.Data {
 		z, y, x := i/256, i/16%16, i%16
@@ -79,8 +79,8 @@ func TestReaderSZSlabMode(t *testing.T) {
 		if math.Float32bits(got) != math.Float32bits(smallFull.Data[i]) {
 			t.Fatalf("one slab: At(%d,%d,%d) = %v, want %v", z, y, x, got, smallFull.Data[i])
 		}
-		if len(r.slabs) != 1 || r.full != nil {
-			t.Fatalf("one slab: %d slabs cached (full decode %v) after %d queries, want the one slab decoded once", len(r.slabs), r.full != nil, i+1)
+		if len(r.tiles) != 1 {
+			t.Fatalf("one slab: %d tiles cached after %d queries, want the one slab decoded once", len(r.tiles), i+1)
 		}
 	}
 	var sink float32
@@ -93,43 +93,6 @@ func TestReaderSZSlabMode(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("one-slab Reader.At allocates %v per warm run, want 0", allocs)
-	}
-	_ = sink
-}
-
-// TestReaderSZSlabZeroAlloc extends the warm-path guarantee to slab mode:
-// once the slab under a query is cached, At is a map lookup plus index
-// arithmetic.
-func TestReaderSZSlabZeroAlloc(t *testing.T) {
-	f := testField(t, 48, 64, 64)
-	blob, err := sz.New().Compress(f, 1e-3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	indexed, err := Build(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(indexed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm the slab holding rows 0..15.
-	if _, err := r.At(3, 10, 10); err != nil {
-		t.Fatal(err)
-	}
-	var sink float32
-	allocs := testing.AllocsPerRun(200, func() {
-		for y := 0; y < 8; y++ {
-			v, err := r.At(3, y, 17)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sink += v
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("slab-mode Reader.At allocates %v per warm run, want 0", allocs)
 	}
 	_ = sink
 }

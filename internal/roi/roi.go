@@ -121,11 +121,30 @@ func Build(blob []byte) ([]byte, error) {
 // DecodeRegion decodes the half-open region [lo, hi) of any supported
 // container: an indexed container, a raw codec blob (no-index fallback
 // paths), or a marshaled brick store. workers bounds the fan-out of the
-// full-decode fallback paths; the seeking paths (zfp blocks, sz chunked
-// slabs) touch so little of the stream that they stay serial. Output samples
-// are bit-identical to the corresponding slice of a full decode at any
-// worker count.
+// full-decode paths — the whole field, and codecs without a seekable layout;
+// the seeking paths (zfp blocks, sz chunked slabs) touch so little of the
+// stream that they stay serial. Output samples are bit-identical to the
+// corresponding slice of a full decode at any worker count.
 func DecodeRegion(blob []byte, lo, hi []int, workers int) (*grid.Field, error) {
+	src, err := open(blob)
+	if err != nil {
+		return nil, err
+	}
+	return src.region(lo, hi, workers)
+}
+
+// source is an opened container: a brick store, or a codec row with its
+// inner blob, region index (nil when never indexed) and field dims.
+type source struct {
+	store        *brick.Store
+	codec        codecs.Codec
+	inner, index []byte
+	dims         []int
+}
+
+// open parses an indexed container, a raw codec blob or a marshaled brick
+// store without decoding any samples.
+func open(blob []byte) (*source, error) {
 	if len(blob) == 0 {
 		return nil, fmt.Errorf("roi: empty stream")
 	}
@@ -134,14 +153,7 @@ func DecodeRegion(blob []byte, lo, hi []int, workers int) (*grid.Field, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := grid.CheckRegion(st.Dims(), lo, hi); err != nil {
-			return nil, fmt.Errorf("roi: %w", err)
-		}
-		shape := make([]int, len(lo))
-		for d := range shape {
-			shape[d] = hi[d] - lo[d]
-		}
-		return st.ReadRegion(lo, shape)
+		return &source{store: st, dims: st.Dims()}, nil
 	}
 	inner, index := blob, []byte(nil)
 	if IsIndexed(blob) {
@@ -157,15 +169,39 @@ func DecodeRegion(blob []byte, lo, hi []int, workers int) (*grid.Field, error) {
 	if err != nil {
 		return nil, fmt.Errorf("roi: %w", err)
 	}
-	if c.DecompressRegion != nil {
-		return c.DecompressRegion(inner, index, lo, hi)
-	}
-	// No seekable structure (sz2's per-block predictor selection shares
-	// sequential reconstruction state; fpzip and mgard are whole-stream
-	// transforms): full decode + slice.
-	f, err := compress.WithWorkers(c.New(), workers).Decompress(inner)
+	h, _, err := compress.ParseHeader(inner, inner[0])
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("roi: %w", err)
+	}
+	return &source{codec: c, inner: inner, index: index, dims: h.Dims}, nil
+}
+
+// region decodes [lo, hi) of the source. The whole field is the codec's full
+// decode itself, fanned out over workers; a smaller region goes through the
+// codec's region decode when it has one. Codecs without a seekable layout
+// (sz2's per-block predictor selection shares sequential reconstruction
+// state; fpzip and mgard are whole-stream transforms) full-decode and slice.
+func (s *source) region(lo, hi []int, workers int) (*grid.Field, error) {
+	if err := grid.CheckRegion(s.dims, lo, hi); err != nil {
+		return nil, fmt.Errorf("roi: %w", err)
+	}
+	if s.store != nil {
+		shape := make([]int, len(lo))
+		for d := range shape {
+			shape[d] = hi[d] - lo[d]
+		}
+		return s.store.ReadRegion(lo, shape)
+	}
+	whole := true
+	for d := range s.dims {
+		whole = whole && lo[d] == 0 && hi[d] == s.dims[d]
+	}
+	if !whole && s.codec.DecompressRegion != nil {
+		return s.codec.DecompressRegion(s.inner, s.index, lo, hi)
+	}
+	f, err := compress.WithWorkers(s.codec.New(), workers).Decompress(s.inner)
+	if err != nil || whole {
+		return f, err
 	}
 	out, err := grid.SliceRegion(f, lo, hi)
 	if err != nil {

@@ -7,7 +7,10 @@ import (
 
 	"github.com/fxrz-go/fxrz/internal/brick"
 	"github.com/fxrz-go/fxrz/internal/codecs"
+	"github.com/fxrz-go/fxrz/internal/compress"
+	"github.com/fxrz-go/fxrz/internal/fpzip"
 	"github.com/fxrz-go/fxrz/internal/grid"
+	"github.com/fxrz-go/fxrz/internal/mgard"
 	"github.com/fxrz-go/fxrz/internal/sz"
 	"github.com/fxrz-go/fxrz/internal/zfp"
 )
@@ -190,54 +193,106 @@ func TestParseRegion(t *testing.T) {
 	}
 }
 
+// TestReaderAtMatchesDecode runs the Reader over every container kind: each
+// codec row (sz one-slab and chunked, sz2, zfp in both modes, 4-D zfp, fpzip,
+// mgard) and a brick store. For each, At must match the full decode bit for
+// bit, every touched tile must decode exactly once — the cache holds one
+// entry per distinct tile touched, of the tile shape the codec's RegionTile
+// hook names (the whole field without one) — and a warm At must allocate
+// nothing.
 func TestReaderAtMatchesDecode(t *testing.T) {
-	f := testField(t, 11, 9, 13)
-	for _, mk := range []struct {
-		name string
-		blob func() []byte
-	}{
-		{"zfp-indexed", func() []byte {
-			b, err := zfp.New().Compress(f, 1e-3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ix, err := Build(b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return ix
-		}},
-		{"sz-raw", func() []byte {
-			b, err := sz.New().Compress(f, 1e-3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return b
-		}},
-	} {
-		blob := mk.blob()
-		r, err := NewReader(blob)
+	small := testField(t, 11, 9, 13)
+	chunked := testField(t, 48, 64, 64) // three 16-row sz slabs
+	field4 := testField(t, 3, 5, 9, 7)
+	compressed := func(c compress.Compressor, f *grid.Field, knob float64) []byte {
+		b, err := c.Compress(f, knob)
 		if err != nil {
-			t.Fatalf("%s: %v", mk.name, err)
+			t.Fatal(err)
 		}
-		full := fullDecode(t, blob)
-		rng := rand.New(rand.NewSource(3))
-		for q := 0; q < 200; q++ {
-			z, y, x := rng.Intn(11), rng.Intn(9), rng.Intn(13)
-			got, err := r.At(z, y, x)
+		return b
+	}
+	indexed := func(b []byte) []byte {
+		ix, err := Build(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ix
+	}
+	st, err := brick.Build(sz.New(), small, 8, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		blob []byte
+		tile []int
+	}{
+		{"zfp-indexed", indexed(compressed(zfp.New(), small, 1e-3)), []int{4, 4, 4}},
+		{"zfp-rate", compressed(zfp.NewFixedRate(), small, 12), []int{4, 4, 4}},
+		{"zfp-4d", indexed(compressed(zfp.New(), field4, 1e-3)), field4.Dims},
+		{"sz-raw", compressed(sz.New(), small, 1e-3), small.Dims},
+		{"sz-slab-indexed", indexed(compressed(sz.New(), chunked, 1e-3)), []int{16, 64, 64}},
+		{"sz-slab-raw", compressed(sz.New(), chunked, 1e-3), []int{16, 64, 64}},
+		{"sz2", compressed(sz.NewV2(), small, 1e-3), small.Dims},
+		{"fpzip", compressed(fpzip.New(), small, 16), small.Dims},
+		{"mgard", compressed(mgard.New(), small, 1e-3), small.Dims},
+		{"brick", st.Marshal(), small.Dims},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := NewReader(tc.blob)
 			if err != nil {
-				t.Fatalf("%s: At(%d,%d,%d): %v", mk.name, z, y, x, err)
+				t.Fatal(err)
 			}
-			if want := full.Data[full.Index(z, y, x)]; math.Float32bits(got) != math.Float32bits(want) {
-				t.Fatalf("%s: At(%d,%d,%d) = %v, want %v", mk.name, z, y, x, got, want)
+			var full *grid.Field
+			if tc.name == "brick" {
+				if full, err = st.ReadAll(); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				full = fullDecode(t, tc.blob)
 			}
-		}
-		if _, err := r.At(11, 0, 0); err == nil {
-			t.Errorf("%s: out-of-range At accepted", mk.name)
-		}
-		if _, err := r.At(1, 1); err == nil {
-			t.Errorf("%s: rank-mismatched At accepted", mk.name)
-		}
+			dims := full.Dims
+			rng := rand.New(rand.NewSource(3))
+			coord := make([]int, len(dims))
+			touched := map[int]bool{}
+			for q := 0; q < 300; q++ {
+				key := 0
+				for d := range coord {
+					coord[d] = rng.Intn(dims[d])
+					key = key*dims[d] + coord[d]/tc.tile[d]
+				}
+				touched[key] = true
+				got, err := r.At(coord...)
+				if err != nil {
+					t.Fatalf("At(%v): %v", coord, err)
+				}
+				if want := full.Data[full.Index(coord...)]; math.Float32bits(got) != math.Float32bits(want) {
+					t.Fatalf("At(%v) = %v, want %v", coord, got, want)
+				}
+				if len(r.tiles) != len(touched) {
+					t.Fatalf("after %d queries: %d tiles cached, %d distinct tiles touched", q+1, len(r.tiles), len(touched))
+				}
+			}
+			var sink float32
+			allocs := testing.AllocsPerRun(200, func() {
+				v, err := r.At(coord...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sink += v
+			})
+			if allocs != 0 {
+				t.Fatalf("warm At allocates %v per run, want 0", allocs)
+			}
+			_ = sink
+			coord[0] = dims[0]
+			if _, err := r.At(coord...); err == nil {
+				t.Error("out-of-range At accepted")
+			}
+			if _, err := r.At(1, 1); err == nil {
+				t.Error("rank-mismatched At accepted")
+			}
+		})
 	}
 }
 

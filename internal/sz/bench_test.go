@@ -73,7 +73,7 @@ func BenchmarkKernelReconstruct3D(b *testing.B) {
 		b.Run(v.name, func(b *testing.B) {
 			b.SetBytes(int64(f.Bytes()))
 			for i := 0; i < b.N; i++ {
-				if err := reconstructField(out, 1e-3, codeBytes, rawPayload, uint64(len(rawPayload)/4), v.generic); err != nil {
+				if _, err := reconstructBox(out.Data, out.Dims, out.Dims[1:], 1e-3, codeBytes, rawPayload, uint64(len(rawPayload)/4), 0, v.generic); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -43,8 +43,8 @@ func TestSZChunkedLayout(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
-		if got := SlabRows(blob); got != rows {
-			t.Fatalf("%v: SlabRows = %d, want %d", dims, got, rows)
+		if got := RegionTile(blob)[0]; got != rows {
+			t.Fatalf("%v: RegionTile rows = %d, want %d", dims, got, rows)
 		}
 	}
 	// 16³ (the golden-fixture shape) is one slab: no chunking.
@@ -53,7 +53,7 @@ func TestSZChunkedLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := SlabRows(blob); got != 16 {
+	if got := RegionTile(blob)[0]; got != 16 {
 		t.Fatalf("16³ blob reports slab height %d, want one slab of 16", got)
 	}
 	h, payload, err := compress.ParseHeader(blob, compress.MagicSZ)
@@ -156,7 +156,7 @@ func TestSZChunkedConstantField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if SlabRows(blob) >= 48 {
+	if RegionTile(blob)[0] >= 48 {
 		t.Fatal("constant 48×64×64 blob is not chunked")
 	}
 	got, err := (&Compressor{Workers: 2}).Decompress(blob)
@@ -182,7 +182,7 @@ func TestSZChunkedRegionMatchesFullDecode(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v: %v", dims, err)
 			}
-			if SlabRows(blob) >= dims[0] {
+			if RegionTile(blob)[0] >= dims[0] {
 				t.Fatalf("%v: expected a chunked blob", dims)
 			}
 			full, err := New().Decompress(blob)
@@ -249,8 +249,8 @@ func TestSZChunkedIndex(t *testing.T) {
 	if si == nil {
 		t.Fatal("no index built for a chunked blob")
 	}
-	if si.T != SlabRows(blob) {
-		t.Fatalf("index slab height %d != chunk height %d", si.T, SlabRows(blob))
+	if si.T != RegionTile(blob)[0] {
+		t.Fatalf("index slab height %d != chunk height %d", si.T, RegionTile(blob)[0])
 	}
 	nb := len(si.cumEsc) - 1
 	for i, fl := range index[len(index)-nb:] {

@@ -217,15 +217,8 @@ func errRawExhausted() error {
 	return fmt.Errorf("sz: %w: raw pool exhausted", compress.ErrCorrupt)
 }
 
-// reconstructField mirrors quantizeField on the decode side: the whole field
-// from an empty predictor, the box being all of it.
-func reconstructField(f *grid.Field, eb float64, codeBytes, rawPayload []byte, nraw uint64, forceGeneric bool) error {
-	_, err := reconstructBox(f.Data, f.Dims, f.Dims[1:], eb, codeBytes, rawPayload, nraw, 0, forceGeneric)
-	return err
-}
-
-// reconstructBox is the one Lorenzo reconstruction entry point, shared by
-// full and region decode. data holds the dims[0] rows of one slab — an
+// reconstructBox is the one Lorenzo reconstruction entry point, called per
+// slab by decodeRows. data holds the dims[0] rows of one slab — an
 // independent sub-field, decoded from an empty predictor — and codeBytes
 // their codes, starting at raw cursor rawPos. Only points inside the prefix
 // box [0, hiTail[d]) of the trailing dimensions are written: every Lorenzo

@@ -292,7 +292,7 @@ func TestSZSharedCompressorConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if SlabRows(want) >= 17 {
+	if RegionTile(want)[0] >= 17 {
 		t.Fatal("field is a single slab: nothing fans out")
 	}
 	var wg sync.WaitGroup

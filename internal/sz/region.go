@@ -15,8 +15,9 @@ package sz
 // decoder counts escapes from the stream head, which costs entropy decode but
 // no Lorenzo work.
 //
-// Slabs reconstruct through reconstructBox (lorenzo_fast.go), the entry
-// point full decode uses: one kernel per rank — reconstruct1D/2D/3D, the
+// Region and full decode are one walk, decodeRows (sz.go): a full decode is
+// the region [0, dims). Slabs reconstruct through reconstructBox
+// (lorenzo_fast.go): one kernel per rank — reconstruct1D/2D/3D, the
 // generic N-d loop only for >= 4D — taking the prefix box [0, hi[d]) of the
 // trailing dimensions and a raw-pool cursor. Points outside the box are
 // neither written nor read (the box is closed under the -1 offsets of every
@@ -143,23 +144,23 @@ func parseSZIndex(index []byte, dims []int, n int) (*szIndex, error) {
 	return si, nil
 }
 
-// SlabRows reports the slab height of an sz blob — the rows each slab
-// decodes on its own, dims[0] for a one-slab blob — or 0 for anything
-// unparseable. roi.Reader materializes sz streams one slab at a time.
-func SlabRows(blob []byte) int {
+// RegionTile reports the region an sz blob decodes most cheaply on its own:
+// one slab of the full plane, the slab being the whole field for a one-slab
+// blob. It returns nil for anything unparseable.
+func RegionTile(blob []byte) []int {
 	h, payload, err := compress.ParseHeader(blob, compress.MagicSZ)
 	if err != nil {
-		return 0
+		return nil
 	}
 	packed, _, _, err := splitSZSections(h.Dims, payload)
 	if err != nil {
-		return 0
+		return nil
 	}
 	T, err := szSlabRowsFromPacked(packed, h.Dims)
 	if err != nil {
-		return 0
+		return nil
 	}
-	return T
+	return append([]int{T}, h.Dims[1:]...)
 }
 
 // DecompressRegion decodes the half-open region [lo, hi) of an sz blob,
@@ -173,89 +174,10 @@ func DecompressRegion(blob, index []byte, lo, hi []int) (*grid.Field, error) {
 	return decompressRegion(blob, index, lo, hi, false)
 }
 
-// decompressRegion is the DecompressRegion implementation; forceGeneric pins
-// the reconstruction to the N-d odometer oracle (see decompressSZ). The
-// escape-pool cursor entering the first covering slab comes from the index
-// when one is present; otherwise the preceding chunks are entropy-decoded
-// once, purely to count their escape codes (no Lorenzo work).
+// decompressRegion is the DecompressRegion implementation, the serial region
+// case of decodeRows; forceGeneric pins the reconstruction to the N-d
+// odometer oracle (see decompressSZ).
 func decompressRegion(blob, index []byte, lo, hi []int, forceGeneric bool) (*grid.Field, error) {
 	defer obs.Span("decompress/sz-region")()
-	h, payload, err := compress.ParseHeader(blob, compress.MagicSZ)
-	if err != nil {
-		return nil, fmt.Errorf("sz: %w", err)
-	}
-	if err := grid.CheckRegion(h.Dims, lo, hi); err != nil {
-		return nil, fmt.Errorf("sz: %w", err)
-	}
-	packed, rawPayload, nraw, err := splitSZSections(h.Dims, payload)
-	if err != nil {
-		return nil, err
-	}
-	T, err := szSlabRowsFromPacked(packed, h.Dims)
-	if err != nil {
-		return nil, err
-	}
-	n := elemCount(h.Dims)
-	nz := h.Dims[0]
-	planeSize := n / nz
-	s0 := lo[0] / T
-	z0 := s0 * T
-	cum0 := -1
-	if T < nz && len(index) > 0 {
-		si, err := parseSZIndex(index, h.Dims, n)
-		if err != nil {
-			return nil, err
-		}
-		if si != nil {
-			if si.T != T {
-				return nil, fmt.Errorf("sz: %w: index slab height %d does not match chunk height %d", compress.ErrCorrupt, si.T, T)
-			}
-			cum0 = si.cumEsc[s0]
-		}
-	}
-	decodeFrom := z0
-	if cum0 < 0 {
-		decodeFrom = 0 // no index: count escapes from the stream head
-	}
-	codes, err := entropy.DecompressBytesRange(packed, 2*decodeFrom*planeSize, 2*hi[0]*planeSize, 2*n, 1)
-	if err != nil {
-		return nil, fmt.Errorf("sz: decode codes: %w", err)
-	}
-	if cum0 < 0 {
-		skip := 2 * (z0 - decodeFrom) * planeSize
-		cum0 = countEscapes(codes[:skip])
-		codes = codes[skip:]
-	}
-	if uint64(cum0) > nraw {
-		return nil, fmt.Errorf("sz: %w: index raw cursor", compress.ErrCorrupt)
-	}
-
-	rows := hi[0] - z0
-	buf := f32Scratch.Get(rows * planeSize)
-	defer f32Scratch.Put(buf)
-	rawPos := cum0
-	for s := s0; s*T < hi[0]; s++ {
-		zs, ze, slabDims := slabSpan(h.Dims, T, s)
-		if ze > hi[0] {
-			ze = hi[0] // the region ends inside this slab
-			slabDims[0] = ze - zs
-		}
-		rawPos, err = reconstructBox(buf[(zs-z0)*planeSize:(ze-z0)*planeSize], slabDims, hi[1:],
-			h.Knob, codes[2*(zs-z0)*planeSize:], rawPayload, nraw, rawPos, forceGeneric)
-		if err != nil {
-			return nil, err
-		}
-	}
-	obs.Inc("sz/region_decodes")
-	obs.Add("sz/region_rows_decoded", int64(rows))
-	obs.Add("sz/region_rows_skipped", int64(z0+nz-hi[0]))
-
-	bufDims := append([]int{rows}, h.Dims[1:]...)
-	view, err := grid.FromData(h.Name, buf, bufDims...)
-	if err != nil {
-		return nil, fmt.Errorf("sz: %w", err)
-	}
-	vlo := append([]int{lo[0] - z0}, lo[1:]...)
-	vhi := append([]int{hi[0] - z0}, hi[1:]...)
-	return grid.SliceRegion(view, vlo, vhi)
+	return decodeRows(blob, index, lo, hi, 1, forceGeneric)
 }

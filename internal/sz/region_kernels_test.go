@@ -77,7 +77,7 @@ func TestSZRegionKernelsMatchGeneric(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: compress: %v", name, err)
 				}
-				T := SlabRows(blob)
+				T := RegionTile(blob)[0]
 				if chunked := T < dims[0]; chunked != (i == 1) {
 					t.Fatalf("%s: chunked = %v", name, chunked)
 				}

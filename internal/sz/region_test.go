@@ -153,7 +153,7 @@ func TestSZRegionIndexOverhead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if SlabRows(blob) >= 64 {
+	if RegionTile(blob)[0] >= 64 {
 		t.Fatal("a 64³ field did not compress to a multi-slab blob")
 	}
 	index, err := BuildRegionIndex(blob)

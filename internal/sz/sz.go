@@ -220,17 +220,44 @@ func splitSZSections(dims []int, payload []byte) (packed, rawPayload []byte, nra
 }
 
 // decompressSZ is the Decompress implementation; forceGeneric pins the
-// reconstruction pass to the N-d odometer oracle (see compressSZ).
-//
-// Every blob reconstructs slab by slab (szSlabRowsFromPacked): the entropy
-// chunks fan out inside DecompressBytesParallel, and the slabs — independent
-// sub-fields thanks to the encoder's predictor resets — fan out in
-// reconstructSlabs under the same worker budget. A whole-stream blob is one
-// slab and reconstructs serially.
+// reconstruction pass to the N-d odometer oracle (see compressSZ). A full
+// decode is the whole-field case of decodeRows.
 func decompressSZ(blob []byte, forceGeneric bool, workers int) (*grid.Field, error) {
 	defer obs.Span("decompress/sz")()
+	return decodeRows(blob, nil, nil, nil, workers, forceGeneric)
+}
+
+// decodeRows is the one sz decode walk. It decodes the region [lo, hi) of
+// blob, or the whole field when lo is nil, by reconstructing the rows
+// [slab(lo[0]), hi[0]) and, within them, only the prefix box [0, hi[d]) of the
+// trailing dimensions.
+//
+// The escape-pool cursor entering the first covering slab comes from the
+// region index when one is present; otherwise the chunks before it are
+// entropy-decoded once, purely to count their escape codes (no Lorenzo work).
+// Only the entropy chunks covering the decoded rows are expanded, fanned out
+// over workers. Escapes sit in the raw pool in global row-major order, so
+// with workers > 1 one counting pass over the codes of every covering slab
+// but the last gives each slab its cursor up front; the slabs — independent
+// sub-fields thanks to the encoder's predictor resets — then reconstruct in
+// any order and therefore in parallel, each with the serial kernel against
+// the whole pool. A serial walk skips the pass: each slab starts from the
+// cursor the previous one's kernel returned, which is the same number. A
+// slab fails exactly when one of its in-box escapes lies past the pool's end,
+// which is when the serial walk fails: the same errRawExhausted at every
+// width.
+//
+// A full decode reconstructs straight into the result; a region decodes into
+// scratch rows and slices the box out of them.
+func decodeRows(blob, index []byte, lo, hi []int, workers int, forceGeneric bool) (*grid.Field, error) {
 	h, payload, err := compress.ParseHeader(blob, compress.MagicSZ)
 	if err != nil {
+		return nil, fmt.Errorf("sz: %w", err)
+	}
+	full := lo == nil
+	if full {
+		hi = h.Dims
+	} else if err := grid.CheckRegion(h.Dims, lo, hi); err != nil {
 		return nil, fmt.Errorf("sz: %w", err)
 	}
 	packed, rawPayload, nraw, err := splitSZSections(h.Dims, payload)
@@ -241,21 +268,95 @@ func decompressSZ(blob []byte, forceGeneric bool, workers int) (*grid.Field, err
 	if err != nil {
 		return nil, err
 	}
-	codeBytes, err := entropy.DecompressBytesParallel(packed, workers)
+	n := elemCount(h.Dims)
+	nz := h.Dims[0]
+	ps := n / nz
+	s0 := 0
+	if !full {
+		s0 = lo[0] / T
+	}
+	z0 := s0 * T
+	cum0 := -1
+	if T < nz && len(index) > 0 {
+		si, err := parseSZIndex(index, h.Dims, n)
+		if err != nil {
+			return nil, err
+		}
+		if si != nil {
+			if si.T != T {
+				return nil, fmt.Errorf("sz: %w: index slab height %d does not match chunk height %d", compress.ErrCorrupt, si.T, T)
+			}
+			cum0 = si.cumEsc[s0]
+		}
+	}
+	decodeFrom := z0
+	if cum0 < 0 {
+		decodeFrom = 0 // no index: count escapes from the stream head
+	}
+	codes, err := entropy.DecompressBytesRange(packed, 2*decodeFrom*ps, 2*hi[0]*ps, 2*n, workers)
 	if err != nil {
 		return nil, fmt.Errorf("sz: decode codes: %w", err)
 	}
-	if len(codeBytes) != 2*elemCount(h.Dims) {
-		return nil, fmt.Errorf("sz: %w: %d code bytes for %d points", compress.ErrCorrupt, len(codeBytes), elemCount(h.Dims))
+	if cum0 < 0 {
+		skip := 2 * (z0 - decodeFrom) * ps
+		cum0 = countEscapes(codes[:skip])
+		codes = codes[skip:]
 	}
-	f, err := grid.New(h.Name, h.Dims...)
+	if uint64(cum0) > nraw {
+		return nil, fmt.Errorf("sz: %w: index raw cursor", compress.ErrCorrupt)
+	}
+	cursors := make([]int, (hi[0]+T-1)/T-s0)
+	cursors[0] = cum0
+	chained := workers <= 1 // pool.RunErr then runs the slabs in order
+	if !chained {
+		slabBytes := 2 * T * ps
+		for i := 1; i < len(cursors); i++ {
+			cursors[i] = cursors[i-1] + countEscapes(codes[(i-1)*slabBytes:i*slabBytes])
+		}
+	}
+
+	rows := hi[0] - z0
+	var f *grid.Field
+	var dst []float32
+	if full {
+		if f, err = grid.New(h.Name, h.Dims...); err != nil {
+			return nil, fmt.Errorf("sz: %w", err)
+		}
+		dst = f.Data
+	} else {
+		dst = f32Scratch.Get(rows * ps)
+		defer f32Scratch.Put(dst)
+	}
+	err = pool.RunErr(workers, len(cursors), func(i int) error {
+		zs, ze, slabDims := slabSpan(h.Dims, T, s0+i)
+		if ze > hi[0] {
+			ze = hi[0] // the region ends inside this slab
+			slabDims[0] = ze - zs
+		}
+		next, err := reconstructBox(dst[(zs-z0)*ps:(ze-z0)*ps], slabDims, hi[1:],
+			h.Knob, codes[2*(zs-z0)*ps:], rawPayload, nraw, cursors[i], forceGeneric)
+		if chained && i+1 < len(cursors) {
+			cursors[i+1] = next
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	if full {
+		return f, nil
+	}
+	obs.Inc("sz/region_decodes")
+	obs.Add("sz/region_rows_decoded", int64(rows))
+	obs.Add("sz/region_rows_skipped", int64(z0+nz-hi[0]))
+
+	view, err := grid.FromData(h.Name, dst, append([]int{rows}, h.Dims[1:]...)...)
 	if err != nil {
 		return nil, fmt.Errorf("sz: %w", err)
 	}
-	if err := reconstructSlabs(f, h.Knob, codeBytes, rawPayload, nraw, T, workers, forceGeneric); err != nil {
-		return nil, err
-	}
-	return f, nil
+	vlo := append([]int{lo[0] - z0}, lo[1:]...)
+	vhi := append([]int{hi[0] - z0}, hi[1:]...)
+	return grid.SliceRegion(view, vlo, vhi)
 }
 
 // countEscapes counts the escape codes (code 0) in a little-endian code
@@ -277,36 +378,6 @@ func countEscapes(codeBytes []byte) int {
 		}
 	}
 	return n
-}
-
-// reconstructSlabs rebuilds a field slab by slab. Escapes sit in the raw pool
-// in global row-major order, so one counting pass over the already-decoded
-// codes of slabs 0..n-2 gives every slab its pool window up front; slabs then
-// reconstruct in any order and therefore in parallel, each with the serial
-// kernel. The last slab's window is the rest of the pool: the counting pass
-// fails when the earlier slabs overrun it, and the last slab's kernel when it
-// does — the same errRawExhausted at every width, and a one-slab field pays
-// no counting pass.
-func reconstructSlabs(f *grid.Field, eb float64, codeBytes, rawPayload []byte, nraw uint64, T, workers int, forceGeneric bool) error {
-	nz := f.Dims[0]
-	ps := len(f.Data) / nz
-	nSlabs := (nz + T - 1) / T
-	starts := make([]int, nSlabs+1)
-	for s := 0; s < nSlabs-1; s++ {
-		starts[s+1] = starts[s] + countEscapes(codeBytes[2*s*T*ps:2*(s+1)*T*ps])
-	}
-	if uint64(starts[nSlabs-1]) > nraw {
-		return errRawExhausted()
-	}
-	starts[nSlabs] = int(nraw)
-	return pool.RunErr(workers, nSlabs, func(s int) error {
-		z0, z1, subDims := slabSpan(f.Dims, T, s)
-		sub, err := grid.FromData(f.Name, f.Data[z0*ps:z1*ps], subDims...)
-		if err != nil {
-			return fmt.Errorf("sz: %w", err)
-		}
-		return reconstructField(sub, eb, codeBytes[2*z0*ps:2*z1*ps], rawPayload[4*starts[s]:], uint64(starts[s+1]-starts[s]), forceGeneric)
-	})
 }
 
 // lorenzo evaluates the N-dimensional Lorenzo predictor. The predictor is

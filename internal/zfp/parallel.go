@@ -6,20 +6,20 @@ package zfp
 // crosses a block boundary — so any partition of the block list into
 // contiguous chunks, encoded into private buffers and concatenated in block
 // order, reproduces the serial stream bit for bit. Decoding fans out the same
-// way once each chunk's starting bit offset is known: in fixed-rate mode
-// block k starts at exactly k*maxbits, and in fixed-accuracy mode a serial
-// skim pass (skipBlock) replays the decoder's bit consumption without doing
-// any arithmetic, which is exact because decodeInts' control flow depends
-// only on the values of the bits it reads, never on accumulated coefficients.
+// way once each chunk's starting bit offset is known: a serial pass of the
+// region seeker (blockSeeker) finds it — arithmetic in fixed-rate mode, a
+// skim (skipBlock) that replays the decoder's bit consumption without doing
+// any arithmetic in fixed-accuracy mode, which is exact because decodeInts'
+// control flow depends only on the values of the bits it reads, never on
+// accumulated coefficients. A serial walk is one chunk.
 //
-// Obs instrumentation: zfp/par_chunks and zfp/par_blocks count fan-outs, and
-// the zfp/stitch and zfp/offset_scan spans time the serial portions.
+// Obs instrumentation: zfp/par_encodes, zfp/par_decodes, zfp/par_chunks and
+// zfp/par_blocks count fan-outs, and the zfp/stitch and zfp/offset_scan spans
+// time the serial portions; none of them fires for a one-chunk walk.
 
 import (
 	"github.com/fxrz-go/fxrz/internal/entropy"
-	"github.com/fxrz-go/fxrz/internal/grid"
 	"github.com/fxrz-go/fxrz/internal/obs"
-	"github.com/fxrz-go/fxrz/internal/pool"
 )
 
 const (
@@ -43,132 +43,81 @@ func countBlocks(dims []int) int {
 	return total
 }
 
-// blockOriginAt writes the origin of block k into origin, matching the
-// row-major (last dimension fastest) order of grid.VisitOrigins.
-func blockOriginAt(dims []int, k int, origin []int) {
-	for d := len(dims) - 1; d >= 0; d-- {
-		nb := (dims[d] + blockSide - 1) / blockSide
-		origin[d] = (k % nb) * blockSide
-		k /= nb
+// chunkCount splits a walk over total blocks into at most
+// workers*zfpChunksPerWorker contiguous chunks and returns (number of chunks,
+// blocks per chunk). A serial walk, or one under zfpParMinBlocks blocks, is
+// one chunk; a fan-out counts itself under counter, zfp/par_chunks and
+// zfp/par_blocks.
+func chunkCount(total, workers int, counter string) (nchunks, per int) {
+	if workers <= 1 || total < zfpParMinBlocks {
+		return 1, total
 	}
-}
-
-// chunkCount splits total blocks into at most workers*zfpChunksPerWorker
-// contiguous chunks and returns (number of chunks, blocks per chunk).
-func chunkCount(total, workers int) (nchunks, per int) {
-	nchunks = workers * zfpChunksPerWorker
-	if nchunks > total {
-		nchunks = total
-	}
+	nchunks = min(workers*zfpChunksPerWorker, total)
 	per = (total + nchunks - 1) / nchunks
 	nchunks = (total + per - 1) / per
+	obs.Inc(counter)
+	obs.Add("zfp/par_chunks", int64(nchunks))
+	obs.Add("zfp/par_blocks", int64(total))
 	return nchunks, per
 }
 
-// encodeBodyChunked is the parallel encode path: each chunk of blocks is
-// encoded into its own pooled bit writer with its own scratch, then the
-// chunk payloads are stitched in block order.
-func encodeBodyChunked(folded *grid.Field, minexp, maxbits, workers int) ([]byte, error) {
-	dims := folded.Dims
-	nd := len(dims)
-	bs := 1
-	for i := 0; i < nd; i++ {
-		bs *= blockSide
-	}
-	perm := perms[nd-1]
-	total := countBlocks(dims)
-	nchunks, per := chunkCount(total, workers)
-	obs.Inc("zfp/par_encodes")
-	obs.Add("zfp/par_chunks", int64(nchunks))
-	obs.Add("zfp/par_blocks", int64(total))
-
-	type chunkOut struct {
-		payload []byte
-		nbits   int
-	}
-	outs := make([]chunkOut, nchunks)
-	pool.Run(workers, nchunks, func(ci int) {
-		lo, hi := ci*per, (ci+1)*per
-		if hi > total {
-			hi = total
-		}
-		w := entropy.NewPooledBitWriter()
-		s := getBlockScratch(bs)
-		origin := make([]int, nd)
-		for k := lo; k < hi; k++ {
-			blockOriginAt(dims, k, origin)
-			encodeBlock(w, folded, origin, s, minexp, maxbits, nd, perm)
-		}
-		putBlockScratch(s)
-		// BitLen must be read before Bytes pads the final partial word.
-		nbits := w.BitLen()
-		outs[ci] = chunkOut{payload: w.Bytes(), nbits: nbits}
-	})
-
-	stop := obs.Span("zfp/stitch")
-	w := entropy.NewPooledBitWriter()
-	for _, o := range outs {
-		w.AppendBits(o.payload, o.nbits)
-		entropy.RecycleBuffer(o.payload)
-	}
-	stop()
-	return w.Bytes(), nil
+// blockWalk steps through the inclusive box [bl, bh] of a folded field's
+// block grid in row-major order (last dimension fastest), the order the
+// stream holds blocks in. The whole field is the box [0, nb-1].
+type blockWalk struct {
+	nd             int
+	nb, bl, bh, bc [3]int // blocks per dimension, the box, the current block
 }
 
-// decodeBodyChunked is the parallel decode path. Chunk starting offsets come
-// from arithmetic in fixed-rate mode and from a serial skim in fixed-accuracy
-// mode; blocks within a chunk then decode exactly as the serial walk would,
-// and scatterClipped writes are disjoint across blocks, so no two workers
-// touch the same output element.
-func decodeBodyChunked(folded *grid.Field, payload []byte, minexp, maxbits, workers int) error {
-	dims := folded.Dims
-	nd := len(dims)
-	bs := 1
-	for i := 0; i < nd; i++ {
-		bs *= blockSide
+// walkBox returns a walk over the box [bl, bh] of the block grid of dims,
+// positioned at the box's i-th block.
+func walkBox(dims []int, bl, bh [3]int, i int) blockWalk {
+	w := blockWalk{nd: len(dims), bl: bl, bh: bh}
+	for d := w.nd - 1; d >= 0; d-- {
+		w.nb[d] = (dims[d] + blockSide - 1) / blockSide
+		n := bh[d] - bl[d] + 1
+		w.bc[d] = bl[d] + i%n
+		i /= n
 	}
-	perm := perms[nd-1]
-	total := countBlocks(dims)
-	nchunks, per := chunkCount(total, workers)
-	obs.Inc("zfp/par_decodes")
-	obs.Add("zfp/par_chunks", int64(nchunks))
-	obs.Add("zfp/par_blocks", int64(total))
+	return w
+}
 
-	// starts[ci] is the bit offset of chunk ci's first block.
-	starts := make([]int, nchunks)
-	if maxbits > 0 {
-		for ci := range starts {
-			starts[ci] = ci * per * maxbits
-		}
-	} else {
-		stop := obs.Span("zfp/offset_scan")
-		// Only chunk starts are read, so the skim stops at the last one.
-		r := entropy.NewBitReader(payload)
-		bitPos := 0
-		for k := 0; k < (nchunks-1)*per; k++ {
-			bitPos += skipBlock(r, minexp, maxbits, nd, bs)
-			if (k+1)%per == 0 {
-				starts[(k+1)/per] = bitPos
-			}
-		}
-		stop()
+// walkField is walkBox over every block of dims.
+func walkField(dims []int, i int) blockWalk {
+	var bh [3]int
+	for d := range dims {
+		bh[d] = (dims[d]+blockSide-1)/blockSide - 1
 	}
+	return walkBox(dims, [3]int{}, bh, i)
+}
 
-	pool.Run(workers, nchunks, func(ci int) {
-		lo, hi := ci*per, (ci+1)*per
-		if hi > total {
-			hi = total
+// index is the current block's position in the stream's block order.
+func (w *blockWalk) index() int {
+	k := 0
+	for d := 0; d < w.nd; d++ {
+		k = k*w.nb[d] + w.bc[d]
+	}
+	return k
+}
+
+// origin writes the current block's first sample coordinates into o and
+// returns it.
+func (w *blockWalk) origin(o []int) []int {
+	for d := range o {
+		o[d] = w.bc[d] * blockSide
+	}
+	return o
+}
+
+// next steps to the following block of the box.
+func (w *blockWalk) next() {
+	for d := w.nd - 1; d >= 0; d-- {
+		if w.bc[d] < w.bh[d] {
+			w.bc[d]++
+			return
 		}
-		r := entropy.NewBitReaderAt(payload, starts[ci])
-		s := getBlockScratch(bs)
-		origin := make([]int, nd)
-		for k := lo; k < hi; k++ {
-			blockOriginAt(dims, k, origin)
-			decodeBlock(r, folded, origin, s, minexp, maxbits, nd, perm)
-		}
-		putBlockScratch(s)
-	})
-	return nil
+		w.bc[d] = w.bl[d]
+	}
 }
 
 // skipBlock replays one block's bit consumption without reconstructing it,

@@ -135,7 +135,7 @@ func zfpBitsEqual(a, b []float32) bool {
 	return true
 }
 
-// skipBlock must consume exactly the bits decodeBlock consumes, block by
+// skipBlock must consume exactly the bits decodeBlockVals consumes, block by
 // block, across a whole fixed-accuracy stream — the property the parallel
 // decoder's offset skim rests on. Proven by decoding every block twice: once
 // sequentially and once from a fresh reader positioned at the skim's
@@ -171,13 +171,17 @@ func TestSkipBlockMatchesDecodeConsumption(t *testing.T) {
 			defer putBlockScratch(s)
 			defer putBlockScratch(s2)
 			total := countBlocks(folded)
+			zero := make([]int, nd)
 			origin := make([]int, nd)
 			bitPos := 0
 			for k := 0; k < total; k++ {
-				blockOriginAt(folded, k, origin)
+				wk := walkField(folded, k)
+				wk.origin(origin)
 				r := entropy.NewBitReaderAt(payload, bitPos)
-				decodeBlock(r, atOut, origin, s2, minexp, 0, nd, perm)
-				decodeBlock(dec, seqOut, origin, s, minexp, 0, nd, perm)
+				decodeBlockVals(r, s2, minexp, 0, nd, perm)
+				scatterRegion(atOut, zero, folded, origin, s2.vals)
+				decodeBlockVals(dec, s, minexp, 0, nd, perm)
+				scatterRegion(seqOut, zero, folded, origin, s.vals)
 				bitPos += skipBlock(skim, minexp, 0, nd, bs)
 			}
 			if !zfpBitsEqual(atOut.Data, seqOut.Data) {

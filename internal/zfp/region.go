@@ -20,6 +20,7 @@ import (
 	"github.com/fxrz-go/fxrz/internal/entropy"
 	"github.com/fxrz-go/fxrz/internal/grid"
 	"github.com/fxrz-go/fxrz/internal/obs"
+	"github.com/fxrz-go/fxrz/internal/pool"
 )
 
 // indexBytesPerOffset is the sizing estimate for one varint delta: block
@@ -56,48 +57,54 @@ func offsetStride(total, payloadBytes int) int {
 // The skim reuses skipBlock, so the offsets are exactly the positions the
 // decoder's own bit consumption produces.
 func BuildRegionIndex(blob []byte) ([]byte, error) {
+	h, mode, sk, err := openStream(blob)
+	if err != nil {
+		return nil, err
+	}
+	out := []byte{mode}
+	if mode == 1 {
+		out = binary.AppendUvarint(out, 0)
+		return binary.AppendUvarint(out, 0), nil
+	}
+	total := countBlocks(foldDims(h.Dims))
+	stride := offsetStride(total, len(sk.payload))
+	count := (total + stride - 1) / stride
+	out = binary.AppendUvarint(out, uint64(stride))
+	out = binary.AppendUvarint(out, uint64(count))
+	prev := 0
+	for p := 0; p < count; p++ {
+		sk.seek(p * stride)
+		out = binary.AppendUvarint(out, uint64(sk.bit-prev))
+		prev = sk.bit
+	}
+	return out, nil
+}
+
+// openStream parses a zfp blob's header and mode byte and returns a seeker
+// over its block payload, with no offset table yet.
+func openStream(blob []byte) (compress.Header, byte, *blockSeeker, error) {
 	h, payload, err := compress.ParseHeader(blob, compress.MagicZFP)
 	if err != nil {
-		return nil, fmt.Errorf("zfp: %w", err)
+		return h, 0, nil, fmt.Errorf("zfp: %w", err)
 	}
 	if len(payload) < 1 {
-		return nil, fmt.Errorf("zfp: %w: missing mode", compress.ErrCorrupt)
+		return h, 0, nil, fmt.Errorf("zfp: %w: missing mode", compress.ErrCorrupt)
 	}
 	mode, payload := payload[0], payload[1:]
 	if _, err := compress.CheckElems(h.Dims, len(payload)); err != nil {
-		return nil, fmt.Errorf("zfp: %w", err)
+		return h, 0, nil, fmt.Errorf("zfp: %w", err)
 	}
-	out := []byte{mode}
+	nd := foldedNDims(h.Dims)
+	sk := &blockSeeker{payload: payload, nd: nd, bs: 1 << (2 * nd)}
 	switch mode {
-	case 1:
-		out = binary.AppendUvarint(out, 0)
-		out = binary.AppendUvarint(out, 0)
 	case 0:
-		dims := foldDims(h.Dims)
-		nd := len(dims)
-		bs := 1
-		for i := 0; i < nd; i++ {
-			bs *= blockSide
-		}
-		minexp := minExp(h.Knob)
-		total := countBlocks(dims)
-		stride := offsetStride(total, len(payload))
-		count := (total + stride - 1) / stride
-		out = binary.AppendUvarint(out, uint64(stride))
-		out = binary.AppendUvarint(out, uint64(count))
-		r := entropy.NewBitReader(payload)
-		bit, prev := 0, 0
-		for k := 0; k < total; k++ {
-			if k%stride == 0 {
-				out = binary.AppendUvarint(out, uint64(bit-prev))
-				prev = bit
-			}
-			bit += skipBlock(r, minexp, 0, nd, bs)
-		}
+		sk.minexp = minExp(h.Knob)
+	case 1:
+		sk.maxbits = blockBits(h.Knob, nd)
 	default:
-		return nil, fmt.Errorf("zfp: %w: mode %d", compress.ErrCorrupt, mode)
+		return h, 0, nil, fmt.Errorf("zfp: %w: mode %d", compress.ErrCorrupt, mode)
 	}
-	return out, nil
+	return h, mode, sk, nil
 }
 
 // parseRegionIndex validates an index payload against the blob it claims to
@@ -153,9 +160,9 @@ func parseRegionIndex(index []byte, mode byte, total, payloadBytes int) (stride 
 
 // blockSeeker positions one bit reader at the start of successive blocks,
 // jumping via the offset table (or fixed-rate arithmetic) and replaying
-// skipBlock for the remainder. Blocks must be requested in increasing order;
-// after decoding block k in used bits the caller reports it with
-// advanced(k, used).
+// skipBlock for the remainder; a block it is already at costs one compare.
+// Blocks must be requested in increasing order; after decoding block k in
+// used bits the caller reports it with advanced(k, used).
 type blockSeeker struct {
 	payload                 []byte
 	minexp, maxbits, nd, bs int
@@ -167,6 +174,8 @@ type blockSeeker struct {
 
 func (sk *blockSeeker) seek(k int) *entropy.BitReader {
 	switch {
+	case sk.r != nil && sk.pos == k:
+		return sk.r
 	case sk.maxbits > 0:
 		sk.skipTo(k, k*sk.maxbits)
 	case sk.offs != nil && (sk.r == nil || k/sk.stride*sk.stride > sk.pos):
@@ -175,7 +184,7 @@ func (sk *blockSeeker) seek(k int) *entropy.BitReader {
 		p := k / sk.stride
 		sk.skipTo(p*sk.stride, sk.offs[p])
 	case sk.r == nil:
-		sk.skipTo(0, 0)
+		sk.r = entropy.NewBitReader(sk.payload) // a fresh seeker is at block 0
 	}
 	for sk.pos < k {
 		sk.bit += skipBlock(sk.r, sk.minexp, 0, sk.nd, sk.bs)
@@ -198,6 +207,29 @@ func (sk *blockSeeker) skipTo(k, bit int) {
 
 func (sk *blockSeeker) advanced(k, used int) { sk.pos, sk.bit = k+1, sk.bit+used }
 
+// fork returns a seeker over the same stream with a reader of its own,
+// starting at sk's current block and bit.
+func (sk *blockSeeker) fork() *blockSeeker {
+	c := *sk
+	c.r = entropy.NewBitReaderAt(sk.payload, sk.bit)
+	return &c
+}
+
+// RegionTile reports the region a zfp blob decodes most cheaply on its own:
+// one 4^d block, for fields up to 3-D. A 4-D field decodes through its folded
+// buffer and a blob that does not parse has no tile; both return nil.
+func RegionTile(blob []byte) []int {
+	h, _, err := compress.ParseHeader(blob, compress.MagicZFP)
+	if err != nil || len(h.Dims) > 3 {
+		return nil
+	}
+	tile := make([]int, len(h.Dims))
+	for d := range tile {
+		tile[d] = blockSide
+	}
+	return tile
+}
+
 // DecompressRegion decodes only the blocks of blob that intersect the
 // half-open region [lo, hi) (original field coordinates) and returns a field
 // of shape hi-lo. index may be nil or empty, in which case fixed-accuracy
@@ -205,140 +237,143 @@ func (sk *blockSeeker) advanced(k, used int) { sk.pos, sk.bit = k+1, sk.bit+used
 // to the corresponding slice of a full Decompress.
 func DecompressRegion(blob, index []byte, lo, hi []int) (*grid.Field, error) {
 	defer obs.Span("decompress/zfp-region")()
-	h, payload, err := compress.ParseHeader(blob, compress.MagicZFP)
-	if err != nil {
-		return nil, fmt.Errorf("zfp: %w", err)
-	}
-	if err := grid.CheckRegion(h.Dims, lo, hi); err != nil {
-		return nil, fmt.Errorf("zfp: %w", err)
-	}
-	if len(payload) < 1 {
-		return nil, fmt.Errorf("zfp: %w: missing mode", compress.ErrCorrupt)
-	}
-	mode, payload := payload[0], payload[1:]
-	if _, err := compress.CheckElems(h.Dims, len(payload)); err != nil {
-		return nil, fmt.Errorf("zfp: %w", err)
-	}
-	var minexp, maxbits int
-	switch mode {
-	case 0:
-		minexp = minExp(h.Knob)
-	case 1:
-		maxbits = blockBits(h.Knob, foldedNDims(h.Dims))
-	default:
-		return nil, fmt.Errorf("zfp: %w: mode %d", compress.ErrCorrupt, mode)
-	}
-	fdims := foldDims(h.Dims)
-	nd := len(fdims)
-	bs := 1
-	for i := 0; i < nd; i++ {
-		bs *= blockSide
-	}
-	perm := perms[nd-1]
-	total := countBlocks(fdims)
-	stride, offs, err := parseRegionIndex(index, mode, total, len(payload))
+	return decode(blob, index, lo, hi, 1)
+}
+
+// decode is the one zfp decode: the region [lo, hi) of blob, or the whole
+// field when lo is nil, decoded by decodeBox over the blocks covering it.
+//
+// For 1–3D regions the box maps one-to-one and blocks scatter straight into
+// the region-shaped result. For 4D fields the two leading dimensions fold
+// into one, so a box in original coordinates becomes a (conservative)
+// interval along the folded axis; those blocks decode into a full-size folded
+// buffer and the exact box is sliced out afterwards — the folded row-major
+// layout is the original layout, so the slice is a plain subvolume copy. A
+// full decode is the box of every block, decoded into the field itself.
+func decode(blob, index []byte, lo, hi []int, workers int) (*grid.Field, error) {
+	h, mode, sk, err := openStream(blob)
 	if err != nil {
 		return nil, err
 	}
-
-	// Map the region onto the folded geometry. For 4D fields the two leading
-	// dimensions fold into one, so a box in original coordinates becomes a
-	// (conservative) interval along the folded axis; those blocks decode into
-	// a full-size folded buffer and the exact box is sliced out afterwards —
-	// the folded row-major layout is the original layout, so the slice is a
-	// plain subvolume copy. For 1–3D the region maps one-to-one and blocks
-	// scatter straight into the region-shaped output.
+	full := lo == nil
+	if full {
+		lo, hi = make([]int, len(h.Dims)), h.Dims
+	} else if err := grid.CheckRegion(h.Dims, lo, hi); err != nil {
+		return nil, fmt.Errorf("zfp: %w", err)
+	}
+	fdims := foldDims(h.Dims)
+	total := countBlocks(fdims)
+	if sk.stride, sk.offs, err = parseRegionIndex(index, mode, total, len(sk.payload)); err != nil {
+		return nil, err
+	}
 	flo, fhi := lo, hi
-	var folded *grid.Field
 	if len(h.Dims) == 4 {
 		flo = []int{lo[0]*h.Dims[1] + lo[1], lo[2], lo[3]}
 		fhi = []int{(hi[0]-1)*h.Dims[1] + hi[1], hi[2], hi[3]}
-		folded, err = grid.New(h.Name, fdims...)
-		if err != nil {
+	}
+	var bl, bh [3]int
+	for d := range fdims {
+		bl[d] = flo[d] / blockSide
+		bh[d] = (fhi[d] - 1) / blockSide
+	}
+
+	var res, dst *grid.Field
+	olo := flo
+	if full || len(h.Dims) == 4 {
+		if res, err = grid.New(h.Name, h.Dims...); err != nil {
 			return nil, fmt.Errorf("zfp: %w", err)
 		}
-	}
-	var out *grid.Field
-	if folded == nil {
-		shape := make([]int, nd)
+		if dst, err = grid.FromData(h.Name, res.Data, fdims...); err != nil {
+			return nil, fmt.Errorf("zfp: fold: %w", err)
+		}
+		olo = make([]int, len(fdims))
+	} else {
+		shape := make([]int, len(hi))
 		for d := range shape {
 			shape[d] = hi[d] - lo[d]
 		}
-		out, err = grid.New(h.Name, shape...)
-		if err != nil {
+		if res, err = grid.New(h.Name, shape...); err != nil {
 			return nil, fmt.Errorf("zfp: %w", err)
 		}
+		dst = res
 	}
-
-	var bl, bh, nb [3]int
-	for d := 0; d < nd; d++ {
-		bl[d] = flo[d] / blockSide
-		bh[d] = (fhi[d] - 1) / blockSide
-		nb[d] = (fdims[d] + blockSide - 1) / blockSide
-	}
-
-	sk := &blockSeeker{payload: payload, minexp: minexp, maxbits: maxbits, nd: nd, bs: bs, stride: stride, offs: offs}
-	s := getBlockScratch(bs)
-	defer putBlockScratch(s)
-	origin := make([]int, nd)
-	decoded := 0
-	bc := bl
-	for {
-		k := 0
-		for d := 0; d < nd; d++ {
-			k = k*nb[d] + bc[d]
-			origin[d] = bc[d] * blockSide
-		}
-		r := sk.seek(k)
-		sk.advanced(k, decodeBlockVals(r, s, minexp, maxbits, nd, perm))
-		if folded != nil {
-			scatterClipped(folded, origin, s.vals)
-		} else {
-			scatterRegion(out, lo, hi, origin, s.vals)
-		}
-		decoded++
-		d := nd - 1
-		for d >= 0 {
-			bc[d]++
-			if bc[d] <= bh[d] {
-				break
-			}
-			bc[d] = bl[d]
-			d--
-		}
-		if d < 0 {
-			break
-		}
+	decoded := decodeBox(dst, olo, fdims, sk, bl, bh, workers)
+	if full {
+		return res, nil
 	}
 	obs.Inc("zfp/region_decodes")
 	obs.Add("zfp/region_blocks", int64(decoded))
 	obs.Add("zfp/region_blocks_skipped", int64(total-decoded))
-
-	if folded != nil {
-		view, err := grid.FromData(h.Name, folded.Data, h.Dims...)
-		if err != nil {
-			return nil, fmt.Errorf("zfp: %w", err)
-		}
-		return grid.SliceRegion(view, lo, hi)
+	if len(h.Dims) == 4 {
+		return grid.SliceRegion(res, lo, hi)
 	}
-	return out, nil
+	return res, nil
+}
+
+// decodeBox is the one zfp decode walk. It decodes the inclusive block box
+// [bl, bh] of a stream whose folded dims are dims, positioning each block
+// with sk, and clips every block to out, which holds the samples
+// [olo, olo+out.Dims) of the folded field. With workers > 1 and enough blocks
+// (chunkCount) the box splits into contiguous chunks: a serial pass of sk
+// finds each chunk's first block and bit, and each chunk decodes from its own
+// fork of the seeker there exactly as the serial walk would. Blocks scatter
+// to disjoint samples, so no two workers touch the same output element.
+// Region decode passes workers = 1, so only a full decode fans out. It
+// returns the number of blocks decoded.
+func decodeBox(out *grid.Field, olo, dims []int, sk *blockSeeker, bl, bh [3]int, workers int) int {
+	nd := len(dims)
+	var ohi [3]int
+	nbox := 1
+	for d := 0; d < nd; d++ {
+		ohi[d] = olo[d] + out.Dims[d]
+		nbox *= bh[d] - bl[d] + 1
+	}
+	nchunks, per := chunkCount(nbox, workers, "zfp/par_decodes")
+	var starts []blockSeeker
+	if nchunks > 1 {
+		stop := obs.Span("zfp/offset_scan")
+		starts = make([]blockSeeker, nchunks)
+		for ci := range starts {
+			wk := walkBox(dims, bl, bh, ci*per)
+			sk.seek(wk.index())
+			starts[ci] = *sk
+		}
+		stop()
+	}
+	perm := perms[nd-1]
+	pool.Run(workers, nchunks, func(ci int) {
+		sk := sk
+		if starts != nil {
+			// The worker makes its chunk's reader itself: readers made back to
+			// back by the scan would share cache lines across workers.
+			sk = starts[ci].fork()
+		}
+		s := getBlockScratch(sk.bs)
+		wk := walkBox(dims, bl, bh, ci*per)
+		var o [3]int
+		for n := min(per, nbox-ci*per); n > 0; n-- {
+			k := wk.index()
+			r := sk.seek(k)
+			sk.advanced(k, decodeBlockVals(r, s, sk.minexp, sk.maxbits, nd, perm))
+			scatterRegion(out, olo, ohi[:nd], wk.origin(o[:nd]), s.vals)
+			wk.next()
+		}
+		putBlockScratch(s)
+	})
+	return nbox
 }
 
 // scatterRegion writes the part of a decoded block that intersects [lo, hi)
-// into the region-shaped output field (out.Dims == hi-lo). Mirrors
-// scatterClipped with the region box as the clip instead of the field bounds.
+// into out, which holds exactly the samples [lo, hi) (out.Dims == hi-lo). A
+// 3-D block wholly inside is 16 four-sample row copies.
 func scatterRegion(out *grid.Field, lo, hi, origin []int, buf []float32) {
 	nd := len(out.Dims)
 	var a, b [3]int
+	inside := true
 	for d := 0; d < nd; d++ {
-		a[d] = origin[d]
-		if lo[d] > a[d] {
-			a[d] = lo[d]
-		}
-		b[d] = origin[d] + blockSide
-		if hi[d] < b[d] {
-			b[d] = hi[d]
-		}
+		a[d] = max(origin[d], lo[d])
+		b[d] = min(origin[d]+blockSide, hi[d])
+		inside = inside && a[d] == origin[d] && b[d] == origin[d]+blockSide
 	}
 	switch nd {
 	case 1:
@@ -352,6 +387,16 @@ func scatterRegion(out *grid.Field, lo, hi, origin []int, buf []float32) {
 		}
 	default:
 		sy, sz := out.Dims[2], out.Dims[1]*out.Dims[2]
+		if inside {
+			base := (origin[0]-lo[0])*sz + (origin[1]-lo[1])*sy + origin[2] - lo[2]
+			blk := (*[64]float32)(buf)
+			for z := 0; z < 4; z++ {
+				for y := 0; y < 4; y++ {
+					*(*[4]float32)(out.Data[base+z*sz+y*sy:]) = *(*[4]float32)(blk[16*z+4*y:])
+				}
+			}
+			return
+		}
 		for z := a[0]; z < b[0]; z++ {
 			for y := a[1]; y < b[1]; y++ {
 				row := (z-lo[0])*sz + (y-lo[1])*sy - lo[2]

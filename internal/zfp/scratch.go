@@ -18,7 +18,7 @@ import (
 // Each get reports a hit or miss to the obs counters zfp/scratch_hit and
 // zfp/scratch_miss.
 
-// blockScratch bundles the per-block working set of encodeBody/decodeBody.
+// blockScratch bundles the per-block working set of encodeBody/decodeBox.
 type blockScratch struct {
 	vals   []float32
 	q      []int32

@@ -78,37 +78,11 @@ func (c *Compressor) Compress(f *grid.Field, tol float64) ([]byte, error) {
 	return out, nil
 }
 
-// Decompress implements compress.Compressor.
+// Decompress implements compress.Compressor: the whole-field case of the
+// region decode.
 func (c *Compressor) Decompress(blob []byte) (*grid.Field, error) {
 	defer obs.Span("decompress/zfp")()
-	h, payload, err := compress.ParseHeader(blob, compress.MagicZFP)
-	if err != nil {
-		return nil, fmt.Errorf("zfp: %w", err)
-	}
-	if len(payload) < 1 {
-		return nil, fmt.Errorf("zfp: %w: missing mode", compress.ErrCorrupt)
-	}
-	mode, payload := payload[0], payload[1:]
-	if _, err := compress.CheckElems(h.Dims, len(payload)); err != nil {
-		return nil, fmt.Errorf("zfp: %w", err)
-	}
-	f, err := grid.New(h.Name, h.Dims...)
-	if err != nil {
-		return nil, fmt.Errorf("zfp: %w", err)
-	}
-	workers := pool.Workers(c.Workers)
-	switch mode {
-	case 0:
-		err = decodeBody(f, payload, minExp(h.Knob), 0, workers)
-	case 1:
-		err = decodeBody(f, payload, 0, blockBits(h.Knob, foldedNDims(h.Dims)), workers)
-	default:
-		return nil, fmt.Errorf("zfp: %w: mode %d", compress.ErrCorrupt, mode)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
+	return decode(blob, nil, nil, nil, pool.Workers(c.Workers))
 }
 
 // FixedRate is ZFP in fixed-rate mode: the knob is bits per value.
@@ -193,9 +167,7 @@ func foldedNDims(dims []int) int {
 
 // encodeBlock codes one 4^d block at origin into w: gather, common-exponent
 // header, transform, and embedded bit-plane coding, padded to the budget in
-// fixed-rate mode. It is the single per-block encoder shared by the serial
-// walk and the chunked parallel path, so the two are identical by
-// construction.
+// fixed-rate mode.
 func encodeBlock(w *entropy.BitWriter, folded *grid.Field, origin []int, s *blockScratch, minexp, maxbits, nd int, perm []int) {
 	vals, q := s.vals, s.q
 	gatherPadded(folded, origin, vals)
@@ -232,9 +204,10 @@ func encodeBlock(w *entropy.BitWriter, folded *grid.Field, origin []int, s *bloc
 
 // encodeBody compresses the field body. maxbits == 0 selects fixed-accuracy
 // mode with the given minexp; otherwise each block gets exactly maxbits bits.
-// With workers > 1 and enough blocks, chunks of blocks are encoded
-// concurrently and stitched in block order (see parallel.go); the blob is
-// byte-identical either way.
+// Contiguous chunks of blocks (chunkCount) are encoded into their own pooled
+// bit writers with their own scratch and stitched in block order; a serial
+// encode is one chunk, whose writer's bytes are the body. The blob is
+// byte-identical at every width (see parallel.go).
 func encodeBody(f *grid.Field, minexp, maxbits, workers int) ([]byte, error) {
 	dims := foldDims(f.Dims)
 	folded, err := grid.FromData(f.Name, f.Data, dims...)
@@ -242,37 +215,45 @@ func encodeBody(f *grid.Field, minexp, maxbits, workers int) ([]byte, error) {
 		return nil, fmt.Errorf("zfp: fold: %w", err)
 	}
 	nd := len(dims)
-	bs := 1
-	for i := 0; i < nd; i++ {
-		bs *= blockSide
+	total := countBlocks(dims)
+	nchunks, per := chunkCount(total, workers, "zfp/par_encodes")
+	type chunkOut struct {
+		payload []byte
+		nbits   int
 	}
-	if workers > 1 && countBlocks(dims) >= zfpParMinBlocks {
-		return encodeBodyChunked(folded, minexp, maxbits, workers)
-	}
-	w := entropy.NewPooledBitWriter()
-	s := getBlockScratch(bs)
-	defer putBlockScratch(s)
-	perm := perms[nd-1]
-
-	grid.VisitOrigins(dims, blockSide, func(origin []int) {
-		encodeBlock(w, folded, origin, s, minexp, maxbits, nd, perm)
+	outs := make([]chunkOut, nchunks)
+	pool.Run(workers, nchunks, func(ci int) {
+		w := entropy.NewPooledBitWriter()
+		s := getBlockScratch(1 << (2 * nd))
+		wk := walkField(dims, ci*per)
+		var o [3]int
+		for n := min(per, total-ci*per); n > 0; n-- {
+			encodeBlock(w, folded, wk.origin(o[:nd]), s, minexp, maxbits, nd, perms[nd-1])
+			wk.next()
+		}
+		putBlockScratch(s)
+		// BitLen must be read before Bytes pads the final partial word.
+		nbits := w.BitLen()
+		outs[ci] = chunkOut{payload: w.Bytes(), nbits: nbits}
 	})
-	return w.Bytes(), nil
-}
+	if nchunks == 1 {
+		return outs[0].payload, nil
+	}
 
-// decodeBlock decodes one 4^d block from r into the field, mirroring
-// encodeBlock (including the fixed-rate pad skip). Like encodeBlock it is
-// shared by the serial and parallel paths.
-func decodeBlock(r *entropy.BitReader, folded *grid.Field, origin []int, s *blockScratch, minexp, maxbits, nd int, perm []int) {
-	decodeBlockVals(r, s, minexp, maxbits, nd, perm)
-	scatterClipped(folded, origin, s.vals)
+	stop := obs.Span("zfp/stitch")
+	w := entropy.NewPooledBitWriter()
+	for _, o := range outs {
+		w.AppendBits(o.payload, o.nbits)
+		entropy.RecycleBuffer(o.payload)
+	}
+	stop()
+	return w.Bytes(), nil
 }
 
 // decodeBlockVals decodes one 4^d block from r into s.vals without scattering
 // it anywhere, consuming exactly the bits the block occupies (including the
-// fixed-rate pad), and returns that count. The region decoder uses it
-// directly so a block can be scattered into a region-shaped destination
-// instead of the full field.
+// fixed-rate pad), and returns that count. decodeBox scatters the values into
+// whatever part of the output the block covers.
 func decodeBlockVals(r *entropy.BitReader, s *blockScratch, minexp, maxbits, nd int, perm []int) int {
 	vals, q, ub := s.vals, s.q, s.ub
 	h := blockHeader(r, minexp, maxbits, nd)
@@ -325,34 +306,6 @@ func skipPad(r *entropy.BitReader, maxbits, used int) int {
 	}
 	r.Consume(uint(maxbits - used))
 	return maxbits
-}
-
-// decodeBody reconstructs the field body written by encodeBody. With
-// workers > 1 and enough blocks, chunks decode concurrently from precomputed
-// bit offsets (see parallel.go); reconstructions are bit-identical either way.
-func decodeBody(f *grid.Field, payload []byte, minexp, maxbits, workers int) error {
-	dims := foldDims(f.Dims)
-	folded, err := grid.FromData(f.Name, f.Data, dims...)
-	if err != nil {
-		return fmt.Errorf("zfp: fold: %w", err)
-	}
-	nd := len(dims)
-	bs := 1
-	for i := 0; i < nd; i++ {
-		bs *= blockSide
-	}
-	if workers > 1 && countBlocks(dims) >= zfpParMinBlocks {
-		return decodeBodyChunked(folded, payload, minexp, maxbits, workers)
-	}
-	r := entropy.NewBitReader(payload)
-	s := getBlockScratch(bs)
-	defer putBlockScratch(s)
-	perm := perms[nd-1]
-
-	grid.VisitOrigins(dims, blockSide, func(origin []int) {
-		decodeBlock(r, folded, origin, s, minexp, maxbits, nd, perm)
-	})
-	return nil
 }
 
 // blockExtent returns how many samples of the block at origin lie inside
@@ -409,40 +362,6 @@ func gatherPadded(f *grid.Field, origin []int, buf []float32) {
 		for y := 0; y < blockSide; y++ {
 			for x := 0; x < blockSide; x++ {
 				padLine(buf, 4*y+x, 16, ext[0])
-			}
-		}
-	}
-}
-
-// scatterClipped writes the valid region of a decoded block back; a 3-D
-// block inside the field is 16 four-sample row copies.
-func scatterClipped(f *grid.Field, origin []int, buf []float32) {
-	ext := blockExtent(f.Dims, origin)
-	switch len(f.Dims) {
-	case 1:
-		copy(f.Data[origin[0]:origin[0]+ext[0]], buf)
-	case 2:
-		sy := f.Dims[1]
-		for y := 0; y < ext[0]; y++ {
-			row := (origin[0]+y)*sy + origin[1]
-			copy(f.Data[row:row+ext[1]], buf[4*y:])
-		}
-	default:
-		sy, sz := f.Dims[2], f.Dims[1]*f.Dims[2]
-		base := origin[0]*sz + origin[1]*sy + origin[2]
-		if ext == [3]int{blockSide, blockSide, blockSide} {
-			b := (*[64]float32)(buf)
-			for z := 0; z < 4; z++ {
-				for y := 0; y < 4; y++ {
-					*(*[4]float32)(f.Data[base+z*sz+y*sy:]) = *(*[4]float32)(b[16*z+4*y:])
-				}
-			}
-			return
-		}
-		for z := 0; z < ext[0]; z++ {
-			for y := 0; y < ext[1]; y++ {
-				row := base + z*sz + y*sy
-				copy(f.Data[row:row+ext[2]], buf[16*z+4*y:])
 			}
 		}
 	}
