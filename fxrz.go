@@ -300,9 +300,11 @@ func DecompressRegion(blob []byte, lo, hi []int) (*Field, error) {
 	return DecompressRegionParallel(blob, lo, hi, 1)
 }
 
-// DecompressRegionParallel is DecompressRegion with a worker budget for the
-// fallback full-decode paths (the seeking paths are serial — they touch too
-// little data to fan out). Output is bit-identical at every setting.
+// DecompressRegionParallel is DecompressRegion with a worker budget (0 uses
+// all cores, 1 is serial). The seeking paths spend it on what the region
+// covers — sz reconstructs its covering slabs concurrently, zfp splits its
+// covering block box into chunks — and the fallback full-decode paths as a
+// full decode does. Output is bit-identical at every setting.
 func DecompressRegionParallel(blob []byte, lo, hi []int, workers int) (*Field, error) {
 	return roi.DecodeRegion(blob, lo, hi, workers)
 }

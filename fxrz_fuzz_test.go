@@ -12,27 +12,32 @@ import (
 // the fxrzd serve layer feeds attacker-controlled request bodies into — with
 // arbitrary byte streams across every codec magic. The contract is strict:
 // truncated, bit-flipped or absurd-dims inputs must come back as errors,
-// never panics or implausibly large allocations, and the parallel decoder
-// must agree with the serial one on both the verdict and every bit of the
-// reconstruction.
+// never panics or implausibly large allocations, and the parallel decoders —
+// full and region — must agree with the serial ones on both the verdict and
+// every bit of the reconstruction.
 func FuzzDecompress(f *testing.F) {
-	fld, err := fxrz.NewField("seed", 6, 7, 5)
-	if err != nil {
-		f.Fatal(err)
-	}
-	for i := range fld.Data {
-		fld.Data[i] = float32(i%13)*0.5 - float32(i%7)*0.25
-	}
-	// One valid stream per row of the codec table, so mutations explore each
-	// decoder's near-valid neighborhood through the shared dispatch.
-	for _, row := range codecs.Table {
-		c := row.New()
-		if blob, err := c.Compress(fld, c.Axis().Span(3)[1]); err == nil {
-			f.Add(blob)
-			// The indexed-container neighborhood: same inner stream wrapped
-			// with a region index, so mutations also explore index parsing.
-			if ix, err := fxrz.IndexBlob(blob); err == nil {
-				f.Add(ix)
+	// One valid stream per row of the codec table and seed shape, so mutations
+	// explore each decoder's near-valid neighborhood through the shared
+	// dispatch. The 12×13×14 field is 48 zfp blocks, enough for a region's
+	// covering box to fan out at width 2.
+	for _, dims := range [][]int{{6, 7, 5}, {12, 13, 14}} {
+		fld, err := fxrz.NewField("seed", dims...)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for i := range fld.Data {
+			fld.Data[i] = float32(i%13)*0.5 - float32(i%7)*0.25
+		}
+		for _, row := range codecs.Table {
+			c := row.New()
+			if blob, err := c.Compress(fld, c.Axis().Span(3)[1]); err == nil {
+				f.Add(blob)
+				// The indexed-container neighborhood: same inner stream
+				// wrapped with a region index, so mutations also explore
+				// index parsing.
+				if ix, err := fxrz.IndexBlob(blob); err == nil {
+					f.Add(ix)
+				}
 			}
 		}
 	}
@@ -88,8 +93,18 @@ func FuzzDecompress(f *testing.F) {
 			lo[d], hi[d] = a, b+1
 		}
 		rg, rerr := fxrz.DecompressRegion(data, lo, hi)
+		prg, perr := fxrz.DecompressRegionParallel(data, lo, hi, 2)
+		if (rerr == nil) != (perr == nil) {
+			t.Fatalf("region %v:%v: serial err=%v, w=2 err=%v", lo, hi, rerr, perr)
+		}
 		if rerr != nil {
 			t.Fatalf("region %v:%v failed on decodable stream: %v", lo, hi, rerr)
+		}
+		for i := range rg.Data {
+			if math.Float32bits(rg.Data[i]) != math.Float32bits(prg.Data[i]) {
+				t.Fatalf("region %v:%v sample %d: serial %x, w=2 %x",
+					lo, hi, i, math.Float32bits(rg.Data[i]), math.Float32bits(prg.Data[i]))
+			}
 		}
 		i := 0
 		coord := append([]int(nil), lo...)

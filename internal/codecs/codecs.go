@@ -31,11 +31,13 @@ type Codec struct {
 	// BuildRegionIndex and DecompressRegion are the hooks of a codec whose
 	// stream layout can be seeked: the index payload an indexed container
 	// carries, and the decode of [lo, hi) from the blob plus that index (nil
-	// when the blob was never indexed). Both are nil for sequential
+	// when the blob was never indexed) with at most workers goroutines — a
+	// region fans out over its covering slabs or blocks as a full decode does
+	// over all of them, and 1 is serial. Both are nil for sequential
 	// shared-state streams, which get an empty index and region-decode by
 	// full decode + slice.
 	BuildRegionIndex func(blob []byte) ([]byte, error)
-	DecompressRegion func(blob, index []byte, lo, hi []int) (*grid.Field, error)
+	DecompressRegion func(blob, index []byte, lo, hi []int, workers int) (*grid.Field, error)
 	// RegionTile is the shape of the region a seekable blob decodes most
 	// cheaply on its own — zfp's 4^d block, one sz slab — and the cache tile
 	// of roi.Reader. A nil hook, or a nil result, means the whole field.

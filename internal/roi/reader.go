@@ -78,7 +78,8 @@ func (r *Reader) At(coord ...int) (float32, error) {
 }
 
 // decodeTile decodes the tile holding coord (cold path only; the caller
-// caches it). A whole-field tile fans out like a default codec instance.
+// caches it). Tiles decode serially: a tile is the unit a random-access
+// caller pays for, and a whole-field tile is a serial full decode.
 func (r *Reader) decodeTile(coord []int) ([]float32, error) {
 	lo := make([]int, r.nd)
 	hi := make([]int, r.nd)
@@ -86,7 +87,7 @@ func (r *Reader) decodeTile(coord []int) ([]float32, error) {
 		lo[d] = c / r.tile[d] * r.tile[d]
 		hi[d] = min(lo[d]+r.tile[d], r.dims[d])
 	}
-	f, err := r.src.region(lo, hi, 0)
+	f, err := r.src.region(lo, hi, 1)
 	if err != nil {
 		return nil, err
 	}

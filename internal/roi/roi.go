@@ -37,6 +37,7 @@ import (
 	"github.com/fxrz-go/fxrz/internal/compress"
 	"github.com/fxrz-go/fxrz/internal/grid"
 	"github.com/fxrz-go/fxrz/internal/obs"
+	"github.com/fxrz-go/fxrz/internal/pool"
 )
 
 // Version is the indexed-container format version.
@@ -120,11 +121,12 @@ func Build(blob []byte) ([]byte, error) {
 
 // DecodeRegion decodes the half-open region [lo, hi) of any supported
 // container: an indexed container, a raw codec blob (no-index fallback
-// paths), or a marshaled brick store. workers bounds the fan-out of the
-// full-decode paths — the whole field, and codecs without a seekable layout;
-// the seeking paths (zfp blocks, sz chunked slabs) touch so little of the
-// stream that they stay serial. Output samples are bit-identical to the
-// corresponding slice of a full decode at any worker count.
+// paths), or a marshaled brick store. workers bounds the fan-out with
+// pool.Workers semantics (0 = all cores): the whole field and codecs without
+// a seekable layout fan out as a full decode, and the seeking paths fan out
+// over what the region covers — sz its chunked slabs, zfp its block box.
+// Output samples are bit-identical to the corresponding slice of a full
+// decode at any worker count.
 func DecodeRegion(blob []byte, lo, hi []int, workers int) (*grid.Field, error) {
 	src, err := open(blob)
 	if err != nil {
@@ -176,9 +178,9 @@ func open(blob []byte) (*source, error) {
 	return &source{codec: c, inner: inner, index: index, dims: h.Dims}, nil
 }
 
-// region decodes [lo, hi) of the source. The whole field is the codec's full
-// decode itself, fanned out over workers; a smaller region goes through the
-// codec's region decode when it has one. Codecs without a seekable layout
+// region decodes [lo, hi) of the source over workers. The whole field is the
+// codec's full decode itself; a smaller region goes through the codec's
+// region decode when it has one. Codecs without a seekable layout
 // (sz2's per-block predictor selection shares sequential reconstruction
 // state; fpzip and mgard are whole-stream transforms) full-decode and slice.
 func (s *source) region(lo, hi []int, workers int) (*grid.Field, error) {
@@ -197,7 +199,7 @@ func (s *source) region(lo, hi []int, workers int) (*grid.Field, error) {
 		whole = whole && lo[d] == 0 && hi[d] == s.dims[d]
 	}
 	if !whole && s.codec.DecompressRegion != nil {
-		return s.codec.DecompressRegion(s.inner, s.index, lo, hi)
+		return s.codec.DecompressRegion(s.inner, s.index, lo, hi, pool.Workers(workers))
 	}
 	f, err := compress.WithWorkers(s.codec.New(), workers).Decompress(s.inner)
 	if err != nil || whole {

@@ -3,6 +3,7 @@ package roi
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/fxrz-go/fxrz/internal/brick"
@@ -11,6 +12,7 @@ import (
 	"github.com/fxrz-go/fxrz/internal/fpzip"
 	"github.com/fxrz-go/fxrz/internal/grid"
 	"github.com/fxrz-go/fxrz/internal/mgard"
+	"github.com/fxrz-go/fxrz/internal/obs"
 	"github.com/fxrz-go/fxrz/internal/sz"
 	"github.com/fxrz-go/fxrz/internal/zfp"
 )
@@ -199,8 +201,13 @@ func TestParseRegion(t *testing.T) {
 // bit, every touched tile must decode exactly once — the cache holds one
 // entry per distinct tile touched, of the tile shape the codec's RegionTile
 // hook names (the whole field without one) — and a warm At must allocate
-// nothing.
+// nothing. Tiles load serially: with two or more cores available, no tile
+// decode fans out (zfp/par_decodes stays 0, though the 4-D zfp field's
+// whole-field tile has enough blocks to).
 func TestReaderAtMatchesDecode(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	obs.Enable()
+	defer obs.Disable()
 	small := testField(t, 11, 9, 13)
 	chunked := testField(t, 48, 64, 64) // three 16-row sz slabs
 	field4 := testField(t, 3, 5, 9, 7)
@@ -255,6 +262,7 @@ func TestReaderAtMatchesDecode(t *testing.T) {
 			rng := rand.New(rand.NewSource(3))
 			coord := make([]int, len(dims))
 			touched := map[int]bool{}
+			obs.Reset()
 			for q := 0; q < 300; q++ {
 				key := 0
 				for d := range coord {
@@ -272,6 +280,9 @@ func TestReaderAtMatchesDecode(t *testing.T) {
 				if len(r.tiles) != len(touched) {
 					t.Fatalf("after %d queries: %d tiles cached, %d distinct tiles touched", q+1, len(r.tiles), len(touched))
 				}
+			}
+			if got := obs.TakeSnapshot().Counters["zfp/par_decodes"]; got != 0 {
+				t.Errorf("tile loads fanned out %d times", got)
 			}
 			var sink float32
 			allocs := testing.AllocsPerRun(200, func() {

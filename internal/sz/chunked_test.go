@@ -172,7 +172,8 @@ func TestSZChunkedConstantField(t *testing.T) {
 
 // TestSZChunkedRegionMatchesFullDecode is the chunked counterpart of
 // TestSZDecompressRegionMatchesFullDecode: random regions out of chunked
-// blobs, with and without an index, must be bit-identical to the full decode.
+// blobs, with and without an index, serial and with their covering slabs
+// fanned out, must be bit-identical to the full decode.
 func TestSZChunkedRegionMatchesFullDecode(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, dims := range chunkedShapes {
@@ -210,14 +211,16 @@ func TestSZChunkedRegionMatchesFullDecode(t *testing.T) {
 					t.Fatalf("slice: %v", err)
 				}
 				for _, idx := range [][]byte{index, nil} {
-					got, err := DecompressRegion(blob, idx, lo, hi)
-					if err != nil {
-						t.Fatalf("%v escapes=%v region %v:%v (index=%v): %v", dims, escapes, lo, hi, idx != nil, err)
-					}
-					for i := range want.Data {
-						if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
-							t.Fatalf("%v escapes=%v region %v:%v (index=%v): sample %d differs",
-								dims, escapes, lo, hi, idx != nil, i)
+					for _, w := range []int{1, 2} {
+						got, err := DecompressRegion(blob, idx, lo, hi, w)
+						if err != nil {
+							t.Fatalf("%v escapes=%v region %v:%v (index=%v) w=%d: %v", dims, escapes, lo, hi, idx != nil, w, err)
+						}
+						for i := range want.Data {
+							if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+								t.Fatalf("%v escapes=%v region %v:%v (index=%v) w=%d: sample %d differs",
+									dims, escapes, lo, hi, idx != nil, w, i)
+							}
 						}
 					}
 				}

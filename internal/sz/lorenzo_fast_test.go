@@ -116,7 +116,7 @@ func TestCompressFastMatchesGenericBitwise(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := decompressRegion(blobG, index, lo, hi, false)
+				got, err := decompressRegion(blobG, index, lo, hi, 1, false)
 				if err != nil {
 					t.Fatalf("%v/%s eb=%g: region %v:%v: %v", shape, f.Name, eb, lo, hi, err)
 				}

@@ -13,15 +13,20 @@ package sz
 // region starts at row 0 and needs no index. The region index of a
 // multi-slab blob is the per-slab escape-pool cursors; without one, the
 // decoder counts escapes from the stream head, which costs entropy decode but
-// no Lorenzo work.
+// no Lorenzo work. Every slab decoded to its end checks its closing cursor
+// against the index's next entry, so all widths agree on any index: a
+// mismatch is ErrCorrupt at each, never a region that differs between them.
 //
 // Region and full decode are one walk, decodeRows (sz.go): a full decode is
-// the region [0, dims). Slabs reconstruct through reconstructBox
-// (lorenzo_fast.go): one kernel per rank — reconstruct1D/2D/3D, the
-// generic N-d loop only for >= 4D — taking the prefix box [0, hi[d]) of the
-// trailing dimensions and a raw-pool cursor. Points outside the box are
-// neither written nor read (the box is closed under the -1 offsets of every
-// Lorenzo neighbor); their escape codes are counted so the cursor stays exact.
+// the region [0, dims), and a region spends its worker budget as a full
+// decode does — the covering slabs reconstruct concurrently, each from the
+// cursor the index holds for it (an unindexed stream counts them first).
+// Slabs reconstruct through reconstructBox (lorenzo_fast.go): one kernel per
+// rank — reconstruct1D/2D/3D, the generic N-d loop only for >= 4D — taking
+// the prefix box [0, hi[d]) of the trailing dimensions and a raw-pool cursor.
+// Points outside the box are neither written nor read (the box is closed
+// under the -1 offsets of every Lorenzo neighbor); their escape codes are
+// counted so the cursor stays exact.
 //
 // Bit-identity: the kernels and the quantize arithmetic are the full
 // decoder's, and a slab's reset predictor is exactly what a full decode
@@ -168,16 +173,18 @@ func RegionTile(blob []byte) []int {
 // within them, only the prefix box [0, hi[d]) of the trailing dimensions.
 // Only the entropy chunks covering those rows are decoded. index may be nil or
 // empty; a region past the first slab then pays one extra entropy pass over
-// the preceding chunks to place the escape-pool cursor. The output is
-// bit-identical to the corresponding slice of a full Decompress.
-func DecompressRegion(blob, index []byte, lo, hi []int) (*grid.Field, error) {
-	return decompressRegion(blob, index, lo, hi, false)
+// the preceding chunks to place the escape-pool cursor. workers bounds the
+// fan-out exactly as in a full decode: the covering chunks entropy-decode and
+// the covering slabs reconstruct concurrently. The output is bit-identical to
+// the corresponding slice of a full Decompress at every width.
+func DecompressRegion(blob, index []byte, lo, hi []int, workers int) (*grid.Field, error) {
+	return decompressRegion(blob, index, lo, hi, workers, false)
 }
 
-// decompressRegion is the DecompressRegion implementation, the serial region
-// case of decodeRows; forceGeneric pins the reconstruction to the N-d
-// odometer oracle (see decompressSZ).
-func decompressRegion(blob, index []byte, lo, hi []int, forceGeneric bool) (*grid.Field, error) {
+// decompressRegion is the DecompressRegion implementation, the region case of
+// decodeRows; forceGeneric pins the reconstruction to the N-d odometer oracle
+// (see decompressSZ).
+func decompressRegion(blob, index []byte, lo, hi []int, workers int, forceGeneric bool) (*grid.Field, error) {
 	defer obs.Span("decompress/sz-region")()
-	return decodeRows(blob, index, lo, hi, 1, forceGeneric)
+	return decodeRows(blob, index, lo, hi, workers, forceGeneric)
 }

@@ -102,7 +102,7 @@ func TestSZRegionKernelsMatchGeneric(t *testing.T) {
 					}
 					for _, idx := range [][]byte{index, nil} {
 						for _, generic := range []bool{false, true} {
-							got, err := decompressRegion(blob, idx, lo, hi, generic)
+							got, err := decompressRegion(blob, idx, lo, hi, 1, generic)
 							if err != nil {
 								t.Fatalf("%s %v:%v index=%v generic=%v: %v", name, lo, hi, idx != nil, generic, err)
 							}
@@ -210,11 +210,11 @@ func TestSZRegionRawExhaustedIdentity(t *testing.T) {
 		}
 		for _, idx := range [][]byte{index, nil} {
 			for _, generic := range []bool{false, true} {
-				_, err := decompressRegion(cut, idx, lo, inBox, generic)
+				_, err := decompressRegion(cut, idx, lo, inBox, 1, generic)
 				if !errors.Is(err, compress.ErrCorrupt) || err.Error() != want {
 					t.Fatalf("%v index=%v generic=%v: error %v, want %q", dims, idx != nil, generic, err, want)
 				}
-				got, err := decompressRegion(cut, idx, lo, outOfBox, generic)
+				got, err := decompressRegion(cut, idx, lo, outOfBox, 1, generic)
 				if err != nil {
 					t.Fatalf("%v index=%v generic=%v: missing escapes are outside the box, got %v", dims, idx != nil, generic, err)
 				}
@@ -249,7 +249,7 @@ func TestSZRegionPointCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 		obs.Reset()
-		if _, err := DecompressRegion(blob, index, c.lo, c.hi); err != nil {
+		if _, err := DecompressRegion(blob, index, c.lo, c.hi, 1); err != nil {
 			t.Fatalf("%v: %v", c.dims, err)
 		}
 		got := obs.TakeSnapshot().Counters
@@ -356,7 +356,7 @@ func TestSZRegionSharedCompressorConcurrent(t *testing.T) {
 					}
 				}
 				for _, j := range jobs {
-					got, err := DecompressRegion(j.blob, j.index, j.lo, j.hi)
+					got, err := DecompressRegion(j.blob, j.index, j.lo, j.hi, 1)
 					if err != nil {
 						errs[g] = err
 						return

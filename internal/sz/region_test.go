@@ -1,10 +1,13 @@
 package sz
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
+	"github.com/fxrz-go/fxrz/internal/compress"
 	"github.com/fxrz-go/fxrz/internal/grid"
 )
 
@@ -63,7 +66,7 @@ func TestSZDecompressRegionMatchesFullDecode(t *testing.T) {
 					t.Fatalf("slice: %v", err)
 				}
 				for _, idx := range [][]byte{index, nil} {
-					got, err := DecompressRegion(blob, idx, lo, hi)
+					got, err := DecompressRegion(blob, idx, lo, hi, 1)
 					if err != nil {
 						t.Fatalf("%v escapes=%v region %v:%v (index=%v): %v", dims, escapes, lo, hi, idx != nil, err)
 					}
@@ -94,10 +97,10 @@ func TestSZRegionIndexCorruptRejected(t *testing.T) {
 		t.Fatalf("multi-slab index is %d bytes", len(index))
 	}
 	lo, hi := []int{8, 2, 2}, []int{12, 6, 6}
-	if _, err := DecompressRegion(blob, index[:len(index)-1], lo, hi); err == nil {
+	if _, err := DecompressRegion(blob, index[:len(index)-1], lo, hi, 1); err == nil {
 		t.Error("truncated index accepted")
 	}
-	if _, err := DecompressRegion(blob, append(append([]byte(nil), index...), 0x7), lo, hi); err == nil {
+	if _, err := DecompressRegion(blob, append(append([]byte(nil), index...), 0x7), lo, hi, 1); err == nil {
 		t.Error("index with trailer accepted")
 	}
 }
@@ -125,7 +128,7 @@ func TestSZRegionSkipsPrefix(t *testing.T) {
 	if si.T >= 64 {
 		t.Fatalf("slab height %d does not partition 64 rows", si.T)
 	}
-	got, err := DecompressRegion(blob, index, []int{60, 0, 0}, []int{64, 64, 64})
+	got, err := DecompressRegion(blob, index, []int{60, 0, 0}, []int{64, 64, 64}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,5 +168,59 @@ func TestSZRegionIndexOverhead(t *testing.T) {
 	}
 	if frac := float64(len(index)) / float64(len(blob)); frac > 0.01 {
 		t.Fatalf("index overhead %.4f of blob (%d / %d bytes), want <= 0.01", frac, len(index), len(blob))
+	}
+}
+
+// TestSZRegionIndexCursorMismatch pins that a region decode checks the escape
+// cursors of its index rather than trusting the first one: an index whose
+// escape count for slab 1 is one too high is well formed — an indexed
+// container built around it passes its checksum and hands the codec exactly
+// these bytes — yet every region that decodes slab 1 to its end must fail
+// with ErrCorrupt, serially and with the covering slabs fanned out alike.
+func TestSZRegionIndexCursorMismatch(t *testing.T) {
+	f := regionTestField(t, true, 48, 64, 64) // three 16-row slabs
+	blob, err := New().Compress(f, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	index, err := BuildRegionIndex(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Re-encode the index with the escape count of slab 1 (the delta that
+	// makes cursor 2) raised by one.
+	T, k := binary.Uvarint(index)
+	rest := index[k:]
+	nSlabs, k := binary.Uvarint(rest)
+	rest = rest[k:]
+	if nSlabs != 3 {
+		t.Fatalf("%d slabs, want 3", nSlabs)
+	}
+	bad := binary.AppendUvarint(binary.AppendUvarint(nil, T), nSlabs)
+	for i := 1; i < int(nSlabs); i++ {
+		d, k := binary.Uvarint(rest)
+		rest = rest[k:]
+		if i == 2 {
+			d++
+		}
+		bad = binary.AppendUvarint(bad, d)
+	}
+	bad = append(bad, rest...)
+	if _, err := parseSZIndex(bad, f.Dims, f.Size()); err != nil {
+		t.Fatalf("altered index no longer parses: %v", err)
+	}
+	for _, r := range []struct{ lo, hi []int }{
+		{[]int{2, 3, 5}, []int{40, 60, 61}},  // slabs 0-2, ends mid-slab
+		{[]int{0, 0, 0}, []int{32, 64, 64}},  // slabs 0-1, ends on the boundary
+		{[]int{20, 1, 2}, []int{45, 30, 31}}, // slabs 1-2
+	} {
+		for _, w := range []int{1, 2} {
+			if _, err := DecompressRegion(blob, bad, r.lo, r.hi, w); !errors.Is(err, compress.ErrCorrupt) {
+				t.Errorf("region %v:%v w=%d: err = %v, want ErrCorrupt", r.lo, r.hi, w, err)
+			}
+			if _, err := DecompressRegion(blob, index, r.lo, r.hi, w); err != nil {
+				t.Errorf("region %v:%v w=%d: true index: %v", r.lo, r.hi, w, err)
+			}
+		}
 	}
 }

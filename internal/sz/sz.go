@@ -232,20 +232,23 @@ func decompressSZ(blob []byte, forceGeneric bool, workers int) (*grid.Field, err
 // [slab(lo[0]), hi[0]) and, within them, only the prefix box [0, hi[d]) of the
 // trailing dimensions.
 //
-// The escape-pool cursor entering the first covering slab comes from the
-// region index when one is present; otherwise the chunks before it are
+// Escapes sit in the raw pool in global row-major order, so each covering slab
+// needs the pool cursor at its first point. A region index holds every slab's
+// cursor; without one the chunks before the first covering slab are
 // entropy-decoded once, purely to count their escape codes (no Lorenzo work).
 // Only the entropy chunks covering the decoded rows are expanded, fanned out
-// over workers. Escapes sit in the raw pool in global row-major order, so
-// with workers > 1 one counting pass over the codes of every covering slab
-// but the last gives each slab its cursor up front; the slabs — independent
-// sub-fields thanks to the encoder's predictor resets — then reconstruct in
-// any order and therefore in parallel, each with the serial kernel against
-// the whole pool. A serial walk skips the pass: each slab starts from the
-// cursor the previous one's kernel returned, which is the same number. A
-// slab fails exactly when one of its in-box escapes lies past the pool's end,
-// which is when the serial walk fails: the same errRawExhausted at every
-// width.
+// over workers. With the cursors known up front — from the index, or, on an
+// unindexed stream with workers > 1, from one counting pass over the codes of
+// every covering slab but the last — the slabs, independent sub-fields thanks
+// to the encoder's predictor resets, reconstruct in any order and therefore
+// in parallel, each with the serial kernel against the whole pool. A serial
+// walk over an unindexed stream skips the pass: each slab starts from the
+// cursor the previous one's kernel returned, which is the same number. Every
+// slab decoded to its end checks the cursor its kernel returned against the
+// index's entry for the next slab, so every width reads the same cursors and
+// reaches the same verdict on any index. A slab fails exactly when one of its
+// in-box escapes lies past the pool's end, which is when the serial walk
+// fails: the same errRawExhausted at every width.
 //
 // A full decode reconstructs straight into the result; a region decodes into
 // scratch rows and slices the box out of them.
@@ -276,43 +279,43 @@ func decodeRows(blob, index []byte, lo, hi []int, workers int, forceGeneric bool
 		s0 = lo[0] / T
 	}
 	z0 := s0 * T
-	cum0 := -1
+	var si *szIndex
 	if T < nz && len(index) > 0 {
-		si, err := parseSZIndex(index, h.Dims, n)
-		if err != nil {
+		if si, err = parseSZIndex(index, h.Dims, n); err != nil {
 			return nil, err
 		}
-		if si != nil {
-			if si.T != T {
-				return nil, fmt.Errorf("sz: %w: index slab height %d does not match chunk height %d", compress.ErrCorrupt, si.T, T)
-			}
-			cum0 = si.cumEsc[s0]
+		if si != nil && si.T != T {
+			return nil, fmt.Errorf("sz: %w: index slab height %d does not match chunk height %d", compress.ErrCorrupt, si.T, T)
 		}
 	}
 	decodeFrom := z0
-	if cum0 < 0 {
+	if si == nil {
 		decodeFrom = 0 // no index: count escapes from the stream head
 	}
 	codes, err := entropy.DecompressBytesRange(packed, 2*decodeFrom*ps, 2*hi[0]*ps, 2*n, workers)
 	if err != nil {
 		return nil, fmt.Errorf("sz: decode codes: %w", err)
 	}
-	if cum0 < 0 {
-		skip := 2 * (z0 - decodeFrom) * ps
-		cum0 = countEscapes(codes[:skip])
+	nCover := (hi[0]+T-1)/T - s0
+	var cursors []int
+	chained := false
+	if si != nil {
+		cursors = si.cumEsc[s0 : s0+nCover]
+	} else {
+		cursors = make([]int, nCover)
+		skip := 2 * z0 * ps
+		cursors[0] = countEscapes(codes[:skip])
 		codes = codes[skip:]
-	}
-	if uint64(cum0) > nraw {
-		return nil, fmt.Errorf("sz: %w: index raw cursor", compress.ErrCorrupt)
-	}
-	cursors := make([]int, (hi[0]+T-1)/T-s0)
-	cursors[0] = cum0
-	chained := workers <= 1 // pool.RunErr then runs the slabs in order
-	if !chained {
-		slabBytes := 2 * T * ps
-		for i := 1; i < len(cursors); i++ {
-			cursors[i] = cursors[i-1] + countEscapes(codes[(i-1)*slabBytes:i*slabBytes])
+		chained = workers <= 1 // pool.RunErr then runs the slabs in order
+		if !chained {
+			slabBytes := 2 * T * ps
+			for i := 1; i < nCover; i++ {
+				cursors[i] = cursors[i-1] + countEscapes(codes[(i-1)*slabBytes:i*slabBytes])
+			}
 		}
+	}
+	if uint64(cursors[0]) > nraw {
+		return nil, fmt.Errorf("sz: %w: index raw cursor", compress.ErrCorrupt)
 	}
 
 	rows := hi[0] - z0
@@ -327,18 +330,24 @@ func decodeRows(blob, index []byte, lo, hi []int, workers int, forceGeneric bool
 		dst = f32Scratch.Get(rows * ps)
 		defer f32Scratch.Put(dst)
 	}
-	err = pool.RunErr(workers, len(cursors), func(i int) error {
+	err = pool.RunErr(workers, nCover, func(i int) error {
 		zs, ze, slabDims := slabSpan(h.Dims, T, s0+i)
-		if ze > hi[0] {
+		whole := ze <= hi[0]
+		if !whole {
 			ze = hi[0] // the region ends inside this slab
 			slabDims[0] = ze - zs
 		}
 		next, err := reconstructBox(dst[(zs-z0)*ps:(ze-z0)*ps], slabDims, hi[1:],
 			h.Knob, codes[2*(zs-z0)*ps:], rawPayload, nraw, cursors[i], forceGeneric)
-		if chained && i+1 < len(cursors) {
+		switch {
+		case err != nil:
+			return err
+		case chained && i+1 < nCover:
 			cursors[i+1] = next
+		case si != nil && whole && s0+i+1 < len(si.cumEsc) && next != si.cumEsc[s0+i+1]:
+			return fmt.Errorf("sz: %w: index escape cursor of slab %d", compress.ErrCorrupt, s0+i+1)
 		}
-		return err
+		return nil
 	})
 	if err != nil {
 		return nil, err

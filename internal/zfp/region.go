@@ -233,11 +233,13 @@ func RegionTile(blob []byte) []int {
 // DecompressRegion decodes only the blocks of blob that intersect the
 // half-open region [lo, hi) (original field coordinates) and returns a field
 // of shape hi-lo. index may be nil or empty, in which case fixed-accuracy
-// streams are skimmed from the start. The decoded samples are bit-identical
-// to the corresponding slice of a full Decompress.
-func DecompressRegion(blob, index []byte, lo, hi []int) (*grid.Field, error) {
+// streams are skimmed from the start. workers bounds the fan-out exactly as
+// in a full decode: a covering box of zfpParMinBlocks blocks or more splits
+// into chunks that decode concurrently. The decoded samples are bit-identical
+// to the corresponding slice of a full Decompress at every width.
+func DecompressRegion(blob, index []byte, lo, hi []int, workers int) (*grid.Field, error) {
 	defer obs.Span("decompress/zfp-region")()
-	return decode(blob, index, lo, hi, 1)
+	return decode(blob, index, lo, hi, workers)
 }
 
 // decode is the one zfp decode: the region [lo, hi) of blob, or the whole
@@ -315,11 +317,12 @@ func decode(blob, index []byte, lo, hi []int, workers int) (*grid.Field, error) 
 // with sk, and clips every block to out, which holds the samples
 // [olo, olo+out.Dims) of the folded field. With workers > 1 and enough blocks
 // (chunkCount) the box splits into contiguous chunks: a serial pass of sk
-// finds each chunk's first block and bit, and each chunk decodes from its own
-// fork of the seeker there exactly as the serial walk would. Blocks scatter
-// to disjoint samples, so no two workers touch the same output element.
-// Region decode passes workers = 1, so only a full decode fans out. It
-// returns the number of blocks decoded.
+// finds each chunk's first block and bit — jumping through the index's
+// offsets when the stream has them — and each chunk decodes from its own fork
+// of the seeker there exactly as the serial walk would. Blocks scatter to
+// disjoint samples, so no two workers touch the same output element. A full
+// decode and a region decode fan out alike: the box is every block, or the
+// blocks covering the region. It returns the number of blocks decoded.
 func decodeBox(out *grid.Field, olo, dims []int, sk *blockSeeker, bl, bh [3]int, workers int) int {
 	nd := len(dims)
 	var ohi [3]int

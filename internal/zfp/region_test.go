@@ -20,7 +20,8 @@ func regionTestField(t testing.TB, dims ...int) *grid.Field {
 
 // TestDecompressRegionMatchesFullDecode checks, for both modes, every
 // dimensionality, and random regions, that the region decode is bit-equal to
-// the corresponding slice of a full decode — with and without an index.
+// the corresponding slice of a full decode — with and without an index, and
+// with a covering box of zfpParMinBlocks blocks or more fanned out at w = 2.
 func TestDecompressRegionMatchesFullDecode(t *testing.T) {
 	shapes := [][]int{{37}, {19, 23}, {10, 12, 14}, {3, 5, 9, 11}}
 	codecs := []struct {
@@ -63,17 +64,19 @@ func TestDecompressRegionMatchesFullDecode(t *testing.T) {
 					t.Fatalf("slice: %v", err)
 				}
 				for _, idx := range [][]byte{index, nil} {
-					got, err := DecompressRegion(blob, idx, lo, hi)
-					if err != nil {
-						t.Fatalf("%s %v region %v:%v (index=%v): %v", c.name, dims, lo, hi, idx != nil, err)
-					}
-					if len(got.Data) != len(want.Data) {
-						t.Fatalf("%s %v region %v:%v: size %d, want %d", c.name, dims, lo, hi, len(got.Data), len(want.Data))
-					}
-					for i := range want.Data {
-						if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
-							t.Fatalf("%s %v region %v:%v (index=%v): sample %d: %v != %v",
-								c.name, dims, lo, hi, idx != nil, i, got.Data[i], want.Data[i])
+					for _, w := range []int{1, 2} {
+						got, err := DecompressRegion(blob, idx, lo, hi, w)
+						if err != nil {
+							t.Fatalf("%s %v region %v:%v (index=%v) w=%d: %v", c.name, dims, lo, hi, idx != nil, w, err)
+						}
+						if len(got.Data) != len(want.Data) {
+							t.Fatalf("%s %v region %v:%v: size %d, want %d", c.name, dims, lo, hi, len(got.Data), len(want.Data))
+						}
+						for i := range want.Data {
+							if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+								t.Fatalf("%s %v region %v:%v (index=%v) w=%d: sample %d: %v != %v",
+									c.name, dims, lo, hi, idx != nil, w, i, got.Data[i], want.Data[i])
+							}
 						}
 					}
 				}
@@ -97,7 +100,7 @@ func TestDecompressRegionRejectsBadRegion(t *testing.T) {
 		{[]int{3, 3, 3}, []int{3, 4, 4}},
 	}
 	for i, c := range bad {
-		if _, err := DecompressRegion(blob, nil, c.lo, c.hi); err == nil {
+		if _, err := DecompressRegion(blob, nil, c.lo, c.hi, 1); err == nil {
 			t.Errorf("case %d: region %v:%v accepted", i, c.lo, c.hi)
 		}
 	}
@@ -117,15 +120,15 @@ func TestRegionIndexCorruptRejected(t *testing.T) {
 	// Wrong mode byte.
 	bad := append([]byte(nil), index...)
 	bad[0] ^= 1
-	if _, err := DecompressRegion(blob, bad, lo, hi); err == nil {
+	if _, err := DecompressRegion(blob, bad, lo, hi, 1); err == nil {
 		t.Error("mode-mismatched index accepted")
 	}
 	// Truncated offsets.
-	if _, err := DecompressRegion(blob, index[:len(index)-1], lo, hi); err == nil {
+	if _, err := DecompressRegion(blob, index[:len(index)-1], lo, hi, 1); err == nil {
 		t.Error("truncated index accepted")
 	}
 	// Trailing garbage.
-	if _, err := DecompressRegion(blob, append(append([]byte(nil), index...), 0xFF), lo, hi); err == nil {
+	if _, err := DecompressRegion(blob, append(append([]byte(nil), index...), 0xFF), lo, hi, 1); err == nil {
 		t.Error("index with trailer accepted")
 	}
 }

@@ -303,7 +303,7 @@ func TestZFPAllocsIndependentOfBlocks(t *testing.T) {
 				}
 			}),
 			region: testing.AllocsPerRun(10, func() {
-				if _, err := DecompressRegion(blob, index, lo, hi); err != nil {
+				if _, err := DecompressRegion(blob, index, lo, hi, 1); err != nil {
 					t.Fatal(err)
 				}
 			}),

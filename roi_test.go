@@ -79,9 +79,24 @@ func randomRegion(rng *rand.Rand, dims []int) (lo, hi []int) {
 // TestDecompressRegionProperty is the end-to-end property pin: for every
 // codec, rank 1..4, hostile and benign data, raw and indexed blobs, and every
 // worker width, DecompressRegionParallel of a random subvolume is bit-equal
-// to the corresponding slice of the full decode.
+// to the corresponding slice of the full decode. The 20×64×128 field is three
+// 8-row sz slabs, and its two fixed regions make the region decoders fan out:
+// each covers two or three slabs and a zfp box of over 300 blocks, one ending
+// mid-slab and mid-block, the other on a slab boundary.
 func TestDecompressRegionProperty(t *testing.T) {
-	shapes := [][]int{{41}, {17, 21}, {9, 11, 13}, {4, 5, 6, 7}}
+	shapes := []struct {
+		dims    []int
+		regions [][2][]int // [lo, hi) pairs; nil draws eight random regions
+	}{
+		{dims: []int{41}},
+		{dims: []int{17, 21}},
+		{dims: []int{9, 11, 13}},
+		{dims: []int{4, 5, 6, 7}},
+		{[]int{20, 64, 128}, [][2][]int{
+			{{3, 5, 9}, {19, 45, 30}},
+			{{2, 7, 60}, {16, 33, 101}},
+		}},
+	}
 	codecs := []struct {
 		name string
 		c    fxrz.Compressor
@@ -92,7 +107,8 @@ func TestDecompressRegionProperty(t *testing.T) {
 	}
 	widths := []int{1, 2, runtime.NumCPU()}
 	rng := rand.New(rand.NewSource(11))
-	for _, dims := range shapes {
+	for _, shape := range shapes {
+		dims := shape.dims
 		for _, hostile := range []bool{false, true} {
 			f := regionField(t, hostile, dims...)
 			for _, cd := range codecs {
@@ -118,8 +134,15 @@ func TestDecompressRegionProperty(t *testing.T) {
 						t.Fatalf("%s dims=%v: indexed full decode diverges at %d", cd.name, dims, i)
 					}
 				}
-				for trial := 0; trial < 8; trial++ {
-					lo, hi := randomRegion(rng, dims)
+				regions := shape.regions
+				if regions == nil {
+					for range 8 {
+						lo, hi := randomRegion(rng, dims)
+						regions = append(regions, [2][]int{lo, hi})
+					}
+				}
+				for _, r := range regions {
+					lo, hi := r[0], r[1]
 					want := sliceRegion(t, full, lo, hi)
 					for _, blobKind := range []struct {
 						kind string
