@@ -91,8 +91,20 @@ func LZCompress(src []byte) []byte {
 		if bestLen >= lzMinMatch {
 			emit(i, bestLen, bestDist)
 			// Insert hash entries across the match so future matches can
-			// refer into it, then continue after it.
+			// refer into it, then continue after it. Only the match's live
+			// tail is inserted. The match makes src d-periodic over
+			// [i-d, end) for d = bestDist, so the 4-byte window at any
+			// q in [i-d, end-4-d] equals the one at q+d. Take a skipped
+			// position p in [i, end-3-lzMaxChain·d): its progression p+d,
+			// p+2d, … crosses the lzMaxChain·d positions
+			// [end-3-lzMaxChain·d, end-4] exactly lzMaxChain times, and each
+			// crossing has p's window, hence p's bucket, and is inserted
+			// here. Positions enter the tables in increasing order, so those
+			// lzMaxChain entries sit ahead of p in its chain for every later
+			// walk, which visits at most lzMaxChain candidates: p is never
+			// reached, and leaving it out changes no walk and no token.
 			end := i + bestLen
+			i = max(i, end-3-lzMaxChain*bestDist)
 			for ; i < end && i+lzMinMatch <= len(src); i++ {
 				hh := lzHash(src[i:])
 				prev[i] = head[hh]

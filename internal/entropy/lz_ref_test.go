@@ -136,6 +136,23 @@ func lzIdentityInputs() map[string][]byte {
 		}
 		in[fmt.Sprintf("window%d", gap)] = append(far, motif...)
 	}
+	// LZCompress inserts only the last 3+lzMaxChain·d positions of a
+	// distance-d match. Periodic runs whose match is just short of, exactly
+	// at and one past that tail, and far longer, each followed by a random
+	// gap and a second copy whose chain walks reach into the buckets a
+	// skipped position would have joined; and each run once more ending the
+	// input, so the match stops at len(src).
+	for _, d := range []int{1, 2, 4, 6, 192} {
+		for _, l := range []int{lzMaxChain*d + 2, lzMaxChain*d + 3, lzMaxChain*d + 4, 300*d + 5} {
+			run := make([]byte, d+l)
+			for k := range run {
+				run[k] = random[1000+k%d]
+			}
+			head := append([]byte{}, random[:50]...)
+			in[fmt.Sprintf("tail%d/%d", d, l)] = append(append(append(head, run...), random[2000:2064]...), run...)
+			in[fmt.Sprintf("tail%d/%dAtEnd", d, l)] = append(append([]byte{}, random[:50]...), run...)
+		}
+	}
 	// Matches of every tail length ending exactly at len(src), so both the
 	// 8-byte stride and the byte-wise tail of the extension hit the boundary.
 	for tail := lzMinMatch; tail <= lzMinMatch+17; tail++ {
@@ -177,6 +194,10 @@ func TestLZCompressMatchesRef(t *testing.T) {
 func FuzzLZCompressMatchesRef(f *testing.F) {
 	f.Add([]byte("hello hello hello"))
 	f.Add(bytes.Repeat([]byte{0, 0x80}, 300))
+	// A period-2 run far longer than the match tail LZCompress inserts,
+	// broken once and resumed, so the second run's chain walks start inside
+	// the first's buckets.
+	f.Add(append(append(bytes.Repeat([]byte{7, 0x81}, 4000), "break"...), bytes.Repeat([]byte{7, 0x81}, 4000)...))
 	f.Add(szShapedBytes(512, 3))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -19,7 +19,10 @@ package sz
 // generic path. Running rows in flight reorders only which point is computed
 // when, never a point's own arithmetic; escapes are gathered from the codes in
 // row-major order after the pass (compressSZ), and on decode every row of a
-// group starts from its own raw cursor (rowCursors).
+// group starts from its own raw cursor (rowCursors). The decode kernels' steady
+// steps (planeSteady, volumeSteady) carry the stencil neighbors in registers
+// rather than reloading them, which changes where a term comes from, never
+// its value or its place in the sum.
 // TestCompressFastMatchesGenericBitwise and FuzzDecompress pin this.
 
 import (
@@ -72,15 +75,20 @@ func encPoint(v, pred, eb, twoEB float64) (uint16, float32) {
 	return 0, float32(v)
 }
 
-// decPoint reconstructs point i from its quantization code, taking an escaped
-// value from the raw pool at *pos, which the caller has checked holds it.
-func decPoint(data []float32, i int, pred, twoEB float64, codeBytes, rawPayload []byte, pos *int) {
-	if code := binary.LittleEndian.Uint16(codeBytes[2*i:]); code != 0 {
-		data[i] = float32(pred + twoEB*float64(int(code)-radius))
-		return
+// decValue reconstructs point s of codeBytes from its quantization code and
+// returns it with the raw cursor, which it advances past an escaped value
+// taken from the raw pool at pos; the caller has checked the pool holds it.
+func decValue(codeBytes []byte, s int, pred, twoEB float64, rawPayload []byte, pos int) (float32, int) {
+	if code := binary.LittleEndian.Uint16(codeBytes[2*s:]); code != 0 {
+		return float32(pred + twoEB*float64(int(code)-radius)), pos
 	}
-	data[i] = math.Float32frombits(binary.LittleEndian.Uint32(rawPayload[4**pos:]))
-	*pos++
+	return math.Float32frombits(binary.LittleEndian.Uint32(rawPayload[4*pos:])), pos + 1
+}
+
+// decPoint is decValue storing into data[i] and *pos, for the loops that
+// keep their rows' cursors in an array.
+func decPoint(data []float32, i int, pred, twoEB float64, codeBytes, rawPayload []byte, pos *int) {
+	data[i], *pos = decValue(codeBytes, i, pred, twoEB, rawPayload, *pos)
 }
 
 // quantizeField runs the prediction/quantization pass of Compress, writing a
@@ -342,6 +350,11 @@ func reconstructPlane(data []float32, nx, ny, hx int, twoEB float64, codeBytes, 
 			decPoint(data, i, p, twoEB, codeBytes, rawPayload, &cur[j])
 		}
 		for t := 1; t < hx+k-1; t++ {
+			if t == rowGroup && k == rowGroup && hx > rowGroup {
+				planeSteady(data, g, nx, hx, twoEB, codeBytes, rawPayload, &cur)
+				t = hx - 1
+				continue
+			}
 			jlo, jhi := max(0, t-hx+1), min(k, t)
 			i := g + t + jlo*(nx-1)
 			for j := jlo; j < jhi; j++ {
@@ -400,6 +413,11 @@ func reconstructVolume(data []float32, dims []int, hy, hx int, eb float64, codeB
 				decPoint(data, i, p, twoEB, codeBytes, rawPayload, &cur[j])
 			}
 			for t := 1; t < hx+k-1; t++ {
+				if t == rowGroup && k == rowGroup && hx > rowGroup {
+					volumeSteady(data, g, s0, nx, hx, twoEB, codeBytes, rawPayload, &cur)
+					t = hx - 1
+					continue
+				}
 				jlo, jhi := max(0, t-hx+1), min(k, t)
 				i := g + t + jlo*(nx-1)
 				for j := jlo; j < jhi; j++ {
@@ -419,4 +437,151 @@ func reconstructVolume(data []float32, dims []int, hy, hx int, eb float64, codeB
 		rawPos += countEscapes(codeBytes[2*(p0+hy*nx) : 2*(p0+s0)])
 	}
 	return rawPos, nil
+}
+
+// The steady bodies below are written out for four rows in flight.
+const _ = uint(rowGroup-4) + uint(4-rowGroup)
+
+// planeSteady runs steps [rowGroup, hx) of a full row group whose first row
+// starts at code index g: the steps where all rowGroup rows are in flight, row
+// j at column x = t-j. It is the group loop of reconstructPlane with every
+// stencil neighbor but the row above's newest sample carried in a register.
+//
+// Within a step the rows go bottom-up, so row j reads row j-1's carries
+// before row j-1 advances: row j-1's newest reconstruction is then its column
+// x (the up neighbor) and the one before its column x-1 (up-left), and row
+// j's own newest is its column x-1 (left). Row 0's up neighbors come from
+// the row above the group, fully decoded: one load per step, the previous
+// one carried. Each carry is float64 of the float32 the kernel stored — the
+// value the group loop reloads — and the terms are summed in the same order
+// from the same 0.0, so every point's prediction and reconstruction are
+// bit-identical to reconstructPlane's own loop.
+func planeSteady(data []float32, g, nx, hx int, twoEB float64, codeBytes, rawPayload []byte, cur *[rowGroup]int) {
+	m := hx - rowGroup
+	// Row j's point at step rowGroup+s is o_j+s; the row above is at oa+s.
+	o0, o1, o2, o3 := g+rowGroup, g+nx+rowGroup-1, g+2*nx+rowGroup-2, g+3*nx+rowGroup-3
+	oa := o0 - nx
+	ua := data[oa : oa+m]
+	d0, d1, d2, d3 := data[o0:o0+m], data[o1:o1+m], data[o2:o2+m], data[o3:o3+m]
+	c0, c1, c2, c3 := codeBytes[2*o0:2*(o0+m)], codeBytes[2*o1:2*(o1+m)], codeBytes[2*o2:2*(o2+m)], codeBytes[2*o3:2*(o3+m)]
+	// rJ is row J's newest reconstruction, rrJ the one before; ra is the row
+	// above's sample at row 0's column x-1.
+	ra := float64(data[oa-1])
+	r0, rr0 := float64(data[o0-1]), float64(data[o0-2])
+	r1, rr1 := float64(data[o1-1]), float64(data[o1-2])
+	r2, rr2 := float64(data[o2-1]), float64(data[o2-2])
+	r3 := float64(data[o3-1])
+	pos0, pos1, pos2, pos3 := cur[0], cur[1], cur[2], cur[3]
+	var v float32
+	for s := range d0 {
+		p := 0.0
+		p += r2
+		p += r3
+		p -= rr2
+		v, pos3 = decValue(c3, s, p, twoEB, rawPayload, pos3)
+		d3[s], r3 = v, float64(v)
+
+		p = 0.0
+		p += r1
+		p += r2
+		p -= rr1
+		v, pos2 = decValue(c2, s, p, twoEB, rawPayload, pos2)
+		d2[s], rr2, r2 = v, r2, float64(v)
+
+		p = 0.0
+		p += r0
+		p += r1
+		p -= rr0
+		v, pos1 = decValue(c1, s, p, twoEB, rawPayload, pos1)
+		d1[s], rr1, r1 = v, r1, float64(v)
+
+		up := float64(ua[s])
+		p = 0.0
+		p += up
+		p += r0
+		p -= ra
+		v, pos0 = decValue(c0, s, p, twoEB, rawPayload, pos0)
+		d0[s], rr0, r0, ra = v, r0, float64(v), up
+	}
+	cur[0], cur[1], cur[2], cur[3] = pos0, pos1, pos2, pos3
+}
+
+// volumeSteady is planeSteady for the groups of reconstructVolume's later
+// planes. Each row also carries the previous-plane samples under its two
+// newest reconstructions, which it loaded at the two steps before, so a
+// point loads one previous-plane sample and one code; row 0 loads the row
+// above in both planes. The seven terms are added in lorenzo.predict's
+// subset-mask order, as in reconstructVolume's own loop.
+func volumeSteady(data []float32, g, s0, nx, hx int, twoEB float64, codeBytes, rawPayload []byte, cur *[rowGroup]int) {
+	m := hx - rowGroup
+	o0, o1, o2, o3 := g+rowGroup, g+nx+rowGroup-1, g+2*nx+rowGroup-2, g+3*nx+rowGroup-3
+	oa := o0 - nx
+	ua, za := data[oa:oa+m], data[oa-s0:][:m]
+	d0, d1, d2, d3 := data[o0:o0+m], data[o1:o1+m], data[o2:o2+m], data[o3:o3+m]
+	z0, z1, z2, z3 := data[o0-s0:][:m], data[o1-s0:][:m], data[o2-s0:][:m], data[o3-s0:][:m]
+	c0, c1, c2, c3 := codeBytes[2*o0:2*(o0+m)], codeBytes[2*o1:2*(o1+m)], codeBytes[2*o2:2*(o2+m)], codeBytes[2*o3:2*(o3+m)]
+	// qJ/qqJ are row J's previous-plane samples under rJ/rrJ; ra and qa are
+	// the row above's samples at row 0's column x-1 in both planes.
+	ra, qa := float64(data[oa-1]), float64(data[oa-s0-1])
+	r0, rr0 := float64(data[o0-1]), float64(data[o0-2])
+	r1, rr1 := float64(data[o1-1]), float64(data[o1-2])
+	r2, rr2 := float64(data[o2-1]), float64(data[o2-2])
+	r3 := float64(data[o3-1])
+	q0, qq0 := float64(data[o0-s0-1]), float64(data[o0-s0-2])
+	q1, qq1 := float64(data[o1-s0-1]), float64(data[o1-s0-2])
+	q2, qq2 := float64(data[o2-s0-1]), float64(data[o2-s0-2])
+	q3 := float64(data[o3-s0-1])
+	pos0, pos1, pos2, pos3 := cur[0], cur[1], cur[2], cur[3]
+	var v float32
+	for s := range d0 {
+		z := float64(z3[s])
+		p := 0.0
+		p += z
+		p += r2
+		p -= q2
+		p += r3
+		p -= q3
+		p -= rr2
+		p += qq2
+		v, pos3 = decValue(c3, s, p, twoEB, rawPayload, pos3)
+		d3[s], r3, q3 = v, float64(v), z
+
+		z = float64(z2[s])
+		p = 0.0
+		p += z
+		p += r1
+		p -= q1
+		p += r2
+		p -= q2
+		p -= rr1
+		p += qq1
+		v, pos2 = decValue(c2, s, p, twoEB, rawPayload, pos2)
+		d2[s], rr2, r2, qq2, q2 = v, r2, float64(v), q2, z
+
+		z = float64(z1[s])
+		p = 0.0
+		p += z
+		p += r0
+		p -= q0
+		p += r1
+		p -= q1
+		p -= rr0
+		p += qq0
+		v, pos1 = decValue(c1, s, p, twoEB, rawPayload, pos1)
+		d1[s], rr1, r1, qq1, q1 = v, r1, float64(v), q1, z
+
+		z = float64(z0[s])
+		up, zup := float64(ua[s]), float64(za[s])
+		p = 0.0
+		p += z
+		p += up
+		p -= zup
+		p += r0
+		p -= q0
+		p -= ra
+		p += qa
+		v, pos0 = decValue(c0, s, p, twoEB, rawPayload, pos0)
+		d0[s], rr0, r0, qq0, q0, ra, qa = v, r0, float64(v), q0, z, up, zup
+	}
+	cur[0], cur[1], cur[2], cur[3] = pos0, pos1, pos2, pos3
 }

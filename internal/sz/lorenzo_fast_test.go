@@ -25,6 +25,10 @@ var identityShapes = [][]int{
 	// rowGroup+1 columns.
 	{5, 1}, {6, 2}, {7, 4}, {8, 5},
 	{2, 5, 5}, {3, 6, 4}, {2, 7, 2}, {3, 8, 1},
+	// Two full row groups on rows of rowGroup, rowGroup+1 and rowGroup+2
+	// columns: no steady step, one, and two (see planeSteady).
+	{2*rowGroup + 1, rowGroup}, {2*rowGroup + 1, rowGroup + 1}, {2*rowGroup + 1, rowGroup + 2},
+	{2, 2*rowGroup + 1, rowGroup}, {3, 2*rowGroup + 1, rowGroup + 1}, {2, 2*rowGroup + 1, rowGroup + 2},
 	{17, 91, 93},               // three slabs (8, 8, 1 rows): the slab path and plane 0 of each
 	{2, 3, 4, 5}, {4, 4, 4, 4}, // 4-d exercises the shared generic path
 }
@@ -68,7 +72,60 @@ func identityFields(t *testing.T, shape []int) []*grid.Field {
 	konst := mk("const")
 	konst.Fill(4.25)
 
-	return []*grid.Field{smooth, rnd, esc, konst}
+	// Escapes aimed at the steady bodies (planeSteady, volumeSteady): NaNs
+	// of distinct payloads and ±Inf at the first and last steady column of
+	// every row of every row group, one row group that is all escapes, and
+	// in every plane a row of 3e38 above a row of −0, which both escape, so
+	// −0 is a reconstruction the next row and plane read as their first
+	// stencil term.
+	steady := mk("steady")
+	nx := shape[len(shape)-1]
+	ny := 1
+	if len(shape) > 1 {
+		ny = shape[len(shape)-2]
+	}
+	specials := []float32{
+		math.Float32frombits(0x7fc00001), math.Float32frombits(0xffc12345),
+		math.Float32frombits(0x7f800001), float32(math.Inf(1)), float32(math.Inf(-1)),
+	}
+	for i := range steady.Data {
+		y, x := i/nx%ny, i%nx
+		j := (y - 1) % rowGroup
+		switch {
+		case y >= 1 && (x == rowGroup-j || x == nx-1-j):
+			steady.Data[i] = specials[i%len(specials)]
+		case y > rowGroup && y <= 2*rowGroup && i >= len(steady.Data)-ny*nx:
+			steady.Data[i] = float32(math.Inf(1))
+		case y == 1:
+			steady.Data[i] = 3e38
+		case y == 2:
+			steady.Data[i] = float32(math.Copysign(0, -1))
+		default:
+			steady.Data[i] = float32(math.Sin(float64(i) / 7))
+		}
+	}
+
+	// Cancellation: leading rows (2D) or planes (3D) alternate between
+	// samples near 2^30 — bilinear in the last two coordinates and exact in
+	// float32, so the Lorenzo stencil cancels them exactly — and small
+	// smooth ones. A small point's prediction sums huge terms with small
+	// ones, and float64 keeps a different part of the small terms for every
+	// order of the adds, so a kernel that sums its stencil out of order
+	// reconstructs different bits.
+	cancel := mk("cancel")
+	lead := nx
+	if len(shape) > 2 {
+		lead = ny * nx
+	}
+	for i := range cancel.Data {
+		if i/lead%2 == 1 {
+			cancel.Data[i] = float32(1<<30 + 1024*(i/nx%ny) + 128*(i%nx))
+		} else {
+			cancel.Data[i] = float32(math.Sin(float64(i) / 5))
+		}
+	}
+
+	return []*grid.Field{smooth, rnd, esc, konst, steady, cancel}
 }
 
 func TestCompressFastMatchesGenericBitwise(t *testing.T) {
@@ -130,10 +187,11 @@ func TestCompressFastMatchesGenericBitwise(t *testing.T) {
 
 // TestReconstructFastMatchesGenericOnTruncatedRaw confirms the two decode
 // paths agree on the error for a blob whose raw-literal pool is exhausted
-// mid-stream. The 3D field has two full row groups per plane, so dropping
-// 1..n escapes starts the overrun at every point of a group.
+// mid-stream. The 3D fields have two full row groups per plane, so dropping
+// 1..n escapes starts the overrun at every point of a group, in the steady
+// steps too on the rowGroup+2-column one.
 func TestReconstructFastMatchesGenericOnTruncatedRaw(t *testing.T) {
-	for _, shape := range [][]int{{4, 5}, {2, 2*rowGroup + 1, 3}} {
+	for _, shape := range [][]int{{4, 5}, {2, 2*rowGroup + 1, 3}, {2, 2*rowGroup + 1, rowGroup + 2}} {
 		f := grid.MustNew("esc", shape...)
 		for i := range f.Data {
 			f.Data[i] = float32(math.Inf(1)) // every sample escapes

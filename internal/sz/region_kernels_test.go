@@ -3,6 +3,7 @@ package sz
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -26,9 +27,10 @@ var regionKernelShapes = []struct {
 // regionKernelBoxes returns the boxes the kernels are pinned on for a field
 // cut into slabs of T leading rows: one cell wide in every trailing
 // dimension, the whole field, ending in the middle of a slab, starting on a
-// slab boundary, and prefix boxes 1, rowGroup-1, rowGroup and rowGroup+1
-// cells wide in every trailing dimension (rows and columns both stop short
-// of a row group's end).
+// slab boundary, and prefix boxes 1, rowGroup-1, rowGroup, rowGroup+1 and
+// rowGroup+2 cells wide in every trailing dimension (rows and columns both
+// stop short of a row group's end, and the box runs no, one or two steady
+// steps).
 func regionKernelBoxes(dims []int, T int) [][2][]int {
 	nd := len(dims)
 	mk := func(lo0, hi0 int, tail func(n int) (int, int)) [2][]int {
@@ -54,7 +56,7 @@ func regionKernelBoxes(dims []int, T int) [][2][]int {
 		mk(1, midEnd, func(n int) (int, int) { return n / 4, n - n/4 }),
 		mk(start, nz, func(n int) (int, int) { return 0, (n + 1) / 2 }),
 	}
-	for _, w := range []int{1, rowGroup - 1, rowGroup, rowGroup + 1} {
+	for _, w := range []int{1, rowGroup - 1, rowGroup, rowGroup + 1, rowGroup + 2} {
 		boxes = append(boxes, mk(0, nz, func(n int) (int, int) { return 0, min(n, w) }))
 	}
 	return boxes
@@ -220,6 +222,61 @@ func TestSZRegionRawExhaustedIdentity(t *testing.T) {
 				}
 				if !bitsEqual(got.Data, slice.Data) {
 					t.Fatalf("%v index=%v generic=%v: region differs from the full-decode slice", dims, idx != nil, generic)
+				}
+			}
+		}
+	}
+}
+
+// On an unindexed stream each covering slab's raw cursor is a running sum of
+// per-slab escape counts: fanned out over the slabs at width > 1, chained
+// through the kernels at width 1. Full decodes and regions whose rows start
+// several slabs in, on streams whose raw pool is whole or cut short, must
+// match the serial oracle at every width: the same bits, or the same error.
+func TestSZRegionUnindexedFanOutMatchesGeneric(t *testing.T) {
+	dims := []int{33, 96, 96} // slabs of 8, 8, 8, 8 and 1 rows
+	if T, nSlabs := szChunkLayout(dims); T != 8 || nSlabs != 5 {
+		t.Fatalf("layout of %v = (%d rows, %d slabs), want (8, 5)", dims, T, nSlabs)
+	}
+	boxes := [][2][]int{
+		{{0, 0, 0}, dims},
+		{{17, 10, 20}, {33, 90, 80}}, // two slabs of prefix, a short last slab
+		{{9, 0, 0}, {30, 96, 50}},    // ends mid-slab
+		{{26, 3, 3}, {31, 7, 7}},     // one covering slab, three before it
+	}
+	for _, kind := range []string{"escape", "noisy"} {
+		blob, err := compressSZ(parField(dims, kind), 1e-3, false, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, nraw := decodedSections(t, blob)
+		for _, drop := range []int{0, 1, int(nraw / 2)} {
+			cut := blob
+			if drop > 0 {
+				cut = dropEscapes(t, blob, drop)
+			}
+			for _, box := range boxes {
+				lo, hi := box[0], box[1]
+				want, wantErr := decompressRegion(cut, nil, lo, hi, 1, true)
+				for _, w := range []int{1, 2, runtime.NumCPU()} {
+					name := fmt.Sprintf("%s drop=%d %v:%v w=%d", kind, drop, lo, hi, w)
+					got, err := decompressRegion(cut, nil, lo, hi, w, false)
+					if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+						t.Fatalf("%s: error %v, oracle error %v", name, err, wantErr)
+					}
+					if err == nil && !bitsEqual(got.Data, want.Data) {
+						t.Fatalf("%s: region differs from the oracle", name)
+					}
+				}
+			}
+			want, wantErr := decompressSZ(cut, true, 1)
+			for _, w := range []int{1, 2, runtime.NumCPU()} {
+				got, err := decompressSZ(cut, false, w)
+				if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+					t.Fatalf("%s drop=%d full w=%d: error %v, oracle error %v", kind, drop, w, err, wantErr)
+				}
+				if err == nil && !bitsEqual(got.Data, want.Data) {
+					t.Fatalf("%s drop=%d full w=%d: decode differs from the oracle", kind, drop, w)
 				}
 			}
 		}

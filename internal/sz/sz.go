@@ -238,12 +238,14 @@ func decompressSZ(blob []byte, forceGeneric bool, workers int) (*grid.Field, err
 // entropy-decoded once, purely to count their escape codes (no Lorenzo work).
 // Only the entropy chunks covering the decoded rows are expanded, fanned out
 // over workers. With the cursors known up front — from the index, or, on an
-// unindexed stream with workers > 1, from one counting pass over the codes of
-// every covering slab but the last — the slabs, independent sub-fields thanks
-// to the encoder's predictor resets, reconstruct in any order and therefore
-// in parallel, each with the serial kernel against the whole pool. A serial
-// walk over an unindexed stream skips the pass: each slab starts from the
-// cursor the previous one's kernel returned, which is the same number. Every
+// unindexed stream with workers > 1, from the escape counts of every slab
+// before the region and every covering slab but the last, counted one slab a
+// task over workers and summed in slab order — the slabs, independent
+// sub-fields thanks to the encoder's predictor resets, reconstruct in any
+// order and therefore in parallel, each with the serial kernel against the
+// whole pool. A serial walk over an unindexed stream counts only the slabs
+// before the region: each covering slab starts from the cursor the previous
+// one's kernel returned, which is the same number. Every
 // slab decoded to its end checks the cursor its kernel returned against the
 // index's entry for the next slab, so every width reads the same cursors and
 // reaches the same verdict on any index. A slab fails exactly when one of its
@@ -302,17 +304,28 @@ func decodeRows(blob, index []byte, lo, hi []int, workers int, forceGeneric bool
 	if si != nil {
 		cursors = si.cumEsc[s0 : s0+nCover]
 	} else {
-		cursors = make([]int, nCover)
-		skip := 2 * z0 * ps
-		cursors[0] = countEscapes(codes[:skip])
-		codes = codes[skip:]
+		// The escape counts of the slabs before the region, and at width > 1
+		// of every covering slab but the last, fanned out one slab a task;
+		// their running sum is each covering slab's cursor.
 		chained = workers <= 1 // pool.RunErr then runs the slabs in order
+		nCount := s0
 		if !chained {
-			slabBytes := 2 * T * ps
-			for i := 1; i < nCover; i++ {
-				cursors[i] = cursors[i-1] + countEscapes(codes[(i-1)*slabBytes:i*slabBytes])
+			nCount += nCover - 1
+		}
+		slabBytes := 2 * T * ps
+		counts := make([]int, nCount)
+		pool.Run(workers, nCount, func(s int) {
+			counts[s] = countEscapes(codes[s*slabBytes : (s+1)*slabBytes])
+		})
+		cursors = make([]int, nCover)
+		sum := 0
+		for s, e := range counts {
+			sum += e
+			if s+1 >= s0 {
+				cursors[s+1-s0] = sum
 			}
 		}
+		codes = codes[2*z0*ps:]
 	}
 	if uint64(cursors[0]) > nraw {
 		return nil, fmt.Errorf("sz: %w: index raw cursor", compress.ErrCorrupt)
