@@ -37,16 +37,17 @@ cover:
 
 # Timing gate: run the kernel benchmarks (every retained reference against
 # its fast path) and the region-decode benchmarks (full decode against an
-# eighth-volume region decode) at -benchtime 1s and hold each ratio to the
-# floor in cmd/benchguard's table; a missing leg fails too. Both legs of a
-# ratio come from the same run, so the gate holds on any machine; run it
-# after touching a kernel or a region decode path. Absolute numbers and
-# every claim go through `bash bench/run.sh` and `bench compare` instead
+# eighth-volume region decode) five times each at -benchtime 1s and hold
+# each ratio of the legs' fastest runs to the floor in cmd/benchguard's
+# table; a missing leg fails too. The two legs of a ratio are sub-benchmarks
+# of one parent, so their runs alternate and the gate holds on any machine;
+# run it after touching a kernel or a region decode path. Absolute numbers
+# and every claim go through `bash bench/run.sh` and `bench compare` instead
 # (bench/README.md).
 bench-gate:
-	@out="$$(go test -run '^$$' -bench BenchmarkKernel -benchtime 1s \
+	@out="$$(go test -run '^$$' -bench BenchmarkKernel -benchtime 1s -count 5 \
 		./internal/sz/ ./internal/zfp/ ./internal/entropy/ ./internal/core/ \
-		&& go test -run '^$$' -bench BenchmarkRegionDecode -benchtime 1s .)" \
+		&& go test -run '^$$' -bench BenchmarkRegionDecode -benchtime 1s -count 5 .)" \
 		|| { echo "$$out"; exit 1; }; \
 	echo "$$out" | go run ./cmd/benchguard
 

@@ -62,17 +62,11 @@ func (m *moduleImporter) Import(p string) (*types.Package, error) {
 	return pkg, nil
 }
 
-// TestEveryInternalExportHasAConsumer is the surface audit as a rule: every
-// exported top-level func, type, const and var, and every exported method of
-// a named type, declared in a non-test file under internal/ is used by some
-// non-test .go file of the module (bench/, cmd/ and examples/ count as
-// consumers; internal/compress/compresstest, a test-support package, is
-// exempt). The module is type-checked, so a use is a reference to that very
-// object: a method or function sharing a name with a live one cannot hide.
-func TestEveryInternalExportHasAConsumer(t *testing.T) {
-	if len(auditSeams) > 8 {
-		t.Fatalf("%d allowlist entries, at most 8", len(auditSeams))
-	}
+// loadModule type-checks every non-test package of the module from source
+// and returns the importer, whose info records the module's references, and
+// the module path.
+func loadModule(t *testing.T) (*moduleImporter, string) {
+	t.Helper()
 	gomod, err := os.ReadFile("go.mod")
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +116,22 @@ func TestEveryInternalExportHasAConsumer(t *testing.T) {
 			t.Fatalf("type-check %s: %v", p, err)
 		}
 	}
+	return m, module
+}
 
+// TestEveryInternalExportHasAConsumer is the surface audit as a rule: every
+// exported top-level func, type, const and var, and every exported method of
+// a named type, declared in a non-test file under internal/ is used by some
+// non-test .go file of the module (bench/, cmd/ and examples/ count as
+// consumers; internal/compress/compresstest, a test-support package, is
+// exempt). The module is type-checked, so a use is a reference to that very
+// object: a method or function sharing a name with a live one cannot hide.
+func TestEveryInternalExportHasAConsumer(t *testing.T) {
+	if len(auditSeams) > 8 {
+		t.Fatalf("%d allowlist entries, at most 8", len(auditSeams))
+	}
+	m, module := loadModule(t)
+	fset := m.fset
 	used := map[types.Object]bool{}
 	for _, obj := range m.info.Uses {
 		switch o := obj.(type) {
@@ -202,5 +211,96 @@ func TestEveryInternalExportHasAConsumer(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestEveryOptionHasACaller holds the module to one option rule: every
+// exported field of an exported struct type named Config, ending in Config,
+// or named Options, declared in a non-test file, is written by a caller —
+// a non-test .go file outside examples/ other than the file that declares
+// the type, as a composite-literal key, an assignment target or an &x.F
+// operand — or is used by bench/, or is named Seed (the reproducibility
+// input of a stochastic stage). A field only its own file writes holds one
+// value, and the value belongs in a constant.
+func TestEveryOptionHasACaller(t *testing.T) {
+	m, module := loadModule(t)
+	fileOf := func(pos token.Pos) string { return filepath.ToSlash(m.fset.Position(pos).Filename) }
+	fieldOf := func(id *ast.Ident) *types.Var {
+		if v, ok := m.info.Uses[id].(*types.Var); ok && v.IsField() {
+			return v.Origin()
+		}
+		return nil
+	}
+	written := map[*types.Var][]string{} // field → files that write it
+	benchUsed := map[*types.Var]bool{}
+	for _, files := range m.files {
+		for _, f := range files {
+			name := fileOf(f.Pos())
+			if strings.HasPrefix(name, "examples/") {
+				continue
+			}
+			write := func(e ast.Expr) {
+				if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+					if v := fieldOf(sel.Sel); v != nil {
+						written[v] = append(written[v], name)
+					}
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						if v := fieldOf(id); v != nil {
+							written[v] = append(written[v], name)
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						write(lhs)
+					}
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						write(n.X)
+					}
+				case *ast.Ident:
+					if v := fieldOf(n); v != nil && strings.HasPrefix(name, "bench/") {
+						benchUsed[v] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	checked := 0
+	for p, pkg := range m.pkgs {
+		if !strings.HasPrefix(p, module) {
+			continue
+		}
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || !tn.Exported() ||
+				!(strings.HasSuffix(name, "Config") || name == "Options") {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			decl := fileOf(tn.Pos())
+			for i := 0; i < st.NumFields(); i++ {
+				fld := st.Field(i)
+				if !fld.Exported() || fld.Name() == "Seed" || benchUsed[fld] {
+					continue
+				}
+				checked++
+				if !slices.ContainsFunc(written[fld], func(f string) bool { return f != decl }) {
+					t.Errorf("%s: %s.%s.%s is set by no caller outside %s; make it a constant",
+						m.fset.Position(fld.Pos()), pkg.Name(), name, fld.Name(), decl)
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no option fields found: the audit is not looking where the options are")
 	}
 }

@@ -5,7 +5,9 @@
 // missing, so a renamed benchmark or a package dropped from the run fails
 // the gate instead of leaving it. Both legs of a row come from one run on
 // one machine, which is what lets a ratio gate anywhere; everything absolute
-// is measured by ./bench (BENCHMARK.json).
+// is measured by ./bench (BENCHMARK.json). A leg that ran several times
+// (-count k) counts with its fastest run: a neighbour on a shared box only
+// ever adds time, so best-of-k is the reading it disturbs least.
 //
 //	make bench-gate
 package main
@@ -60,34 +62,46 @@ func parseBenchLine(line string) (name string, pairs []string, ok bool) {
 	return name, f[2:], true
 }
 
-// leg returns the positive value a benchmark reported in unit.
-func leg(results map[string][]string, bench, unit string) (float64, error) {
-	pairs, ok := results[bench]
+// leg returns the smallest value a benchmark reported in unit over its
+// result lines; every line must report a positive one.
+func leg(results map[string][][]string, bench, unit string) (float64, error) {
+	lines, ok := results[bench]
 	if !ok {
 		return 0, fmt.Errorf("no result for %s", bench)
 	}
-	for i := 0; i+1 < len(pairs); i += 2 {
-		if pairs[i+1] != unit {
-			continue
+	best := 0.0
+	for _, pairs := range lines {
+		v, found := 0.0, false
+		for i := 0; i+1 < len(pairs) && !found; i += 2 {
+			if pairs[i+1] != unit {
+				continue
+			}
+			var err error
+			v, err = strconv.ParseFloat(pairs[i], 64)
+			if err != nil || !(v > 0) {
+				return 0, fmt.Errorf("%s: %s value %q is not a positive number", bench, unit, pairs[i])
+			}
+			found = true
 		}
-		v, err := strconv.ParseFloat(pairs[i], 64)
-		if err != nil || !(v > 0) {
-			return 0, fmt.Errorf("%s: %s value %q is not a positive number", bench, unit, pairs[i])
+		if !found {
+			return 0, fmt.Errorf("%s reports no %s", bench, unit)
 		}
-		return v, nil
+		if best == 0 || v < best {
+			best = v
+		}
 	}
-	return 0, fmt.Errorf("%s reports no %s", bench, unit)
+	return best, nil
 }
 
 // run judges every gate against the benchmark output on in and prints one
 // row per gate to out. A benchmark that appears more than once counts with
-// its last line.
+// its fastest line.
 func run(in io.Reader, out io.Writer) error {
-	results := map[string][]string{}
+	results := map[string][][]string{}
 	sc := bufio.NewScanner(in)
 	for sc.Scan() {
 		if name, pairs, ok := parseBenchLine(sc.Text()); ok {
-			results[name] = pairs
+			results[name] = append(results[name], pairs)
 		}
 	}
 	if err := sc.Err(); err != nil {

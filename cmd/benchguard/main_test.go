@@ -159,17 +159,30 @@ func TestParseBenchLine(t *testing.T) {
 	}
 }
 
-// A benchmark that ran twice counts with its last line, whichever side of
-// the floor that is.
-func TestLastLineWins(t *testing.T) {
+// A benchmark that ran several times (-count k) counts with its fastest
+// line, wherever that line falls: a slow run of the fast leg cannot fail a
+// gate, and a fast run of the slow leg sets its ratio.
+func TestFastestLineWins(t *testing.T) {
 	g := gates[0]
-	slowFast := strings.Join([]string{g.fast + "-2", "1", "1 ns/op", "1e9 " + g.unit}, "\t")
-	var out bytes.Buffer
-	if err := run(strings.NewReader(slowFast+"\n"+sample(t)), &out); err != nil {
-		t.Errorf("an early slow reading outlived the later one: %v", err)
+	line := func(bench, value string) string {
+		return strings.Join([]string{bench + "-2", "1", "1 ns/op", value + " " + g.unit}, "\t") + "\n"
 	}
-	err := run(strings.NewReader(sample(t)+slowFast+"\n"), &out)
-	if err == nil || !strings.Contains(err.Error(), g.name+": 0.00x is under") {
-		t.Errorf("a later slow reading did not replace the earlier one: %v", err)
+	slowFast := strings.Repeat(line(g.fast, "1e9"), 4)
+	var out bytes.Buffer
+	for _, in := range []string{slowFast + sample(t), sample(t) + slowFast} {
+		if err := run(strings.NewReader(in), &out); err != nil {
+			t.Errorf("slow runs of the fast leg outweighed its fastest: %v", err)
+		}
+	}
+	fastSlow := line(g.slow, "1e-3")
+	for _, in := range []string{fastSlow + sample(t) + slowFast, slowFast + sample(t) + fastSlow} {
+		err := run(strings.NewReader(in), &out)
+		if err == nil || !strings.Contains(err.Error(), g.name+": 0.00x is under") {
+			t.Errorf("the fastest run of the slow leg did not set the ratio: %v", err)
+		}
+	}
+	bad := line(g.fast, "-1")
+	if err := run(strings.NewReader(sample(t)+bad), &out); err == nil || !strings.Contains(err.Error(), "not a positive number") {
+		t.Errorf("a repeated line with a bad value was not refused: %v", err)
 	}
 }

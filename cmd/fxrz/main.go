@@ -406,7 +406,7 @@ func cmdFRaZ(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := fxrz.SearchFRaZ(c, f, *target, fxrz.DefaultFRaZConfig(*iters))
+	res, err := fxrz.SearchFRaZ(c, f, *target, *iters)
 	if err != nil {
 		return err
 	}

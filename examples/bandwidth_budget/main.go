@@ -68,7 +68,7 @@ func main() {
 		sent += len(blob)
 
 		// What the same decision costs with trial-and-error search.
-		fr, err := fxrz.SearchFRaZ(fxrz.NewSZ(), snap, target, fxrz.DefaultFRaZConfig(15))
+		fr, err := fxrz.SearchFRaZ(fxrz.NewSZ(), snap, target, 15)
 		if err != nil {
 			log.Fatal(err)
 		}

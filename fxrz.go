@@ -70,9 +70,6 @@ type Estimate = core.Estimate
 // TrainStats breaks down where training time went.
 type TrainStats = core.TrainStats
 
-// FRaZConfig configures the FRaZ baseline search (see SearchFRaZ).
-type FRaZConfig = fraz.Config
-
 // FRaZResult is the outcome of a FRaZ search.
 type FRaZResult = fraz.Result
 
@@ -343,11 +340,9 @@ func (fw *Framework) BrickToRatio(f *Field, targetRatio float64, side int) (*Bri
 
 // SearchFRaZ runs the FRaZ baseline: an iterative trial-and-error search
 // that *runs the compressor* each iteration. It is provided for comparison
-// and for targets outside a trained framework's range.
-func SearchFRaZ(c Compressor, f *Field, targetRatio float64, cfg FRaZConfig) (FRaZResult, error) {
-	return fraz.Search(c, f, targetRatio, cfg)
+// and for targets outside a trained framework's range. It uses the paper's
+// setup — 3 bins over FXRZ's sweep range, a 1% early stop — with at most
+// maxIters bisections per bin (the evaluation uses 6 and 15).
+func SearchFRaZ(c Compressor, f *Field, targetRatio float64, maxIters int) (FRaZResult, error) {
+	return fraz.Search(c, f, targetRatio, maxIters)
 }
-
-// DefaultFRaZConfig mirrors the paper's FRaZ setup (3 bins) with the given
-// per-bin iteration cap (the evaluation uses 6 and 15).
-func DefaultFRaZConfig(maxIters int) FRaZConfig { return fraz.DefaultConfig(maxIters) }

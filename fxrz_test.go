@@ -93,7 +93,7 @@ func TestEndToEndBeatsFRaZCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := fxrz.SearchFRaZ(fxrz.NewSZ(), f, 50, fxrz.DefaultFRaZConfig(15))
+	res, err := fxrz.SearchFRaZ(fxrz.NewSZ(), f, 50, 15)
 	if err != nil {
 		t.Fatal(err)
 	}

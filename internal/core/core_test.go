@@ -246,7 +246,7 @@ func TestLambdaMonotone(t *testing.T) {
 func TestSweepKnobsShapes(t *testing.T) {
 	f := rampField("r", 8)
 	ebAxis := compress.Axis{Kind: compress.AbsErrorBound, Min: 1e-12, Max: 1e6}
-	knobs := SweepKnobs(ebAxis, f, 25, 1e-6, 0.25)
+	knobs := SweepKnobs(ebAxis, f, 25)
 	if len(knobs) != 25 {
 		t.Fatalf("%d knobs", len(knobs))
 	}
@@ -255,7 +255,7 @@ func TestSweepKnobsShapes(t *testing.T) {
 		t.Errorf("knob range [%v, %v] not relative to value range %v", knobs[0], knobs[len(knobs)-1], vr)
 	}
 	pAxis := compress.Axis{Kind: compress.Precision, Min: 2, Max: 32}
-	pknobs := SweepKnobs(pAxis, f, 25, 0, 0)
+	pknobs := SweepKnobs(pAxis, f, 25)
 	for _, k := range pknobs {
 		if k != math.Round(k) || k < 2 || k > 32 {
 			t.Errorf("precision knob %v invalid", k)

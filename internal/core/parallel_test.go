@@ -166,7 +166,7 @@ func TestExtractFeaturesParallelDeterminism(t *testing.T) {
 func TestBuildCurveParallelDeterminism(t *testing.T) {
 	f := rampField("curve-par", 24)
 	comp := &fakeCompressor{scale: 8}
-	knobs := SweepKnobs(comp.Axis(), f, 9, 1e-6, 0.25)
+	knobs := SweepKnobs(comp.Axis(), f, 9)
 
 	want, err := BuildCurve(comp, f, knobs)
 	if err != nil {

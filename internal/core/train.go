@@ -41,10 +41,6 @@ type Config struct {
 	// AugmentPerField is the number of interpolated samples drawn per
 	// training field's curve.
 	AugmentPerField int
-	// RelKnobMin/RelKnobMax bound the error-bound sweep relative to each
-	// field's value range (ignored for precision axes, which sweep their
-	// native integer domain).
-	RelKnobMin, RelKnobMax float64
 	// Model picks the regressor family (default RFR).
 	Model ModelKind
 	// Trees is the forest size for ModelRFR (default 100).
@@ -70,8 +66,6 @@ func DefaultConfig() Config {
 		BlockSide:        DefaultBlockSide,
 		StationaryPoints: 25,
 		AugmentPerField:  150,
-		RelKnobMin:       1e-6,
-		RelKnobMax:       0.25,
 		Model:            ModelRFR,
 		Trees:            100,
 		Seed:             1,
@@ -94,12 +88,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AugmentPerField == 0 {
 		c.AugmentPerField = d.AugmentPerField
-	}
-	if c.RelKnobMin == 0 {
-		c.RelKnobMin = d.RelKnobMin
-	}
-	if c.RelKnobMax == 0 {
-		c.RelKnobMax = d.RelKnobMax
 	}
 	if c.Model == "" {
 		c.Model = d.Model
@@ -156,11 +144,19 @@ func (fw *Framework) WithParallelism(workers int) *Framework {
 	return &cp
 }
 
+// RelKnobMin and RelKnobMax bound the error-bound sweep relative to each
+// field's value range; precision axes sweep their native integer domain.
+// FRaZ searches the same range, as the paper does for a fair comparison.
+const (
+	RelKnobMin = 1e-6
+	RelKnobMax = 0.25
+)
+
 // SweepKnobs returns the stationary-point knob settings for a field: for
 // error-bound axes, n log-uniform bounds between RelKnobMin·range and
 // RelKnobMax·range; for precision axes, n integer precisions spanning the
 // axis domain.
-func SweepKnobs(axis compress.Axis, f *grid.Field, n int, relMin, relMax float64) []float64 {
+func SweepKnobs(axis compress.Axis, f *grid.Field, n int) []float64 {
 	if axis.Kind == compress.Precision {
 		return axis.Span(n)
 	}
@@ -168,7 +164,7 @@ func SweepKnobs(axis compress.Axis, f *grid.Field, n int, relMin, relMax float64
 	if vr <= 0 {
 		vr = 1
 	}
-	sub := compress.Axis{Kind: compress.AbsErrorBound, Min: relMin * vr, Max: relMax * vr}
+	sub := compress.Axis{Kind: compress.AbsErrorBound, Min: RelKnobMin * vr, Max: RelKnobMax * vr}
 	return sub.Span(n)
 }
 
@@ -252,7 +248,7 @@ func TrainWithCurves(c compress.Compressor, fields []*grid.Field, cfg Config, cu
 		if fieldCurves[i] != nil {
 			continue
 		}
-		knobs := SweepKnobs(fw.axis, f, cfg.StationaryPoints, cfg.RelKnobMin, cfg.RelKnobMax)
+		knobs := SweepKnobs(fw.axis, f, cfg.StationaryPoints)
 		if len(knobs) < 2 {
 			return nil, fmt.Errorf("core: training on %s: core: need at least 2 stationary knobs, got %d", f.Name, len(knobs))
 		}

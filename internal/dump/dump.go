@@ -30,16 +30,16 @@ type RankTask struct {
 // IOConfig models the shared parallel file system.
 type IOConfig struct {
 	// Bandwidth is the aggregate write bandwidth in bytes/second
-	// (Bebop's GPFS: ~2 GB/s).
+	// (Bebop's GPFS: ~2 GB/s), divided evenly among the channels.
 	Bandwidth float64
-	// Channels is the number of concurrent writers the I/O subsystem
-	// sustains (Bebop: 2 I/O nodes). The aggregate bandwidth is divided
-	// evenly among busy channels.
-	Channels int
 }
 
+// channels is the number of concurrent writers the I/O subsystem sustains
+// (Bebop: 2 I/O nodes).
+const channels = 2
+
 // DefaultIO returns the Bebop-like I/O model used in the evaluation.
-func DefaultIO() IOConfig { return IOConfig{Bandwidth: 2e9, Channels: 2} }
+func DefaultIO() IOConfig { return IOConfig{Bandwidth: 2e9} }
 
 // Result summarises one simulated dump.
 type Result struct {
@@ -53,15 +53,15 @@ type Result struct {
 }
 
 // Simulate runs the discrete-event model for the given rank tasks.
-// Each channel serves requests in arrival order at Bandwidth/Channels.
+// Each channel serves requests in arrival order at Bandwidth/channels.
 func Simulate(tasks []RankTask, io IOConfig) (Result, error) {
 	if len(tasks) == 0 {
 		return Result{}, fmt.Errorf("dump: no rank tasks")
 	}
-	if io.Bandwidth <= 0 || io.Channels <= 0 {
+	if io.Bandwidth <= 0 {
 		return Result{}, fmt.Errorf("dump: invalid I/O config %+v", io)
 	}
-	perChannel := io.Bandwidth / float64(io.Channels)
+	perChannel := io.Bandwidth / channels
 
 	// Arrival events: rank i requests I/O at analysis+compress completion.
 	type arrival struct {
@@ -81,7 +81,7 @@ func Simulate(tasks []RankTask, io IOConfig) (Result, error) {
 	sort.Slice(arrivals, func(i, j int) bool { return arrivals[i].at < arrivals[j].at })
 
 	// Channel availability times as a min-heap.
-	ch := make(minHeap, io.Channels)
+	ch := make(minHeap, channels)
 	heap.Init(&ch)
 
 	var makespan, ioBusy float64

@@ -65,10 +65,10 @@ const (
 	// enough that the per-chunk uvarint bookkeeping and LZ window reset stay
 	// far under 1% of the payload, small enough that a handful of chunks cover
 	// a typical field and region reads skip most of them. Inputs shorter than
-	// two chunks encode in the whole-stream format (the same two-unit cutoff
-	// sz applies to its slabs — below it the fan-out costs more than it buys).
-	// Exported so callers aligning chunk boundaries to their own structure
-	// (sz rows) can derive a block size near this target.
+	// two chunks encode in the whole-stream format: below that the fan-out
+	// costs more than it buys. Exported so callers aligning chunk boundaries
+	// to their own structure (sz rows) can derive a block size near this
+	// target.
 	ChunkTargetBytes = 1 << 17
 
 	// maxChunksCap bounds hostile chunk counts before any per-chunk
@@ -134,32 +134,21 @@ func HuffmanDecodeChunked(blob []byte, workers int) ([]uint32, error) {
 	return h.decodeAll(workers, true)
 }
 
-// CompressBytesChunked is CompressBytes in the chunked container: src is cut
-// into ChunkTargetBytes blocks, each LZ-coded independently, with one shared
-// Huffman table over all chunks. Inputs shorter than two blocks fall back to
-// the legacy whole-stream format byte-identically. Output is identical at
-// every worker count.
-func CompressBytesChunked(src []byte, workers int) ([]byte, error) {
-	if (len(src)+ChunkTargetBytes-1)/ChunkTargetBytes < 2 {
-		return CompressBytes(src)
-	}
-	return CompressBytesBlocks(src, ChunkTargetBytes, workers)
-}
-
-// CompressBytesBlocks encodes src into the chunked byte container with the
-// caller's exact block size — the entry point for callers that align chunk
-// boundaries to their own structure (sz uses a multiple of its row size so
-// slab boundaries land on chunk boundaries). The container is emitted even
-// for a single block; callers wanting the legacy fallback use
-// CompressBytesChunked.
+// CompressBytesBlocks is CompressBytes in the chunked container: src is cut
+// into blocks of blockBytes, each LZ-coded independently, with one shared
+// Huffman table over all chunks. Callers pass ChunkTargetBytes, or align
+// chunk boundaries to their own structure (sz uses a multiple of its row
+// size so slab boundaries land on chunk boundaries). Input that fits in one
+// block takes the whole-stream format, byte-identical to CompressBytes.
+// Output is identical at every worker count.
 func CompressBytesBlocks(src []byte, blockBytes, workers int) ([]byte, error) {
 	if blockBytes <= 0 {
 		return nil, fmt.Errorf("entropy: invalid chunk block size %d", blockBytes)
 	}
-	nblocks := (len(src) + blockBytes - 1) / blockBytes
-	if nblocks < 1 {
-		nblocks = 1
+	if len(src) <= blockBytes {
+		return CompressBytes(src)
 	}
+	nblocks := (len(src) + blockBytes - 1) / blockBytes
 	if nblocks > maxChunksCap {
 		return nil, fmt.Errorf("entropy: %d chunks exceed cap (block size %d for %d bytes)", nblocks, blockBytes, len(src))
 	}
@@ -200,10 +189,10 @@ func CompressBytesBlocks(src []byte, blockBytes, workers int) ([]byte, error) {
 	return out, err
 }
 
-// DecompressBytesParallel reverses CompressBytes and CompressBytesChunked,
-// decoding the chunks of a chunked container across up to `workers`
-// goroutines. Legacy whole-stream blobs take the original serial path.
-func DecompressBytesParallel(blob []byte, workers int) ([]byte, error) {
+// DecompressBytes reverses CompressBytes and CompressBytesBlocks: it sniffs
+// the container and decodes the chunks of a chunked one across up to
+// `workers` goroutines. Legacy whole-stream blobs take the serial path.
+func DecompressBytes(blob []byte, workers int) ([]byte, error) {
 	if !isChunked(blob, chunkedMagicBytes) {
 		obs.Inc("entropy/legacy_decode")
 		return decompressBytesLegacy(blob)

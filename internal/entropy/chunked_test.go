@@ -115,18 +115,13 @@ func TestChunkedBytesIdentity(t *testing.T) {
 				}
 			}
 			for _, w := range workerWidths() {
-				got, err := DecompressBytesParallel(ref, w)
+				got, err := DecompressBytes(ref, w)
 				if err != nil {
 					t.Fatalf("decode w=%d: %v", w, err)
 				}
 				if !bytes.Equal(got, src) {
 					t.Fatalf("decode w=%d round-trip mismatch", w)
 				}
-			}
-			// The serial dispatcher handles chunked blobs too.
-			got, err := DecompressBytes(ref)
-			if err != nil || !bytes.Equal(got, src) {
-				t.Fatalf("DecompressBytes on chunked blob: %v", err)
 			}
 			// Legacy blobs flow through the chunk-aware decoder unchanged.
 			legacy, err := CompressBytes(src)
@@ -136,32 +131,65 @@ func TestChunkedBytesIdentity(t *testing.T) {
 			if isChunked(legacy, chunkedMagicBytes) {
 				t.Fatalf("whole-stream encoder emitted a chunked container")
 			}
-			got, err = DecompressBytesParallel(legacy, 4)
+			got, err := DecompressBytes(legacy, 4)
 			if err != nil || !bytes.Equal(got, src) {
-				t.Fatalf("legacy blob through DecompressBytesParallel: %v", err)
+				t.Fatalf("legacy blob through DecompressBytes: %v", err)
 			}
 		})
 	}
 }
 
-// TestChunkedBytesFallback: below the two-chunk cutoff the chunked entry
-// point must produce the legacy whole-stream format byte-identically.
+// TestChunkedBytesFallback: input that fits in one block must take the legacy
+// whole-stream format byte-identically, one byte more must not, and a
+// one-chunk container — valid input no encoder emits — must still decode.
 func TestChunkedBytesFallback(t *testing.T) {
-	src := make([]byte, ChunkTargetBytes-1)
+	src := make([]byte, ChunkTargetBytes+1)
 	for i := range src {
 		src[i] = byte(i)
 	}
-	chunked, err := CompressBytesChunked(src, 2)
+	for _, n := range []int{ChunkTargetBytes - 1, ChunkTargetBytes} {
+		chunked, err := CompressBytesBlocks(src[:n], ChunkTargetBytes, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		legacy, err := CompressBytes(src[:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(chunked, legacy) {
+			t.Fatalf("%d bytes: below-cutoff chunked encode is not byte-identical to the legacy format", n)
+		}
+	}
+	if blob, err := CompressBytesBlocks(src, ChunkTargetBytes, 2); err != nil || !isChunked(blob, chunkedMagicBytes) {
+		t.Fatalf("two-block input not chunked (err %v)", err)
+	}
+	one := oneChunkContainer(t, src[:1000], 4096)
+	for _, w := range workerWidths() {
+		if got, err := DecompressBytes(one, w); err != nil || !bytes.Equal(got, src[:1000]) {
+			t.Fatalf("one-chunk container at w=%d: %v", w, err)
+		}
+	}
+	if got, err := DecompressBytesRange(one, 10, 900, 1000, 2); err != nil || !bytes.Equal(got, src[10:900]) {
+		t.Fatalf("one-chunk container range: %v", err)
+	}
+}
+
+// oneChunkContainer builds the 0xCB container of src as a single chunk of a
+// blockBytes-wide block (blockBytes >= len(src)).
+func oneChunkContainer(t testing.TB, src []byte, blockBytes int) []byte {
+	lz := LZCompress(src)
+	syms := make([]uint32, len(lz))
+	for i, b := range lz {
+		syms[i] = uint32(b)
+	}
+	out := []byte{chunkedSentinel, chunkedMagicBytes, chunkedVersion}
+	out = binary.AppendUvarint(out, uint64(len(src)))
+	out = binary.AppendUvarint(out, uint64(blockBytes))
+	out, err := appendChunkedCore(out, [][]uint32{syms}, 256, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := CompressBytes(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(chunked, legacy) {
-		t.Fatalf("below-cutoff chunked encode is not byte-identical to the legacy format")
-	}
+	return out
 }
 
 // TestChunkedBytesRange: DecompressBytesRange must return exactly src[off:end]
@@ -337,7 +365,7 @@ func TestChunkedOverhead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunked, err := CompressBytesChunked(src, 2)
+	chunked, err := CompressBytesBlocks(src, ChunkTargetBytes, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,12 +443,12 @@ func TestChunkedHostileHeaders(t *testing.T) {
 		b := bytes.Clone(good)
 		b[i] ^= 0xFF
 		cases["flip"] = b
-		if out, err := DecompressBytesParallel(b, 2); err == nil && !bytes.Equal(out, src) {
+		if out, err := DecompressBytes(b, 2); err == nil && !bytes.Equal(out, src) {
 			t.Fatalf("flip at %d: silent corruption", i)
 		}
 	}
 	for name, b := range cases {
-		if out, err := DecompressBytesParallel(b, 2); err == nil && !bytes.Equal(out, src) {
+		if out, err := DecompressBytes(b, 2); err == nil && !bytes.Equal(out, src) {
 			t.Fatalf("%s: silent corruption", name)
 		}
 	}

@@ -343,7 +343,7 @@ func TestCompressBytesPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecompressBytes(blob)
+	got, err := DecompressBytes(blob, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,15 +64,16 @@ func FuzzChunkedEntropy(f *testing.F) {
 	if blob, err := CompressBytes(sample); err == nil {
 		f.Add(blob) // legacy container through the same dispatch
 	}
+	f.Add(oneChunkContainer(f, sample, 1024)) // valid, though no encoder emits it
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0xCB, 0x01})
 	f.Add([]byte{0x00, 0xC5, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if out, err := DecompressBytesParallel(data, 3); err == nil {
+		if out, err := DecompressBytes(data, 3); err == nil {
 			if len(out) > 1<<28 {
 				t.Fatalf("implausible expansion to %d bytes accepted", len(out))
 			}
-			serial, err := DecompressBytesParallel(data, 1)
+			serial, err := DecompressBytes(data, 1)
 			if err != nil {
 				t.Fatalf("parallel decoded %d bytes, serial errored: %v", len(out), err)
 			}
@@ -98,7 +99,7 @@ func FuzzChunkedEntropy(f *testing.F) {
 		if err != nil {
 			t.Fatalf("encode (block %d): %v", blockBytes, err)
 		}
-		back, err := DecompressBytesParallel(blob, 2)
+		back, err := DecompressBytes(blob, 2)
 		if err != nil {
 			t.Fatalf("decode own encoding: %v", err)
 		}

@@ -243,11 +243,3 @@ func CompressBytes(src []byte) ([]byte, error) {
 	u32Scratch.Put(syms)
 	return blob, err
 }
-
-// DecompressBytes reverses CompressBytes and the chunked variants: it sniffs
-// the container (chunked.go) and dispatches, so any blob a CompressBytes*
-// encoder produced decodes here. Serial; DecompressBytesParallel fans chunked
-// containers out over a worker pool.
-func DecompressBytes(blob []byte) ([]byte, error) {
-	return DecompressBytesParallel(blob, 1)
-}

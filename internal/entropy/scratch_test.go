@@ -40,7 +40,7 @@ func TestConcurrentCompressRoundTrip(t *testing.T) {
 					errs <- err
 					return
 				}
-				got, err := DecompressBytes(blob)
+				got, err := DecompressBytes(blob, 1)
 				if err != nil {
 					errs <- err
 					return

@@ -94,7 +94,6 @@ func Compare(s *Session, apps, comps []string, maxTestFields int) (*CompareResul
 			res.FXRZ[cname][app] = pts
 
 			for _, iters := range res.Iters {
-				cfg := fraz.DefaultConfig(iters)
 				var fps []FRaZPoint
 				for _, f := range tests {
 					targets, err := s.Targets(fw, cname, f, s.S.TCRs)
@@ -102,7 +101,7 @@ func Compare(s *Session, apps, comps []string, maxTestFields int) (*CompareResul
 						return nil, err
 					}
 					for _, tcr := range targets {
-						r, err := fraz.Search(c, f, tcr, cfg)
+						r, err := fraz.Search(c, f, tcr, iters)
 						if err != nil {
 							return nil, fmt.Errorf("exp: fraz(%d) %s on %s: %w", iters, cname, f.Name, err)
 						}
@@ -364,14 +363,13 @@ func Fig14(s *Session) (*Fig14Result, error) {
 		}
 		var frazSum float64
 		var frazN int
-		cfg := fraz.DefaultConfig(15)
 		for _, f := range tests {
 			targets, terr := s.Targets(fw, cname, f, max(4, s.S.TCRs/3))
 			if terr != nil {
 				return nil, terr
 			}
 			for _, tcr := range targets {
-				r, err := fraz.Search(c, f, tcr, cfg)
+				r, err := fraz.Search(c, f, tcr, 15)
 				if err != nil {
 					return nil, err
 				}
@@ -439,7 +437,7 @@ func Dump(s *Session) (*DumpResult, error) {
 		return nil, err
 	}
 	compTime := time.Since(t0)
-	fr, err := fraz.Search(c, f, tcr, fraz.DefaultConfig(15))
+	fr, err := fraz.Search(c, f, tcr, 15)
 	if err != nil {
 		return nil, err
 	}

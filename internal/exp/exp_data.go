@@ -35,7 +35,7 @@ func Fig2(s *Session) (*Fig2Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		knobs := core.SweepKnobs(c.Axis(), f, cfg.StationaryPoints, cfg.RelKnobMin, cfg.RelKnobMax)
+		knobs := core.SweepKnobs(c.Axis(), f, cfg.StationaryPoints)
 		curve, err := core.BuildCurve(c, f, knobs)
 		if err != nil {
 			return nil, err

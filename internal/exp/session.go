@@ -160,7 +160,7 @@ func (s *Session) Curves(app, comp string) (map[string]*core.Curve, error) {
 	cfg := s.Config()
 	cs := make(map[string]*core.Curve, len(fields))
 	for _, f := range fields {
-		knobs := core.SweepKnobs(c.Axis(), f, cfg.StationaryPoints, cfg.RelKnobMin, cfg.RelKnobMax)
+		knobs := core.SweepKnobs(c.Axis(), f, cfg.StationaryPoints)
 		curve, err := core.BuildCurveParallel(c, f, knobs, pool.Workers(cfg.Parallelism))
 		if err != nil {
 			return nil, fmt.Errorf("exp: sweeping %s for %s: %w", f.Name, comp, err)
@@ -336,7 +336,7 @@ func (s *Session) TestCurve(comp string, f *grid.Field) (*core.Curve, error) {
 		return nil, err
 	}
 	cfg := s.Config()
-	knobs := core.SweepKnobs(c.Axis(), f, cfg.StationaryPoints, cfg.RelKnobMin, cfg.RelKnobMax)
+	knobs := core.SweepKnobs(c.Axis(), f, cfg.StationaryPoints)
 	curve, err := core.BuildCurveParallel(c, f, knobs, pool.Workers(cfg.Parallelism))
 	if err != nil {
 		return nil, fmt.Errorf("exp: ground-truth sweep of %s for %s: %w", f.Name, comp, err)

@@ -6,10 +6,12 @@
 // That cost (10–100× the compression time) is exactly what FXRZ eliminates,
 // and what every FXRZ-vs-FRaZ comparison in the evaluation measures.
 //
-// Faithfully to the paper's configuration (§V-A4): the global knob range is
-// divided into `Bins` sub-ranges (k=3), each searched with a bounded
-// iterative bisection of at most `MaxIters` iterations (6 or 15 in the
-// evaluation), and the best setting found across bins is returned.
+// Faithfully to the paper's configuration (§V-A4): the global knob range —
+// FXRZ's training sweep range, core.RelKnobMin to core.RelKnobMax of the
+// field's value range — is divided into bins (k=3) sub-ranges, each searched
+// with a bounded iterative bisection of at most maxIters iterations (6 or 15
+// in the evaluation, FRaZ-6 and FRaZ-15) that stops early within tolerance
+// (1%) of the target, and the best setting found across bins is returned.
 package fraz
 
 import (
@@ -18,29 +20,16 @@ import (
 	"time"
 
 	"github.com/fxrz-go/fxrz/internal/compress"
+	"github.com/fxrz-go/fxrz/internal/core"
 	"github.com/fxrz-go/fxrz/internal/grid"
 )
 
-// Config controls the FRaZ search.
-type Config struct {
-	// Bins is the number of sub-ranges the knob domain is split into
-	// (paper: 3).
-	Bins int
-	// MaxIters bounds the iterations per bin (paper: 6 and 15).
-	MaxIters int
-	// RelKnobMin/RelKnobMax bound the global error-bound search range
-	// relative to the field's value range, kept identical to FXRZ's training
-	// sweep for fairness (as the paper does).
-	RelKnobMin, RelKnobMax float64
-	// Tolerance stops a bin early when |ratio - target|/target falls below
-	// it (default 0.01).
-	Tolerance float64
-}
-
-// DefaultConfig returns the paper's FRaZ setup with the given iteration cap.
-func DefaultConfig(maxIters int) Config {
-	return Config{Bins: 3, MaxIters: maxIters, RelKnobMin: 1e-6, RelKnobMax: 0.25, Tolerance: 0.01}
-}
+// The paper's FRaZ setup: the knob range splits into bins sub-ranges, and a
+// bin stops early once |ratio - target|/target is within tolerance.
+const (
+	bins      = 3
+	tolerance = 0.01
+)
 
 // Result reports the outcome of one FRaZ search.
 type Result struct {
@@ -55,22 +44,17 @@ type Result struct {
 	SearchTime time.Duration
 }
 
-// Search runs FRaZ for one field and target ratio.
-func Search(c compress.Compressor, f *grid.Field, targetRatio float64, cfg Config) (Result, error) {
+// Search runs FRaZ for one field and target ratio, bisecting each bin at most
+// maxIters times (6 when maxIters <= 0).
+func Search(c compress.Compressor, f *grid.Field, targetRatio float64, maxIters int) (Result, error) {
 	if !(targetRatio > 0) || math.IsInf(targetRatio, 0) {
 		return Result{}, fmt.Errorf("fraz: target ratio must be a positive finite number, got %v", targetRatio)
 	}
-	if cfg.Bins <= 0 {
-		cfg.Bins = 3
-	}
-	if cfg.MaxIters <= 0 {
-		cfg.MaxIters = 6
-	}
-	if cfg.Tolerance <= 0 {
-		cfg.Tolerance = 0.01
+	if maxIters <= 0 {
+		maxIters = 6
 	}
 	axis := c.Axis()
-	lo, hi := searchRange(axis, f, cfg)
+	lo, hi := searchRange(axis, f)
 
 	start := time.Now()
 	res := Result{}
@@ -95,16 +79,16 @@ func Search(c compress.Compressor, f *grid.Field, targetRatio float64, cfg Confi
 	// a linear bracket over a domain spanning several orders of magnitude
 	// needs many iterations to localise small bounds, which is exactly why
 	// the paper's FRaZ-6 is inaccurate and FRaZ-15 is merely acceptable.
-	for b := 0; b < cfg.Bins; b++ {
-		bl := lo + (hi-lo)*float64(b)/float64(cfg.Bins)
-		bh := lo + (hi-lo)*float64(b+1)/float64(cfg.Bins)
-		for it := 0; it < cfg.MaxIters; it++ {
+	for b := 0; b < bins; b++ {
+		bl := lo + (hi-lo)*float64(b)/float64(bins)
+		bh := lo + (hi-lo)*float64(b+1)/float64(bins)
+		for it := 0; it < maxIters; it++ {
 			mid := (bl + bh) / 2
 			r, err := eval(mid)
 			if err != nil {
 				return res, fmt.Errorf("fraz: evaluating knob: %w", err)
 			}
-			if math.Abs(r-targetRatio)/targetRatio <= cfg.Tolerance {
+			if math.Abs(r-targetRatio)/targetRatio <= tolerance {
 				res.SearchTime = time.Since(start)
 				return res, nil
 			}
@@ -129,20 +113,13 @@ func Search(c compress.Compressor, f *grid.Field, targetRatio float64, cfg Confi
 
 // searchRange computes the global knob range, relative to the data for
 // error-bound axes and the native domain for precision axes.
-func searchRange(axis compress.Axis, f *grid.Field, cfg Config) (lo, hi float64) {
+func searchRange(axis compress.Axis, f *grid.Field) (lo, hi float64) {
 	if axis.Kind == compress.Precision {
 		return axis.Min, axis.Max
-	}
-	relMin, relMax := cfg.RelKnobMin, cfg.RelKnobMax
-	if relMin <= 0 {
-		relMin = 1e-6
-	}
-	if relMax <= 0 {
-		relMax = 0.25
 	}
 	vr := f.ValueRange()
 	if vr <= 0 {
 		vr = 1
 	}
-	return axis.Clamp(relMin * vr), axis.Clamp(relMax * vr)
+	return axis.Clamp(core.RelKnobMin * vr), axis.Clamp(core.RelKnobMax * vr)
 }

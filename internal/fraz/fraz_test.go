@@ -41,7 +41,7 @@ func TestSearchConvergesOnAnalyticLaw(t *testing.T) {
 	c := &analytic{}
 	f := testField()
 	for _, tcr := range []float64{5, 15, 30} {
-		res, err := Search(c, f, tcr, DefaultConfig(15))
+		res, err := Search(c, f, tcr, 15)
 		if err != nil {
 			t.Fatalf("tcr=%v: %v", tcr, err)
 		}
@@ -57,12 +57,10 @@ func TestMoreIterationsImproveAccuracy(t *testing.T) {
 	errAt := func(iters int) float64 {
 		c := &analytic{}
 		var total float64
-		// Loose tolerance so the search cannot stop early and iteration
+		// Both counts run under the same 1% early stop, so the iteration
 		// count is the only difference.
-		cfg := DefaultConfig(iters)
-		cfg.Tolerance = 1e-9
 		for _, tcr := range []float64{4, 9, 17, 26, 33} {
-			res, err := Search(c, f, tcr, cfg)
+			res, err := Search(c, f, tcr, iters)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,14 +77,14 @@ func TestMoreIterationsImproveAccuracy(t *testing.T) {
 func TestRunCountBounded(t *testing.T) {
 	c := &analytic{}
 	f := testField()
-	cfg := DefaultConfig(6)
-	cfg.Tolerance = 1e-12 // never early-stop
-	res, err := Search(c, f, 12, cfg)
+	// The range tops out near ratio 38, so no probe comes within tolerance
+	// of 100 and the search never stops early.
+	res, err := Search(c, f, 100, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.CompressorRuns != cfg.Bins*cfg.MaxIters {
-		t.Errorf("runs = %d, want %d", res.CompressorRuns, cfg.Bins*cfg.MaxIters)
+	if res.CompressorRuns != bins*6 {
+		t.Errorf("runs = %d, want %d", res.CompressorRuns, bins*6)
 	}
 	if res.SearchTime <= 0 {
 		t.Error("search time not measured")
@@ -96,13 +94,11 @@ func TestRunCountBounded(t *testing.T) {
 func TestEarlyStopSavesRuns(t *testing.T) {
 	c := &analytic{}
 	f := testField()
-	cfg := DefaultConfig(15)
-	cfg.Tolerance = 0.10
-	res, err := Search(c, f, 12, cfg)
+	res, err := Search(c, f, 12, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.CompressorRuns >= cfg.Bins*cfg.MaxIters {
+	if res.CompressorRuns >= bins*15 {
 		t.Errorf("early stop did not trigger: %d runs", res.CompressorRuns)
 	}
 }
@@ -111,7 +107,7 @@ func TestInvalidTarget(t *testing.T) {
 	c := &analytic{}
 	f := testField()
 	for _, tcr := range []float64{0, -3, math.Inf(1), math.NaN()} {
-		if _, err := Search(c, f, tcr, DefaultConfig(6)); err == nil {
+		if _, err := Search(c, f, tcr, 6); err == nil {
 			t.Errorf("target %v accepted", tcr)
 		}
 	}
@@ -127,7 +123,7 @@ func TestSearchOnRealSZ(t *testing.T) {
 			}
 		}
 	}
-	res, err := Search(sz.New(), f, 15, DefaultConfig(15))
+	res, err := Search(sz.New(), f, 15, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +141,7 @@ func TestPrecisionAxisSearch(t *testing.T) {
 	// ratio), like FPZIP.
 	c := &precisionCompressor{}
 	f := testField()
-	res, err := Search(c, f, 4, DefaultConfig(15))
+	res, err := Search(c, f, 4, 15)
 	if err != nil {
 		t.Fatal(err)
 	}

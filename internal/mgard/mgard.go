@@ -109,7 +109,7 @@ func (*Compressor) Decompress(blob []byte) (*grid.Field, error) {
 		return nil, fmt.Errorf("mgard: %w: code section", compress.ErrCorrupt)
 	}
 	payload = payload[k:]
-	codeBytes, err := entropy.DecompressBytes(payload[:pcLen])
+	codeBytes, err := entropy.DecompressBytes(payload[:pcLen], 1)
 	if err != nil {
 		return nil, fmt.Errorf("mgard: decode codes: %w", err)
 	}

@@ -6,15 +6,13 @@ import (
 )
 
 // AdaBoostConfig controls the AdaBoost.R2 regressor (Drucker, 1997), the
-// meta-estimator the paper evaluates against the random forest in Table III.
+// meta-estimator the paper evaluates against the random forest in Table III,
+// with its linear loss |ŷ−y|/max|ŷ−y| per sample.
 type AdaBoostConfig struct {
 	// Estimators is the maximum number of boosting rounds (default 50).
 	Estimators int
 	// MaxDepth limits each weak regression tree (default 3).
 	MaxDepth int
-	// Loss selects the per-sample loss normalisation: "linear", "square" or
-	// "exponential" (default "linear").
-	Loss string
 	// Seed makes weighted resampling deterministic.
 	Seed int64
 }
@@ -34,9 +32,6 @@ func NewAdaBoost(cfg AdaBoostConfig) *AdaBoost {
 	}
 	if cfg.MaxDepth <= 0 {
 		cfg.MaxDepth = 3
-	}
-	if cfg.Loss == "" {
-		cfg.Loss = "linear"
 	}
 	return &AdaBoost{cfg: cfg}
 }
@@ -77,7 +72,7 @@ func (a *AdaBoost) Fit(X [][]float64, y []float64) error {
 			bx[i] = X[j]
 			by[i] = y[j]
 		}
-		tree := NewTree(TreeConfig{MaxDepth: a.cfg.MaxDepth, MinLeaf: 1, Seed: a.cfg.Seed + int64(round)})
+		tree := NewTree(TreeConfig{MaxDepth: a.cfg.MaxDepth, Seed: a.cfg.Seed + int64(round)})
 		if err := tree.Fit(bx, by); err != nil {
 			return err
 		}
@@ -98,15 +93,8 @@ func (a *AdaBoost) Fit(X [][]float64, y []float64) error {
 		}
 		var avgLoss float64
 		for i := range X {
-			l := math.Abs(preds[i]-y[i]) / maxErr
-			switch a.cfg.Loss {
-			case "square":
-				l = l * l
-			case "exponential":
-				l = 1 - math.Exp(-l)
-			}
-			losses[i] = l
-			avgLoss += w[i] * l
+			losses[i] = math.Abs(preds[i]-y[i]) / maxErr
+			avgLoss += w[i] * losses[i]
 		}
 		var wsum float64
 		for _, wi := range w {

@@ -10,14 +10,10 @@ import (
 // ForestConfig controls the random forest regressor the paper adopts for
 // FXRZ (Table III shows it beating AdaBoost and SVR on this problem).
 type ForestConfig struct {
-	// Trees is the ensemble size (default 100).
+	// Trees is the ensemble size (default 100). Each tree grows to
+	// unlimited depth with leaves of one sample and max(1, d/3) candidate
+	// features per split, the regression defaults.
 	Trees int
-	// MaxDepth limits each tree (0 = unlimited).
-	MaxDepth int
-	// MinLeaf is the per-tree minimum leaf size (default 1).
-	MinLeaf int
-	// MaxFeatures per split; 0 selects max(1, d/3), the regression default.
-	MaxFeatures int
 	// Seed makes training deterministic.
 	Seed int64
 }
@@ -33,9 +29,6 @@ func NewForest(cfg ForestConfig) *Forest {
 	if cfg.Trees <= 0 {
 		cfg.Trees = 100
 	}
-	if cfg.MinLeaf <= 0 {
-		cfg.MinLeaf = 1
-	}
 	return &Forest{cfg: cfg}
 }
 
@@ -47,14 +40,7 @@ func (f *Forest) Fit(X [][]float64, y []float64) error {
 	if err := validate(X, y); err != nil {
 		return err
 	}
-	d := len(X[0])
-	maxFeat := f.cfg.MaxFeatures
-	if maxFeat <= 0 {
-		maxFeat = d / 3
-		if maxFeat < 1 {
-			maxFeat = 1
-		}
-	}
+	maxFeat := max(1, len(X[0])/3)
 	f.trees = make([]*Tree, f.cfg.Trees)
 	return pool.RunErr(runtime.GOMAXPROCS(0), f.cfg.Trees, func(t int) error {
 		rng := rand.New(rand.NewSource(f.cfg.Seed + int64(t)*7919))
@@ -67,8 +53,6 @@ func (f *Forest) Fit(X [][]float64, y []float64) error {
 			by[i] = y[j]
 		}
 		tree := NewTree(TreeConfig{
-			MaxDepth:    f.cfg.MaxDepth,
-			MinLeaf:     f.cfg.MinLeaf,
 			MaxFeatures: maxFeat,
 			Seed:        f.cfg.Seed + int64(t)*104729,
 		})

@@ -225,14 +225,12 @@ func TestAdaBoostLearns(t *testing.T) {
 
 func TestAdaBoostLossVariants(t *testing.T) {
 	X, y := synth(200, 2, 6, 0.1)
-	for _, loss := range []string{"linear", "square", "exponential"} {
-		ab := NewAdaBoost(AdaBoostConfig{Estimators: 20, Loss: loss, Seed: 4})
-		if err := ab.Fit(X, y); err != nil {
-			t.Fatalf("loss %s: %v", loss, err)
-		}
-		if m := mae(ab, X, y); m > 1 {
-			t.Errorf("loss %s: MAE %.3f", loss, m)
-		}
+	ab := NewAdaBoost(AdaBoostConfig{Estimators: 20, Seed: 4})
+	if err := ab.Fit(X, y); err != nil {
+		t.Fatalf("linear loss: %v", err)
+	}
+	if m := mae(ab, X, y); m > 1 {
+		t.Errorf("linear loss: MAE %.3f", m)
 	}
 }
 

@@ -6,7 +6,8 @@ import (
 )
 
 // SVRConfig controls the ε-insensitive support vector regressor with an RBF
-// kernel. Training uses the kernelised stochastic subgradient method (NORMA,
+// kernel exp(-γ‖x-z‖²), γ = 1/d over the standardised features. Training
+// uses the kernelised stochastic subgradient method (NORMA,
 // Kivinen–Smola–Williamson 2004), which optimises the same regularised
 // ε-insensitive objective as classic SMO-trained SVR.
 type SVRConfig struct {
@@ -14,9 +15,6 @@ type SVRConfig struct {
 	C float64
 	// Epsilon is the insensitive-tube half width (default 0.1).
 	Epsilon float64
-	// Gamma is the RBF kernel width exp(-γ‖x-z‖²); 0 selects 1/d after
-	// feature standardisation.
-	Gamma float64
 	// Epochs over the training set (default 200).
 	Epochs int
 	// Seed makes the stochastic updates deterministic.
@@ -84,10 +82,7 @@ func (s *SVR) Fit(X [][]float64, y []float64) error {
 	for i := range y {
 		ys[i] = (y[i] - s.yMean) / s.yStd
 	}
-	s.gamma = s.cfg.Gamma
-	if s.gamma <= 0 {
-		s.gamma = 1 / float64(d)
-	}
+	s.gamma = 1 / float64(d)
 
 	s.beta = make([]float64, n)
 	s.bias = 0

@@ -14,12 +14,11 @@ type Regressor interface {
 	Predict(x []float64) float64
 }
 
-// TreeConfig controls CART regression tree growth.
+// TreeConfig controls CART regression tree growth. A leaf may hold a single
+// sample.
 type TreeConfig struct {
 	// MaxDepth limits tree depth; 0 means unlimited.
 	MaxDepth int
-	// MinLeaf is the minimum number of samples in a leaf (default 1).
-	MinLeaf int
 	// MaxFeatures is the number of features considered per split; 0 means
 	// all features (random forests pass ~d/3).
 	MaxFeatures int
@@ -51,9 +50,6 @@ type treeNode struct {
 
 // NewTree returns an untrained tree with the given configuration.
 func NewTree(cfg TreeConfig) *Tree {
-	if cfg.MinLeaf <= 0 {
-		cfg.MinLeaf = 1
-	}
 	return &Tree{cfg: cfg}
 }
 
@@ -78,7 +74,7 @@ func (t *Tree) grow(X [][]float64, y []float64, idx []int, depth int, rng *rand.
 	node := len(t.nodes)
 	mean, sse := meanSSE(y, idx)
 	t.nodes = append(t.nodes, treeNode{v: mean, feature: -1})
-	if sse == 0 || len(idx) < 2*t.cfg.MinLeaf || (t.cfg.MaxDepth > 0 && depth > t.cfg.MaxDepth) {
+	if sse == 0 || len(idx) < 2 || (t.cfg.MaxDepth > 0 && depth > t.cfg.MaxDepth) {
 		return node
 	}
 
@@ -94,7 +90,7 @@ func (t *Tree) grow(X [][]float64, y []float64, idx []int, depth int, rng *rand.
 			right = append(right, i)
 		}
 	}
-	if len(left) < t.cfg.MinLeaf || len(right) < t.cfg.MinLeaf {
+	if len(left) == 0 || len(right) == 0 {
 		return node
 	}
 	t.grow(X, y, left, depth+1, rng) // lands at node+1
@@ -148,9 +144,6 @@ func (t *Tree) bestSplit(X [][]float64, y []float64, idx []int, rng *rand.Rand) 
 				continue // cannot split between equal values
 			}
 			nl, nr := float64(k+1), float64(n-k-1)
-			if int(nl) < t.cfg.MinLeaf || int(nr) < t.cfg.MinLeaf {
-				continue
-			}
 			sseL := sumSqL - sumL*sumL/nl
 			sseR := sumSqR - sumR*sumR/nr
 			gain := parentSSE - (sseL + sseR)

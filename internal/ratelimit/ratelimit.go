@@ -10,7 +10,7 @@
 // time until the bucket next holds a full token — the serving layer turns
 // that into an honest Retry-After header instead of a generic "try later".
 //
-// The bucket table is bounded: at most MaxClients buckets are resident, and
+// The bucket table is bounded: at most maxClients buckets are resident, and
 // the least-recently-seen client is evicted to make room. An evicted client
 // that returns starts with a full bucket again — the limiter trades perfect
 // memory for bounded memory, which is the right trade for a shedding tier
@@ -32,10 +32,11 @@ type Config struct {
 	// Burst is the bucket depth — how many requests a client may issue
 	// back-to-back after an idle period. Default: ceil(Rate), at least 1.
 	Burst int
-	// MaxClients bounds the resident bucket table (default 4096); the
-	// least-recently-seen client is evicted when it overflows.
-	MaxClients int
 }
+
+// maxClients bounds the resident bucket table; the least-recently-seen
+// client is evicted when it overflows.
+const maxClients = 4096
 
 func (c Config) withDefaults() Config {
 	if c.Burst <= 0 {
@@ -43,9 +44,6 @@ func (c Config) withDefaults() Config {
 		if c.Burst < 1 {
 			c.Burst = 1
 		}
-	}
-	if c.MaxClients <= 0 {
-		c.MaxClients = 4096
 	}
 	return c
 }
@@ -114,7 +112,7 @@ func (l *Limiter) AllowN(id string, n int) (ok bool, retryAfter time.Duration) {
 		b = &bucket{id: id, tokens: float64(l.cfg.Burst), last: now}
 		l.buckets[id] = b
 		b.elem = l.lru.PushFront(b)
-		if len(l.buckets) > l.cfg.MaxClients {
+		if len(l.buckets) > maxClients {
 			oldest := l.lru.Back().Value.(*bucket)
 			l.lru.Remove(oldest.elem)
 			delete(l.buckets, oldest.id)

@@ -112,20 +112,23 @@ func TestClientsAreIndependent(t *testing.T) {
 }
 
 func TestEvictionBoundsMemory(t *testing.T) {
-	l, _ := newTestLimiter(Config{Rate: 1, Burst: 1, MaxClients: 2})
+	l, _ := newTestLimiter(Config{Rate: 1, Burst: 1})
 	l.Allow("a") // a's bucket now empty
 	l.Allow("b")
-	l.Allow("c") // evicts a (least recently seen)
-	if n := len(l.buckets); n != 2 {
-		t.Fatalf("resident clients = %d, want 2", n)
+	for i := 0; i < maxClients-2; i++ {
+		l.Allow(fmt.Sprintf("fill-%d", i))
+	}
+	l.Allow("c") // the 4097th client: evicts a (least recently seen)
+	if n := len(l.buckets); n != maxClients {
+		t.Fatalf("resident clients = %d, want %d", n, maxClients)
 	}
 	// a returns with a fresh bucket — the documented eviction trade-off.
 	if ok, _ := l.Allow("a"); !ok {
 		t.Fatal("evicted client did not restart with a full bucket")
 	}
-	// b was refreshed more recently than c's insert?  No: order is a(front),
-	// c, b — touching a evicted b.  Spend c's remaining state to check LRU
-	// order held: c's bucket is empty, so it must still be resident.
+	// The order is a (front), c, the fillers, b — touching a evicted b. Spend
+	// c's remaining state to check LRU order held: c's bucket is empty, so it
+	// must still be resident.
 	if ok, _ := l.Allow("c"); ok {
 		t.Fatal("c's bucket state was lost although b was the LRU entry")
 	}
@@ -184,7 +187,7 @@ func TestRetryAfterSeconds(t *testing.T) {
 // TestConcurrentClients exercises the mutex under -race: many goroutines,
 // shared and private IDs, no torn state afterwards.
 func TestConcurrentClients(t *testing.T) {
-	l, clk := newTestLimiter(Config{Rate: 1000, Burst: 5, MaxClients: 8})
+	l, clk := newTestLimiter(Config{Rate: 1000, Burst: 5})
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
@@ -199,8 +202,8 @@ func TestConcurrentClients(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if n := len(l.buckets); n > 8 {
-		t.Fatalf("resident clients = %d exceeds MaxClients", n)
+	if n := len(l.buckets); n != 4 {
+		t.Fatalf("resident clients = %d, want one per distinct client (4)", n)
 	}
 }
 

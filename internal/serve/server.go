@@ -144,7 +144,7 @@ func NewServer(cfg Config) *Server {
 	var router *shard.Router
 	if len(cfg.Peers) > 0 {
 		var err error
-		router, err = shard.NewRouter(shard.Options{Self: cfg.Self, Peers: cfg.Peers})
+		router, err = shard.NewRouter(cfg.Self, cfg.Peers)
 		if err != nil {
 			panic(fmt.Sprintf("serve: invalid shard ring: %v", err))
 		}

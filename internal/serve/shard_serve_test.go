@@ -287,8 +287,8 @@ func TestScatterDeadPeer(t *testing.T) {
 		}
 	}
 	delta := func(name string) int64 { return after.Counters[name] - before.Counters[name] }
-	if d := delta("shard/retry"); d != shard.DefaultRetries {
-		t.Errorf("shard/retry delta = %d, want %d (bounded budget)", d, shard.DefaultRetries)
+	if d := delta("shard/retry"); d != shard.Retries {
+		t.Errorf("shard/retry delta = %d, want %d (bounded budget)", d, shard.Retries)
 	}
 	if d := delta("shard/peer_err"); d != 1 {
 		t.Errorf("shard/peer_err delta = %d, want 1 (one failed sub-batch)", d)
@@ -348,7 +348,7 @@ func TestScatterRefusingPeers(t *testing.T) {
 		wantStatus  int
 		wantRetries int64
 	}{
-		{"always 503", http.StatusServiceUnavailable, 503, shard.DefaultRetries},
+		{"always 503", http.StatusServiceUnavailable, 503, shard.Retries},
 		{"peer shed 429", http.StatusTooManyRequests, 429, 0},
 	}
 	for _, tc := range cases {

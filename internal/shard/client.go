@@ -40,11 +40,11 @@ const ForwardedHeader = "X-Fxrz-Forwarded"
 // it, so a sub-batch never outlives the client request that spawned it.
 const DeadlineHeader = "X-Fxrz-Deadline-Us"
 
-// Retry policy defaults: a forward gets 1 + DefaultRetries attempts, with
-// jittered exponential backoff starting at DefaultBackoff between them.
+// Retry policy: a forward gets 1 + Retries attempts, with jittered
+// exponential backoff starting at Backoff between them.
 const (
-	DefaultRetries = 2
-	DefaultBackoff = 25 * time.Millisecond
+	Retries = 2
+	Backoff = 25 * time.Millisecond
 )
 
 // PeerError is a failed sub-batch forward: every item of the sub-batch gets
@@ -82,9 +82,7 @@ func (e *errPeerStatus) Error() string {
 
 // client forwards sub-batches to peers with bounded retries.
 type client struct {
-	hc      *http.Client
-	retries int
-	backoff time.Duration
+	hc *http.Client
 
 	mu             sync.Mutex
 	sleep          func(time.Duration) // injectable: tests install a no-op recorder
@@ -92,22 +90,11 @@ type client struct {
 	attemptTimeout time.Duration // 0 = the whole remaining ctx budget per attempt
 }
 
-func newClient(transport http.RoundTripper, retries int, backoff time.Duration) *client {
-	if transport == nil {
-		transport = &http.Transport{MaxIdleConns: 64, MaxIdleConnsPerHost: 16}
-	}
-	if retries < 0 {
-		retries = DefaultRetries
-	}
-	if backoff <= 0 {
-		backoff = DefaultBackoff
-	}
+func newClient() *client {
 	return &client{
-		hc:      &http.Client{Transport: transport},
-		retries: retries,
-		backoff: backoff,
-		sleep:   time.Sleep,
-		rng:     rand.New(rand.NewSource(1)),
+		hc:    &http.Client{Transport: &http.Transport{MaxIdleConns: 64, MaxIdleConnsPerHost: 16}},
+		sleep: time.Sleep,
+		rng:   rand.New(rand.NewSource(1)),
 	}
 }
 
@@ -128,7 +115,7 @@ func (c *client) forward(ctx context.Context, peer, pathAndQuery, clientID strin
 			return results, nil
 		}
 		lastErr = err
-		if !retryable(err) || attempt >= c.retries || ctx.Err() != nil {
+		if !retryable(err) || attempt >= Retries || ctx.Err() != nil {
 			break
 		}
 		obs.Inc("shard/retry")
@@ -219,7 +206,7 @@ func failStatus(err error) int {
 // retries against a recovering peer spread out. The sleep function is
 // injectable (tests install a recorder and never wall-wait).
 func (c *client) sleepBackoff(attempt int) {
-	d := c.backoff << uint(attempt)
+	d := Backoff << uint(attempt)
 	c.mu.Lock()
 	jittered := d/2 + time.Duration(c.rng.Int63n(int64(d/2)))
 	sleep := c.sleep

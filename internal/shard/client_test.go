@@ -48,7 +48,7 @@ func (sr *sleepRecorder) durations() []time.Duration {
 // no-op recorded sleep, returning the router and the recorder.
 func testRouter(t *testing.T, peer string) (*Router, *sleepRecorder) {
 	t.Helper()
-	rt, err := NewRouter(Options{Self: "http://self.invalid", Peers: []string{"http://self.invalid", peer}})
+	rt, err := NewRouter("http://self.invalid", []string{"http://self.invalid", peer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestShardForwardRetriesThenOK(t *testing.T) {
 		t.Fatalf("recorded %d sleeps, want 2", len(slept))
 	}
 	for attempt, d := range slept {
-		base := DefaultBackoff << uint(attempt)
+		base := Backoff << uint(attempt)
 		if d < base/2 || d >= base {
 			t.Errorf("backoff %d = %v, want in [%v, %v)", attempt, d, base/2, base)
 		}
@@ -200,7 +200,7 @@ func TestShardForwardRetriesThenOK(t *testing.T) {
 }
 
 // TestShardForwardBoundedRetries: an always-5xx peer gets exactly
-// 1 + DefaultRetries attempts, then every item fails 503. The retry
+// 1 + Retries attempts, then every item fails 503. The retry
 // budget is observable, not wall-clock.
 func TestShardForwardBoundedRetries(t *testing.T) {
 	var attempts atomic.Int64
@@ -221,14 +221,14 @@ func TestShardForwardBoundedRetries(t *testing.T) {
 	if pe.Status != http.StatusServiceUnavailable {
 		t.Errorf("PeerError.Status = %d, want 503", pe.Status)
 	}
-	if got := attempts.Load(); got != 1+DefaultRetries {
-		t.Errorf("peer saw %d attempts, want %d", got, 1+DefaultRetries)
+	if got := attempts.Load(); got != 1+Retries {
+		t.Errorf("peer saw %d attempts, want %d", got, 1+Retries)
 	}
-	if got := retryCount(t, before, after); got != DefaultRetries {
-		t.Errorf("shard/retry delta = %d, want %d", got, DefaultRetries)
+	if got := retryCount(t, before, after); got != Retries {
+		t.Errorf("shard/retry delta = %d, want %d", got, Retries)
 	}
-	if n := len(sr.durations()); n != DefaultRetries {
-		t.Errorf("recorded %d sleeps, want %d", n, DefaultRetries)
+	if n := len(sr.durations()); n != Retries {
+		t.Errorf("recorded %d sleeps, want %d", n, Retries)
 	}
 }
 
@@ -247,11 +247,11 @@ func TestShardForwardDeadPeer(t *testing.T) {
 	if !ok || pe.Status != http.StatusServiceUnavailable {
 		t.Fatalf("dead peer: err = %v, want *PeerError with 503", err)
 	}
-	if got := retryCount(t, before, after); got != DefaultRetries {
-		t.Errorf("shard/retry delta = %d, want %d", got, DefaultRetries)
+	if got := retryCount(t, before, after); got != Retries {
+		t.Errorf("shard/retry delta = %d, want %d", got, Retries)
 	}
-	if n := len(sr.durations()); n != DefaultRetries {
-		t.Errorf("recorded %d sleeps, want %d", n, DefaultRetries)
+	if n := len(sr.durations()); n != Retries {
+		t.Errorf("recorded %d sleeps, want %d", n, Retries)
 	}
 }
 
@@ -373,14 +373,14 @@ func TestShardForwardStalledPeer(t *testing.T) {
 	if !ok || pe.Status != http.StatusServiceUnavailable {
 		t.Fatalf("stalled peer: err = %v, want *PeerError with 503", err)
 	}
-	if got := attempts.Load(); got != 1+DefaultRetries {
-		t.Errorf("stalled peer saw %d attempts, want %d", got, 1+DefaultRetries)
+	if got := attempts.Load(); got != 1+Retries {
+		t.Errorf("stalled peer saw %d attempts, want %d", got, 1+Retries)
 	}
-	if got := retryCount(t, before, after); got != DefaultRetries {
-		t.Errorf("shard/retry delta = %d, want %d", got, DefaultRetries)
+	if got := retryCount(t, before, after); got != Retries {
+		t.Errorf("shard/retry delta = %d, want %d", got, Retries)
 	}
-	if n := len(sr.durations()); n != DefaultRetries {
-		t.Errorf("recorded %d sleeps, want %d", n, DefaultRetries)
+	if n := len(sr.durations()); n != Retries {
+		t.Errorf("recorded %d sleeps, want %d", n, Retries)
 	}
 }
 
@@ -396,7 +396,7 @@ func TestShardScatterMerge(t *testing.T) {
 	dead.Close()
 
 	self := "http://self.invalid"
-	rt, err := NewRouter(Options{Self: self, Peers: []string{self, live.URL, deadURL}})
+	rt, err := NewRouter(self, []string{self, live.URL, deadURL})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +447,7 @@ func TestShardScatterMerge(t *testing.T) {
 // local, and the remote fan-out order is deterministic (peers sorted).
 func TestShardPartition(t *testing.T) {
 	self := "http://10.0.0.1:8080"
-	rt, err := NewRouter(Options{Self: self, Peers: fourPeers})
+	rt, err := NewRouter(self, fourPeers)
 	if err != nil {
 		t.Fatal(err)
 	}

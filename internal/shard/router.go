@@ -18,41 +18,20 @@ import (
 	"github.com/fxrz-go/fxrz/internal/pool"
 )
 
-// Options configures a Router.
-type Options struct {
-	// Self and Peers define the placement ring (see NewRing).
-	Self  string
-	Peers []string
-	// Retries bounds per-forward retry attempts beyond the first
-	// (default DefaultRetries; -1 disables retries).
-	Retries int
-	// Backoff is the base of the jittered exponential retry backoff
-	// (default DefaultBackoff).
-	Backoff time.Duration
-	// Transport overrides the peer HTTP transport (tests; nil = a pooled
-	// keep-alive transport).
-	Transport http.RoundTripper
-}
-
 // Router owns the ring and the peer client for one fxrzd instance.
 type Router struct {
 	ring   *Ring
 	client *client
 }
 
-// NewRouter builds a router from o; the peer list must validate (NewRing).
-func NewRouter(o Options) (*Router, error) {
-	ring, err := NewRing(o.Self, o.Peers)
+// NewRouter builds the router of instance self over the placement ring of
+// peers; the peer list must validate (NewRing).
+func NewRouter(self string, peers []string) (*Router, error) {
+	ring, err := NewRing(self, peers)
 	if err != nil {
 		return nil, err
 	}
-	retries := o.Retries
-	if retries == 0 {
-		retries = DefaultRetries
-	} else if retries < 0 {
-		retries = 0
-	}
-	return &Router{ring: ring, client: newClient(o.Transport, retries, o.Backoff)}, nil
+	return &Router{ring: ring, client: newClient()}, nil
 }
 
 // Ring exposes the placement map (healthz reports its membership).

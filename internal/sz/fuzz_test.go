@@ -2,11 +2,44 @@ package sz
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 
+	"github.com/fxrz-go/fxrz/internal/compress"
+	"github.com/fxrz-go/fxrz/internal/entropy"
 	"github.com/fxrz-go/fxrz/internal/grid"
 )
+
+// nanStencilStream hand-builds a one-slab sz stream whose every fourth point
+// is an escape cycling through the NaNs 0x7fc00001 and 0xffc12345, +Inf and
+// −Inf, and whose other points are quantized at zero offset from their
+// prediction. Their stencils then mix NaN payloads and Inf−Inf, which no
+// encoder-made stream reaches: the encoder escapes every non-finite
+// prediction. A decode path that let the order of the stencil's adds pick
+// the NaN's payload disagrees with the oracle here.
+func nanStencilStream(t testing.TB, dims ...int) []byte {
+	escapes := []uint32{0x7fc00001, 0xffc12345, 0x7f800000, 0xff800000}
+	n := elemCount(dims)
+	codes := make([]byte, 2*n)
+	var raw []byte
+	for i := 0; i < n; i++ {
+		if i%4 == 0 {
+			raw = binary.LittleEndian.AppendUint32(raw, escapes[(i/4)%len(escapes)])
+			continue
+		}
+		binary.LittleEndian.PutUint16(codes[2*i:], radius)
+	}
+	packed, err := entropy.CompressBytes(codes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := compress.AppendHeader(nil, compress.Header{Magic: compress.MagicSZ, Name: "nan", Dims: dims, Knob: 1e-3})
+	out = binary.AppendUvarint(out, uint64(len(packed)))
+	out = append(out, packed...)
+	out = binary.AppendUvarint(out, uint64(len(raw)/4))
+	return append(out, raw...)
+}
 
 // FuzzDecompress drives the decoder with arbitrary byte streams: it must
 // return errors (or wrong data) on garbage, never panic or hang. Seeds are
@@ -43,6 +76,8 @@ func FuzzDecompress(f *testing.F) {
 	if blob, err := c.Compress(steady, knob); err == nil {
 		f.Add(blob)
 	}
+	f.Add(nanStencilStream(f, 3, 9, 6))
+	f.Add(nanStencilStream(f, 14, 15))
 	f.Add([]byte{})
 	f.Add([]byte{0x5A, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {

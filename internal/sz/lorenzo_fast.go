@@ -78,9 +78,19 @@ func encPoint(v, pred, eb, twoEB float64) (uint16, float32) {
 // decValue reconstructs point s of codeBytes from its quantization code and
 // returns it with the raw cursor, which it advances past an escaped value
 // taken from the raw pool at pos; the caller has checked the pool holds it.
+//
+// A quantized point that reconstructs to NaN becomes the one quiet NaN
+// 0x7fc00000: which payload a NaN stencil yields depends on the order of its
+// adds, and the kernels and the generic oracle add in different orders. Only
+// streams no encoder made get here — the encoder escapes every point whose
+// prediction is not finite — so encoder-made reconstructions are unchanged.
 func decValue(codeBytes []byte, s int, pred, twoEB float64, rawPayload []byte, pos int) (float32, int) {
 	if code := binary.LittleEndian.Uint16(codeBytes[2*s:]); code != 0 {
-		return float32(pred + twoEB*float64(int(code)-radius)), pos
+		v := float32(pred + twoEB*float64(int(code)-radius))
+		if v != v {
+			v = math.Float32frombits(0x7fc00000)
+		}
+		return v, pos
 	}
 	return math.Float32frombits(binary.LittleEndian.Uint32(rawPayload[4*pos:])), pos + 1
 }

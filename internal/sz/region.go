@@ -76,7 +76,7 @@ func BuildRegionIndex(blob []byte) ([]byte, error) {
 	if nSlabs < 2 {
 		return binary.AppendUvarint(nil, 0), nil
 	}
-	codeBytes, err := entropy.DecompressBytes(packed)
+	codeBytes, err := entropy.DecompressBytes(packed, 1)
 	if err != nil {
 		return nil, fmt.Errorf("sz: decode codes: %w", err)
 	}

@@ -132,7 +132,7 @@ func decodedSections(t *testing.T, blob []byte) (codes, rawPayload []byte, nraw 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if codes, err = entropy.DecompressBytes(packed); err != nil {
+	if codes, err = entropy.DecompressBytes(packed, 1); err != nil {
 		t.Fatal(err)
 	}
 	return codes, rawPayload, nraw

@@ -127,8 +127,8 @@ func slabSpan(dims []int, T, s int) (z0, z1 int, subDims []int) {
 // packed into the chunked entropy container with one chunk per slab, which
 // makes every slab decodable from its own chunk alone: the full decoder fans
 // slabs out the same way and the region decoder touches only the chunks
-// covering the request. A one-slab field keeps the whole-stream entropy
-// container.
+// covering the request. A one-slab field fits in one block, so
+// CompressBytesBlocks keeps it in the whole-stream entropy container.
 func compressSZ(f *grid.Field, eb float64, forceGeneric bool, workers int) ([]byte, error) {
 	if !(eb > 0) || math.IsInf(eb, 0) {
 		return nil, fmt.Errorf("sz: error bound must be a positive finite number, got %v", eb)
@@ -167,13 +167,7 @@ func compressSZ(f *grid.Field, eb float64, forceGeneric bool, workers int) ([]by
 			raw = append(raw, f.Data[i])
 		}
 	}
-	var packedCodes []byte
-	if nSlabs >= 2 {
-		obs.Inc("sz/chunked_encode")
-		packedCodes, err = entropy.CompressBytesBlocks(codeBytes, 2*rowsPerSlab*ps, workers)
-	} else {
-		packedCodes, err = entropy.CompressBytes(codeBytes)
-	}
+	packedCodes, err := entropy.CompressBytesBlocks(codeBytes, 2*rowsPerSlab*ps, workers)
 	byteScratch.Put(codeBytes)
 	if err != nil {
 		return nil, fmt.Errorf("sz: encode codes: %w", err)

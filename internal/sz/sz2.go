@@ -155,12 +155,12 @@ func (c *V2) Compress(f *grid.Field, eb float64) ([]byte, error) {
 	// reconstruction is a serial block walk, but the entropy stage no longer
 	// has to be — Decompress fans the chunks of each stream across workers.
 	workers := pool.Workers(c.Workers)
-	packedCodes, err := entropy.CompressBytesChunked(codeBytes, workers)
+	packedCodes, err := entropy.CompressBytesBlocks(codeBytes, entropy.ChunkTargetBytes, workers)
 	byteScratch.Put(codeBytes)
 	if err != nil {
 		return nil, fmt.Errorf("sz2: encode codes: %w", err)
 	}
-	packedCoeffs, err := entropy.CompressBytesChunked(coeffCodes, workers)
+	packedCoeffs, err := entropy.CompressBytesBlocks(coeffCodes, entropy.ChunkTargetBytes, workers)
 	if err != nil {
 		return nil, fmt.Errorf("sz2: encode coefficients: %w", err)
 	}
@@ -209,7 +209,7 @@ func (c *V2) Decompress(blob []byte) (*grid.Field, error) {
 	if err != nil {
 		return nil, err
 	}
-	coeffCodes, err := entropy.DecompressBytesParallel(packedCoeffs, workers)
+	coeffCodes, err := entropy.DecompressBytes(packedCoeffs, workers)
 	if err != nil {
 		return nil, fmt.Errorf("sz2: decode coefficients: %w", err)
 	}
@@ -217,7 +217,7 @@ func (c *V2) Decompress(blob []byte) (*grid.Field, error) {
 	if err != nil {
 		return nil, err
 	}
-	codeBytes, err := entropy.DecompressBytesParallel(packedCodes, workers)
+	codeBytes, err := entropy.DecompressBytes(packedCodes, workers)
 	if err != nil {
 		return nil, fmt.Errorf("sz2: decode codes: %w", err)
 	}
