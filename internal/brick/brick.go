@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/fxrz-go/fxrz/internal/codecs"
 	"github.com/fxrz-go/fxrz/internal/compress"
@@ -102,6 +103,9 @@ func (s *Store) ReadBrick(i int) (*grid.Field, []int, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("brick: decompressing brick %d: %w", i, err)
 	}
+	if !slices.Equal(f.Dims, s.shapes[i]) {
+		return nil, nil, fmt.Errorf("brick: brick %d decodes to dims %v, index says %v", i, f.Dims, s.shapes[i])
+	}
 	return f, s.origins[i], nil
 }
 
@@ -119,53 +123,9 @@ func (s *Store) checkRegion(origin, shape []int) error {
 	return nil
 }
 
-// VisitRegion decodes each brick intersecting [origin, origin+shape) and
-// calls fn once per brick with the brick's global origin and a
-// zero-allocation iterator (grid.RegionIter) positioned over the
-// intersection in the brick's local coordinates — global coordinate =
-// iterator coordinate + brickOrigin. This is the streaming spine under
-// ReadRegion, for callers that aggregate or forward samples rather than
-// materialise the sub-box. fn returning an error stops the walk.
-func (s *Store) VisitRegion(origin, shape []int, fn func(brickOrigin []int, it *grid.RegionIter) error) error {
-	if err := s.checkRegion(origin, shape); err != nil {
-		return err
-	}
-	nd := len(s.dims)
-	lo := make([]int, nd)
-	hi := make([]int, nd)
-	touched := 0
-	for i := range s.blobs {
-		if !intersects(s.origins[i], s.shapes[i], origin, shape) {
-			continue
-		}
-		bf, borigin, err := s.ReadBrick(i)
-		if err != nil {
-			return err
-		}
-		touched++
-		// Clip the request to this brick, in brick-local coordinates.
-		for d := 0; d < nd; d++ {
-			lo[d] = max(origin[d], borigin[d]) - borigin[d]
-			hi[d] = min(origin[d]+shape[d], borigin[d]+bf.Dims[d]) - borigin[d]
-		}
-		it, err := bf.IterRegion(lo, hi)
-		if err != nil {
-			return fmt.Errorf("brick: brick %d intersection: %w", i, err)
-		}
-		if err := fn(borigin, it); err != nil {
-			return err
-		}
-	}
-	if touched == 0 {
-		return errors.New("brick: region matched no bricks (corrupt index)")
-	}
-	obs.Add("brick/region_bricks_read", int64(touched))
-	obs.Add("brick/region_bricks_skipped", int64(len(s.blobs)-touched))
-	return nil
-}
-
 // ReadRegion reconstructs an arbitrary sub-box [origin, origin+shape),
-// decompressing only the bricks that intersect it.
+// decompressing only the bricks that intersect it and copying each brick's
+// intersection into place one row at a time, as grid.SliceRegion does.
 func (s *Store) ReadRegion(origin, shape []int) (*grid.Field, error) {
 	if err := s.checkRegion(origin, shape); err != nil {
 		return nil, err
@@ -174,21 +134,42 @@ func (s *Store) ReadRegion(origin, shape []int) (*grid.Field, error) {
 	if err != nil {
 		return nil, err
 	}
-	outStrides := out.Strides()
-	err = s.VisitRegion(origin, shape, func(borigin []int, it *grid.RegionIter) error {
-		for it.Next() {
-			c := it.Coord()
-			oi := 0
-			for d := range c {
-				oi += (c[d] + borigin[d] - origin[d]) * outStrides[d]
-			}
-			out.Data[oi] = it.Value()
+	nd := len(s.dims)
+	ostr := out.Strides()
+	lo, rows := make([]int, nd), make([]int, nd)
+	touched := 0
+	for i := range s.blobs {
+		if !intersects(s.origins[i], s.shapes[i], origin, shape) {
+			continue
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		bf, borigin, err := s.ReadBrick(i)
+		if err != nil {
+			return nil, err
+		}
+		touched++
+		// The intersection in brick-local coordinates starts at lo; rows is
+		// its extent with the last dimension folded into rowLen.
+		for d := 0; d < nd; d++ {
+			lo[d] = max(origin[d], borigin[d]) - borigin[d]
+			rows[d] = min(origin[d]+shape[d], borigin[d]+bf.Dims[d]) - borigin[d] - lo[d]
+		}
+		rowLen := rows[nd-1]
+		rows[nd-1] = 1
+		bstr := bf.Strides()
+		grid.VisitOrigins(rows, 1, func(r []int) {
+			src, dst := 0, 0
+			for d := range r {
+				src += (lo[d] + r[d]) * bstr[d]
+				dst += (borigin[d] + lo[d] + r[d] - origin[d]) * ostr[d]
+			}
+			copy(out.Data[dst:dst+rowLen], bf.Data[src:src+rowLen])
+		})
 	}
+	if touched == 0 {
+		return nil, errors.New("brick: region matched no bricks (corrupt index)")
+	}
+	obs.Add("brick/region_bricks_read", int64(touched))
+	obs.Add("brick/region_bricks_skipped", int64(len(s.blobs)-touched))
 	return out, nil
 }
 
@@ -215,8 +196,9 @@ func intersects(ao, as, bo, bs []int) bool {
 // Marshal serialises the store (index + streams) for persistence.
 func (s *Store) Marshal() []byte {
 	out := []byte("FXRZBRK1")
-	out = append(out, byte(len(s.name)%256))
-	out = append(out, s.name[:len(s.name)%256]...)
+	name := s.name[:min(len(s.name), compress.MaxNameLen)]
+	out = append(out, byte(len(name)))
+	out = append(out, name...)
 	out = append(out, byte(len(s.dims)))
 	for _, d := range s.dims {
 		out = binary.AppendUvarint(out, uint64(d))

@@ -2,6 +2,7 @@ package brick
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/fxrz-go/fxrz/internal/compress"
@@ -57,9 +58,17 @@ func TestReadRegionMatchesFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := st.ReadAll()
-	if err != nil {
-		t.Fatal(err)
+	// The reference places every brick's samples one at a time.
+	full := grid.MustNew("full", f.Dims...)
+	for i := 0; i < st.Bricks(); i++ {
+		bf, borigin, err := st.ReadBrick(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, v := range bf.Data {
+			c := bf.Coord(j)
+			full.Set(v, c[0]+borigin[0], c[1]+borigin[1], c[2]+borigin[2])
+		}
 	}
 	cases := [][2][]int{
 		{{0, 0, 0}, {8, 8, 8}},    // one brick
@@ -104,6 +113,19 @@ func TestReadRegionValidation(t *testing.T) {
 	if _, _, err := st.ReadBrick(10000); err == nil {
 		t.Error("huge brick index accepted")
 	}
+	// A brick whose stream decodes to other dims than the index records is
+	// corrupt, whether it is smaller or larger than its slot.
+	for _, dims := range [][]int{{4, 8, 8}, {8, 8, 9}} {
+		other, err := sz.New().Compress(grid.MustNew("other", dims...), 1e-3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := *st
+		bad.blobs = append([][]byte{other}, st.blobs[1:]...)
+		if _, err := bad.ReadRegion([]int{0, 0, 0}, []int{8, 8, 8}); err == nil {
+			t.Errorf("brick decoding to %v in an 8×8×8 slot accepted", dims)
+		}
+	}
 }
 
 func TestMarshalUnmarshalRoundTrip(t *testing.T) {
@@ -135,6 +157,30 @@ func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLongNamesRoundTrip pins that a store keeps the first
+// compress.MaxNameLen bytes of a longer field name, as its bricks' streams do.
+func TestLongNamesRoundTrip(t *testing.T) {
+	for _, n := range []int{255, 256, 300} {
+		f := sampleField()
+		f.Name = strings.Repeat("b", n)
+		st, err := Build(sz.New(), f, 8, 1e-3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Unmarshal(sz.New(), st.Marshal())
+		if err != nil {
+			t.Fatalf("name %d bytes: %v", n, err)
+		}
+		all, err := got.ReadAll()
+		if err != nil {
+			t.Fatalf("name %d bytes: %v", n, err)
+		}
+		if all.Name != f.Name[:compress.MaxNameLen] {
+			t.Errorf("name %d bytes: read back a %d-byte name", n, len(all.Name))
+		}
+	}
+}
+
 func TestUnmarshalRejectsGarbage(t *testing.T) {
 	if _, err := Unmarshal(sz.New(), nil); err == nil {
 		t.Error("nil accepted")
@@ -147,46 +193,6 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	for _, cut := range []int{8, 9, 12, len(blob) / 2} {
 		if _, err := Unmarshal(sz.New(), blob[:cut]); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
-		}
-	}
-}
-
-// TestVisitRegionStreamsExactSamples checks the streaming spine: visiting a
-// region yields every sample ReadRegion materialises, each exactly once, at
-// the coordinates the brick origin implies.
-func TestVisitRegionStreamsExactSamples(t *testing.T) {
-	st, err := Build(sz.New(), sampleField(), 8, 1e-3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	origin, shape := []int{4, 4, 4}, []int{9, 7, 11}
-	want, err := st.ReadRegion(origin, shape)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := make(map[[3]int]float32)
-	err = st.VisitRegion(origin, shape, func(borigin []int, it *grid.RegionIter) error {
-		for it.Next() {
-			c := it.Coord()
-			key := [3]int{c[0] + borigin[0], c[1] + borigin[1], c[2] + borigin[2]}
-			if _, dup := seen[key]; dup {
-				t.Fatalf("coordinate %v visited twice", key)
-			}
-			seen[key] = it.Value()
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != want.Size() {
-		t.Fatalf("visited %d samples, want %d", len(seen), want.Size())
-	}
-	for i := 0; i < want.Size(); i++ {
-		c := want.Coord(i)
-		key := [3]int{c[0] + origin[0], c[1] + origin[1], c[2] + origin[2]}
-		if seen[key] != want.Data[i] {
-			t.Fatalf("sample at %v: visited %v, materialised %v", key, seen[key], want.Data[i])
 		}
 	}
 }

@@ -125,6 +125,33 @@ func TestCodecTable(t *testing.T) {
 	}
 }
 
+// TestLongNamesRoundTrip pins that a field name too long for the stream's
+// one-byte length is cut to compress.MaxNameLen bytes rather than wrapping
+// the length and corrupting the header: every row decodes names of 255, 256
+// and 300 bytes.
+func TestLongNamesRoundTrip(t *testing.T) {
+	for _, row := range Table {
+		for _, n := range []int{255, 256, 300} {
+			f := grid.MustNew(strings.Repeat("a", n), 6, 7, 9)
+			for i := range f.Data {
+				f.Data[i] = float32(math.Sin(float64(i) * 0.05))
+			}
+			c := row.New()
+			blob, err := c.Compress(f, c.Axis().Span(3)[1])
+			if err != nil {
+				t.Fatalf("%s name %d bytes: %v", row.Name, n, err)
+			}
+			got, err := c.Decompress(blob)
+			if err != nil {
+				t.Fatalf("%s name %d bytes: %v", row.Name, n, err)
+			}
+			if got.Name != f.Name[:compress.MaxNameLen] || !slices.Equal(got.Dims, f.Dims) {
+				t.Errorf("%s name %d bytes: decoded a %d-byte name, dims %v", row.Name, n, len(got.Name), got.Dims)
+			}
+		}
+	}
+}
+
 // checkRegion decodes [lo, hi) through the row's region hook, serially and
 // at width 2, and holds it bit for bit to the slice of the full decode.
 func checkRegion(t *testing.T, row Codec, blob, index []byte, full *grid.Field, lo, hi []int) {

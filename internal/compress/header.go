@@ -31,11 +31,15 @@ const (
 	MagicIndexed byte = 0xC1
 )
 
+// MaxNameLen is the longest field name a stream stores: its length is one
+// byte, so a longer name is cut to its first MaxNameLen bytes.
+const MaxNameLen = 255
+
 // AppendHeader serialises h onto dst and returns the extended slice.
 func AppendHeader(dst []byte, h Header) []byte {
-	dst = append(dst, h.Magic)
-	dst = append(dst, byte(len(h.Name)))
-	dst = append(dst, h.Name...)
+	name := h.Name[:min(len(h.Name), MaxNameLen)]
+	dst = append(dst, h.Magic, byte(len(name)))
+	dst = append(dst, name...)
 	dst = append(dst, byte(len(h.Dims)))
 	for _, d := range h.Dims {
 		dst = binary.AppendUvarint(dst, uint64(d))

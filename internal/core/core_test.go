@@ -128,12 +128,14 @@ func (f *fakeCompressor) Decompress([]byte) (*grid.Field, error) {
 
 func TestCurveInvertsAnalyticLaw(t *testing.T) {
 	fc := &fakeCompressor{scale: 100}
+	// A value range of 4 sweeps knobs 4e-6 … 1, ratios 0.2 … 100.
 	f := grid.MustNew("t", 32, 32)
-	knobs := compress.Axis{Kind: compress.AbsErrorBound, Min: 1e-6, Max: 1}.Span(25)
-	curve, err := BuildCurve(fc, f, knobs)
+	f.Data[0] = 4
+	curves, err := Sweep(fc, []*grid.Field{f}, 25, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	curve := curves[0]
 	// ratio(eb) = 100·√eb, so eb(ratio) = (ratio/100)².
 	for _, ratio := range []float64{1, 5, 20, 50, 90} {
 		knob, ok := curve.KnobForRatio(ratio)
@@ -246,7 +248,7 @@ func TestLambdaMonotone(t *testing.T) {
 func TestSweepKnobsShapes(t *testing.T) {
 	f := rampField("r", 8)
 	ebAxis := compress.Axis{Kind: compress.AbsErrorBound, Min: 1e-12, Max: 1e6}
-	knobs := SweepKnobs(ebAxis, f, 25)
+	knobs := sweepKnobs(ebAxis, f, 25)
 	if len(knobs) != 25 {
 		t.Fatalf("%d knobs", len(knobs))
 	}
@@ -255,7 +257,7 @@ func TestSweepKnobsShapes(t *testing.T) {
 		t.Errorf("knob range [%v, %v] not relative to value range %v", knobs[0], knobs[len(knobs)-1], vr)
 	}
 	pAxis := compress.Axis{Kind: compress.Precision, Min: 2, Max: 32}
-	pknobs := SweepKnobs(pAxis, f, 25)
+	pknobs := sweepKnobs(pAxis, f, 25)
 	for _, k := range pknobs {
 		if k != math.Round(k) || k < 2 || k > 32 {
 			t.Errorf("precision knob %v invalid", k)

@@ -7,6 +7,7 @@ import (
 
 	"github.com/fxrz-go/fxrz/internal/compress"
 	"github.com/fxrz-go/fxrz/internal/grid"
+	"github.com/fxrz-go/fxrz/internal/obs"
 	"github.com/fxrz-go/fxrz/internal/pool"
 )
 
@@ -28,46 +29,60 @@ type Curve struct {
 	pts []Stationary
 }
 
-// BuildCurve runs the compressor at each knob setting on the field and
-// assembles the interpolation curve. This is the expensive training-time
-// step the augmentation then amortises.
-func BuildCurve(c compress.Compressor, f *grid.Field, knobs []float64) (*Curve, error) {
-	return BuildCurveParallel(c, f, knobs, 1)
-}
-
-// BuildCurveParallel is BuildCurve with the per-knob compressor runs fanned
-// out over a bounded worker pool. workers <= 1 sweeps serially on the calling
-// goroutine. Measurements land in knob-indexed slots and any error reported
-// is the lowest-indexed knob's, so the curve — and the error surfaced on
-// failure — is identical at every worker count. The compressor must be safe
-// for concurrent Compress calls (all built-in codecs are stateless).
-func BuildCurveParallel(c compress.Compressor, f *grid.Field, knobs []float64, workers int) (*Curve, error) {
-	if len(knobs) < 2 {
-		return nil, fmt.Errorf("core: need at least 2 stationary knobs, got %d", len(knobs))
-	}
-	// Split the budget between the knob sweep and each compressor's intra-field
-	// fan-out, and pin the inner width explicitly: a parallel-capable codec
-	// left at its zero value would otherwise grab all cores in every worker.
-	outer, inner := pool.Split(workers, len(knobs))
-	cc := compress.WithWorkers(c, inner)
-	pts := make([]Stationary, len(knobs))
-	err := pool.RunErr(outer, len(knobs), func(i int) error {
-		k := knobs[i]
-		r, err := compress.CompressRatio(cc, f, k)
-		if err != nil {
-			return fmt.Errorf("core: stationary point knob=%g on %s: %w", k, f.Name, err)
+// Sweep measures the stationary points of every field — the only compressor
+// runs in the whole pipeline (§IV-B) — and returns one curve per field,
+// curves[i] belonging to fields[i]. Each field is swept at the knobs
+// sweepKnobs(axis, field, n) picks. The (field, knob) runs form one flat task
+// list over a bounded pool; each measurement lands in its own indexed slot and
+// the error reported is the lowest-indexed task's, so the curves, and the
+// error surfaced on failure, are identical at every worker count
+// (pool.Workers semantics). The compressor must be safe for concurrent
+// Compress calls (all built-in codecs are stateless).
+func Sweep(c compress.Compressor, fields []*grid.Field, n, workers int) ([]*Curve, error) {
+	knobs := make([][]float64, len(fields))
+	pts := make([][]Stationary, len(fields))
+	var tasks [][2]int // (field, knob) index pairs, field-major
+	for i, f := range fields {
+		knobs[i] = sweepKnobs(c.Axis(), f, n)
+		if len(knobs[i]) < 2 {
+			return nil, fmt.Errorf("core: need at least 2 stationary knobs on %s, got %d", f.Name, len(knobs[i]))
 		}
-		pts[i] = Stationary{Knob: k, Ratio: r}
+		pts[i] = make([]Stationary, len(knobs[i]))
+		for j := range knobs[i] {
+			tasks = append(tasks, [2]int{i, j})
+		}
+	}
+	defer obs.Span("train/sweep")()
+	obs.Add("train/sweep_tasks", int64(len(tasks)))
+	// Budget rule for nested pools: outer×inner ≈ workers, and the codec is
+	// explicitly pinned to the inner width so a parallel-capable compressor's
+	// zero-value default (all cores) cannot oversubscribe inside each task.
+	outer, inner := pool.Split(pool.Workers(workers), len(tasks))
+	cc := compress.WithWorkers(c, inner)
+	err := pool.RunErr(outer, len(tasks), func(ti int) error {
+		i, j := tasks[ti][0], tasks[ti][1]
+		k := knobs[i][j]
+		r, err := compress.CompressRatio(cc, fields[i], k)
+		if err != nil {
+			return fmt.Errorf("core: stationary point knob=%g on %s: %w", k, fields[i].Name, err)
+		}
+		pts[i][j] = Stationary{Knob: k, Ratio: r}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return NewCurve(c.Axis(), pts)
+	curves := make([]*Curve, len(fields))
+	for i, f := range fields {
+		if curves[i], err = NewCurve(c.Axis(), pts[i]); err != nil {
+			return nil, fmt.Errorf("%w on %s", err, f.Name)
+		}
+	}
+	return curves, nil
 }
 
-// NewCurve builds a curve from pre-measured stationary points (used by tests
-// and by replaying cached sweeps).
+// NewCurve builds a curve from measured stationary points (Sweep's, or a
+// test's).
 func NewCurve(axis compress.Axis, pts []Stationary) (*Curve, error) {
 	if len(pts) < 2 {
 		return nil, fmt.Errorf("core: need at least 2 stationary points, got %d", len(pts))
@@ -148,15 +163,12 @@ func (c *Curve) Augment(n int) []Sample {
 	return out
 }
 
-// InterpolationError measures the curve's self-consistency the way §IV-B
-// reports it (3–5% per compressor): for each interior stationary point, a
-// curve is rebuilt without it, the knob for its ratio is interpolated, the
-// compressor is run at that knob, and the relative ratio error is averaged.
-func InterpolationError(c compress.Compressor, f *grid.Field, knobs []float64) (float64, error) {
-	full, err := BuildCurve(c, f, knobs)
-	if err != nil {
-		return 0, err
-	}
+// InterpolationError measures a measured curve's self-consistency the way
+// §IV-B reports it (3–5% per compressor): for each interior stationary point
+// of the field's curve, a curve is rebuilt without it, the knob for its ratio
+// is interpolated, the compressor is run at that knob, and the relative ratio
+// error is averaged.
+func InterpolationError(c compress.Compressor, f *grid.Field, full *Curve) (float64, error) {
 	pts := full.Points()
 	if len(pts) < 3 {
 		return 0, fmt.Errorf("core: need 3+ stationary points for leave-one-out, got %d", len(pts))

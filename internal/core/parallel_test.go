@@ -5,7 +5,9 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -161,52 +163,78 @@ func TestExtractFeaturesParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestBuildCurveParallelDeterminism checks curve equality and deterministic
-// error reporting across worker counts.
-func TestBuildCurveParallelDeterminism(t *testing.T) {
-	f := rampField("curve-par", 24)
+// TestSweepGivesTheSameModel checks that one sweep over several fields
+// equals each field swept alone at every width, that every width reports the
+// same lowest-(field, knob) error, and that training on Sweep's curves gives
+// the forest Train gives.
+func TestSweepGivesTheSameModel(t *testing.T) {
+	fields := []*grid.Field{rampField("sweep-a", 12), waveField("sweep-b", 12, 5), waveField("sweep-c", 10, 9)}
 	comp := &fakeCompressor{scale: 8}
-	knobs := SweepKnobs(comp.Axis(), f, 9)
-
-	want, err := BuildCurve(comp, f, knobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 16} {
-		got, err := BuildCurveParallel(comp, f, knobs, workers)
+	for _, workers := range []int{1, 2, runtime.NumCPU()} {
+		all, err := Sweep(comp, fields, 9, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if len(got.Points()) != len(want.Points()) {
-			t.Fatalf("workers=%d: %d points, want %d", workers, len(got.Points()), len(want.Points()))
-		}
-		for i, p := range got.Points() {
-			if p != want.Points()[i] {
-				t.Errorf("workers=%d: point %d = %+v, want %+v", workers, i, p, want.Points()[i])
+		for i, f := range fields {
+			alone, err := Sweep(comp, []*grid.Field{f}, 9, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(all[i], alone[0]) {
+				t.Errorf("workers=%d: %s swept with the others = %+v, alone = %+v", workers, f.Name, all[i].Points(), alone[0].Points())
 			}
 		}
 	}
 
-	// Failing sweeps must surface the same (lowest-knob) error at any width.
-	bad := &failingCompressor{fakeCompressor: fakeCompressor{scale: 8}, failKnob: knobs[2]}
-	wantErr := fmt.Sprintf("core: stationary point knob=%g on %s", knobs[2], f.Name)
-	for _, workers := range []int{1, 2, 8} {
-		_, err := BuildCurveParallel(bad, f, knobs, workers)
-		if err == nil || len(err.Error()) < len(wantErr) || err.Error()[:len(wantErr)] != wantErr {
-			t.Errorf("workers=%d: err = %v, want prefix %q", workers, err, wantErr)
+	// Knob 2 of field b fails, and so does knob 0 of field c: the error
+	// surfaced at every width is field b's.
+	kb, kc := sweepKnobs(comp.Axis(), fields[1], 9), sweepKnobs(comp.Axis(), fields[2], 9)
+	bad := &failingCompressor{fakeCompressor: fakeCompressor{scale: 8}, failKnobs: []float64{kc[0], kb[2]}}
+	wantErr := fmt.Sprintf("core: stationary point knob=%g on %s: injected failure", kb[2], fields[1].Name)
+	for _, workers := range []int{1, 2, runtime.NumCPU()} {
+		if _, err := Sweep(bad, fields, 9, workers); err == nil || err.Error() != wantErr {
+			t.Errorf("workers=%d: err = %v, want %q", workers, err, wantErr)
 		}
+	}
+
+	forestHash := func(fw *Framework) string {
+		forest, err := fw.model.(*ml.Forest).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(forest)
+		return hex.EncodeToString(sum[:])
+	}
+	cfg := Config{StationaryPoints: 8, AugmentPerField: 30, Trees: 10, Seed: 5, UseCA: true, Parallelism: 2}
+	trained, err := Train(sz.New(), fields, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	curves, err := Sweep(sz.New(), fields, cfg.StationaryPoints, cfg.Parallelism)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromCurves, err := TrainWithCurves(sz.New(), fields, cfg, curves)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := forestHash(fromCurves), forestHash(trained); got != want {
+		t.Errorf("TrainWithCurves(Sweep) forest %s, Train forest %s", got, want)
+	}
+	if _, err := TrainWithCurves(sz.New(), fields, cfg, curves[:2]); err == nil {
+		t.Error("TrainWithCurves accepted 2 curves for 3 fields")
 	}
 }
 
-// failingCompressor fails on one specific knob value and otherwise behaves
+// failingCompressor fails on the given knob values and otherwise behaves
 // like fakeCompressor. It is stateless, so concurrent sweeps stay race-free.
 type failingCompressor struct {
 	fakeCompressor
-	failKnob float64
+	failKnobs []float64
 }
 
 func (f *failingCompressor) Compress(fl *grid.Field, knob float64) ([]byte, error) {
-	if knob == f.failKnob {
+	if slices.Contains(f.failKnobs, knob) {
 		return nil, fmt.Errorf("injected failure")
 	}
 	return f.fakeCompressor.Compress(fl, knob)

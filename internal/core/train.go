@@ -101,7 +101,8 @@ func (c Config) withDefaults() Config {
 // TrainStats is the Table VI breakdown of where training time goes.
 type TrainStats struct {
 	// StationarySweep is the time spent running the compressor to collect
-	// stationary points — the dominant cost.
+	// stationary points — the dominant cost; zero after TrainWithCurves,
+	// which runs none.
 	StationarySweep time.Duration
 	// Augmentation is the (tiny) interpolation time.
 	Augmentation time.Duration
@@ -152,11 +153,11 @@ const (
 	RelKnobMax = 0.25
 )
 
-// SweepKnobs returns the stationary-point knob settings for a field: for
+// sweepKnobs returns the stationary-point knob settings for a field: for
 // error-bound axes, n log-uniform bounds between RelKnobMin·range and
 // RelKnobMax·range; for precision axes, n integer precisions spanning the
 // axis domain.
-func SweepKnobs(axis compress.Axis, f *grid.Field, n int) []float64 {
+func sweepKnobs(axis compress.Axis, f *grid.Field, n int) []float64 {
 	if axis.Kind == compress.Precision {
 		return axis.Span(n)
 	}
@@ -169,52 +170,50 @@ func SweepKnobs(axis compress.Axis, f *grid.Field, n int) []float64 {
 }
 
 // Train builds an FXRZ framework for the compressor from the training
-// fields. Per field it measures stationary points (the only compressor runs
-// in the whole pipeline), augments them through the interpolation curve, and
-// assembles (features, ACR) → model-space-knob samples for the regressor.
+// fields: Sweep measures each field's stationary points (the only compressor
+// runs in the whole pipeline), and TrainWithCurves learns from them.
 func Train(c compress.Compressor, fields []*grid.Field, cfg Config) (*Framework, error) {
-	return TrainWithCurves(c, fields, cfg, nil)
+	defer obs.Span("train/total")()
+	cfg = cfg.withDefaults()
+	t0 := time.Now()
+	curves, err := Sweep(c, fields, cfg.StationaryPoints, cfg.Parallelism)
+	if err != nil {
+		return nil, err
+	}
+	sweep := time.Since(t0)
+	fw, err := TrainWithCurves(c, fields, cfg, curves)
+	if err != nil {
+		return nil, err
+	}
+	fw.stats.StationarySweep = sweep
+	return fw, nil
 }
 
-// TrainWithCurves is Train with an optional cache of pre-measured stationary
-// curves keyed by field name. Fields missing from the cache are swept with
-// the compressor as usual; cached fields cost no compressor runs. The cache
-// lets experiment harnesses amortise sweeps across configurations that do
-// not change the sweep itself (model family, λ, stride).
+// TrainWithCurves is Train on curves already measured by Sweep, curves[i]
+// belonging to fields[i]; it runs no compressor. It lets experiment harnesses
+// amortise sweeps across configurations that do not change the sweep itself
+// (model family, λ, stride).
 //
-// Cache ownership contract: the curves map is read only on the calling
-// goroutine, before any worker starts — a snapshot of the relevant entries is
-// taken up front, so worker goroutines never touch the map. The caller must
-// not mutate the map (or the cached curves) for the duration of the call;
-// after TrainWithCurves returns, the map is the caller's again.
-//
-// The pipeline runs in three stages, each deterministic at any
-// cfg.Parallelism: per-field feature extraction and CA scanning fan out
-// across fields; the stationary sweeps for all uncached fields are flattened
-// into one (field, knob) task list through a single bounded pool, with each
-// measurement landing in its own indexed slot; the training set is then
-// assembled serially in field order. Same seed + same fields therefore yield
-// bit-identical models at every worker count.
-func TrainWithCurves(c compress.Compressor, fields []*grid.Field, cfg Config, curves map[string]*Curve) (*Framework, error) {
+// Per field it augments the stationary points through the interpolation
+// curve and assembles (features, ACR) → model-space-knob samples for the
+// regressor. Feature extraction and CA scanning fan out across fields at
+// cfg.Parallelism; the training set is then assembled serially in field
+// order. Same seed + same fields therefore yield bit-identical models at
+// every worker count.
+func TrainWithCurves(c compress.Compressor, fields []*grid.Field, cfg Config, curves []*Curve) (*Framework, error) {
 	if len(fields) == 0 {
 		return nil, fmt.Errorf("core: no training fields")
 	}
-	defer obs.Span("train/total")()
+	if len(curves) != len(fields) {
+		return nil, fmt.Errorf("core: %d curves for %d training fields", len(curves), len(fields))
+	}
 	cfg = cfg.withDefaults()
 	fw := &Framework{cfg: cfg, axis: c.Axis(), compressor: c.Name()}
 	workers := pool.Workers(cfg.Parallelism)
 	n := len(fields)
 	obs.Add("train/fields", int64(n))
 
-	// Snapshot the cache serially (see the ownership contract above).
-	stopSnapshot := obs.Span("train/snapshot")
-	fieldCurves := make([]*Curve, n)
-	for i, f := range fields {
-		fieldCurves[i] = curves[f.Name]
-	}
-	stopSnapshot()
-
-	// Stage A: per-field analysis. With a single field the pool parallelises
+	// Per-field analysis. With a single field the pool parallelises
 	// inside the reductions instead of across fields.
 	type analysis struct {
 		feats []float64
@@ -235,67 +234,7 @@ func TrainWithCurves(c compress.Compressor, fields []*grid.Field, cfg Config, cu
 	})
 	stopAnalysis()
 
-	// Stage B: one flat (field, knob) task list for every uncached field.
-	// RunErr reports the lowest-indexed failure, which is the same error the
-	// serial field-by-field, knob-by-knob loop would have surfaced.
-	type sweepTask struct {
-		field int
-		knob  float64
-	}
-	knobCount := make([]int, n)
-	var tasks []sweepTask
-	for i, f := range fields {
-		if fieldCurves[i] != nil {
-			continue
-		}
-		knobs := SweepKnobs(fw.axis, f, cfg.StationaryPoints)
-		if len(knobs) < 2 {
-			return nil, fmt.Errorf("core: training on %s: core: need at least 2 stationary knobs, got %d", f.Name, len(knobs))
-		}
-		knobCount[i] = len(knobs)
-		for _, k := range knobs {
-			tasks = append(tasks, sweepTask{field: i, knob: k})
-		}
-	}
-	pts := make([]Stationary, len(tasks))
-	t0 := time.Now()
-	stopSweep := obs.Span("train/sweep")
-	obs.Add("train/sweep_tasks", int64(len(tasks)))
-	// Budget rule for nested pools: outer×inner ≈ workers, and the codec is
-	// explicitly pinned to the inner width so a parallel-capable compressor's
-	// zero-value default (all cores) cannot oversubscribe inside each task.
-	sweepOuter, sweepInner := pool.Split(workers, len(tasks))
-	cc := compress.WithWorkers(c, sweepInner)
-	err := pool.RunErr(sweepOuter, len(tasks), func(ti int) error {
-		t := tasks[ti]
-		f := fields[t.field]
-		r, err := compress.CompressRatio(cc, f, t.knob)
-		if err != nil {
-			return fmt.Errorf("core: training on %s: core: stationary point knob=%g on %s: %w", f.Name, t.knob, f.Name, err)
-		}
-		pts[ti] = Stationary{Knob: t.knob, Ratio: r}
-		return nil
-	})
-	stopSweep()
-	if err != nil {
-		return nil, err
-	}
-	fw.stats.StationarySweep = time.Since(t0)
-
-	ti := 0
-	for i, f := range fields {
-		if fieldCurves[i] != nil {
-			continue
-		}
-		curve, err := NewCurve(fw.axis, pts[ti:ti+knobCount[i]])
-		if err != nil {
-			return nil, fmt.Errorf("core: training on %s: %w", f.Name, err)
-		}
-		fieldCurves[i] = curve
-		ti += knobCount[i]
-	}
-
-	// Stage C: serial assembly in field order — sample order, and with it the
+	// Serial assembly in field order — sample order, and with it the
 	// seeded model fit, is independent of the worker count.
 	var X [][]float64
 	var y []float64
@@ -306,7 +245,7 @@ func TrainWithCurves(c compress.Compressor, fields []*grid.Field, cfg Config, cu
 	for i := range fields {
 		feats := analyses[i].feats
 		r := analyses[i].r
-		samples := fieldCurves[i].Augment(cfg.AugmentPerField)
+		samples := curves[i].Augment(cfg.AugmentPerField)
 
 		for _, s := range samples {
 			acr := s.Ratio

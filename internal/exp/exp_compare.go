@@ -342,16 +342,15 @@ func Fig14(s *Session) (*Fig14Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Merge the per-app sweep caches so the pooled training reuses them.
-		curves := map[string]*core.Curve{}
+		// Concatenate the per-app sweep caches, in pool order, so the pooled
+		// training reuses them.
+		var curves []*core.Curve
 		for _, app := range Apps {
 			cs, err := s.Curves(app, cname)
 			if err != nil {
 				return nil, err
 			}
-			for k, v := range cs {
-				curves[k] = v
-			}
+			curves = append(curves, cs...)
 		}
 		fw, err := core.TrainWithCurves(c, pool, s.Config(), curves)
 		if err != nil {

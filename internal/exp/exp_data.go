@@ -35,13 +35,12 @@ func Fig2(s *Session) (*Fig2Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		knobs := core.SweepKnobs(c.Axis(), f, cfg.StationaryPoints)
-		curve, err := core.BuildCurve(c, f, knobs)
+		curves, err := core.Sweep(c, []*grid.Field{f}, cfg.StationaryPoints, cfg.Parallelism)
 		if err != nil {
 			return nil, err
 		}
-		res.Curves[name] = curve.Points()
-		ie, err := core.InterpolationError(c, f, knobs)
+		res.Curves[name] = curves[0].Points()
+		ie, err := core.InterpolationError(c, f, curves[0])
 		if err != nil {
 			return nil, err
 		}

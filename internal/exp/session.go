@@ -14,7 +14,6 @@ import (
 	"github.com/fxrz-go/fxrz/internal/core"
 	"github.com/fxrz-go/fxrz/internal/datagen"
 	"github.com/fxrz-go/fxrz/internal/grid"
-	"github.com/fxrz-go/fxrz/internal/pool"
 )
 
 // Apps lists the four applications of Table V, in table order.
@@ -94,7 +93,9 @@ type Session struct {
 	train  map[string][]*grid.Field
 	test   map[string][]*grid.Field
 	frames map[string]*core.Framework
-	curves map[string]map[string]*core.Curve
+	// curves holds stationary-point curves per app/codec in TrainFields
+	// order, and per test/codec/field for TestCurve.
+	curves map[string][]*core.Curve
 	// compares holds the FXRZ-vs-FRaZ grid per Options, shared by every
 	// experiment that renders a view of it.
 	compares map[string]*CompareResult
@@ -107,7 +108,7 @@ func NewSession(s Scale) *Session {
 		train:  map[string][]*grid.Field{},
 		test:   map[string][]*grid.Field{},
 		frames: map[string]*core.Framework{},
-		curves: map[string]map[string]*core.Curve{},
+		curves: map[string][]*core.Curve{},
 
 		compares: map[string]*CompareResult{},
 	}
@@ -138,9 +139,9 @@ func (s *Session) compare(o Options) (*CompareResult, error) {
 }
 
 // Curves returns (and caches) the stationary-point curves of an
-// application's training fields under one compressor — the expensive sweeps
-// every training-based experiment shares.
-func (s *Session) Curves(app, comp string) (map[string]*core.Curve, error) {
+// application's training fields under one compressor, in TrainFields order —
+// the expensive sweep every training-based experiment shares.
+func (s *Session) Curves(app, comp string) ([]*core.Curve, error) {
 	key := app + "/" + comp
 	s.mu.Lock()
 	if cs, ok := s.curves[key]; ok {
@@ -158,14 +159,9 @@ func (s *Session) Curves(app, comp string) (map[string]*core.Curve, error) {
 		return nil, err
 	}
 	cfg := s.Config()
-	cs := make(map[string]*core.Curve, len(fields))
-	for _, f := range fields {
-		knobs := core.SweepKnobs(c.Axis(), f, cfg.StationaryPoints)
-		curve, err := core.BuildCurveParallel(c, f, knobs, pool.Workers(cfg.Parallelism))
-		if err != nil {
-			return nil, fmt.Errorf("exp: sweeping %s for %s: %w", f.Name, comp, err)
-		}
-		cs[f.Name] = curve
+	cs, err := core.Sweep(c, fields, cfg.StationaryPoints, cfg.Parallelism)
+	if err != nil {
+		return nil, fmt.Errorf("exp: sweeping %s for %s: %w", app, comp, err)
 	}
 	s.mu.Lock()
 	s.curves[key] = cs
@@ -328,7 +324,7 @@ func (s *Session) TestCurve(comp string, f *grid.Field) (*core.Curve, error) {
 	s.mu.Lock()
 	if cs, ok := s.curves[key]; ok {
 		s.mu.Unlock()
-		return cs[f.Name], nil
+		return cs[0], nil
 	}
 	s.mu.Unlock()
 	c, err := codecs.ByName(comp)
@@ -336,15 +332,14 @@ func (s *Session) TestCurve(comp string, f *grid.Field) (*core.Curve, error) {
 		return nil, err
 	}
 	cfg := s.Config()
-	knobs := core.SweepKnobs(c.Axis(), f, cfg.StationaryPoints)
-	curve, err := core.BuildCurveParallel(c, f, knobs, pool.Workers(cfg.Parallelism))
+	cs, err := core.Sweep(c, []*grid.Field{f}, cfg.StationaryPoints, cfg.Parallelism)
 	if err != nil {
-		return nil, fmt.Errorf("exp: ground-truth sweep of %s for %s: %w", f.Name, comp, err)
+		return nil, fmt.Errorf("exp: ground-truth sweep for %s: %w", comp, err)
 	}
 	s.mu.Lock()
-	s.curves[key] = map[string]*core.Curve{f.Name: curve}
+	s.curves[key] = cs
 	s.mu.Unlock()
-	return curve, nil
+	return cs[0], nil
 }
 
 // Targets returns n target ratios for a test field, uniformly covering the

@@ -47,48 +47,15 @@ func TestSliceRegionMatchesAt(t *testing.T) {
 			if err != nil {
 				t.Fatalf("SliceRegion(%v, %v): %v", lo, hi, err)
 			}
-			it, err := f.IterRegion(lo, hi)
-			if err != nil {
-				t.Fatalf("IterRegion: %v", err)
-			}
-			k := 0
-			for it.Next() {
-				if sub.Data[k] != it.Value() {
-					t.Fatalf("dims %v region %v:%v: sample %d: slice %v, iter %v", dims, lo, hi, k, sub.Data[k], it.Value())
+			c := make([]int, nd)
+			for k := range sub.Data {
+				for d, sc := range sub.Coord(k) {
+					c[d] = lo[d] + sc
 				}
-				c := it.Coord()
-				want := f.Data[f.Index(c...)]
-				if it.Value() != want {
-					t.Fatalf("iter coord %v: value %v, field %v", c, it.Value(), want)
+				if want := f.Data[f.Index(c...)]; sub.Data[k] != want {
+					t.Fatalf("dims %v region %v:%v: sample %d at %v: slice %v, field %v", dims, lo, hi, k, c, sub.Data[k], want)
 				}
-				k++
-			}
-			if k != sub.Size() {
-				t.Fatalf("iter visited %d samples, slice has %d", k, sub.Size())
 			}
 		}
 	}
-}
-
-func TestRegionIterZeroAlloc(t *testing.T) {
-	f := MustNew("t", 8, 8, 8)
-	for i := range f.Data {
-		f.Data[i] = float32(i)
-	}
-	it, err := f.IterRegion([]int{1, 2, 3}, []int{7, 8, 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sink float32
-	allocs := testing.AllocsPerRun(100, func() {
-		it.Reset()
-		for it.Next() {
-			sink += it.Value()
-			sink += float32(it.Coord()[0])
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("RegionIter allocates %v per full sweep, want 0", allocs)
-	}
-	_ = sink
 }

@@ -110,7 +110,7 @@ func quantizeField(f *grid.Field, eb float64, codes []uint16, recon []float32, f
 		obs.Add("sz/quantize_fast_points", int64(len(f.Data)))
 		switch len(f.Dims) {
 		case 1:
-			quantize1D(f.Data, eb, codes, recon)
+			quantizePlane(f.Data, 1, f.Dims[0], eb, codes, recon)
 		case 2:
 			quantizePlane(f.Data, f.Dims[0], f.Dims[1], eb, codes, recon)
 		case 3:
@@ -133,21 +133,9 @@ func quantizeFieldGeneric(f *grid.Field, eb float64, codes []uint16, recon []flo
 	}
 }
 
-func quantize1D(data []float32, eb float64, codes []uint16, recon []float32) {
-	twoEB := 2 * eb
-	if len(data) == 0 {
-		return
-	}
-	codes[0], recon[0] = encPoint(float64(data[0]), 0, eb, twoEB)
-	for i := 1; i < len(data); i++ {
-		pred := 0.0
-		pred += float64(recon[i-1])
-		codes[i], recon[i] = encPoint(float64(data[i]), pred, eb, twoEB)
-	}
-}
-
 // quantizePlane is the 2D row-group kernel: an ny×nx plane, which is a whole
-// 2D field or the first plane of a 3D one (the same recurrence). Row 0 is a
+// 2D field, a 1D field's one row, or the first plane of a 3D one (the same
+// recurrence). Row 0 is a
 // single chain; the rows below run rowGroup at a time — column 0 down the
 // group, then the interior skewed one column per row.
 func quantizePlane(data []float32, ny, nx int, eb float64, codes []uint16, recon []float32) {
@@ -255,7 +243,7 @@ func reconstructBox(data []float32, dims, hiTail []int, eb float64, codeBytes, r
 		obs.Add("sz/reconstruct_fast_points", rows*int64(box))
 		switch len(dims) {
 		case 1:
-			return reconstruct1D(data, eb, codeBytes, rawPayload, nraw, rawPos)
+			return reconstructPlane(data, dims[0], 1, dims[0], 2*eb, codeBytes, rawPayload, nraw, rawPos)
 		case 2:
 			return reconstructPlane(data, dims[1], dims[0], hiTail[0], 2*eb, codeBytes, rawPayload, nraw, rawPos)
 		case 3:
@@ -315,24 +303,9 @@ func rowCursors(cur *[rowGroup]int, codeBytes []byte, g, k, nx, hx int, nraw uin
 	return rawPos, nil
 }
 
-func reconstruct1D(data []float32, eb float64, codeBytes, rawPayload []byte, nraw uint64, rawPos int) (int, error) {
-	var cur [rowGroup]int
-	rawPos, err := rowCursors(&cur, codeBytes, 0, 1, len(data), len(data), nraw, rawPos)
-	if err != nil || len(data) == 0 {
-		return rawPos, err
-	}
-	twoEB := 2 * eb
-	decPoint(data, 0, 0, twoEB, codeBytes, rawPayload, &cur[0])
-	for i := 1; i < len(data); i++ {
-		pred := 0.0
-		pred += float64(data[i-1])
-		decPoint(data, i, pred, twoEB, codeBytes, rawPayload, &cur[0])
-	}
-	return rawPos, nil
-}
-
 // reconstructPlane is the decode twin of quantizePlane: rows [0, ny) of a
-// plane of nx-point rows (a 2D field, or plane 0 of a 3D one), writing the
+// plane of nx-point rows (a 2D field, a 1D slab's one row, or plane 0 of a 3D
+// one), writing the
 // box columns [0, hx) of each. Every group takes its rows' raw cursors from
 // rowCursors first, so the rows in flight fetch escapes independently.
 func reconstructPlane(data []float32, nx, ny, hx int, twoEB float64, codeBytes, rawPayload []byte, nraw uint64, rawPos int) (int, error) {

@@ -30,6 +30,7 @@ var identityShapes = [][]int{
 	{2*rowGroup + 1, rowGroup}, {2*rowGroup + 1, rowGroup + 1}, {2*rowGroup + 1, rowGroup + 2},
 	{2, 2*rowGroup + 1, rowGroup}, {3, 2*rowGroup + 1, rowGroup + 1}, {2, 2*rowGroup + 1, rowGroup + 2},
 	{17, 91, 93},               // three slabs (8, 8, 1 rows): the slab path and plane 0 of each
+	{65536 + 7},                // two 1D slabs (65,536 and 7 points), each one plane row
 	{2, 3, 4, 5}, {4, 4, 4, 4}, // 4-d exercises the shared generic path
 }
 

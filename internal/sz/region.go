@@ -21,8 +21,9 @@ package sz
 // the region [0, dims), and a region spends its worker budget as a full
 // decode does — the covering slabs reconstruct concurrently, each from the
 // cursor the index holds for it (an unindexed stream counts them first).
-// Slabs reconstruct through reconstructBox (lorenzo_fast.go): one kernel per
-// rank — reconstruct1D/2D/3D, the generic N-d loop only for >= 4D — taking
+// Slabs reconstruct through reconstructBox (lorenzo_fast.go): a plane kernel
+// for ranks 1–2 (a 1D slab is one row), a volume kernel for 3D and the
+// generic N-d loop only for >= 4D, each taking
 // the prefix box [0, hi[d]) of the trailing dimensions and a raw-pool cursor.
 // Points outside the box are neither written nor read (the box is closed
 // under the -1 offsets of every Lorenzo neighbor); their escape codes are
