@@ -22,64 +22,73 @@ import (
 )
 
 func main() {
-	var (
-		which  = flag.String("exp", "all", "'all' or comma-separated experiment ids: "+strings.Join(exp.IDs(nil), ", "))
-		scale  = flag.String("scale", "small", "tiny | small")
-		maxTF  = flag.Int("maxtest", 2, "max test fields per app in comparison experiments")
-		noFRaZ = flag.Bool("nofraz", false, "leave the FRaZ baseline experiments ("+strings.Join(exp.IDs(usesFRaZ), "/")+") out of -exp all")
-		comps  = flag.String("comps", "", "comma-separated compressor subset for comparison experiments (default: all)")
-		tcrs   = flag.Int("tcrs", 0, "override the number of target ratios per test field")
-		par    = flag.Int("parallelism", 0, "worker pool size for sweeps and analysis (0 = all cores, 1 = serial)")
-	)
-	flag.Parse()
-	if *par < 0 {
-		fmt.Fprintf(os.Stderr, "expbench: -parallelism must be >= 0 (0 = all cores, 1 = serial), got %d\n", *par)
-		os.Exit(2)
-	}
-	if err := run(*which, *scale, *maxTF, *noFRaZ, *comps, *tcrs, *par); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "expbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(which, scaleName string, maxTestFields int, noFRaZ bool, compsFlag string, tcrs, parallelism int) error {
+// run parses the command line, then runs the chosen experiments in one
+// session and prints each result. Flag values are checked before any
+// experiment runs.
+func run(args []string) error {
+	fs := flag.NewFlagSet("expbench", flag.ExitOnError)
+	var (
+		which     = fs.String("exp", "all", "'all' or comma-separated experiment ids: "+strings.Join(exp.IDs(nil), ", "))
+		scaleName = fs.String("scale", "small", "tiny | small")
+		maxTF     = fs.Int("maxtest", 2, "max test fields per app in comparison experiments (>= 1)")
+		noFRaZ    = fs.Bool("nofraz", false, "leave the FRaZ baseline experiments ("+strings.Join(exp.IDs(usesFRaZ), "/")+") out of -exp all")
+		comps     = fs.String("comps", "", "comma-separated compressor subset for comparison experiments (default: all)")
+		tcrs      = fs.Int("tcrs", 0, "override the number of target ratios per test field")
+		par       = fs.Int("parallelism", 0, "worker pool size for sweeps and analysis (0 = all cores, 1 = serial)")
+	)
+	fs.Parse(args)
+	if *par < 0 {
+		return fmt.Errorf("-parallelism must be >= 0 (0 = all cores, 1 = serial), got %d", *par)
+	}
+	if *maxTF < 1 {
+		return fmt.Errorf("-maxtest must be >= 1, got %d", *maxTF)
+	}
 	var scale exp.Scale
-	switch scaleName {
+	switch *scaleName {
 	case "tiny":
 		scale = exp.Tiny
 	case "small":
 		scale = exp.Small
 	default:
-		return fmt.Errorf("unknown scale %q (want tiny or small)", scaleName)
+		return fmt.Errorf("unknown scale %q (want tiny or small)", *scaleName)
 	}
-	if tcrs > 0 {
-		scale.TCRs = tcrs
+	if *tcrs > 0 {
+		scale.TCRs = *tcrs
 	}
-	scale.Parallelism = parallelism
-	opts := exp.Options{MaxTestFields: maxTestFields}
-	if compsFlag != "" {
-		opts.Comps = strings.Split(compsFlag, ",")
+	scale.Parallelism = *par
+	opts := exp.Options{MaxTestFields: *maxTF}
+	if *comps != "" {
+		opts.Comps = strings.Split(*comps, ",")
 	}
-	if which == "all" {
-		which = strings.Join(exp.IDs(func(e exp.Experiment) bool {
-			return e.Paper != "" && !(noFRaZ && e.FRaZ)
-		}), ",")
+	ids := strings.Split(*which, ",")
+	if *which == "all" {
+		ids = exp.IDs(func(e exp.Experiment) bool { return e.Paper != "" && !(*noFRaZ && e.FRaZ) })
+	}
+	rows := make([]exp.Experiment, len(ids))
+	for i, id := range ids {
+		e, err := exp.Lookup(strings.TrimSpace(id))
+		if err != nil {
+			return err
+		}
+		rows[i] = e
 	}
 	// Record per-stage timings for the whole session; the table printed at
 	// the end shows where the experiment wall time went.
 	obs.Enable()
 	s := exp.NewSession(scale)
-	for _, id := range strings.Split(which, ",") {
-		e, err := exp.Lookup(strings.TrimSpace(id))
-		if err != nil {
-			return err
-		}
+	for i, e := range rows {
 		start := time.Now()
 		r, err := e.Run(s, opts)
 		if err != nil {
-			return fmt.Errorf("%s: %w", id, err)
+			return fmt.Errorf("%s: %w", ids[i], err)
 		}
-		fmt.Printf("=== %s (scale %s, %v) ===\n%s\n", id, scale.Name, time.Since(start).Round(time.Millisecond), r)
+		fmt.Printf("=== %s (scale %s, %v) ===\n%s\n", ids[i], scale.Name, time.Since(start).Round(time.Millisecond), r)
 	}
 	if table := obs.TakeSnapshot().TimingTable(); table != "" {
 		fmt.Printf("=== per-stage timings (session total) ===\n%s", table)

@@ -2,9 +2,11 @@ package exp
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"github.com/fxrz-go/fxrz/internal/codecs"
+	"github.com/fxrz-go/fxrz/internal/compress"
 	"github.com/fxrz-go/fxrz/internal/core"
 	"github.com/fxrz-go/fxrz/internal/dump"
 	"github.com/fxrz-go/fxrz/internal/fraz"
@@ -22,6 +24,8 @@ type FRaZPoint struct {
 	Search   time.Duration
 }
 
+func (p FRaZPoint) estErr() float64 { return p.Err }
+
 // CompareResult holds the FXRZ-vs-FRaZ data behind Figs 12–13 and Table
 // VIII: per (compressor, app) accuracy points for FXRZ and for FRaZ at each
 // iteration cap, plus single-compression baseline times.
@@ -36,6 +40,9 @@ type CompareResult struct {
 // the baseline's enormous cost, at most maxTestFields per app are used (the
 // paper likewise reports one test field/snapshot per app in Fig 12).
 func Compare(s *Session, apps, comps []string, maxTestFields int) (*CompareResult, error) {
+	if maxTestFields < 1 {
+		return nil, fmt.Errorf("exp: compare needs at least one test field per app, got %d", maxTestFields)
+	}
 	res := &CompareResult{
 		Iters:        s.S.FRaZIters,
 		FXRZ:         map[string]map[string][]EvalPoint{},
@@ -56,7 +63,7 @@ func Compare(s *Session, apps, comps []string, maxTestFields int) (*CompareResul
 			return nil, err
 		}
 		for _, app := range apps {
-			fw, err := s.Framework(app, cname)
+			fw, err := s.Framework(app, cname, s.Config())
 			if err != nil {
 				return nil, err
 			}
@@ -74,16 +81,19 @@ func Compare(s *Session, apps, comps []string, maxTestFields int) (*CompareResul
 				if err != nil {
 					return nil, err
 				}
-				mid := mids[len(mids)/2]
-				est, err := fw.EstimateConfig(f, mid)
+				est, err := fw.EstimateConfig(f, mids[len(mids)/2])
 				if err != nil {
 					return nil, err
 				}
-				t0 := time.Now()
-				if _, err := c.Compress(f, est.Knob); err != nil {
+				d, err := bestOf(func() (time.Duration, error) {
+					t0 := time.Now()
+					_, err := c.Compress(f, est.Knob)
+					return time.Since(t0), err
+				})
+				if err != nil {
 					return nil, err
 				}
-				compTime += time.Since(t0)
+				compTime += d
 			}
 			res.CompressTime[cname][app] = compTime / time.Duration(len(tests))
 
@@ -94,91 +104,95 @@ func Compare(s *Session, apps, comps []string, maxTestFields int) (*CompareResul
 			res.FXRZ[cname][app] = pts
 
 			for _, iters := range res.Iters {
-				var fps []FRaZPoint
-				for _, f := range tests {
-					targets, err := s.Targets(fw, cname, f, s.S.TCRs)
-					if err != nil {
-						return nil, err
-					}
-					for _, tcr := range targets {
-						r, err := fraz.Search(c, f, tcr, iters)
-						if err != nil {
-							return nil, fmt.Errorf("exp: fraz(%d) %s on %s: %w", iters, cname, f.Name, err)
-						}
-						fps = append(fps, FRaZPoint{
-							Field: f.Name, TCR: tcr, Achieved: r.AchievedRatio,
-							Err:  metrics.EstimationError(tcr, r.AchievedRatio),
-							Runs: r.CompressorRuns, Search: r.SearchTime,
-						})
-					}
+				if res.FRaZ[iters][cname][app], err = frazPoints(s, fw, c, tests, s.S.TCRs, iters); err != nil {
+					return nil, err
 				}
-				res.FRaZ[iters][cname][app] = fps
 			}
 		}
 	}
 	return res, nil
 }
 
+// frazPoints runs the FRaZ baseline, capped at iters compressor runs, at the
+// nTCR targets per field that evalFramework verifies FXRZ at.
+func frazPoints(s *Session, fw *core.Framework, c compress.Compressor, fields []*grid.Field, nTCR, iters int) ([]FRaZPoint, error) {
+	var out []FRaZPoint
+	for _, f := range fields {
+		targets, err := s.Targets(fw, c.Name(), f, nTCR)
+		if err != nil {
+			return nil, err
+		}
+		for _, tcr := range targets {
+			r, err := fraz.Search(c, f, tcr, iters)
+			if err != nil {
+				return nil, fmt.Errorf("exp: fraz(%d) %s on %s: %w", iters, c.Name(), f.Name, err)
+			}
+			out = append(out, FRaZPoint{
+				Field: f.Name, TCR: tcr, Achieved: r.AchievedRatio,
+				Err:  metrics.EstimationError(tcr, r.AchievedRatio),
+				Runs: r.CompressorRuns, Search: r.SearchTime,
+			})
+		}
+	}
+	return out, nil
+}
+
+// timingRuns is how many times Compare and Dump repeat each cost they time.
+// The fastest run is the cost: on a shared machine the slower runs also
+// measure the neighbours.
+const timingRuns = 5
+
+// bestOf returns the fastest of timingRuns calls of run, each of which
+// reports its own duration.
+func bestOf(run func() (time.Duration, error)) (time.Duration, error) {
+	best := time.Duration(math.MaxInt64)
+	for range timingRuns {
+		d, err := run()
+		if err != nil {
+			return 0, err
+		}
+		best = min(best, d)
+	}
+	return best, nil
+}
+
+// flat lists the points of a comp → app grid of the given apps, in codec
+// table order.
+func flat[P any](m map[string]map[string][]P, apps ...string) []P {
+	var out []P
+	for _, comp := range codecs.Names() {
+		for _, app := range apps {
+			out = append(out, m[comp][app]...)
+		}
+	}
+	return out
+}
+
 // Averages returns the grand-average estimation errors: FXRZ and FRaZ per
 // iteration cap (paper: FXRZ 8.24%, FRaZ6 34.48%, FRaZ15 19.37%).
 func (r *CompareResult) Averages() (fxrzErr float64, frazErr map[int]float64) {
-	var s float64
-	var n int
-	for _, byApp := range r.FXRZ {
-		for _, pts := range byApp {
-			for _, p := range pts {
-				s += p.Err
-				n++
-			}
-		}
-	}
-	if n > 0 {
-		fxrzErr = s / float64(n)
-	}
 	frazErr = map[int]float64{}
 	for it, byComp := range r.FRaZ {
-		var fs float64
-		var fn int
-		for _, byApp := range byComp {
-			for _, pts := range byApp {
-				for _, p := range pts {
-					fs += p.Err
-					fn++
-				}
-			}
-		}
-		if fn > 0 {
-			frazErr[it] = fs / float64(fn)
-		}
+		frazErr[it] = meanErr(flat(byComp, Apps...))
 	}
-	return fxrzErr, frazErr
+	return meanErr(flat(r.FXRZ, Apps...)), frazErr
 }
 
 // SpeedupOverFRaZ returns mean(FRaZ search time) / mean(FXRZ analysis time)
 // at the given iteration cap — the paper's headline 108×.
 func (r *CompareResult) SpeedupOverFRaZ(iters int) float64 {
+	fx, fr := flat(r.FXRZ, Apps...), flat(r.FRaZ[iters], Apps...)
 	var fxrzT, frazT time.Duration
-	var fn, gn int
-	for _, byApp := range r.FXRZ {
-		for _, pts := range byApp {
-			for _, p := range pts {
-				fxrzT += p.Analysis
-				fn++
-			}
-		}
+	for _, p := range fx {
+		fxrzT += p.Analysis
 	}
-	for _, byApp := range r.FRaZ[iters] {
-		for _, pts := range byApp {
-			for _, p := range pts {
-				frazT += p.Search
-				gn++
-			}
-		}
+	for _, p := range fr {
+		frazT += p.Search
 	}
-	if fn == 0 || gn == 0 || fxrzT == 0 {
+	if len(fx) == 0 || len(fr) == 0 || fxrzT == 0 {
 		return 0
 	}
-	return (float64(frazT) / float64(gn)) / (float64(fxrzT) / float64(fn))
+	return (float64(frazT) / float64(len(fr))) / (float64(fxrzT) / float64(len(fx)))
 }
 
 // CapabilityString splits the FXRZ accuracy by the paper's two capability
@@ -186,24 +200,12 @@ func (r *CompareResult) SpeedupOverFRaZ(iters int) float64 {
 // (Hurricane); level 2 = different simulation configuration or scale (Nyx,
 // QMCPack, RTM).
 func (r *CompareResult) CapabilityString() string {
-	level := func(apps []string) (float64, int) {
-		var s float64
-		var n int
-		for _, byApp := range r.FXRZ {
-			for _, app := range apps {
-				for _, p := range byApp[app] {
-					s += p.Err
-					n++
-				}
-			}
-		}
-		if n == 0 {
-			return 0, 0
-		}
-		return s / float64(n), n
+	level := func(apps ...string) (float64, int) {
+		pts := flat(r.FXRZ, apps...)
+		return meanErr(pts), len(pts)
 	}
-	l1, n1 := level([]string{"hurricane"})
-	l2, n2 := level([]string{"nyx", "qmcpack", "rtm"})
+	l1, n1 := level("hurricane")
+	l2, n2 := level("nyx", "qmcpack", "rtm")
 	t := &Table{Title: "Capability levels (§IV-A) — FXRZ estimation error by train/test relationship",
 		Header: []string{"level", "split", "avg est error", "points"}}
 	t.AddRow("1", "same config, later time steps (Hurricane)", pct(l1), fmt.Sprintf("%d", n1))
@@ -252,9 +254,9 @@ func (r *CompareResult) Fig13String() string {
 			if len(pts) == 0 {
 				continue
 			}
-			t.AddRow(app, cname, pct(avgErr(pts)),
-				pct(avgFRaZErr(r.FRaZ[6][cname][app])),
-				pct(avgFRaZErr(r.FRaZ[15][cname][app])))
+			t.AddRow(app, cname, pct(meanErr(pts)),
+				pct(meanErr(r.FRaZ[6][cname][app])),
+				pct(meanErr(r.FRaZ[15][cname][app])))
 		}
 	}
 	fx, fr := r.Averages()
@@ -304,17 +306,6 @@ func indexFRaZ(pts []FRaZPoint) map[string]float64 {
 	return m
 }
 
-func avgFRaZErr(pts []FRaZPoint) float64 {
-	if len(pts) == 0 {
-		return 0
-	}
-	var s float64
-	for _, p := range pts {
-		s += p.Err
-	}
-	return s / float64(len(pts))
-}
-
 // Fig14Result reproduces Fig 14: training across all application scopes,
 // testing on RTM BigScale (paper: FXRZ keeps 6.76–19.81% error).
 type Fig14Result struct {
@@ -360,23 +351,11 @@ func Fig14(s *Session) (*Fig14Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		var frazSum float64
-		var frazN int
-		for _, f := range tests {
-			targets, terr := s.Targets(fw, cname, f, max(4, s.S.TCRs/3))
-			if terr != nil {
-				return nil, terr
-			}
-			for _, tcr := range targets {
-				r, err := fraz.Search(c, f, tcr, 15)
-				if err != nil {
-					return nil, err
-				}
-				frazSum += metrics.EstimationError(tcr, r.AchievedRatio)
-				frazN++
-			}
+		fps, err := frazPoints(s, fw, c, tests, max(4, s.S.TCRs/3), 15)
+		if err != nil {
+			return nil, err
 		}
-		res.Err[cname] = [2]float64{avgErr(pts), frazSum / float64(frazN)}
+		res.Err[cname] = [2]float64{meanErr(pts), meanErr(fps)}
 	}
 	return res, nil
 }
@@ -405,10 +384,11 @@ type DumpResult struct {
 	Bytes                          int64
 }
 
-// Dump measures real per-rank costs on a Nyx test field with SZ, then runs
-// the discrete-event I/O model at each rank count.
+// Dump measures real per-rank costs on a Nyx test field with SZ, each the
+// best of timingRuns, then runs the discrete-event I/O model at each rank
+// count.
 func Dump(s *Session) (*DumpResult, error) {
-	fw, err := s.Framework("nyx", "sz")
+	fw, err := s.Framework("nyx", "sz", s.Config())
 	if err != nil {
 		return nil, err
 	}
@@ -426,17 +406,28 @@ func Dump(s *Session) (*DumpResult, error) {
 		return nil, err
 	}
 	tcr := mids[len(mids)/2]
-	est, err := fw.EstimateConfig(f, tcr)
+	var est core.Estimate
+	analysis, err := bestOf(func() (d time.Duration, err error) {
+		est, err = fw.EstimateConfig(f, tcr)
+		return est.AnalysisTime(), err
+	})
 	if err != nil {
 		return nil, err
 	}
-	t0 := time.Now()
-	blob, err := c.Compress(f, est.Knob)
+	var blob []byte
+	compTime, err := bestOf(func() (time.Duration, error) {
+		t0 := time.Now()
+		var err error
+		blob, err = c.Compress(f, est.Knob)
+		return time.Since(t0), err
+	})
 	if err != nil {
 		return nil, err
 	}
-	compTime := time.Since(t0)
-	fr, err := fraz.Search(c, f, tcr, 15)
+	search, err := bestOf(func() (time.Duration, error) {
+		fr, err := fraz.Search(c, f, tcr, 15)
+		return fr.SearchTime, err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -451,7 +442,7 @@ func Dump(s *Session) (*DumpResult, error) {
 	scale := func(d time.Duration) time.Duration { return time.Duration(float64(d) * volume) }
 	res := &DumpResult{
 		Ranks:    []int{512, 1024, 2048, 4096},
-		Analysis: scale(est.AnalysisTime()), FRaZSearch: scale(fr.SearchTime),
+		Analysis: scale(analysis), FRaZSearch: scale(search),
 		Compress: scale(compTime), Bytes: int64(float64(len(blob)) * volume),
 	}
 	// Calibrate the I/O model: the gain regime depends on the balance

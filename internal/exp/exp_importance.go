@@ -22,7 +22,7 @@ func Importance(s *Session) (*ImportanceResult, error) {
 	for _, app := range Apps {
 		res.Imp[app] = map[string][]float64{}
 		for _, comp := range []string{"sz", "zfp"} {
-			fw, err := s.Framework(app, comp)
+			fw, err := s.Framework(app, comp, s.Config())
 			if err != nil {
 				return nil, err
 			}

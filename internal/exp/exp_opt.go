@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/fxrz-go/fxrz/internal/codecs"
@@ -50,249 +51,205 @@ func evalFramework(s *Session, fw *core.Framework, c compress.Compressor, fields
 	return out, nil
 }
 
-func avgErr(points []EvalPoint) float64 {
-	if len(points) == 0 {
+// meanErr is the mean estimation error of a set of points (0 for none).
+func meanErr[P interface{ estErr() float64 }](pts []P) float64 {
+	if len(pts) == 0 {
 		return 0
 	}
 	var s float64
-	for _, p := range points {
-		s += p.Err
+	for _, p := range pts {
+		s += p.estErr()
 	}
-	return s / float64(len(points))
+	return s / float64(len(pts))
 }
 
-// Table3Result reproduces Table III: average estimation error of the three
-// model families (RFR, AdaBoost, SVR) on example datasets with SZ and ZFP.
-// The paper's conclusion — RFR lowest — must reproduce.
-type Table3Result struct {
-	// Err[compressor][model] per app: Err[app][compressor][model].
-	Err map[string]map[string]map[core.ModelKind]float64
+func (p EvalPoint) estErr() float64 { return p.Err }
+
+// variant is one column of an ablation: a label and the edit that turns the
+// session's default configuration into the variant's.
+type variant struct {
+	label string
+	edit  func(*core.Config)
 }
 
-// Table3Apps are the three example applications the paper's table uses.
-var Table3Apps = []string{"nyx", "qmcpack", "rtm"}
+// config is the session's default configuration with the variant's edit.
+func (v variant) config(s *Session) core.Config {
+	cfg := s.Config()
+	v.edit(&cfg)
+	return cfg
+}
 
-// Table3 trains each model family per (app, compressor) — reusing the
-// cached stationary sweeps — and verifies on the app's test fields.
-func Table3(s *Session) (*Table3Result, error) {
-	res := &Table3Result{Err: map[string]map[string]map[core.ModelKind]float64{}}
-	for _, app := range Table3Apps {
-		res.Err[app] = map[string]map[core.ModelKind]float64{}
-		trainFields, err := s.TrainFields(app)
+// ablation is one of the paper's configuration ablations: every variant is
+// trained on the cached stationary curves of each (app, compressor) cell and
+// verified on the app's test fields.
+type ablation struct {
+	title       string
+	apps, comps []string
+	variants    []variant
+	// timed ablations also measure each variant's feature-extraction time
+	// on the test fields and print one row per variant; they have one cell.
+	timed bool
+	notes func(*ablationResult) []string
+}
+
+var (
+	szZFP = []string{"sz", "zfp"}
+
+	// caVariants are Table VII's columns and Fig 7's two curves.
+	caVariants = []variant{
+		{"with CA", func(c *core.Config) { c.UseCA = true }},
+		{"without CA", func(c *core.Config) { c.UseCA = false }},
+	}
+
+	// table3 reproduces Table III: the three model families. The paper's
+	// conclusion — RFR lowest — must reproduce.
+	table3 = &ablation{
+		title: "Table III — average estimation error by model family",
+		apps:  []string{"nyx", "qmcpack", "rtm"}, comps: szZFP,
+		variants: []variant{
+			{"RFR", func(c *core.Config) { c.Model = core.ModelRFR }},
+			{"AdaBoost", func(c *core.Config) { c.Model = core.ModelAdaBoost }},
+			{"SVR", func(c *core.Config) { c.Model = core.ModelSVR }},
+		},
+		notes: func(r *ablationResult) []string {
+			return []string{"paper: RFR lowest on average; SVR suffers the highest errors",
+				fmt.Sprintf("verdict: RFR has the lowest mean error of the three families: %v", r.lowest(0))}
+		},
+	}
+
+	// sampling reproduces the §IV-E1 ablation: stride-4 sampling (~1.5% of
+	// points on 3D data) must match full extraction's accuracy while cutting
+	// analysis time by roughly the sampling factor (paper: 8.24% vs 6.23%
+	// error, ~20× faster analysis).
+	sampling = &ablation{
+		title: "§IV-E1 — uniform sampling ablation (Nyx, SZ)",
+		apps:  []string{"nyx"}, comps: []string{"sz"}, timed: true,
+		variants: []variant{
+			{"stride 4 (sampled)", func(c *core.Config) { c.Stride = 4 }},
+			{"stride 1 (all points)", func(c *core.Config) { c.Stride = 1 }},
+		},
+		notes: func(r *ablationResult) []string {
+			return []string{fmt.Sprintf("sampled fraction: %.2f%% of points (paper: 1.50%%)", 100*r.sampled[0]),
+				"paper: 8.24% vs 6.23% error; sampling ~20× faster feature extraction"}
+		},
+	}
+
+	// table4 reproduces Table IV: the CA threshold λ sweep.
+	table4 = &ablation{
+		title: "Table IV — average estimation error by CA threshold λ",
+		apps:  []string{"nyx", "qmcpack", "rtm"}, comps: szZFP,
+		variants: []variant{
+			{"λ=0.05", func(c *core.Config) { c.Lambda = 0.05 }},
+			{"λ=0.10", func(c *core.Config) { c.Lambda = 0.10 }},
+			{"λ=0.15", func(c *core.Config) { c.Lambda = 0.15 }},
+		},
+		notes: func(*ablationResult) []string { return []string{"paper: λ=0.15 optimal overall"} },
+	}
+
+	// table7 validates CA across all applications (§V-E).
+	table7 = &ablation{
+		title: "§V-E — estimation error with vs without Compressibility Adjustment",
+		apps:  Apps, comps: szZFP, variants: caVariants,
+	}
+)
+
+// ablationResult holds an ablation's cells: err[app][comp][i] is variant i's
+// mean estimation error on the app's test fields.
+type ablationResult struct {
+	*ablation
+	err map[string]map[string][]float64
+	// featTime[i] and sampled[i], timed ablations only: variant i's feature
+	// time summed over the test fields, and the fraction of the first test
+	// field's points its stride reads.
+	featTime []time.Duration
+	sampled  []float64
+}
+
+// run is the ablation's row of Experiments.
+func (a *ablation) run(s *Session, _ Options) (fmt.Stringer, error) {
+	r := &ablationResult{ablation: a, err: map[string]map[string][]float64{}}
+	for _, app := range a.apps {
+		tests, err := s.TestFields(app)
 		if err != nil {
 			return nil, err
 		}
-		testFields, err := s.TestFields(app)
-		if err != nil {
-			return nil, err
-		}
-		for _, cname := range []string{"sz", "zfp"} {
-			res.Err[app][cname] = map[core.ModelKind]float64{}
-			c, err := codecs.ByName(cname)
+		r.err[app] = map[string][]float64{}
+		for _, comp := range a.comps {
+			c, err := codecs.ByName(comp)
 			if err != nil {
 				return nil, err
 			}
-			curves, err := s.Curves(app, cname)
-			if err != nil {
-				return nil, err
-			}
-			for _, model := range []core.ModelKind{core.ModelRFR, core.ModelAdaBoost, core.ModelSVR} {
-				cfg := s.Config()
-				cfg.Model = model
-				fw, err := core.TrainWithCurves(c, trainFields, cfg, curves)
+			for _, v := range a.variants {
+				cfg := v.config(s)
+				fw, err := s.Framework(app, comp, cfg)
 				if err != nil {
 					return nil, err
 				}
-				pts, err := evalFramework(s, fw, c, testFields, max(4, s.S.TCRs/3))
+				pts, err := evalFramework(s, fw, c, tests, max(4, s.S.TCRs/3))
 				if err != nil {
 					return nil, err
 				}
-				res.Err[app][cname][model] = avgErr(pts)
-			}
-		}
-	}
-	return res, nil
-}
-
-// RFRBest reports whether RFR has the lowest mean error overall.
-func (r *Table3Result) RFRBest() bool {
-	means := map[core.ModelKind]float64{}
-	n := 0
-	for _, byComp := range r.Err {
-		for _, byModel := range byComp {
-			for m, e := range byModel {
-				means[m] += e
-			}
-			n++
-		}
-	}
-	if n == 0 {
-		return false
-	}
-	return means[core.ModelRFR] <= means[core.ModelAdaBoost] && means[core.ModelRFR] <= means[core.ModelSVR]
-}
-
-// String renders Table III.
-func (r *Table3Result) String() string {
-	t := &Table{Title: "Table III — average estimation error by model family",
-		Header: []string{"app", "compressor", "RFR", "AdaBoost", "SVR"}}
-	for _, app := range Table3Apps {
-		for _, c := range []string{"sz", "zfp"} {
-			m := r.Err[app][c]
-			t.AddRow(app, c, pct(m[core.ModelRFR]), pct(m[core.ModelAdaBoost]), pct(m[core.ModelSVR]))
-		}
-	}
-	t.AddNote("paper: RFR lowest on average; SVR suffers the highest errors")
-	t.AddNote("verdict: RFR has the lowest mean error of the three families: %v", r.RFRBest())
-	return t.String()
-}
-
-// SamplingResult reproduces the §IV-E1 ablation: stride-4 sampling (~1.5% of
-// points on 3D data) must match full extraction's accuracy while cutting
-// analysis time by roughly the sampling factor (paper: 8.24% vs 6.23% error,
-// ~20× faster analysis).
-type SamplingResult struct {
-	ErrSampled, ErrFull           float64
-	FeatTimeSampled, FeatTimeFull time.Duration
-	SampledFraction               float64
-}
-
-// Sampling runs the ablation on Nyx with SZ.
-func Sampling(s *Session) (*SamplingResult, error) {
-	app, cname := "nyx", "sz"
-	trainFields, err := s.TrainFields(app)
-	if err != nil {
-		return nil, err
-	}
-	testFields, err := s.TestFields(app)
-	if err != nil {
-		return nil, err
-	}
-	c, err := codecs.ByName(cname)
-	if err != nil {
-		return nil, err
-	}
-	curves, err := s.Curves(app, cname)
-	if err != nil {
-		return nil, err
-	}
-	res := &SamplingResult{}
-	for _, stride := range []int{4, 1} {
-		cfg := s.Config()
-		cfg.Stride = stride
-		if stride <= 1 {
-			cfg.Stride = 1
-		}
-		fw, err := core.TrainWithCurves(c, trainFields, cfg, curves)
-		if err != nil {
-			return nil, err
-		}
-		pts, err := evalFramework(s, fw, c, testFields, max(4, s.S.TCRs/3))
-		if err != nil {
-			return nil, err
-		}
-		var feat time.Duration
-		for _, f := range testFields {
-			est, err := fw.EstimateConfig(f, 10)
-			if err != nil {
-				return nil, err
-			}
-			feat += est.FeatureTime
-		}
-		if stride == 4 {
-			res.ErrSampled = avgErr(pts)
-			res.FeatTimeSampled = feat
-		} else {
-			res.ErrFull = avgErr(pts)
-			res.FeatTimeFull = feat
-		}
-	}
-	if len(testFields) > 0 {
-		f := testFields[0]
-		res.SampledFraction = float64(len(grid.StrideSample(f, 4))) / float64(f.Size())
-	}
-	return res, nil
-}
-
-// String renders the ablation.
-func (r *SamplingResult) String() string {
-	t := &Table{Title: "§IV-E1 — uniform sampling ablation (Nyx, SZ)",
-		Header: []string{"extraction", "avg est error", "feature time"}}
-	t.AddRow("stride 4 (sampled)", pct(r.ErrSampled), r.FeatTimeSampled.String())
-	t.AddRow("stride 1 (all points)", pct(r.ErrFull), r.FeatTimeFull.String())
-	t.AddNote("sampled fraction: %.2f%% of points (paper: 1.50%%)", 100*r.SampledFraction)
-	t.AddNote("paper: 8.24%% vs 6.23%% error; sampling ~20× faster feature extraction")
-	return t.String()
-}
-
-// Table4Result reproduces Table IV: the λ threshold sweep for CA.
-type Table4Result struct {
-	// Err[app][compressor][λ] average estimation error.
-	Err     map[string]map[string]map[float64]float64
-	Lambdas []float64
-}
-
-// Table4Apps are the table's three applications.
-var Table4Apps = []string{"nyx", "qmcpack", "rtm"}
-
-// Table4 sweeps λ ∈ {0.05, 0.10, 0.15} per (app, SZ/ZFP).
-func Table4(s *Session) (*Table4Result, error) {
-	res := &Table4Result{Err: map[string]map[string]map[float64]float64{}, Lambdas: []float64{0.05, 0.10, 0.15}}
-	for _, app := range Table4Apps {
-		res.Err[app] = map[string]map[float64]float64{}
-		trainFields, err := s.TrainFields(app)
-		if err != nil {
-			return nil, err
-		}
-		testFields, err := s.TestFields(app)
-		if err != nil {
-			return nil, err
-		}
-		for _, cname := range []string{"sz", "zfp"} {
-			res.Err[app][cname] = map[float64]float64{}
-			c, err := codecs.ByName(cname)
-			if err != nil {
-				return nil, err
-			}
-			curves, err := s.Curves(app, cname)
-			if err != nil {
-				return nil, err
-			}
-			for _, lambda := range res.Lambdas {
-				cfg := s.Config()
-				cfg.Lambda = lambda
-				fw, err := core.TrainWithCurves(c, trainFields, cfg, curves)
-				if err != nil {
-					return nil, err
+				r.err[app][comp] = append(r.err[app][comp], meanErr(pts))
+				if !a.timed {
+					continue
 				}
-				pts, err := evalFramework(s, fw, c, testFields, max(4, s.S.TCRs/3))
-				if err != nil {
-					return nil, err
+				var feat time.Duration
+				for _, f := range tests {
+					est, err := fw.EstimateConfig(f, 10)
+					if err != nil {
+						return nil, err
+					}
+					feat += est.FeatureTime
 				}
-				res.Err[app][cname][lambda] = avgErr(pts)
+				r.featTime = append(r.featTime, feat)
+				r.sampled = append(r.sampled, float64(len(grid.StrideSample(tests[0], cfg.Stride)))/float64(tests[0].Size()))
 			}
 		}
 	}
-	return res, nil
+	return r, nil
 }
 
-// String renders Table IV.
-func (r *Table4Result) String() string {
-	hdr := []string{"app", "compressor"}
-	for _, l := range r.Lambdas {
-		hdr = append(hdr, fmt.Sprintf("λ=%.2f", l))
-	}
-	t := &Table{Title: "Table IV — average estimation error by CA threshold λ", Header: hdr}
-	for _, app := range Table4Apps {
-		for _, c := range []string{"sz", "zfp"} {
-			row := []string{app, c}
-			for _, l := range r.Lambdas {
-				row = append(row, pct(r.Err[app][c][l]))
+// lowest reports whether variant i has the lowest total error over the cells.
+func (r *ablationResult) lowest(i int) bool {
+	sums := make([]float64, len(r.variants))
+	for _, app := range r.apps {
+		for _, comp := range r.comps {
+			for j, e := range r.err[app][comp] {
+				sums[j] += e
 			}
-			t.AddRow(row...)
 		}
 	}
-	t.AddNote("paper: λ=0.15 optimal overall")
+	return slices.Min(sums) == sums[i]
+}
+
+// String renders the ablation: one row per cell and a column per variant,
+// or, timed, one row per variant with its feature time.
+func (r *ablationResult) String() string {
+	t := &Table{Title: r.title}
+	if r.timed {
+		t.Header = []string{"extraction", "avg est error", "feature time"}
+		errs := r.err[r.apps[0]][r.comps[0]]
+		for i, v := range r.variants {
+			t.AddRow(v.label, pct(errs[i]), r.featTime[i].String())
+		}
+	} else {
+		t.Header = []string{"app", "compressor"}
+		for _, v := range r.variants {
+			t.Header = append(t.Header, v.label)
+		}
+		for _, app := range r.apps {
+			for _, comp := range r.comps {
+				row := []string{app, comp}
+				for _, e := range r.err[app][comp] {
+					row = append(row, pct(e))
+				}
+				t.AddRow(row...)
+			}
+		}
+	}
+	if r.notes != nil {
+		t.Notes = append(t.Notes, r.notes(r)...)
+	}
 	return t.String()
 }
 
@@ -305,62 +262,42 @@ type Fig7Result struct {
 	AvgErrWith, AvgErrWithout map[string]float64
 }
 
-// Fig7 runs both variants, reusing cached sweeps.
+// Fig7 runs both of Table VII's variants on Nyx at shared targets.
 func Fig7(s *Session) (*Fig7Result, error) {
-	app := "nyx"
-	trainFields, err := s.TrainFields(app)
-	if err != nil {
-		return nil, err
-	}
 	test, err := datagen.NyxField("baryon_density", 2, s.S.NyxTestStep, s.S.NyxSize)
 	if err != nil {
 		return nil, err
 	}
 	res := &Fig7Result{Points: map[string][][3]float64{}, AvgErrWith: map[string]float64{}, AvgErrWithout: map[string]float64{}}
-	for _, cname := range []string{"sz", "zfp"} {
+	for _, cname := range szZFP {
 		c, err := codecs.ByName(cname)
 		if err != nil {
 			return nil, err
 		}
-		curves, err := s.Curves(app, cname)
-		if err != nil {
-			return nil, err
+		var fws [2]*core.Framework
+		for i, v := range caVariants {
+			if fws[i], err = s.Framework("nyx", cname, v.config(s)); err != nil {
+				return nil, err
+			}
 		}
-		cfgWith := s.Config()
-		fwWith, err := core.TrainWithCurves(c, trainFields, cfgWith, curves)
-		if err != nil {
-			return nil, err
-		}
-		cfgWithout := s.Config()
-		cfgWithout.UseCA = false
-		fwWithout, err := core.TrainWithCurves(c, trainFields, cfgWithout, curves)
-		if err != nil {
-			return nil, err
-		}
-		targets, err := s.Targets(fwWith, cname, test, s.S.TCRs)
+		targets, err := s.Targets(fws[0], cname, test, s.S.TCRs)
 		if err != nil {
 			return nil, err
 		}
 		for _, tcr := range targets {
-			estW, err := fwWith.EstimateConfig(test, tcr)
-			if err != nil {
-				return nil, err
+			row := [3]float64{tcr}
+			for i, fw := range fws {
+				est, err := fw.EstimateConfig(test, tcr)
+				if err != nil {
+					return nil, err
+				}
+				if row[1+i], err = compress.CompressRatio(c, test, est.Knob); err != nil {
+					return nil, err
+				}
 			}
-			mcrW, err := compress.CompressRatio(c, test, estW.Knob)
-			if err != nil {
-				return nil, err
-			}
-			estWo, err := fwWithout.EstimateConfig(test, tcr)
-			if err != nil {
-				return nil, err
-			}
-			mcrWo, err := compress.CompressRatio(c, test, estWo.Knob)
-			if err != nil {
-				return nil, err
-			}
-			res.Points[cname] = append(res.Points[cname], [3]float64{tcr, mcrW, mcrWo})
-			res.AvgErrWith[cname] += metrics.EstimationError(tcr, mcrW)
-			res.AvgErrWithout[cname] += metrics.EstimationError(tcr, mcrWo)
+			res.Points[cname] = append(res.Points[cname], row)
+			res.AvgErrWith[cname] += metrics.EstimationError(tcr, row[1])
+			res.AvgErrWithout[cname] += metrics.EstimationError(tcr, row[2])
 		}
 		n := float64(len(res.Points[cname]))
 		res.AvgErrWith[cname] /= n
@@ -372,7 +309,7 @@ func Fig7(s *Session) (*Fig7Result, error) {
 // String renders Fig 7.
 func (r *Fig7Result) String() string {
 	out := ""
-	for _, cname := range []string{"sz", "zfp"} {
+	for _, cname := range szZFP {
 		t := &Table{Title: fmt.Sprintf("Fig 7 — CA optimization (%s, Nyx baryon density)", cname),
 			Header: []string{"TCR (ground truth)", "MCR with CA", "MCR without CA"}}
 		for _, p := range r.Points[cname] {
@@ -382,66 +319,4 @@ func (r *Fig7Result) String() string {
 		out += t.String() + "\n"
 	}
 	return out
-}
-
-// Table7Result validates CA across all applications (§V-E): estimation error
-// with and without the adjustment for SZ and ZFP.
-type Table7Result struct {
-	// Err[app][compressor][0] with CA, [1] without.
-	Err map[string]map[string][2]float64
-}
-
-// Table7 runs the validation.
-func Table7(s *Session) (*Table7Result, error) {
-	res := &Table7Result{Err: map[string]map[string][2]float64{}}
-	for _, app := range Apps {
-		res.Err[app] = map[string][2]float64{}
-		trainFields, err := s.TrainFields(app)
-		if err != nil {
-			return nil, err
-		}
-		testFields, err := s.TestFields(app)
-		if err != nil {
-			return nil, err
-		}
-		for _, cname := range []string{"sz", "zfp"} {
-			c, err := codecs.ByName(cname)
-			if err != nil {
-				return nil, err
-			}
-			curves, err := s.Curves(app, cname)
-			if err != nil {
-				return nil, err
-			}
-			var pair [2]float64
-			for i, useCA := range []bool{true, false} {
-				cfg := s.Config()
-				cfg.UseCA = useCA
-				fw, err := core.TrainWithCurves(c, trainFields, cfg, curves)
-				if err != nil {
-					return nil, err
-				}
-				pts, err := evalFramework(s, fw, c, testFields, max(4, s.S.TCRs/3))
-				if err != nil {
-					return nil, err
-				}
-				pair[i] = avgErr(pts)
-			}
-			res.Err[app][cname] = pair
-		}
-	}
-	return res, nil
-}
-
-// String renders the validation.
-func (r *Table7Result) String() string {
-	t := &Table{Title: "§V-E — estimation error with vs without Compressibility Adjustment",
-		Header: []string{"app", "compressor", "with CA", "without CA"}}
-	for _, app := range Apps {
-		for _, c := range []string{"sz", "zfp"} {
-			p := r.Err[app][c]
-			t.AddRow(app, c, pct(p[0]), pct(p[1]))
-		}
-	}
-	return t.String()
 }

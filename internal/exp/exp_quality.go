@@ -144,7 +144,7 @@ type Fig11Result struct {
 func Fig11(s *Session) (*Fig11Result, error) {
 	res := &Fig11Result{}
 	for _, app := range []string{"nyx", "qmcpack"} {
-		fw, err := s.Framework(app, "sz")
+		fw, err := s.Framework(app, "sz", s.Config())
 		if err != nil {
 			return nil, err
 		}

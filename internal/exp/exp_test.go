@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/fxrz-go/fxrz/internal/core"
+	"github.com/fxrz-go/fxrz/internal/obs"
 )
 
 // The experiment harness is exercised at Tiny scale; the assertions check
@@ -132,11 +133,11 @@ func TestSessionCatalogShapes(t *testing.T) {
 
 func TestSessionCachesFrameworks(t *testing.T) {
 	s := tinySession()
-	a, err := s.Framework("rtm", "zfp")
+	a, err := s.Framework("rtm", "zfp", s.Config())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Framework("rtm", "zfp")
+	b, err := s.Framework("rtm", "zfp", s.Config())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,22 +148,32 @@ func TestSessionCachesFrameworks(t *testing.T) {
 
 func TestTargetsInsideValidRange(t *testing.T) {
 	s := tinySession()
-	fw, err := s.Framework("rtm", "sz")
-	if err != nil {
-		t.Fatal(err)
-	}
 	tests, err := s.TestFields("rtm")
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := fw.ValidRatioRange(tests[0])
-	targets, err := s.Targets(fw, "sz", tests[0], 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tcr := range targets {
-		if tcr < lo || tcr > hi {
-			t.Errorf("target %v outside [%v, %v]", tcr, lo, hi)
+	// fpzip draws its targets from the achievable stationary ratios, which
+	// one or two targets must still index safely.
+	for _, tc := range []struct {
+		comp string
+		n    int
+	}{{"sz", 10}, {"fpzip", 1}, {"fpzip", 2}} {
+		fw, err := s.Framework("rtm", tc.comp, s.Config())
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, hi := fw.ValidRatioRange(tests[0])
+		targets, err := s.Targets(fw, tc.comp, tests[0], tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(targets) == 0 || len(targets) > tc.n {
+			t.Errorf("%s: %d targets, want 1..%d", tc.comp, len(targets), tc.n)
+		}
+		for _, tcr := range targets {
+			if tcr < lo || tcr > hi {
+				t.Errorf("%s: target %v outside [%v, %v]", tc.comp, tcr, lo, hi)
+			}
 		}
 	}
 }
@@ -287,6 +298,11 @@ func TestCompareSmoke(t *testing.T) {
 			t.Error("empty render")
 		}
 	}
+	for _, n := range []int{0, -1} {
+		if _, err := Compare(tinySession(), Apps, []string{"sz"}, n); err == nil {
+			t.Errorf("Compare with %d test fields per app: no error", n)
+		}
+	}
 }
 
 func TestDumpGainsAboveOne(t *testing.T) {
@@ -372,14 +388,13 @@ func TestTable3ModelsComparable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("model-selection grid is slow")
 	}
-	r := result[*Table3Result](t, "table3")
+	r := result[*ablationResult](t, "table3")
 	// The paper's robust conclusion at any scale: SVR is the worst family.
-	for _, app := range Table3Apps {
-		for _, comp := range []string{"sz", "zfp"} {
-			m := r.Err[app][comp]
-			if m[core.ModelSVR] < m[core.ModelRFR] && m[core.ModelSVR] < m[core.ModelAdaBoost] {
-				t.Errorf("%s/%s: SVR (%v) beat both tree ensembles (%v, %v)",
-					app, comp, m[core.ModelSVR], m[core.ModelRFR], m[core.ModelAdaBoost])
+	for _, app := range r.apps {
+		for _, comp := range r.comps {
+			rfr, ada, svr := r.err[app][comp][0], r.err[app][comp][1], r.err[app][comp][2]
+			if svr < rfr && svr < ada {
+				t.Errorf("%s/%s: SVR (%v) beat both tree ensembles (%v, %v)", app, comp, svr, rfr, ada)
 			}
 		}
 	}
@@ -389,15 +404,59 @@ func TestSamplingKeepsAccuracy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sampling ablation is slow")
 	}
-	r := result[*SamplingResult](t, "sampling")
-	if r.SampledFraction > 0.05 {
-		t.Errorf("sampled fraction %v, want ~1.5%%", r.SampledFraction)
+	r := result[*ablationResult](t, "sampling")
+	if r.sampled[0] > 0.05 {
+		t.Errorf("sampled fraction %v, want ~1.5%%", r.sampled[0])
 	}
-	if r.FeatTimeSampled >= r.FeatTimeFull {
-		t.Errorf("sampled extraction (%v) not faster than full (%v)", r.FeatTimeSampled, r.FeatTimeFull)
+	if r.featTime[0] >= r.featTime[1] {
+		t.Errorf("sampled extraction (%v) not faster than full (%v)", r.featTime[0], r.featTime[1])
 	}
 	// Sampling may cost some accuracy but must stay in the same regime.
-	if r.ErrSampled > 3*r.ErrFull+0.10 {
-		t.Errorf("sampled error %v far above full %v", r.ErrSampled, r.ErrFull)
+	sampled, full := r.err["nyx"]["sz"][0], r.err["nyx"]["sz"][1]
+	if sampled > 3*full+0.10 {
+		t.Errorf("sampled error %v far above full %v", sampled, full)
+	}
+}
+
+// TestDefaultCellIsOneCell: RFR, λ = 0.15, CA on and stride 4 are all the
+// default configuration, so every ablation reads the one cached framework
+// of a cell, and a session trains each distinct configuration once.
+func TestDefaultCellIsOneCell(t *testing.T) {
+	// Each ablation's default column: λ=0.15, with CA, RFR.
+	cols := map[string]int{"table4": 2, "table7": 0}
+	if !testing.Short() {
+		cols["table3"] = 0
+	}
+	want := result[*ablationResult](t, "table4").err
+	for id, col := range cols {
+		got := result[*ablationResult](t, id).err
+		for _, app := range table4.apps {
+			for _, comp := range szZFP {
+				if got[app][comp][col] != want[app][comp][2] {
+					t.Errorf("%s/%s: %s's default column %v, table4's λ=0.15 %v", app, comp, id, got[app][comp][col], want[app][comp][2])
+				}
+			}
+		}
+	}
+	if !testing.Short() {
+		if got := result[*ablationResult](t, "sampling").err["nyx"]["sz"][0]; got != want["nyx"]["sz"][2] {
+			t.Errorf("sampling's stride 4 %v, the nyx/sz default cell %v", got, want["nyx"]["sz"][2])
+		}
+	}
+
+	// table4 trains 18 configurations; table7 adds 8 without CA and the
+	// 2 hurricane defaults, and finds the other 6 defaults cached.
+	obs.Enable()
+	defer obs.Disable()
+	fits := func() int64 { return obs.TakeSnapshot().Spans["train/fit"].Count }
+	before := fits()
+	fresh := NewSession(Tiny)
+	for _, a := range []*ablation{table4, table7} {
+		if _, err := a.run(fresh, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := fits() - before; n != 28 {
+		t.Errorf("table4 then table7 ran %d train/fits, want 28", n)
 	}
 }

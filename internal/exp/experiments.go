@@ -40,11 +40,11 @@ var Experiments = []Experiment{
 	{ID: "fig4", Paper: "Fig 4", Run: of(Fig4)},
 	{ID: "fig6", Paper: "Fig 6", Run: of(Fig6)},
 	{ID: "table2", Paper: "Table II", Run: of(Table2)},
-	{ID: "table3", Paper: "Table III", Run: of(Table3)},
-	{ID: "sampling", Paper: "Fig 5/§IV-E1", Run: of(Sampling)},
-	{ID: "table4", Paper: "Table IV", Run: of(Table4)},
+	{ID: "table3", Paper: "Table III", Run: table3.run},
+	{ID: "sampling", Paper: "Fig 5/§IV-E1", Run: sampling.run},
+	{ID: "table4", Paper: "Table IV", Run: table4.run},
 	{ID: "fig7", Paper: "Fig 7", Run: of(Fig7)},
-	{ID: "table7", Paper: "Table VII / §V-E", Run: of(Table7)},
+	{ID: "table7", Paper: "Table VII / §V-E", Run: table7.run},
 	{ID: "fig89", Paper: "Fig 8/9", Run: of(Fig89)},
 	{ID: "fig10", Paper: "Fig 10", Run: of(Fig10)},
 	{ID: "fig11", Paper: "Fig 11", Run: of(Fig11)},

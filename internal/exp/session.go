@@ -85,14 +85,15 @@ var Small = Scale{
 	FRaZIters:           []int{6, 15},
 }
 
-// Session caches datasets and default-config frameworks for one scale.
+// Session caches datasets, stationary curves and trained frameworks for one
+// scale.
 type Session struct {
 	S Scale
 
 	mu     sync.Mutex
 	train  map[string][]*grid.Field
 	test   map[string][]*grid.Field
-	frames map[string]*core.Framework
+	frames map[frameKey]*core.Framework
 	// curves holds stationary-point curves per app/codec in TrainFields
 	// order, and per test/codec/field for TestCurve.
 	curves map[string][]*core.Curve
@@ -107,7 +108,7 @@ func NewSession(s Scale) *Session {
 		S:      s,
 		train:  map[string][]*grid.Field{},
 		test:   map[string][]*grid.Field{},
-		frames: map[string]*core.Framework{},
+		frames: map[frameKey]*core.Framework{},
 		curves: map[string][]*core.Curve{},
 
 		compares: map[string]*CompareResult{},
@@ -117,56 +118,54 @@ func NewSession(s Scale) *Session {
 // compare returns (and caches) the Compare grid over every application for
 // the given options.
 func (s *Session) compare(o Options) (*CompareResult, error) {
-	key := fmt.Sprint(o)
+	return cached(s, s.compares, fmt.Sprint(o), func() (*CompareResult, error) {
+		comps := o.Comps
+		if len(comps) == 0 {
+			comps = CompressorNames
+		}
+		return Compare(s, Apps, comps, o.MaxTestFields)
+	})
+}
+
+// cached returns m[key], building and storing it on a miss. The session's
+// lock is not held while building, so a build may use the other caches.
+func cached[K comparable, V any](s *Session, m map[K]V, key K, build func() (V, error)) (V, error) {
 	s.mu.Lock()
-	r, ok := s.compares[key]
+	v, ok := m[key]
 	s.mu.Unlock()
 	if ok {
-		return r, nil
+		return v, nil
 	}
-	comps := o.Comps
-	if len(comps) == 0 {
-		comps = CompressorNames
-	}
-	r, err := Compare(s, Apps, comps, o.MaxTestFields)
+	v, err := build()
 	if err != nil {
-		return nil, err
+		return v, err
 	}
 	s.mu.Lock()
-	s.compares[key] = r
+	m[key] = v
 	s.mu.Unlock()
-	return r, nil
+	return v, nil
 }
 
 // Curves returns (and caches) the stationary-point curves of an
 // application's training fields under one compressor, in TrainFields order —
 // the expensive sweep every training-based experiment shares.
 func (s *Session) Curves(app, comp string) ([]*core.Curve, error) {
-	key := app + "/" + comp
-	s.mu.Lock()
-	if cs, ok := s.curves[key]; ok {
-		s.mu.Unlock()
+	return cached(s, s.curves, app+"/"+comp, func() ([]*core.Curve, error) {
+		fields, err := s.TrainFields(app)
+		if err != nil {
+			return nil, err
+		}
+		c, err := codecs.ByName(comp)
+		if err != nil {
+			return nil, err
+		}
+		cfg := s.Config()
+		cs, err := core.Sweep(c, fields, cfg.StationaryPoints, cfg.Parallelism)
+		if err != nil {
+			return nil, fmt.Errorf("exp: sweeping %s for %s: %w", app, comp, err)
+		}
 		return cs, nil
-	}
-	s.mu.Unlock()
-
-	fields, err := s.TrainFields(app)
-	if err != nil {
-		return nil, err
-	}
-	c, err := codecs.ByName(comp)
-	if err != nil {
-		return nil, err
-	}
-	cfg := s.Config()
-	cs, err := core.Sweep(c, fields, cfg.StationaryPoints, cfg.Parallelism)
-	if err != nil {
-		return nil, fmt.Errorf("exp: sweeping %s for %s: %w", app, comp, err)
-	}
-	s.mu.Lock()
-	s.curves[key] = cs
-	s.mu.Unlock()
-	return cs, nil
+	})
 }
 
 // Config returns the default framework configuration at this scale.
@@ -183,35 +182,17 @@ func (s *Session) Config() core.Config {
 // mirroring §V-A2: Nyx config 1 across time steps, QMCPack configs 1–2, RTM
 // small-scale snapshots, Hurricane early time steps.
 func (s *Session) TrainFields(app string) ([]*grid.Field, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if fs, ok := s.train[app]; ok {
-		return append([]*grid.Field(nil), fs...), nil
-	}
-	fs, err := s.buildFields(app, true)
-	if err != nil {
-		return nil, err
-	}
-	s.train[app] = fs
+	fs, err := cached(s, s.train, app, func() ([]*grid.Field, error) { return s.buildFields(app, true) })
 	// Return a copy: callers appending to the result must not be able to
 	// alias the cache's backing array.
-	return append([]*grid.Field(nil), fs...), nil
+	return append([]*grid.Field(nil), fs...), err
 }
 
 // TestFields returns (and caches) the test split: Nyx config 2, QMCPack
 // config 3, RTM big-scale, Hurricane time step 48.
 func (s *Session) TestFields(app string) ([]*grid.Field, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if fs, ok := s.test[app]; ok {
-		return append([]*grid.Field(nil), fs...), nil
-	}
-	fs, err := s.buildFields(app, false)
-	if err != nil {
-		return nil, err
-	}
-	s.test[app] = fs
-	return append([]*grid.Field(nil), fs...), nil
+	fs, err := cached(s, s.test, app, func() ([]*grid.Field, error) { return s.buildFields(app, false) })
+	return append([]*grid.Field(nil), fs...), err
 }
 
 func (s *Session) buildFields(app string, train bool) ([]*grid.Field, error) {
@@ -282,63 +263,58 @@ func (s *Session) buildFields(app string, train bool) ([]*grid.Field, error) {
 	return out, nil
 }
 
-// Framework returns (and caches) the default-config framework for an
-// (application, compressor) pair. Experiments that vary the configuration
-// (λ sweep, CA off, model selection, stride ablation) train their own.
-func (s *Session) Framework(app, comp string) (*core.Framework, error) {
-	key := app + "/" + comp
-	s.mu.Lock()
-	if fw, ok := s.frames[key]; ok {
-		s.mu.Unlock()
-		return fw, nil
-	}
-	s.mu.Unlock()
+// frameKey names one cached framework: an application's training fields
+// under one compressor, trained with one configuration.
+type frameKey struct {
+	app, comp string
+	cfg       core.Config
+}
 
-	fields, err := s.TrainFields(app)
-	if err != nil {
-		return nil, err
-	}
-	c, err := codecs.ByName(comp)
-	if err != nil {
-		return nil, err
-	}
-	curves, err := s.Curves(app, comp)
-	if err != nil {
-		return nil, err
-	}
-	fw, err := core.TrainWithCurves(c, fields, s.Config(), curves)
-	if err != nil {
-		return nil, fmt.Errorf("exp: training %s: %w", key, err)
-	}
-	s.mu.Lock()
-	s.frames[key] = fw
-	s.mu.Unlock()
-	return fw, nil
+// Framework returns (and caches) the framework an (application, compressor)
+// pair trains to under cfg, on the cached stationary curves. The default
+// s.Config() and every ablation variant share this one cache, so a variant
+// equal to the default trains once.
+func (s *Session) Framework(app, comp string, cfg core.Config) (*core.Framework, error) {
+	return cached(s, s.frames, frameKey{app, comp, cfg}, func() (*core.Framework, error) {
+		fields, err := s.TrainFields(app)
+		if err != nil {
+			return nil, err
+		}
+		c, err := codecs.ByName(comp)
+		if err != nil {
+			return nil, err
+		}
+		curves, err := s.Curves(app, comp)
+		if err != nil {
+			return nil, err
+		}
+		fw, err := core.TrainWithCurves(c, fields, cfg, curves)
+		if err != nil {
+			return nil, fmt.Errorf("exp: training %s/%s: %w", app, comp, err)
+		}
+		return fw, nil
+	})
 }
 
 // TestCurve returns (and caches) the ground-truth knob↔ratio curve of one
 // *test* field — experiment setup only, used to pick valid target ranges the
 // way the paper does per dataset (§V-C, Fig 11). FXRZ itself never sees it.
 func (s *Session) TestCurve(comp string, f *grid.Field) (*core.Curve, error) {
-	key := "test/" + comp + "/" + f.Name
-	s.mu.Lock()
-	if cs, ok := s.curves[key]; ok {
-		s.mu.Unlock()
-		return cs[0], nil
-	}
-	s.mu.Unlock()
-	c, err := codecs.ByName(comp)
+	cs, err := cached(s, s.curves, "test/"+comp+"/"+f.Name, func() ([]*core.Curve, error) {
+		c, err := codecs.ByName(comp)
+		if err != nil {
+			return nil, err
+		}
+		cfg := s.Config()
+		cs, err := core.Sweep(c, []*grid.Field{f}, cfg.StationaryPoints, cfg.Parallelism)
+		if err != nil {
+			return nil, fmt.Errorf("exp: ground-truth sweep for %s: %w", comp, err)
+		}
+		return cs, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	cfg := s.Config()
-	cs, err := core.Sweep(c, []*grid.Field{f}, cfg.StationaryPoints, cfg.Parallelism)
-	if err != nil {
-		return nil, fmt.Errorf("exp: ground-truth sweep for %s: %w", comp, err)
-	}
-	s.mu.Lock()
-	s.curves[key] = cs
-	s.mu.Unlock()
 	return cs[0], nil
 }
 
@@ -375,6 +351,9 @@ func (s *Session) Targets(fw *core.Framework, comp string, f *grid.Field, n int)
 		}
 		if len(achievable) <= n {
 			return achievable, nil
+		}
+		if n < 2 {
+			return []float64{achievable[len(achievable)/2]}, nil
 		}
 		out := make([]float64, 0, n)
 		for i := 0; i < n; i++ {
