@@ -5,6 +5,7 @@ import (
 
 	"github.com/fxrz-go/fxrz/internal/compress/compresstest"
 	"github.com/fxrz-go/fxrz/internal/grid"
+	"github.com/fxrz-go/fxrz/internal/sz"
 )
 
 func BenchmarkExtractFeaturesStride4(b *testing.B) {
@@ -90,6 +91,25 @@ func BenchmarkKernelFeatures3D(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(aligned.Size()+ragged.Size()), "ns/elem")
 		})
+	}
+}
+
+// BenchmarkTrainWithCurves times training on measured curves (feature and
+// CA analysis, sample assembly and the 100-tree forest fit) on
+// smallMixTrainSet under DefaultConfig; the sweep runs once, untimed.
+func BenchmarkTrainWithCurves(b *testing.B) {
+	fields := smallMixTrainSet(b)
+	cfg := DefaultConfig()
+	curves, err := Sweep(sz.New(), fields, cfg.StationaryPoints, cfg.Parallelism)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := TrainWithCurves(sz.New(), fields, cfg, curves); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

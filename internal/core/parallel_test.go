@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/gob"
 	"encoding/hex"
 	"fmt"
 	"math/rand"
@@ -11,6 +13,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/fxrz-go/fxrz/internal/datagen"
 	"github.com/fxrz-go/fxrz/internal/grid"
 	"github.com/fxrz-go/fxrz/internal/ml"
 	"github.com/fxrz-go/fxrz/internal/obs"
@@ -238,4 +241,65 @@ func (f *failingCompressor) Compress(fl *grid.Field, knob float64) ([]byte, erro
 		return nil, fmt.Errorf("injected failure")
 	}
 	return f.fakeCompressor.Compress(fl, knob)
+}
+
+// smallMixTrainSet is the serve_small_mix benchmark's training set: Nyx
+// baryon density at 16³, time steps 1, 3, 5 and 7.
+func smallMixTrainSet(t testing.TB) []*grid.Field {
+	var fields []*grid.Field
+	for _, ts := range []int{1, 3, 5, 7} {
+		f, err := datagen.NyxField("baryon_density", 1, ts, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fields = append(fields, f)
+	}
+	return fields
+}
+
+// pinnedForest mirrors what ml.Forest.MarshalBinary writes, so a test can
+// decode and print it. gob numbers types in the order a process first meets
+// them, so the encoded bytes also depend on what else the test binary
+// encoded before; the decoded content does not.
+type pinnedForest struct {
+	Cfg struct {
+		Trees int
+		Seed  int64
+	}
+	Trees []struct {
+		Dim   int
+		Nodes []struct {
+			Feature          int
+			Threshold, Value float64
+			Left, Right      int
+		}
+	}
+}
+
+// TestPinnedForestHashes pins, across commits, the forest that
+// DefaultConfig training fits on smallMixTrainSet. The sweep's sz
+// streams set the ratios the forest learns, so this pins them as well as
+// the fit. %v prints every float64 at its shortest round-trip precision, so
+// the digest is bit-exact.
+func TestPinnedForestHashes(t *testing.T) {
+	fw, err := Train(sz.New(), smallMixTrainSet(t), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := fw.model.(*ml.Forest).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dto pinnedForest
+	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&dto); err != nil {
+		t.Fatal(err)
+	}
+	if len(dto.Trees) != DefaultConfig().Trees || len(dto.Trees[0].Nodes) < 3 {
+		t.Fatalf("decoded %d trees, the first of %d nodes", len(dto.Trees), len(dto.Trees[0].Nodes))
+	}
+	sum := sha256.Sum256(fmt.Appendf(nil, "%v", dto))
+	const want = "8f5edccb1ff6482a873b126983a2d23c1e6eb4971a572a37ce869d2860c13048"
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("forest digest %s, pinned %s", got, want)
+	}
 }

@@ -1,11 +1,11 @@
 package entropy
 
 import (
-	"container/heap"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"github.com/fxrz-go/fxrz/internal/obs"
 )
@@ -153,8 +153,13 @@ func parseHuffmanHeader(blob []byte) (*chunkedCore, error) {
 	return &chunkedCore{alphabet: int(a), n: n, counts: []int{n}, lengths: lengths, payloads: [][]byte{payload}}, nil
 }
 
-// huffmanLengths computes code lengths from frequencies via the classic
-// two-queue/heap construction, then limits lengths to maxHuffmanLen.
+// huffmanLengths computes code lengths from frequencies with the two-queue
+// construction, then limits lengths to maxHuffmanLen. The leaves, sorted by
+// (weight, symbol), are one queue; the internal nodes, appended after them
+// in creation order, are the other, and their weights never decrease. Each
+// merge pops the lighter head, the leaf on a tie. That is the pop order of a
+// min-heap keyed on (weight, pool index) with leaves pooled in symbol order
+// before any internal node, so every length is that heap's.
 func huffmanLengths(freq []int) []uint8 {
 	type node struct {
 		w           int
@@ -162,15 +167,13 @@ func huffmanLengths(freq []int) []uint8 {
 		left, right int // indices into pool for internal nodes
 	}
 	pool := make([]node, 0, 2*len(freq))
-	h := &intHeap{}
 	for s, f := range freq {
 		if f > 0 {
 			pool = append(pool, node{w: f, sym: s, left: -1, right: -1})
-			heap.Push(h, heapItem{w: f, idx: len(pool) - 1})
 		}
 	}
 	lengths := make([]uint8, len(freq))
-	switch h.Len() {
+	switch len(pool) {
 	case 0:
 		return lengths
 	case 1:
@@ -178,13 +181,24 @@ func huffmanLengths(freq []int) []uint8 {
 		lengths[pool[0].sym] = 1
 		return lengths
 	}
-	for h.Len() > 1 {
-		a := heap.Pop(h).(heapItem)
-		b := heap.Pop(h).(heapItem)
-		pool = append(pool, node{w: a.w + b.w, sym: -1, left: a.idx, right: b.idx})
-		heap.Push(h, heapItem{w: a.w + b.w, idx: len(pool) - 1})
+	slices.SortFunc(pool, func(a, b node) int {
+		return cmp.Or(cmp.Compare(a.w, b.w), cmp.Compare(a.sym, b.sym))
+	})
+	leaves := len(pool)
+	leaf, inner := 0, leaves
+	pop := func() int {
+		if leaf < leaves && (inner == len(pool) || pool[leaf].w <= pool[inner].w) {
+			leaf++
+			return leaf - 1
+		}
+		inner++
+		return inner - 1
 	}
-	root := heap.Pop(h).(heapItem).idx
+	for range leaves - 1 {
+		a, b := pop(), pop()
+		pool = append(pool, node{w: pool[a].w + pool[b].w, sym: -1, left: a, right: b})
+	}
+	root := len(pool) - 1
 	// Iterative depth-first traversal to assign depths.
 	type frame struct{ idx, depth int }
 	stack := []frame{{root, 0}}
@@ -236,57 +250,34 @@ func fixKraft(lengths []uint8) {
 	}
 }
 
-type heapItem struct{ w, idx int }
-
-type intHeap []heapItem
-
-func (h intHeap) Len() int { return len(h) }
-func (h intHeap) Less(i, j int) bool {
-	if h[i].w != h[j].w {
-		return h[i].w < h[j].w
-	}
-	return h[i].idx < h[j].idx
-}
-func (h intHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *intHeap) Push(x any)   { *h = append(*h, x.(heapItem)) }
-func (h *intHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-
 type huffCode struct {
 	code uint32
 	len  uint8
 }
 
 // canonicalCodes assigns canonical codes (shorter codes first, then by
-// symbol), stored bit-reversed so they can be emitted LSB-first. The table
-// comes from the scratch pool; callers return it with codeScratch.Put.
-// Entries for zero-length symbols are left stale: encoders only index the
-// table with symbols whose frequency is non-zero, which always have a
-// freshly assigned code.
+// symbol), stored bit-reversed so they can be emitted LSB-first. Counting
+// codes per length gives each length's first code (DEFLATE's bl_count and
+// next_code), and a pass in symbol order numbers each length's codes, which
+// is that order without a sort. The table comes from the scratch pool;
+// callers return it with codeScratch.Put. Entries for zero-length symbols
+// are left stale: encoders only index the table with symbols whose
+// frequency is non-zero, which always have a freshly assigned code.
 func canonicalCodes(lengths []uint8) []huffCode {
-	type symLen struct {
-		sym int
-		l   uint8
+	var count, next [maxHuffmanLen + 1]uint32
+	for _, l := range lengths {
+		count[l]++
 	}
-	var syms []symLen
+	count[0] = 0
+	for l := 1; l <= maxHuffmanLen; l++ {
+		next[l] = (next[l-1] + count[l-1]) << 1
+	}
+	codes := codeScratch.Get(len(lengths))
 	for s, l := range lengths {
 		if l > 0 {
-			syms = append(syms, symLen{s, l})
+			codes[s] = huffCode{code: bits.Reverse32(next[l]) >> (32 - l), len: l}
+			next[l]++
 		}
-	}
-	sort.Slice(syms, func(i, j int) bool {
-		if syms[i].l != syms[j].l {
-			return syms[i].l < syms[j].l
-		}
-		return syms[i].sym < syms[j].sym
-	})
-	codes := codeScratch.Get(len(lengths))
-	var code uint32
-	var prevLen uint8
-	for _, sl := range syms {
-		code <<= (sl.l - prevLen)
-		prevLen = sl.l
-		codes[sl.sym] = huffCode{code: bits.Reverse32(code) >> (32 - sl.l), len: sl.l}
-		code++
 	}
 	return codes
 }

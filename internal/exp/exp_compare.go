@@ -21,7 +21,9 @@ type FRaZPoint struct {
 	Achieved float64
 	Err      float64
 	Runs     int
-	Search   time.Duration
+	// Search is timed once: a best-of would run every compression of the
+	// search timingRuns times at every point.
+	Search time.Duration
 }
 
 func (p FRaZPoint) estErr() float64 { return p.Err }
@@ -137,7 +139,8 @@ func frazPoints(s *Session, fw *core.Framework, c compress.Compressor, fields []
 	return out, nil
 }
 
-// timingRuns is how many times Compare and Dump repeat each cost they time.
+// timingRuns is how many times Compare, Dump and the ablations repeat each
+// cost they time (FRaZPoint.Search excepted).
 // The fastest run is the cost: on a shared machine the slower runs also
 // measure the neighbours.
 const timingRuns = 5

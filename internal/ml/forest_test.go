@@ -2,10 +2,14 @@ package ml
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/gob"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -226,4 +230,74 @@ func FuzzForestUnmarshal(f *testing.F) {
 			fr.Predict(x)
 		}
 	})
+}
+
+// fxrzShaped mimics an FXRZ training set: groups of rows (one per field)
+// that share their first five columns, the field's features, and a sixth
+// column, the adjusted ratio, drawn from a few levels so it ties exactly.
+// The target is a noisy function of both.
+func fxrzShaped(groups, rows int, seed int64) ([][]float64, []float64) {
+	rng := rand.New(rand.NewSource(seed))
+	var X [][]float64
+	var y []float64
+	for g := 0; g < groups; g++ {
+		feats := make([]float64, 5)
+		for j := range feats {
+			feats[j] = rng.Float64()
+		}
+		for r := 0; r < rows; r++ {
+			ratio := float64(1 + rng.Intn(rows/3))
+			X = append(X, append(slices.Clone(feats), ratio))
+			y = append(y, math.Log(ratio)*(1+feats[0])+0.01*rng.NormFloat64())
+		}
+	}
+	return X, y
+}
+
+// modelDigest is the sha256 of the printed content of f.MarshalBinary and
+// of extra. It hashes the decoded DTO, not the bytes: gob numbers types in
+// the order a process first meets them, so the bytes also depend on what
+// else the test binary encoded before. %v prints every float64 at its
+// shortest round-trip precision, so the digest is bit-exact.
+func modelDigest(t testing.TB, f *Forest, extra ...any) string {
+	t.Helper()
+	blob, err := f.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dto forestDTO
+	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&dto); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(fmt.Appendf(nil, "%v %v", dto, extra))
+	return hex.EncodeToString(sum[:])
+}
+
+// TestPinnedForestHashes pins fitted models across commits: a change to the
+// fit that alters every tree the same way at every worker count passes the
+// determinism tests but not this one. The FXRZ-shaped set ties heavily, so
+// it pins the tie order of the split search as well.
+func TestPinnedForestHashes(t *testing.T) {
+	shapedX, shapedY := fxrzShaped(4, 150, 1)
+	synthX, synthY := synth(600, 6, 1, 0.2)
+	forest := func(X [][]float64, y []float64) string {
+		f := NewForest(ForestConfig{Trees: 100, Seed: 1})
+		if err := f.Fit(X, y); err != nil {
+			t.Fatal(err)
+		}
+		return modelDigest(t, f)
+	}
+	boost := NewAdaBoost(AdaBoostConfig{Seed: 2})
+	if err := boost.Fit(shapedX, shapedY); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ name, got, want string }{
+		{"forest/fxrz-shaped", forest(shapedX, shapedY), "3ba9ed5af0c6310e81599fa1f3ea3a380c6b523d13a437e0c1a9c61643cff0e7"},
+		{"forest/synth", forest(synthX, synthY), "10199f33a22aea787b40806c8285c46e30bbf2738844c0fd66c0778c66a844c4"},
+		{"adaboost/fxrz-shaped", modelDigest(t, &Forest{trees: boost.trees}, boost.logBet), "72eb607dbbc6bdf42292a13573bbaa2aff80473a07b2119ab603b147c52f3a31"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: digest %s, pinned %s", c.name, c.got, c.want)
+		}
+	}
 }

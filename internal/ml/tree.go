@@ -2,7 +2,7 @@ package ml
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // Regressor is the common interface of all models in this package.
@@ -64,13 +64,30 @@ func (t *Tree) Fit(X [][]float64, y []float64) error {
 	for i := range idx {
 		idx[i] = i
 	}
-	rng := rand.New(rand.NewSource(t.cfg.Seed))
-	t.grow(X, y, idx, 1, rng)
+	s := &splitScratch{
+		rng:   rand.New(rand.NewSource(t.cfg.Seed)),
+		keys:  make([]splitKey, len(X)),
+		feats: make([]int, t.dim),
+		right: make([]int, 0, len(X)),
+	}
+	t.grow(X, y, idx, 1, s)
 	return nil
 }
 
+// splitScratch is one Fit's working memory, reused by every node: trees fit
+// concurrently, so no two trees share one.
+type splitScratch struct {
+	rng   *rand.Rand
+	keys  []splitKey // one feature's (x, y) pairs over the node, sorted by x
+	feats []int      // candidate features, shuffled per node
+	right []int      // the right child's samples while idx is partitioned
+}
+
+type splitKey struct{ x, y float64 }
+
 // grow builds the subtree over the samples in idx and returns its node index.
-func (t *Tree) grow(X [][]float64, y []float64, idx []int, depth int, rng *rand.Rand) int {
+// It reorders idx.
+func (t *Tree) grow(X [][]float64, y []float64, idx []int, depth int, s *splitScratch) int {
 	node := len(t.nodes)
 	mean, sse := meanSSE(y, idx)
 	t.nodes = append(t.nodes, treeNode{v: mean, feature: -1})
@@ -78,45 +95,54 @@ func (t *Tree) grow(X [][]float64, y []float64, idx []int, depth int, rng *rand.
 		return node
 	}
 
-	feat, thr, ok := t.bestSplit(X, y, idx, rng)
+	feat, thr, ok := t.bestSplit(X, y, idx, sse, s)
 	if !ok {
 		return node
 	}
-	var left, right []int
+	// Stable partition in place: the left samples keep their order at the
+	// front and the right ones follow in theirs. A child's split search
+	// sorts from this order, and it decides how ties fall.
+	nl, right := 0, s.right[:0]
 	for _, i := range idx {
 		if X[i][feat] <= thr {
-			left = append(left, i)
+			idx[nl] = i
+			nl++
 		} else {
 			right = append(right, i)
 		}
 	}
-	if len(left) == 0 || len(right) == 0 {
+	if nl == 0 || nl == len(idx) {
 		return node
 	}
-	t.grow(X, y, left, depth+1, rng) // lands at node+1
-	r := t.grow(X, y, right, depth+1, rng)
+	copy(idx[nl:], right)
+	t.grow(X, y, idx[:nl], depth+1, s) // lands at node+1
+	r := t.grow(X, y, idx[nl:], depth+1, s)
 	t.nodes[node] = treeNode{v: thr, right: int32(r), feature: int32(feat)}
 	return node
 }
 
 // bestSplit scans a (possibly random) subset of features for the variance-
 // minimizing threshold using the classic sorted single-pass formulation.
-func (t *Tree) bestSplit(X [][]float64, y []float64, idx []int, rng *rand.Rand) (int, float64, bool) {
-	feats := make([]int, t.dim)
+//
+// The keys are filled in idx order and sorted by a comparator negative
+// exactly when a.x < b.x, the only result pdqsort reads: tied values then
+// come out in an order fixed by idx alone, and the prefix sums of y are
+// taken in it (TestPinnedForestHashes).
+func (t *Tree) bestSplit(X [][]float64, y []float64, idx []int, parentSSE float64, s *splitScratch) (int, float64, bool) {
+	feats := s.feats
 	for i := range feats {
 		feats[i] = i
 	}
 	limit := t.dim
 	if t.cfg.MaxFeatures > 0 && t.cfg.MaxFeatures < t.dim {
-		rng.Shuffle(len(feats), func(i, j int) { feats[i], feats[j] = feats[j], feats[i] })
+		s.rng.Shuffle(len(feats), func(i, j int) { feats[i], feats[j] = feats[j], feats[i] })
 		limit = t.cfg.MaxFeatures
 	}
 
 	n := len(idx)
-	order := make([]int, n)
+	keys := s.keys[:n]
 	bestGain := 0.0
 	bestFeat, bestThr := -1, 0.0
-	_, parentSSE := meanSSE(y, idx)
 
 	for fi, f := range feats {
 		// Honour MaxFeatures, but — like scikit-learn — keep inspecting
@@ -125,22 +151,37 @@ func (t *Tree) bestSplit(X [][]float64, y []float64, idx []int, rng *rand.Rand) 
 		if fi >= limit && bestFeat >= 0 {
 			break
 		}
-		copy(order, idx)
-		sort.Slice(order, func(a, b int) bool { return X[order[a]][f] < X[order[b]][f] })
-		// Prefix sums: split after position k puts order[0..k] on the left.
+		first, constant := X[idx[0]][f], true
+		for k, i := range idx {
+			keys[k] = splitKey{X[i][f], y[i]}
+			constant = constant && keys[k].x == first
+		}
+		if constant {
+			continue // no boundary between equal values to split at
+		}
+		slices.SortFunc(keys, func(a, b splitKey) int {
+			switch {
+			case a.x < b.x:
+				return -1
+			case a.x > b.x:
+				return 1
+			}
+			return 0
+		})
+		// Prefix sums: split after position k puts keys[0..k] on the left.
 		var sumL, sumSqL float64
 		var sumR, sumSqR float64
-		for _, i := range order {
-			sumR += y[i]
-			sumSqR += y[i] * y[i]
+		for _, kv := range keys {
+			sumR += kv.y
+			sumSqR += kv.y * kv.y
 		}
 		for k := 0; k < n-1; k++ {
-			v := y[order[k]]
+			v := keys[k].y
 			sumL += v
 			sumSqL += v * v
 			sumR -= v
 			sumSqR -= v * v
-			if X[order[k]][f] == X[order[k+1]][f] {
+			if keys[k].x == keys[k+1].x {
 				continue // cannot split between equal values
 			}
 			nl, nr := float64(k+1), float64(n-k-1)
@@ -150,7 +191,7 @@ func (t *Tree) bestSplit(X [][]float64, y []float64, idx []int, rng *rand.Rand) 
 			if gain > bestGain {
 				bestGain = gain
 				bestFeat = f
-				bestThr = (X[order[k]][f] + X[order[k+1]][f]) / 2
+				bestThr = (keys[k].x + keys[k+1].x) / 2
 			}
 		}
 	}
