@@ -200,7 +200,7 @@ func cmdTrain(args []string) error {
 	train := fs.String("train", "", "comma-separated training field files (required)")
 	out := fs.String("o", "", "output model path (required)")
 	stationary := fs.Int("stationary", 25, "stationary points per training field")
-	parallelism := fs.Int("parallelism", 0, "worker pool size (0 = all cores, 1 = serial)")
+	parallelism := fs.Int("parallelism", 0, "worker pool size for the sweep and analysis (0 = all cores, 1 = serial; the forest fit uses every core)")
 	obsf := addObsFlags(fs)
 	fs.Parse(args)
 	if err := checkParallelism("train", *parallelism); err != nil {
@@ -255,7 +255,7 @@ func cmdEstimate(args []string, pack bool) error {
 	out := fs.String("o", "", "output stream path (pack only)")
 	index := fs.Bool("index", false, "wrap the stream with a region-decode index (pack only; enables fast unpack -region)")
 	stationary := fs.Int("stationary", 25, "stationary points per training field")
-	parallelism := fs.Int("parallelism", 0, "worker pool size (0 = all cores, 1 = serial)")
+	parallelism := fs.Int("parallelism", 0, "worker pool size for the sweep and analysis (0 = all cores, 1 = serial; the forest fit uses every core)")
 	obsf := addObsFlags(fs)
 	fs.Parse(args)
 	if err := checkParallelism(name, *parallelism); err != nil {

@@ -17,6 +17,7 @@ import (
 	"math"
 
 	"github.com/fxrz-go/fxrz/internal/grid"
+	"github.com/fxrz-go/fxrz/internal/pool"
 )
 
 // ErrCorrupt reports a malformed compressed stream.
@@ -57,6 +58,70 @@ func WithWorkers(c Compressor, n int) Compressor {
 		return p.WithWorkers(n)
 	}
 	return c
+}
+
+// Sizer is implemented by codecs that can tell how long their streams would
+// be without writing them. A stationary sweep needs only len(blob) from each
+// run, so a codec whose size falls out of an earlier stage of its encoder
+// (a per-block bit count, a Huffman plan) saves the rest. The contract is
+// strict: every size equals len(Compress(f, k)) at every worker budget.
+type Sizer interface {
+	Compressor
+	// CompressedSizes returns len(Compress(f, k)) for every k in knobs,
+	// within the worker budget the codec is bound to (ParallelCompressor).
+	// When Compress fails on a knob it returns a *KnobError holding the first
+	// such knob and Compress's error.
+	CompressedSizes(f *grid.Field, knobs []float64) ([]int, error)
+}
+
+// KnobError is the failure of one knob of a size list. Its message is the
+// message of the Compress error it wraps, so a caller that adds the knob to
+// its own context can take it from Knob.
+type KnobError struct {
+	Knob float64
+	Err  error
+}
+
+// Error returns the wrapped Compress error's message.
+func (e *KnobError) Error() string { return e.Err.Error() }
+
+// Unwrap returns the wrapped Compress error.
+func (e *KnobError) Unwrap() error { return e.Err }
+
+// CompressedSizes returns len(c.Compress(f, k)) for every knob with at most
+// workers goroutines (pool.Workers semantics): through the codec's Sizer
+// hook when it has one, otherwise by compressing at every knob under
+// SizeEach. On failure it returns the *KnobError of the first knob that
+// fails.
+func CompressedSizes(c Compressor, f *grid.Field, knobs []float64, workers int) ([]int, error) {
+	if s, ok := WithWorkers(c, pool.Workers(workers)).(Sizer); ok {
+		return s.CompressedSizes(f, knobs)
+	}
+	return SizeEach(knobs, workers, func(k float64, inner int) (int, error) {
+		blob, err := WithWorkers(c, inner).Compress(f, k)
+		return len(blob), err
+	})
+}
+
+// SizeEach returns size(k, inner) for every knob, the knobs fanned out under
+// pool.Split(pool.Workers(workers), len(knobs)) and each call given the inner
+// share. On failure it returns a *KnobError holding the first knob whose call
+// fails and that call's error.
+func SizeEach(knobs []float64, workers int, size func(knob float64, workers int) (int, error)) ([]int, error) {
+	outer, inner := pool.Split(pool.Workers(workers), len(knobs))
+	sizes := make([]int, len(knobs))
+	err := pool.RunErr(outer, len(knobs), func(j int) error {
+		n, err := size(knobs[j], inner)
+		if err != nil {
+			return &KnobError{Knob: knobs[j], Err: err}
+		}
+		sizes[j] = n
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return sizes, nil
 }
 
 // AxisKind distinguishes the two knob semantics in the evaluated codecs.
@@ -184,11 +249,14 @@ func CheckElems(dims []int, payloadLen int) (int, error) {
 }
 
 // Ratio returns the compression ratio of an encoded stream for a field.
-func Ratio(f *grid.Field, blob []byte) float64 {
-	if len(blob) == 0 {
+func Ratio(f *grid.Field, blob []byte) float64 { return SizeRatio(f, len(blob)) }
+
+// SizeRatio is Ratio for a stream of size bytes (a CompressedSizes entry).
+func SizeRatio(f *grid.Field, size int) float64 {
+	if size == 0 {
 		return 0
 	}
-	return float64(f.Bytes()) / float64(len(blob))
+	return float64(f.Bytes()) / float64(size)
 }
 
 // MaxAbsError returns the L∞ distance between two equally-shaped fields.

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -178,5 +179,46 @@ func TestCheckElems(t *testing.T) {
 		} else if !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: error %v does not wrap ErrCorrupt", tc.name, err)
 		}
+	}
+}
+
+// lenCodec is a codec without a Sizer hook whose stream for knob k is k
+// bytes long; a negative knob is an error.
+type lenCodec struct{}
+
+func (lenCodec) Name() string { return "len" }
+func (lenCodec) Axis() Axis   { return Axis{Kind: Precision, Min: 1, Max: 64} }
+func (lenCodec) Compress(f *grid.Field, k float64) ([]byte, error) {
+	if k < 0 {
+		return nil, fmt.Errorf("len: knob %v", k)
+	}
+	return make([]byte, int(k)), nil
+}
+func (lenCodec) Decompress([]byte) (*grid.Field, error) { return nil, errors.New("len: no decoder") }
+
+// A codec without the Sizer hook is sized by compressing at every knob, at
+// every width, and the error is the first failing knob's.
+func TestCompressedSizesAdapter(t *testing.T) {
+	f := grid.MustNew("f", 4)
+	knobs := []float64{3, 0, 17, 5, 1, 9}
+	for _, w := range []int{1, 2, 4} {
+		sizes, err := CompressedSizes(lenCodec{}, f, knobs, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, k := range knobs {
+			if sizes[j] != int(k) {
+				t.Errorf("width %d: sizes %v for knobs %v", w, sizes, knobs)
+				break
+			}
+		}
+		_, err = CompressedSizes(lenCodec{}, f, []float64{3, -2, 4, -5}, w)
+		var ke *KnobError
+		if !errors.As(err, &ke) || ke.Knob != -2 || err.Error() != "len: knob -2" {
+			t.Errorf("width %d: err %v, want knob -2's", w, err)
+		}
+	}
+	if got := SizeRatio(f, 8); got != 2 || SizeRatio(f, 0) != 0 {
+		t.Errorf("SizeRatio(16-byte field, 8) = %v", got)
 	}
 }

@@ -4,6 +4,7 @@
 package compresstest
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -128,6 +129,48 @@ func MonotoneRatio(t *testing.T, c compress.Compressor, knobs []float64, looserI
 			t.Errorf("%s: ratio dropped from %.2f to %.2f between knobs %g and %g", c.Name(), prev, r, knobs[i-1], knob)
 		}
 		prev = r
+	}
+}
+
+// SizesMatch checks the compress.Sizer contract on one field: at every width
+// in widths, compress.CompressedSizes(c, f, knobs, w) is len(c.Compress(f, k))
+// knob for knob. When Compress rejects one of the knobs the whole list must
+// fail instead, with a *compress.KnobError that names the first such knob and
+// reads as Compress's error. c must implement compress.Sizer, so the check
+// cannot pass through the generic adapter unnoticed.
+func SizesMatch(t *testing.T, c compress.Compressor, f *grid.Field, knobs []float64, widths []int) {
+	t.Helper()
+	if _, ok := c.(compress.Sizer); !ok {
+		t.Fatalf("%s does not implement compress.Sizer", c.Name())
+	}
+	want := make([]int, len(knobs))
+	var wantErr error
+	var badKnob float64
+	for j, k := range knobs {
+		blob, err := compress.WithWorkers(c, 1).Compress(f, k)
+		if err != nil && wantErr == nil {
+			wantErr, badKnob = err, k
+		}
+		want[j] = len(blob)
+	}
+	for _, w := range widths {
+		got, err := compress.CompressedSizes(c, f, knobs, w)
+		if wantErr != nil {
+			var ke *compress.KnobError
+			if !errors.As(err, &ke) || math.Float64bits(ke.Knob) != math.Float64bits(badKnob) || err.Error() != wantErr.Error() {
+				t.Errorf("%s: %s %v width %d: err = %v (%#v), want knob %g failing with %q", c.Name(), f.Name, f.Dims, w, err, err, badKnob, wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %s %v width %d: %v", c.Name(), f.Name, f.Dims, w, err)
+			continue
+		}
+		for j := range knobs {
+			if got[j] != want[j] {
+				t.Errorf("%s: %s %v width %d knob %g: size %d, len(Compress) %d", c.Name(), f.Name, f.Dims, w, knobs[j], got[j], want[j])
+			}
+		}
 	}
 }
 

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
+	"github.com/fxrz-go/fxrz/internal/compress"
 	"github.com/fxrz-go/fxrz/internal/compress/compresstest"
+	"github.com/fxrz-go/fxrz/internal/datagen"
 	"github.com/fxrz-go/fxrz/internal/grid"
 	"github.com/fxrz-go/fxrz/internal/sz"
+	"github.com/fxrz-go/fxrz/internal/zfp"
 )
 
 func BenchmarkExtractFeaturesStride4(b *testing.B) {
@@ -109,6 +113,34 @@ func BenchmarkTrainWithCurves(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := TrainWithCurves(sz.New(), fields, cfg, curves); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSweep times DefaultConfig's 25-point stationary sweep for each
+// codec with a size path, over four Nyx 32³ fields (the shape of the
+// lib_large benchmark's training set) and over the first alone, at widths 1
+// and 2.
+func BenchmarkSweep(b *testing.B) {
+	var fields []*grid.Field
+	for _, ts := range []int{1, 3, 5, 7} {
+		f, err := datagen.NyxField("baryon_density", 1, ts, 32)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fields = append(fields, f)
+	}
+	for _, c := range []compress.Compressor{sz.New(), zfp.New(), zfp.NewFixedRate()} {
+		for _, set := range [][]*grid.Field{fields[:1], fields} {
+			for _, w := range []int{1, 2} {
+				b.Run(fmt.Sprintf("%s/fields=%d/w=%d", c.Name(), len(set), w), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if _, err := Sweep(c, set, DefaultConfig().StationaryPoints, w); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -32,42 +33,35 @@ type Curve struct {
 // Sweep measures the stationary points of every field — the only compressor
 // runs in the whole pipeline (§IV-B) — and returns one curve per field,
 // curves[i] belonging to fields[i]. Each field is swept at the knobs
-// sweepKnobs(axis, field, n) picks. The (field, knob) runs form one flat task
-// list over a bounded pool; each measurement lands in its own indexed slot and
-// the error reported is the lowest-indexed task's, so the curves, and the
-// error surfaced on failure, are identical at every worker count
-// (pool.Workers semantics). The compressor must be safe for concurrent
-// Compress calls (all built-in codecs are stateless).
+// sweepKnobs(axis, field, n) picks, and a point needs only the stream's
+// length, so each field's knobs are measured in one compress.CompressedSizes
+// call: through the codec's Sizer hook when it has one, by compressing at
+// every knob otherwise. The fields form one task list over a bounded pool;
+// each curve lands in its own indexed slot and the error reported is the
+// lowest-(field, knob) one, so the curves, and the error surfaced on failure,
+// are identical at every worker count (pool.Workers semantics). The
+// compressor must be safe for concurrent use (all built-in codecs are
+// stateless).
 func Sweep(c compress.Compressor, fields []*grid.Field, n, workers int) ([]*Curve, error) {
 	knobs := make([][]float64, len(fields))
-	pts := make([][]Stationary, len(fields))
-	var tasks [][2]int // (field, knob) index pairs, field-major
+	tasks := 0
 	for i, f := range fields {
 		knobs[i] = sweepKnobs(c.Axis(), f, n)
 		if len(knobs[i]) < 2 {
 			return nil, fmt.Errorf("core: need at least 2 stationary knobs on %s, got %d", f.Name, len(knobs[i]))
 		}
-		pts[i] = make([]Stationary, len(knobs[i]))
-		for j := range knobs[i] {
-			tasks = append(tasks, [2]int{i, j})
-		}
+		tasks += len(knobs[i])
 	}
 	defer obs.Span("train/sweep")()
-	obs.Add("train/sweep_tasks", int64(len(tasks)))
-	// Budget rule for nested pools: outer×inner ≈ workers, and the codec is
-	// explicitly pinned to the inner width so a parallel-capable compressor's
-	// zero-value default (all cores) cannot oversubscribe inside each task.
-	outer, inner := pool.Split(pool.Workers(workers), len(tasks))
-	cc := compress.WithWorkers(c, inner)
-	err := pool.RunErr(outer, len(tasks), func(ti int) error {
-		i, j := tasks[ti][0], tasks[ti][1]
-		k := knobs[i][j]
-		r, err := compress.CompressRatio(cc, fields[i], k)
-		if err != nil {
-			return fmt.Errorf("core: stationary point knob=%g on %s: %w", k, fields[i].Name, err)
-		}
-		pts[i][j] = Stationary{Knob: k, Ratio: r}
-		return nil
+	obs.Add("train/sweep_tasks", int64(tasks))
+	// Budget rule for nested pools: outer×inner ≈ workers, and each field's
+	// size list gets the inner width, which the codec splits over its knobs.
+	outer, inner := pool.Split(pool.Workers(workers), len(fields))
+	pts := make([][]Stationary, len(fields))
+	err := pool.RunErr(outer, len(fields), func(i int) error {
+		var err error
+		pts[i], err = measure(c, fields[i], knobs[i], inner)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -79,6 +73,24 @@ func Sweep(c compress.Compressor, fields []*grid.Field, n, workers int) ([]*Curv
 		}
 	}
 	return curves, nil
+}
+
+// measure returns the (knob, ratio) point of f at every knob, sized in one
+// compress.CompressedSizes call within workers.
+func measure(c compress.Compressor, f *grid.Field, knobs []float64, workers int) ([]Stationary, error) {
+	sizes, err := compress.CompressedSizes(c, f, knobs, workers)
+	var ke *compress.KnobError
+	if errors.As(err, &ke) {
+		return nil, fmt.Errorf("core: stationary point knob=%g on %s: %w", ke.Knob, f.Name, ke.Err)
+	}
+	if err != nil {
+		return nil, err
+	}
+	pts := make([]Stationary, len(knobs))
+	for j, k := range knobs {
+		pts[j] = Stationary{Knob: k, Ratio: compress.SizeRatio(f, sizes[j])}
+	}
+	return pts, nil
 }
 
 // NewCurve builds a curve from measured stationary points (Sweep's, or a
@@ -165,16 +177,16 @@ func (c *Curve) Augment(n int) []Sample {
 
 // InterpolationError measures a measured curve's self-consistency the way
 // §IV-B reports it (3–5% per compressor): for each interior stationary point
-// of the field's curve, a curve is rebuilt without it, the knob for its ratio
-// is interpolated, the compressor is run at that knob, and the relative ratio
-// error is averaged.
-func InterpolationError(c compress.Compressor, f *grid.Field, full *Curve) (float64, error) {
+// of the field's curve, a curve is rebuilt without it and the knob for its
+// ratio is interpolated; the compressor is run at those knobs (one
+// compress.CompressedSizes call within workers), and the relative ratio
+// errors are averaged.
+func InterpolationError(c compress.Compressor, f *grid.Field, full *Curve, workers int) (float64, error) {
 	pts := full.Points()
 	if len(pts) < 3 {
 		return 0, fmt.Errorf("core: need 3+ stationary points for leave-one-out, got %d", len(pts))
 	}
-	var total float64
-	var count int
+	var knobs, want []float64
 	for i := 1; i < len(pts)-1; i++ {
 		rest := make([]Stationary, 0, len(pts)-1)
 		rest = append(rest, pts[:i]...)
@@ -183,19 +195,21 @@ func InterpolationError(c compress.Compressor, f *grid.Field, full *Curve) (floa
 		if err != nil {
 			return 0, err
 		}
-		knob, ok := sub.KnobForRatio(pts[i].Ratio)
-		if !ok {
-			continue
+		if knob, ok := sub.KnobForRatio(pts[i].Ratio); ok {
+			knobs = append(knobs, knob)
+			want = append(want, pts[i].Ratio)
 		}
-		measured, err := compress.CompressRatio(c, f, knob)
-		if err != nil {
-			return 0, err
-		}
-		total += math.Abs(measured-pts[i].Ratio) / pts[i].Ratio
-		count++
 	}
-	if count == 0 {
+	if len(knobs) == 0 {
 		return 0, fmt.Errorf("core: no interior points usable")
 	}
-	return total / float64(count), nil
+	sizes, err := compress.CompressedSizes(c, f, knobs, workers)
+	if err != nil {
+		return 0, err
+	}
+	var total float64
+	for j, size := range sizes {
+		total += math.Abs(compress.SizeRatio(f, size)-want[j]) / want[j]
+	}
+	return total / float64(len(knobs)), nil
 }

@@ -13,11 +13,13 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/fxrz-go/fxrz/internal/compress"
 	"github.com/fxrz-go/fxrz/internal/datagen"
 	"github.com/fxrz-go/fxrz/internal/grid"
 	"github.com/fxrz-go/fxrz/internal/ml"
 	"github.com/fxrz-go/fxrz/internal/obs"
 	"github.com/fxrz-go/fxrz/internal/sz"
+	"github.com/fxrz-go/fxrz/internal/zfp"
 )
 
 // TestTrainParallelismDeterminism enforces the tentpole contract: same seed +
@@ -277,29 +279,37 @@ type pinnedForest struct {
 }
 
 // TestPinnedForestHashes pins, across commits, the forest that
-// DefaultConfig training fits on smallMixTrainSet. The sweep's sz
-// streams set the ratios the forest learns, so this pins them as well as
-// the fit. %v prints every float64 at its shortest round-trip precision, so
-// the digest is bit-exact.
+// DefaultConfig training fits on smallMixTrainSet for each codec whose sweep
+// has a size path of its own. The sweep's sizes set the ratios the forest
+// learns, so this pins them as well as the fit. %v prints every float64 at
+// its shortest round-trip precision, so the digest is bit-exact.
 func TestPinnedForestHashes(t *testing.T) {
-	fw, err := Train(sz.New(), smallMixTrainSet(t), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := fw.model.(*ml.Forest).MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dto pinnedForest
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&dto); err != nil {
-		t.Fatal(err)
-	}
-	if len(dto.Trees) != DefaultConfig().Trees || len(dto.Trees[0].Nodes) < 3 {
-		t.Fatalf("decoded %d trees, the first of %d nodes", len(dto.Trees), len(dto.Trees[0].Nodes))
-	}
-	sum := sha256.Sum256(fmt.Appendf(nil, "%v", dto))
-	const want = "8f5edccb1ff6482a873b126983a2d23c1e6eb4971a572a37ce869d2860c13048"
-	if got := hex.EncodeToString(sum[:]); got != want {
-		t.Errorf("forest digest %s, pinned %s", got, want)
+	for _, tc := range []struct {
+		c    compress.Compressor
+		want string
+	}{
+		{sz.New(), "8f5edccb1ff6482a873b126983a2d23c1e6eb4971a572a37ce869d2860c13048"},
+		{zfp.New(), "70b77d7a4a52dfe5d8e241b3da3124435df42bd1eb2e8790205a10837069fffa"},
+		{zfp.NewFixedRate(), "4ab1ac6df8aee973a3a9f7b9e7db796c930a3e6f430be42ed36a5420e8b7130d"},
+	} {
+		fw, err := Train(tc.c, smallMixTrainSet(t), DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := fw.model.(*ml.Forest).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dto pinnedForest
+		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&dto); err != nil {
+			t.Fatal(err)
+		}
+		if len(dto.Trees) != DefaultConfig().Trees || len(dto.Trees[0].Nodes) < 3 {
+			t.Fatalf("%s: decoded %d trees, the first of %d nodes", tc.c.Name(), len(dto.Trees), len(dto.Trees[0].Nodes))
+		}
+		sum := sha256.Sum256(fmt.Appendf(nil, "%v", dto))
+		if got := hex.EncodeToString(sum[:]); got != tc.want {
+			t.Errorf("%s: forest digest %s, pinned %s", tc.c.Name(), got, tc.want)
+		}
 	}
 }

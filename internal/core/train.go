@@ -49,10 +49,11 @@ type Config struct {
 	Seed int64
 	// Parallelism bounds the worker pool used for stationary sweeps, feature
 	// extraction and the CA block scan. 0 (the zero value) means all cores
-	// (runtime.GOMAXPROCS(0)); 1 runs everything serially on the calling
-	// goroutine. Training results are bit-identical at every setting: work is
-	// partitioned into fixed, worker-count-independent units and assembled in
-	// index order.
+	// (runtime.GOMAXPROCS(0)); 1 runs those stages serially on the calling
+	// goroutine. The forest fit does not take it: ml.Forest.Fit grows its
+	// trees over runtime.GOMAXPROCS(0) workers at every setting. Training
+	// results are bit-identical at every setting: work is partitioned into
+	// fixed, worker-count-independent units and assembled in index order.
 	Parallelism int
 }
 

@@ -40,10 +40,11 @@ package entropy
 // only on the input length, the shared frequency table is summed in chunk
 // order (integer sums are order-independent), and per-chunk payloads are
 // assembled serially. The whole-stream blobs are the one-chunk case under a
-// shorter header: they encode through the same code builder (encodeChunks),
-// parse into the same chunkedCore (parseHuffmanHeader), and decode through
-// the same symbol and LZ loops. Every decode entry point here sniffs the
-// sentinel, so any blob either encoder produced decodes through any of them.
+// shorter header: they encode through the same plan, header and emission
+// stages (huffPlan), parse into the same chunkedCore (parseHuffmanHeader),
+// and decode through the same symbol and LZ loops. Every decode entry point
+// here sniffs the sentinel, so any blob either encoder produced decodes
+// through any of them.
 
 import (
 	"encoding/binary"
@@ -114,8 +115,12 @@ func HuffmanEncodeChunked(symbols []uint32, alphabet, workers int) ([]byte, erro
 	for i := range chunks {
 		chunks[i] = symbols[i*ChunkTargetBytes : min((i+1)*ChunkTargetBytes, len(symbols))]
 	}
-	out := []byte{chunkedSentinel, chunkedMagicHuffman, chunkedVersion}
-	return appendChunkedCore(out, chunks, alphabet, workers)
+	p, err := planChunks(chunks, alphabet, workers)
+	if err != nil {
+		return nil, err
+	}
+	p.prefix = []byte{chunkedSentinel, chunkedMagicHuffman, chunkedVersion}
+	return p.encode(workers), nil
 }
 
 // HuffmanDecodeChunked reverses HuffmanEncodeChunked with up to `workers`
@@ -142,13 +147,34 @@ func HuffmanDecodeChunked(blob []byte, workers int) ([]uint32, error) {
 // block takes the whole-stream format, byte-identical to CompressBytes.
 // Output is identical at every worker count.
 func CompressBytesBlocks(src []byte, blockBytes, workers int) ([]byte, error) {
+	p, err := planBytes(src, blockBytes, workers)
+	if err != nil {
+		return nil, err
+	}
+	defer p.release()
+	return p.encode(workers), nil
+}
+
+// SizeBytesBlocks returns len(CompressBytesBlocks(src, blockBytes, workers))
+// without writing the blob: the same LZ stage and Huffman plan, stopped
+// before emission.
+func SizeBytesBlocks(src []byte, blockBytes, workers int) (int, error) {
+	p, err := planBytes(src, blockBytes, workers)
+	if err != nil {
+		return 0, err
+	}
+	defer p.release()
+	return p.size(), nil
+}
+
+// planBytes runs CompressBytesBlocks up to emission: the blocks' LZ coding
+// and the Huffman plan over their token bytes, one chunk per block. The
+// caller releases the plan.
+func planBytes(src []byte, blockBytes, workers int) (*huffPlan, error) {
 	if blockBytes <= 0 {
 		return nil, fmt.Errorf("entropy: invalid chunk block size %d", blockBytes)
 	}
-	if len(src) <= blockBytes {
-		return CompressBytes(src)
-	}
-	nblocks := (len(src) + blockBytes - 1) / blockBytes
+	nblocks := max(1, (len(src)+blockBytes-1)/blockBytes)
 	if nblocks > maxChunksCap {
 		return nil, fmt.Errorf("entropy: %d chunks exceed cap (block size %d for %d bytes)", nblocks, blockBytes, len(src))
 	}
@@ -158,12 +184,7 @@ func CompressBytesBlocks(src []byte, blockBytes, workers int) ([]byte, error) {
 	// over blocks only.
 	lz := make([][]byte, nblocks)
 	pool.Run(workers, nblocks, func(i int) {
-		lo := i * blockBytes
-		hi := lo + blockBytes
-		if hi > len(src) {
-			hi = len(src)
-		}
-		lz[i] = LZCompress(src[lo:hi])
+		lz[i] = LZCompress(src[i*blockBytes : min((i+1)*blockBytes, len(src))])
 	})
 	chunks := make([][]uint32, nblocks)
 	total := 0
@@ -181,12 +202,18 @@ func CompressBytesBlocks(src []byte, blockBytes, workers int) ([]byte, error) {
 		pos += len(b)
 		byteScratch.Put(b)
 	}
-	out := []byte{chunkedSentinel, chunkedMagicBytes, chunkedVersion}
-	out = binary.AppendUvarint(out, uint64(len(src)))
-	out = binary.AppendUvarint(out, uint64(blockBytes))
-	out, err := appendChunkedCore(out, chunks, 256, workers)
-	u32Scratch.Put(syms)
-	return out, err
+	p, err := planChunks(chunks, 256, workers)
+	if err != nil {
+		u32Scratch.Put(syms)
+		return nil, err
+	}
+	p.syms = syms
+	if nblocks > 1 {
+		p.prefix = []byte{chunkedSentinel, chunkedMagicBytes, chunkedVersion}
+		p.prefix = binary.AppendUvarint(p.prefix, uint64(len(src)))
+		p.prefix = binary.AppendUvarint(p.prefix, uint64(blockBytes))
+	}
+	return p, nil
 }
 
 // DecompressBytes reverses CompressBytes and CompressBytesBlocks: it sniffs
@@ -285,36 +312,6 @@ type chunkedCore struct {
 	counts   []int
 	lengths  []uint8
 	payloads [][]byte
-}
-
-// appendChunkedCore appends the shared-table multi-chunk encoding of chunks
-// to out: alphabet, total count, per-chunk counts, the one length table
-// encodeChunks built from the summed frequencies, per-chunk payload lengths,
-// then the payloads.
-func appendChunkedCore(out []byte, chunks [][]uint32, alphabet, workers int) ([]byte, error) {
-	lengths, payloads, err := encodeChunks(chunks, alphabet, workers)
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, c := range chunks {
-		total += len(c)
-	}
-	out = binary.AppendUvarint(out, uint64(alphabet))
-	out = binary.AppendUvarint(out, uint64(total))
-	out = binary.AppendUvarint(out, uint64(len(chunks)))
-	for _, c := range chunks {
-		out = binary.AppendUvarint(out, uint64(len(c)))
-	}
-	out = appendLengthTable(out, lengths)
-	for _, p := range payloads {
-		out = binary.AppendUvarint(out, uint64(len(p)))
-	}
-	for _, p := range payloads {
-		out = append(out, p...)
-		byteScratch.Put(p)
-	}
-	return out, nil
 }
 
 // parseChunkedCore parses and validates everything after the 3-byte

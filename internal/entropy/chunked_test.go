@@ -139,6 +139,31 @@ func TestChunkedBytesIdentity(t *testing.T) {
 	}
 }
 
+// TestSizeBytesBlocksMatchesCompress: the size path is the encoder stopped
+// before emission, so its count is len(CompressBytesBlocks) for every input
+// of the corpus, the empty and one-byte inputs, and one-block inputs (the
+// whole-stream format), at every width; an invalid block size fails alike.
+func TestSizeBytesBlocksMatchesCompress(t *testing.T) {
+	const block = 512
+	in := chunkedByteInputs(block)
+	in["empty"], in["one-byte"], in["one-block"] = nil, []byte{7}, in["skewed"][:block]
+	for name, src := range in {
+		for _, w := range workerWidths() {
+			blob, err := CompressBytesBlocks(src, block, w)
+			if err != nil {
+				t.Fatalf("%s w=%d: %v", name, w, err)
+			}
+			if n, err := SizeBytesBlocks(src, block, w); err != nil || n != len(blob) {
+				t.Errorf("%s w=%d: size %d (%v), len(CompressBytesBlocks) %d", name, w, n, err, len(blob))
+			}
+		}
+	}
+	_, cerr := CompressBytesBlocks([]byte{1}, 0, 1)
+	if _, err := SizeBytesBlocks([]byte{1}, 0, 1); err == nil || cerr == nil || err.Error() != cerr.Error() {
+		t.Errorf("block size 0: size error %v, compress error %v", err, cerr)
+	}
+}
+
 // TestChunkedBytesFallback: input that fits in one block must take the legacy
 // whole-stream format byte-identically, one byte more must not, and a
 // one-chunk container — valid input no encoder emits — must still decode.
@@ -182,14 +207,14 @@ func oneChunkContainer(t testing.TB, src []byte, blockBytes int) []byte {
 	for i, b := range lz {
 		syms[i] = uint32(b)
 	}
-	out := []byte{chunkedSentinel, chunkedMagicBytes, chunkedVersion}
-	out = binary.AppendUvarint(out, uint64(len(src)))
-	out = binary.AppendUvarint(out, uint64(blockBytes))
-	out, err := appendChunkedCore(out, [][]uint32{syms}, 256, 1)
+	p, err := planChunks([][]uint32{syms}, 256, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out
+	p.prefix = []byte{chunkedSentinel, chunkedMagicBytes, chunkedVersion}
+	p.prefix = binary.AppendUvarint(p.prefix, uint64(len(src)))
+	p.prefix = binary.AppendUvarint(p.prefix, uint64(blockBytes))
+	return p.encode(1)
 }
 
 // TestChunkedBytesRange: DecompressBytesRange must return exactly src[off:end]

@@ -18,39 +18,40 @@ const maxHuffmanLen = 32
 // HuffmanEncode entropy-codes a sequence of symbols drawn from the alphabet
 // [0, alphabet). The output embeds a canonical code-length table followed by
 // the bit stream, so HuffmanDecode needs no side information beyond the blob.
-// It is the one-chunk case of the chunked container's coder (encodeChunks)
+// It is the one-chunk case of the chunked container's coder (planChunks)
 // under the whole-stream header.
 func HuffmanEncode(symbols []uint32, alphabet int) ([]byte, error) {
-	lengths, payloads, err := encodeChunks([][]uint32{symbols}, alphabet, 1)
+	p, err := planChunks([][]uint32{symbols}, alphabet, 1)
 	if err != nil {
 		return nil, err
 	}
-	payload := payloads[0]
-	// Stage the header through the scratch pool like the payload: only the
-	// final exact-size blob is freshly allocated (callers keep it, so it can
-	// never be recycled).
-	hdr := byteScratch.Get(0)
-	hdr = binary.AppendUvarint(hdr, uint64(alphabet))
-	hdr = binary.AppendUvarint(hdr, uint64(len(symbols)))
-	// Length table: run-length encode zeros since most alphabets are sparse.
-	hdr = appendLengthTable(hdr, lengths)
-	hdr = binary.AppendUvarint(hdr, uint64(len(payload)))
-	out := make([]byte, 0, len(hdr)+len(payload))
-	out = append(out, hdr...)
-	out = append(out, payload...)
-	byteScratch.Put(hdr)
-	byteScratch.Put(payload)
-	return out, nil
+	return p.encode(1), nil
 }
 
-// encodeChunks is the one Huffman code builder: it counts every chunk's
-// symbol frequencies, sums them in chunk order into one canonical code, and
-// emits each chunk's bit stream with that code. Counting and emission fan out
-// per chunk; integer sums and per-chunk streams make the result identical at
-// every worker count. The payloads come from the byte scratch pool.
-func encodeChunks(chunks [][]uint32, alphabet, workers int) (lengths []uint8, payloads [][]byte, err error) {
+// huffPlan is a Huffman coding decided but not yet written. Every Huffman
+// encoder runs the same three stages: the plan (each chunk's symbol
+// frequencies, summed in chunk order into one canonical code, and each
+// chunk's payload bits under that code), the header built from the plan, and
+// the emission of the bits. A size query is the same encoder stopped before
+// emission (size).
+type huffPlan struct {
+	// prefix is a chunked container's own leading bytes (the sentinel,
+	// magic and version, and for the byte container its source and block
+	// lengths); nil selects the whole-stream format, which has one chunk.
+	prefix   []byte
+	chunks   [][]uint32
+	alphabet int
+	lengths  []uint8
+	bits     []int // payload bits per chunk
+	// syms is the pooled buffer the chunks view, when the plan owns it.
+	syms []uint32
+}
+
+// planChunks makes the plan for chunks. Counting fans out per chunk; integer
+// sums make the plan identical at every worker count.
+func planChunks(chunks [][]uint32, alphabet, workers int) (*huffPlan, error) {
 	if alphabet <= 0 {
-		return nil, nil, fmt.Errorf("entropy: invalid alphabet size %d", alphabet)
+		return nil, fmt.Errorf("entropy: invalid alphabet size %d", alphabet)
 	}
 	freqs := make([][]int, len(chunks))
 	defer func() {
@@ -60,7 +61,7 @@ func encodeChunks(chunks [][]uint32, alphabet, workers int) (lengths []uint8, pa
 	}()
 	// pool.RunErr's lowest-index error is the first bad symbol of the first
 	// chunk holding one, the one a serial scan would report.
-	err = forChunks(workers, len(chunks), func(i int) error {
+	err := forChunks(workers, len(chunks), func(i int) error {
 		f := intScratch.Get(alphabet)
 		clear(f)
 		freqs[i] = f
@@ -73,28 +74,119 @@ func encodeChunks(chunks [][]uint32, alphabet, workers int) (lengths []uint8, pa
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	freq := freqs[0]
-	for _, f := range freqs[1:] {
-		for s, c := range f {
-			freq[s] += c
+	p := &huffPlan{chunks: chunks, alphabet: alphabet, bits: make([]int, len(chunks))}
+	if len(chunks) > 1 {
+		// The sum lands in a fresh table: the per-chunk counts still price
+		// each chunk's payload below.
+		sum := intScratch.Get(alphabet)
+		copy(sum, freqs[0])
+		for _, f := range freqs[1:] {
+			for s, c := range f {
+				sum[s] += c
+			}
+		}
+		freqs = append(freqs, sum)
+		p.lengths = huffmanLengths(sum)
+	} else {
+		p.lengths = huffmanLengths(freqs[0])
+	}
+	for i := range chunks {
+		for s, c := range freqs[i] {
+			p.bits[i] += c * int(p.lengths[s])
 		}
 	}
-	lengths = huffmanLengths(freq)
-	codes := canonicalCodes(lengths)
+	return p, nil
+}
+
+// payloadLen is chunk i's payload length in bytes: its bits, padded to a
+// whole byte as BitWriter.Bytes pads them.
+func (p *huffPlan) payloadLen(i int) int { return (p.bits[i] + 7) / 8 }
+
+// appendHeader appends everything before the payloads: without a prefix the
+// whole-stream header of the plan's one chunk (alphabet, count, length
+// table, payload length), with one the prefix and the chunked core (alphabet,
+// total count, chunk count, per-chunk counts, length table, per-chunk
+// payload lengths).
+func (p *huffPlan) appendHeader(out []byte) []byte {
+	out = append(out, p.prefix...)
+	total := 0
+	for _, c := range p.chunks {
+		total += len(c)
+	}
+	out = binary.AppendUvarint(out, uint64(p.alphabet))
+	out = binary.AppendUvarint(out, uint64(total))
+	if p.prefix == nil {
+		// Length table: run-length encode zeros since most alphabets are
+		// sparse.
+		out = appendLengthTable(out, p.lengths)
+		return binary.AppendUvarint(out, uint64(p.payloadLen(0)))
+	}
+	out = binary.AppendUvarint(out, uint64(len(p.chunks)))
+	for _, c := range p.chunks {
+		out = binary.AppendUvarint(out, uint64(len(c)))
+	}
+	out = appendLengthTable(out, p.lengths)
+	for i := range p.chunks {
+		out = binary.AppendUvarint(out, uint64(p.payloadLen(i)))
+	}
+	return out
+}
+
+// payloadBytes is the payloads' total length.
+func (p *huffPlan) payloadBytes() int {
+	n := 0
+	for i := range p.chunks {
+		n += p.payloadLen(i)
+	}
+	return n
+}
+
+// size is the length of the blob encode would return. The header is staged
+// in scratch.
+func (p *huffPlan) size() int {
+	hdr := p.appendHeader(byteScratch.Get(0))
+	n := len(hdr) + p.payloadBytes()
+	byteScratch.Put(hdr)
+	return n
+}
+
+// encode writes the blob: the header, then every chunk's bit stream emitted
+// with the plan's code (fanned out per chunk) in chunk order. The header is
+// staged in scratch, so the blob is the one allocation, at its planned size.
+func (p *huffPlan) encode(workers int) []byte {
+	hdr := p.appendHeader(byteScratch.Get(0))
+	out := append(make([]byte, 0, len(hdr)+p.payloadBytes()), hdr...)
+	byteScratch.Put(hdr)
+	codes := canonicalCodes(p.lengths)
 	defer codeScratch.Put(codes)
-	payloads = make([][]byte, len(chunks))
-	_ = forChunks(workers, len(chunks), func(i int) error { // emission cannot fail
+	payloads := make([][]byte, len(p.chunks))
+	_ = forChunks(workers, len(p.chunks), func(i int) error { // emission cannot fail
 		w := NewPooledBitWriter()
-		for _, s := range chunks[i] {
+		for _, s := range p.chunks[i] {
 			c := codes[s]
 			w.WriteBits(uint64(c.code), uint(c.len))
 		}
 		payloads[i] = w.Bytes()
 		return nil
 	})
-	return lengths, payloads, nil
+	for i, b := range payloads {
+		if len(b) != p.payloadLen(i) {
+			panic(fmt.Sprintf("entropy: chunk %d emitted %d bytes, planned %d", i, len(b), p.payloadLen(i)))
+		}
+		out = append(out, b...)
+		byteScratch.Put(b)
+	}
+	return out
+}
+
+// release returns the plan's pooled symbol buffer, if it owns one.
+func (p *huffPlan) release() {
+	if p.syms != nil {
+		u32Scratch.Put(p.syms)
+		p.syms = nil
+	}
 }
 
 // HuffmanDecode reverses HuffmanEncode.

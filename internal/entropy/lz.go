@@ -233,13 +233,5 @@ func lzCopyMatch(dst []byte, pos, dist, n int) {
 // MGARD-like compressors: LZ dictionary coding followed by Huffman coding of
 // the LZ output bytes. On incompressible input the overhead is a few bytes.
 func CompressBytes(src []byte) ([]byte, error) {
-	lz := LZCompress(src)
-	syms := u32Scratch.Get(len(lz))
-	for i, b := range lz {
-		syms[i] = uint32(b)
-	}
-	byteScratch.Put(lz)
-	blob, err := HuffmanEncode(syms, 256)
-	u32Scratch.Put(syms)
-	return blob, err
+	return CompressBytesBlocks(src, max(len(src), 1), 1)
 }

@@ -40,7 +40,7 @@ func Fig2(s *Session) (*Fig2Result, error) {
 			return nil, err
 		}
 		res.Curves[name] = curves[0].Points()
-		ie, err := core.InterpolationError(c, f, curves[0])
+		ie, err := core.InterpolationError(c, f, curves[0], cfg.Parallelism)
 		if err != nil {
 			return nil, err
 		}

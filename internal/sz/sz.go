@@ -117,24 +117,40 @@ func slabSpan(dims []int, T, s int) (z0, z1 int, subDims []int) {
 	return z0, z1, append([]int{z1 - z0}, dims[1:]...)
 }
 
-// compressSZ is the Compress implementation; forceGeneric pins the
-// quantization pass to the N-d odometer oracle so tests can prove the
-// specialized kernels emit identical blobs.
-//
-// The field quantizes slab by slab (szChunkLayout) with the Lorenzo
-// predictor reset at every slab boundary — each slab is an independent
-// sub-field, so the slabs fan out across workers. A multi-slab code stream is
-// packed into the chunked entropy container with one chunk per slab, which
-// makes every slab decodable from its own chunk alone: the full decoder fans
-// slabs out the same way and the region decoder touches only the chunks
-// covering the request. A one-slab field fits in one block, so
-// CompressBytesBlocks keeps it in the whole-stream entropy container.
-func compressSZ(f *grid.Field, eb float64, forceGeneric bool, workers int) ([]byte, error) {
+// CompressedSizes implements compress.Sizer: each size is compressSZ's
+// stages stopped before the entropy coder emits a bit. Every knob still pays
+// one quantization and one LZ pass, and counts as a compressor run. The knobs
+// fan out under compress.SizeEach within the codec's budget.
+func (c *Compressor) CompressedSizes(f *grid.Field, ebs []float64) ([]int, error) {
+	return compress.SizeEach(ebs, c.Workers, func(eb float64, workers int) (int, error) {
+		return sizeSZ(f, eb, workers)
+	})
+}
+
+// checkBound rejects an error bound Compress cannot honour.
+func checkBound(eb float64) error {
 	if !(eb > 0) || math.IsInf(eb, 0) {
-		return nil, fmt.Errorf("sz: error bound must be a positive finite number, got %v", eb)
+		return fmt.Errorf("sz: error bound must be a positive finite number, got %v", eb)
 	}
-	defer obs.Span("compress/sz")()
-	obs.Inc("compressor_runs/sz")
+	return nil
+}
+
+// szCodes is a quantized field ready for the entropy stage: the serialised
+// code stream, the escaped values in row-major order, and the entropy block
+// size that gives every slab its own chunk. Both buffers are pooled; release
+// returns them.
+type szCodes struct {
+	codeBytes  []byte
+	raw        []float32
+	blockBytes int
+}
+
+// quantizeSZ is the stage compressSZ and sizeSZ share. The field quantizes
+// slab by slab (szChunkLayout) with the Lorenzo predictor reset at every slab
+// boundary — each slab is an independent sub-field, so the slabs fan out
+// across workers — and the codes serialise little-endian while the escapes
+// (code 0) are gathered.
+func quantizeSZ(f *grid.Field, eb float64, forceGeneric bool, workers int) (szCodes, error) {
 	n := f.Size()
 	codes := u16Scratch.Get(n)
 	defer u16Scratch.Put(codes)
@@ -153,37 +169,88 @@ func compressSZ(f *grid.Field, eb float64, forceGeneric bool, workers int) ([]by
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return szCodes{}, err
 	}
-
-	// The kernels mark an escape as code 0; the raw pool is the escaped
-	// values in row-major order, gathered while the codes are serialized.
-	codeBytes := byteScratch.Get(2 * n)
-	raw := f32Scratch.Get(n)[:0]
-	defer f32Scratch.Put(raw[:cap(raw)])
+	q := szCodes{codeBytes: byteScratch.Get(2 * n), raw: f32Scratch.Get(n)[:0], blockBytes: 2 * rowsPerSlab * ps}
 	for i, c := range codes {
-		binary.LittleEndian.PutUint16(codeBytes[2*i:], c)
+		binary.LittleEndian.PutUint16(q.codeBytes[2*i:], c)
 		if c == 0 {
-			raw = append(raw, f.Data[i])
+			q.raw = append(q.raw, f.Data[i])
 		}
 	}
-	packedCodes, err := entropy.CompressBytesBlocks(codeBytes, 2*rowsPerSlab*ps, workers)
-	byteScratch.Put(codeBytes)
+	return q, nil
+}
+
+func (q szCodes) release() {
+	byteScratch.Put(q.codeBytes)
+	f32Scratch.Put(q.raw[:cap(q.raw)])
+}
+
+// compressSZ is the Compress implementation; forceGeneric pins the
+// quantization pass to the N-d odometer oracle so tests can prove the
+// specialized kernels emit identical blobs.
+//
+// A multi-slab code stream is packed into the chunked entropy container with
+// one chunk per slab (quantizeSZ), which makes every slab decodable from its
+// own chunk alone: the full decoder fans slabs out the same way and the
+// region decoder touches only the chunks covering the request. A one-slab
+// field fits in one block, so CompressBytesBlocks keeps it in the
+// whole-stream entropy container.
+func compressSZ(f *grid.Field, eb float64, forceGeneric bool, workers int) ([]byte, error) {
+	if err := checkBound(eb); err != nil {
+		return nil, err
+	}
+	defer obs.Span("compress/sz")()
+	obs.Inc("compressor_runs/sz")
+	q, err := quantizeSZ(f, eb, forceGeneric, workers)
+	if err != nil {
+		return nil, err
+	}
+	defer q.release()
+	packedCodes, err := entropy.CompressBytesBlocks(q.codeBytes, q.blockBytes, workers)
 	if err != nil {
 		return nil, fmt.Errorf("sz: encode codes: %w", err)
 	}
-	rawBytes := byteScratch.Get(4 * len(raw))
-	for i, v := range raw {
+	rawBytes := byteScratch.Get(4 * len(q.raw))
+	for i, v := range q.raw {
 		binary.LittleEndian.PutUint32(rawBytes[4*i:], math.Float32bits(v))
 	}
 
 	out := compress.AppendHeader(nil, compress.Header{Magic: compress.MagicSZ, Name: f.Name, Dims: f.Dims, Knob: eb})
 	out = binary.AppendUvarint(out, uint64(len(packedCodes)))
 	out = append(out, packedCodes...)
-	out = binary.AppendUvarint(out, uint64(len(raw)))
+	out = binary.AppendUvarint(out, uint64(len(q.raw)))
 	out = append(out, rawBytes...)
 	byteScratch.Put(rawBytes)
 	return out, nil
+}
+
+// sizeSZ is len(compressSZ(f, eb, false, workers)) from the same stages:
+// quantizeSZ, then the entropy coder's plan for the code section; the raw
+// section is four bytes per escape.
+func sizeSZ(f *grid.Field, eb float64, workers int) (int, error) {
+	if err := checkBound(eb); err != nil {
+		return 0, err
+	}
+	defer obs.Span("size/sz")()
+	obs.Inc("compressor_runs/sz")
+	q, err := quantizeSZ(f, eb, false, workers)
+	if err != nil {
+		return 0, err
+	}
+	defer q.release()
+	packed, err := entropy.SizeBytesBlocks(q.codeBytes, q.blockBytes, workers)
+	if err != nil {
+		return 0, fmt.Errorf("sz: encode codes: %w", err)
+	}
+	hdr := compress.AppendHeader(nil, compress.Header{Magic: compress.MagicSZ, Name: f.Name, Dims: f.Dims, Knob: eb})
+	return len(hdr) + uvarintLen(packed) + packed + uvarintLen(len(q.raw)) + 4*len(q.raw), nil
+}
+
+// uvarintLen is the length of n's uvarint encoding.
+func uvarintLen(n int) int {
+	var v [binary.MaxVarintLen64]byte
+	return binary.PutUvarint(v[:], uint64(n))
 }
 
 // Decompress implements compress.Compressor.

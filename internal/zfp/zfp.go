@@ -62,8 +62,8 @@ func (c *Compressor) WithWorkers(n int) compress.Compressor { return &Compressor
 
 // Compress implements compress.Compressor with an absolute error tolerance.
 func (c *Compressor) Compress(f *grid.Field, tol float64) ([]byte, error) {
-	if !(tol > 0) || math.IsInf(tol, 0) {
-		return nil, fmt.Errorf("zfp: tolerance must be a positive finite number, got %v", tol)
+	if err := checkTolerance(tol); err != nil {
+		return nil, err
 	}
 	defer obs.Span("compress/zfp")()
 	obs.Inc("compressor_runs/zfp")
@@ -108,8 +108,8 @@ func (c *FixedRate) WithWorkers(n int) compress.Compressor { return &FixedRate{W
 
 // Compress encodes every block with exactly rate*4^d bits.
 func (c *FixedRate) Compress(f *grid.Field, rate float64) ([]byte, error) {
-	if !(rate > 0) || rate > 64 {
-		return nil, fmt.Errorf("zfp: rate must be in (0, 64], got %v", rate)
+	if err := checkRate(rate); err != nil {
+		return nil, err
 	}
 	defer obs.Span("compress/zfp-rate")()
 	obs.Inc("compressor_runs/zfp-rate")
@@ -127,6 +127,22 @@ func (c *FixedRate) Compress(f *grid.Field, rate float64) ([]byte, error) {
 // Decompress implements compress.Compressor.
 func (c *FixedRate) Decompress(blob []byte) (*grid.Field, error) {
 	return (&Compressor{Workers: c.Workers}).Decompress(blob)
+}
+
+// checkTolerance rejects a tolerance fixed-accuracy mode cannot honour.
+func checkTolerance(tol float64) error {
+	if !(tol > 0) || math.IsInf(tol, 0) {
+		return fmt.Errorf("zfp: tolerance must be a positive finite number, got %v", tol)
+	}
+	return nil
+}
+
+// checkRate rejects a rate fixed-rate mode cannot honour.
+func checkRate(rate float64) error {
+	if !(rate > 0) || rate > 64 {
+		return fmt.Errorf("zfp: rate must be in (0, 64], got %v", rate)
+	}
+	return nil
 }
 
 // minExp returns floor(log2(tol)), the weakest bit-plane exponent that can
@@ -169,10 +185,8 @@ func foldedNDims(dims []int) int {
 // header, transform, and embedded bit-plane coding, padded to the budget in
 // fixed-rate mode.
 func encodeBlock(w *entropy.BitWriter, folded *grid.Field, origin []int, s *blockScratch, minexp, maxbits, nd int, perm []int) {
-	vals, q := s.vals, s.q
-	gatherPadded(folded, origin, vals)
 	used := 0
-	emax, zero := blockEmax(vals)
+	emax, zero := gatherBlock(folded, origin, s)
 	budget := unbounded
 	if maxbits > 0 {
 		budget = maxbits
@@ -189,9 +203,8 @@ func encodeBlock(w *entropy.BitWriter, folded *grid.Field, origin []int, s *bloc
 			maxprec = precision(emax, minexp, nd)
 		}
 		if maxprec > 0 {
-			quantize(vals, emax, q)
-			fwdTransform(q, nd)
-			used += encodeInts(w, budget-used, maxprec, q, perm, &s.planes)
+			transformBlock(s, emax, nd)
+			used += encodeInts(w, budget-used, maxprec, s.q, perm, &s.planes)
 		}
 	}
 	// Fixed-rate blocks are padded to exactly the budget.
@@ -200,6 +213,21 @@ func encodeBlock(w *entropy.BitWriter, folded *grid.Field, origin []int, s *bloc
 			w.WriteBits(0, uint(min(pad, 64)))
 		}
 	}
+}
+
+// gatherBlock copies the block at origin into s.vals and returns its common
+// exponent and whether it is all zero: the front of the block pipeline the
+// encoder and the size table share.
+func gatherBlock(folded *grid.Field, origin []int, s *blockScratch) (emax int, zero bool) {
+	gatherPadded(folded, origin, s.vals)
+	return blockEmax(s.vals)
+}
+
+// transformBlock quantizes the gathered block at its common exponent and
+// decorrelates it into s.q.
+func transformBlock(s *blockScratch, emax, nd int) {
+	quantize(s.vals, emax, s.q)
+	fwdTransform(s.q, nd)
 }
 
 // encodeBody compresses the field body. maxbits == 0 selects fixed-accuracy
